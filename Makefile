@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check race fuzz cover soak shardrace bench perf perfstat reproduce extra examples clean
+.PHONY: all build test vet check race fuzz cover benchcheck soak shardrace bench perf perfstat reproduce extra examples clean
 
 all: vet test build
 
@@ -17,11 +17,12 @@ vet:
 	gofmt -l .
 
 # Full pre-merge gate: vet + the whole suite + the race detector over the
-# hot-path packages + the fuzz corpus + the statement-coverage floor.
-check: vet test race fuzz cover
+# hot-path packages + the fuzz corpus + the statement-coverage floor + the
+# nested benchmark module.
+check: vet test race fuzz cover benchcheck
 
 race:
-	$(GO) test -race ./internal/sim/... ./internal/adi/... ./internal/core/... ./internal/mpi/... ./internal/chaos/... ./internal/buf/... ./internal/harness/... ./internal/regcache/... ./internal/fabric/... ./internal/topo/...
+	$(GO) test -race ./internal/sim/... ./internal/adi/... ./internal/core/... ./internal/mpi/... ./internal/chaos/... ./internal/buf/... ./internal/harness/... ./internal/regcache/... ./internal/fabric/... ./internal/topo/... ./internal/hca/...
 	$(GO) test -race -run 'TestLaneColl|TestEagerLatencyTable' ./internal/bench/
 
 # Self-healing soak: the full chaos conformance matrix with the rail
@@ -64,8 +65,13 @@ fuzz:
 cover:
 	@prof=$$(mktemp -t ib12x-cover-XXXXXX.out); \
 	trap 'rm -f $$prof' EXIT; \
-	$(GO) test -coverprofile=$$prof ./internal/core ./internal/adi ./internal/sim ./internal/chaos ./internal/buf ./internal/harness ./internal/regcache ./internal/fabric ./internal/topo && \
+	$(GO) test -coverprofile=$$prof ./internal/core ./internal/adi ./internal/sim ./internal/chaos ./internal/buf ./internal/harness ./internal/regcache ./internal/fabric ./internal/topo ./internal/hca && \
 	$(GO) run ./cmd/covergate -profile $$prof -floor COVERAGE.txt
+
+# benchmark/ is its own Go module, so `go test ./...` at the root never
+# compiles it; this is what catches an API break against it.
+benchcheck:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # One testing.B benchmark per paper figure, plus ablations.
 bench:

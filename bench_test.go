@@ -15,6 +15,7 @@ import (
 
 	"ib12x/internal/adi"
 	"ib12x/internal/bench"
+	"ib12x/internal/chaos"
 	"ib12x/internal/core"
 	"ib12x/internal/fabric"
 	"ib12x/internal/model"
@@ -560,7 +561,9 @@ func BenchmarkExtOversubscription(b *testing.B) {
 func BenchmarkExtFaultyFabric(b *testing.B) {
 	run := func(fault int64) float64 {
 		cfg := bench.Setup{QPs: 4, Policy: core.EPC}.Config()
-		cfg.FaultEvery = fault
+		if fault > 0 {
+			cfg.Chaos = chaos.LegacyEveryN(fault)
+		}
 		var el float64
 		_, err := mpi.Run(cfg, func(c *mpi.Comm) {
 			if c.Rank() == 0 {

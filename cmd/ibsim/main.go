@@ -55,6 +55,10 @@ func main() {
 		QPs: *qps, Policy: kind,
 		Nodes: *nodes, PPN: *ppn, Ports: *ports, HCAs: *hcas,
 	}
+	if !(*oversub > 0) {
+		fmt.Fprintf(os.Stderr, "ibsim: -oversub %g, need > 0\n", *oversub)
+		os.Exit(2)
+	}
 	if *perLeaf > 0 {
 		setup.NodesPerSwitch = *perLeaf
 		setup.TrunkRate = model.Default().LinkRawRate * float64(*perLeaf) / *oversub

@@ -37,10 +37,6 @@ type Options struct {
 	EagerProto EagerProto
 	// Trace, when non-nil, receives every rank's protocol events.
 	Trace *trace.Recorder
-	// FaultEvery injects a deterministic transmission error on every N-th
-	// chunk of every port (0 = error-free fabric). Lost chunks pay the RC
-	// retransmit timeout; payloads still arrive intact.
-	FaultEvery int64
 	// RegCache, when non-nil, arms the pin-down registration cache on every
 	// endpoint: rendezvous and one-sided bulk transfers pay virtual-time
 	// registration charges for buffers the per-endpoint LRU does not cover.
@@ -309,13 +305,6 @@ func buildWorld(eng *sim.Engine, g *sim.Group, shardOf []int, m *model.Params, s
 			w.trShards = make([]*trace.Recorder, g.Shards())
 			for s, se := range g.Engines() {
 				w.trShards[s] = opt.Trace.Child(se)
-			}
-		}
-	}
-	if opt.FaultEvery > 0 {
-		for _, node := range cluster.Nodes {
-			for _, port := range node.Ports() {
-				port.ErrorEvery = opt.FaultEvery
 			}
 		}
 	}

@@ -33,11 +33,11 @@ type Setup struct {
 	// RDMA-write ring is the EagerLatencyTable ablation).
 	EagerProto adi.EagerProto
 
-	// NodesPerSwitch/TrunkRate select the two-level fat-tree fabric
-	// (0 = the paper's single switch / 1:1 trunks). Tiers = 3 with
-	// SpinesPerPod upgrades it to the routed three-tier tree, Dragonfly
-	// selects the dragonfly fabric, and Routing picks static D-mod-K vs
-	// adaptive path selection on the routed shapes (OversubscriptionTable).
+	// NodesPerSwitch/TrunkRate select a fat-tree fabric (0 = the paper's
+	// single switch / trunks at the link rate): two levels under
+	// SpinesPerPod spines by default, three with Tiers = 3. Dragonfly
+	// selects the dragonfly fabric instead, and Routing picks static
+	// D-mod-K vs adaptive path selection (OversubscriptionTable).
 	NodesPerSwitch int
 	TrunkRate      float64
 	Tiers          int

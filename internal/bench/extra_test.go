@@ -167,7 +167,7 @@ func TestOversubscriptionTableShape(t *testing.T) {
 	// The 1:1 clean tree delivers the bulk of the flat crossbar's bisection
 	// (exact parity is impossible at critical load: per-chunk least-loaded
 	// assignment over discrete lanes leaves scheduling gaps a single ideal
-	// switch does not have — the legacy two-level fabric loses more).
+	// switch does not have — a single-spine two-level tree loses more).
 	flat, tree := get("flat", 1), get("adaptive clean", 1)
 	if tree < 0.75*flat || tree > 1.02*flat {
 		t.Errorf("1:1 clean adaptive %.2f MB/s out of range of flat %.2f", tree, flat)

@@ -43,8 +43,8 @@ const (
 	// CompletionDelay postpones RC acknowledgment generation at the port by
 	// Pad, delaying sender-side completions without touching data delivery.
 	CompletionDelay
-	// ChunkLossEveryN drops every N-th chunk crossing the port (the legacy
-	// FaultEvery knob); each loss pays the RC retransmit timeout.
+	// ChunkLossEveryN drops every N-th chunk crossing the port
+	// (hca.Port.ErrorEvery); each loss pays the RC retransmit timeout.
 	ChunkLossEveryN
 	// Payload corruption (DESIGN.md §17). Each corrupts every N-th payload
 	// descriptor posted through the targeted ports (N = 0 disarms; the byte,
@@ -63,11 +63,11 @@ const (
 	// guard re-polls until the slot settles; disarmed receivers read the
 	// stale tail.
 	RingTornWrite
-	// TrunkDegrade throttles one fault plane of a routed fabric (spine
-	// plane of a three-tier tree, global-link index of a dragonfly; Port
-	// carries the plane index) to Factor × its built rate. Booked backlog
-	// keeps its departure times; adaptive routing sees the new rate at
-	// the next selection. No-op on flat and legacy fabrics.
+	// TrunkDegrade throttles one fault plane of the fabric (spine index of
+	// a fat tree, global-link index of a dragonfly; Port carries the plane
+	// index) to Factor × its built rate. Booked backlog keeps its
+	// departure times; adaptive routing sees the new rate at the next
+	// selection. No-op under a single switch, which has no planes.
 	TrunkDegrade
 	// TrunkRestore returns the plane to its built rate.
 	TrunkRestore
@@ -222,8 +222,8 @@ func (p *Plan) eachPort(w *adi.World, ev Event, fn func(*hca.Port)) {
 // NoFaults is the identity plan: a healthy fabric.
 func NoFaults() *Plan { return &Plan{Name: "no-faults"} }
 
-// LegacyEveryN expresses the historical FaultEvery knob as a plan: every
-// N-th chunk on every port is lost and retransmitted after the RC timeout.
+// LegacyEveryN is the chunk-loss knob: every N-th chunk on every port is
+// lost and retransmitted after the RC timeout.
 func LegacyEveryN(n int64) *Plan {
 	return &Plan{
 		Name:   fmt.Sprintf("legacy-every-%d", n),
@@ -274,9 +274,10 @@ func DegradedLink(from, until sim.Time, node, port int, factor float64, pad sim.
 	}
 }
 
-// DegradedTrunk throttles one fault plane of a routed fabric (spine plane
-// / global-link index) to factor of its built rate between from and until.
-// On flat and legacy fabrics the plan arms but changes nothing.
+// DegradedTrunk throttles one fault plane of the fabric (spine plane /
+// global-link index) to factor of its built rate between from and until.
+// A two-level tree has SpinesPerPod planes; under a single switch, which
+// has none, the plan arms but changes nothing.
 func DegradedTrunk(from, until sim.Time, plane int, factor float64) *Plan {
 	return &Plan{
 		Name: fmt.Sprintf("degraded-trunk-plane%d", plane),

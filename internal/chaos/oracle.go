@@ -45,13 +45,13 @@ type OracleConfig struct {
 	QPsPerPort   int // default 4 rails
 	Deadline     sim.Time
 
-	// Fabric shape beyond the flat default (mpi.Config fields of the same
-	// names): a two-level fat tree (NodesPerSwitch alone), the routed
-	// three-tier tree (Tiers = 3 with SpinesPerPod) or dragonfly
-	// (Dragonfly.Groups > 0), with Routing picking static vs adaptive
-	// path selection. The workload's payload digest is topology- and
-	// routing-invariant — routes move bytes in time, never in content or
-	// matching order — so every cell must still match the flat baseline.
+	// Fabric shape beyond the single-switch default (mpi.Config fields of
+	// the same names): a two-level fat tree (NodesPerSwitch, optionally
+	// SpinesPerPod), a three-tier tree (Tiers = 3 with SpinesPerPod) or a
+	// dragonfly (Dragonfly.Groups > 0), with Routing picking static vs
+	// adaptive path selection. The workload's payload digest is topology-
+	// and routing-invariant — routes move bytes in time, never in content
+	// or matching order — so every cell must still match the flat baseline.
 	NodesPerSwitch int
 	TrunkRate      float64
 	Tiers          int

@@ -292,9 +292,12 @@ func TestGeneratedPlansConverge(t *testing.T) {
 // payload digest, protocol trace digest, and elapsed virtual time — at
 // every shard count, with zero invariant violations. Shard counts above the
 // topology's unit count clamp (topo.ShardPlan), so the 8-way sweep runs on
-// an 8-node fabric where all 8 shards are real. The third sweep row runs
-// the same matrix on a routed three-tier tree (adaptive), where shards map
-// to pods and every trunk booking crosses the deferred-barrier path.
+// an 8-node fabric where all 8 shards are real. The last two sweep rows run
+// the same matrix on a three-tier tree (adaptive), where shards map to
+// pods, and on a two-level 8:1 tree of three leaves, where shards map to
+// leaves (one each, then a ragged two) and every leaf's downlink takes
+// bookings from both other leaves; every trunk booking crosses the
+// deferred-barrier path.
 func TestShardedSerialIdentical(t *testing.T) {
 	type cell struct {
 		plan   *Plan
@@ -312,6 +315,10 @@ func TestShardedSerialIdentical(t *testing.T) {
 		c.SpinesPerPod = 2
 		c.TrunkRate = model.Default().LinkRawRate / 4
 		c.Routing = fabric.RouteAdaptive
+	}
+	twoLevel := func(c *OracleConfig) {
+		c.NodesPerSwitch = 2
+		c.TrunkRate = model.Default().LinkRawRate / 4
 	}
 	matrix := func(nodes, shards int, shape func(*OracleConfig)) []*RunResult {
 		t.Helper()
@@ -338,6 +345,7 @@ func TestShardedSerialIdentical(t *testing.T) {
 		{nodes: 4, shards: []int{1, 2, 4}},
 		{nodes: 8, shards: []int{8}},
 		{nodes: 4, shards: []int{2}, shape: threeTier},
+		{nodes: 6, shards: []int{3, 2}, shape: twoLevel},
 	} {
 		serial := matrix(sweep.nodes, 0, sweep.shape)
 		for _, shards := range sweep.shards {

@@ -12,10 +12,11 @@ import (
 	"ib12x/internal/topo"
 )
 
-// The routed-fabric oracle cells: 4 nodes × 1 proc (every pair crosses the
-// fabric, which is the point), on a three-tier 2:1 tree and a two-group
-// dragonfly. Trunks run at a quarter of the link rate on the tree, so the
-// leaf ratio is 1·link : 2·(link/4) = 2:1 oversubscribed.
+// The trunked-fabric oracle cells: 4 nodes × 1 proc (every pair crosses the
+// fabric, which is the point), on a two-level 4:1 tree, a three-tier 2:1
+// tree and a two-group dragonfly. Trunks run at a quarter of the link rate
+// on the trees, so the leaf ratio is 1·link : 1·(link/4) = 4:1 under the
+// single spine and 1·link : 2·(link/4) = 2:1 under two.
 type routedShape struct {
 	name string
 	set  func(*OracleConfig)
@@ -34,21 +35,26 @@ func routedShapes() []routedShape {
 			c.Dragonfly = topo.Dragonfly{Groups: 2, RoutersPerGroup: 2, GlobalLinks: 2}
 			c.TrunkRate = link / 2
 		}},
+		{"two-level-4to1", func(c *OracleConfig) {
+			c.NodesPerSwitch = 1
+			c.TrunkRate = link / 4
+		}},
 	}
 }
 
 var bothRoutings = []fabric.Routing{fabric.RouteStatic, fabric.RouteAdaptive}
 
 // routedPlans is the chaos matrix for routing cells: the standard fault
-// plans plus the trunk-plane degrade that only routed fabrics can feel.
+// plans plus the trunk-plane degrade that only trunked fabrics can feel.
 func routedPlans() []*Plan {
 	return append(faultPlans(),
 		DegradedTrunk(50*sim.Microsecond, 500*sim.Microsecond, 0, 0.25))
 }
 
 // TestDifferentialOracleRouting runs the seeded workload over the full
-// 6-policy × fault-plan chaos matrix on a three-tier 2:1 tree and a
-// dragonfly group, under both static and adaptive routing, and requires
+// 6-policy × fault-plan chaos matrix on a two-level 4:1 tree, a three-tier
+// 2:1 tree and a dragonfly group, under both static and adaptive routing
+// (the same thing under the two-level tree's single spine), and requires
 // every cell's payload digest to be byte-identical to the flat-fabric
 // baseline of the same plan. Routing moves bytes in time — extra hops,
 // contention, re-selected lanes — never in content or matching order, so
@@ -141,7 +147,7 @@ func TestRoutingSerialParallelIdentical(t *testing.T) {
 // time, so the whole path booking is deferred to the window barrier where
 // it applies in serial posting order. A bounded cut of the matrix — the
 // kitchen-sink, trunk-degrade, and rail-death plans × two policies × both
-// shapes, adaptive routing — must be bit-identical (digest, trace,
+// every shape, adaptive routing — must be bit-identical (digest, trace,
 // elapsed) at every shard count, with zero violations.
 func TestRoutingShardedIdentical(t *testing.T) {
 	type cell struct {
@@ -179,8 +185,8 @@ func TestRoutingShardedIdentical(t *testing.T) {
 		return res
 	}
 	serial := matrix(0)
-	// Both shapes have 2 sharding units (2 pods / 2 groups); 4 exercises
-	// the clamp.
+	// The two-level tree has 4 sharding units (leaves); the other shapes
+	// have 2 (pods / groups), where 4 exercises the clamp.
 	for _, shards := range []int{2, 4} {
 		sharded := matrix(shards)
 		for i, res := range sharded {

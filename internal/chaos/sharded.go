@@ -56,7 +56,7 @@ func (p *Plan) ArmSharded(g *sim.Group, w *adi.World) {
 				})
 			}
 		case TrunkDegrade, TrunkRestore:
-			// Fabric planes are shared by every shard, and all routed-graph
+			// Fabric planes are shared by every shard, and all trunk
 			// lane bookings are deferred to the window barrier where they
 			// apply in serial posting-key order. The mutation defers the
 			// same way — its setup-phase key slots it before runtime events

@@ -1,5 +1,5 @@
 // Package fabric models the InfiniBand wire: full-duplex link lanes with
-// cut-through forwarding through a single switch.
+// cut-through forwarding through a graph of switches.
 //
 // A Lane is one direction of one link. It is not a plain FIFO server: the
 // source side may be fed by a DMA engine slower than the wire (the lane then
@@ -111,63 +111,16 @@ func (l *Lane) Bytes() int64 { return l.bytes }
 // Busy reports accumulated lane occupancy.
 func (l *Lane) Busy() sim.Time { return l.busy }
 
-// Net is the switched fabric. A single cut-through switch gives every pair
-// a constant one-hop latency; the optional two-level fat tree adds leaf
-// switches with shared trunk lanes to a spine, so cross-leaf traffic pays
-// two extra hops and contends on the (possibly oversubscribed) trunks.
+// Net is the switched fabric: a graph of cut-through switches joined by
+// trunk lanes (route.go). Every shape — the paper's single switch, a
+// two-level or three-tier fat tree, a dragonfly — is one graph booked
+// through BookPath; nodes under the same switch pay one hop and no trunk.
 type Net struct {
 	// Latency is the per-hop propagation plus switch cut-through time.
 	Latency sim.Time
 
-	nodesPerLeaf int
-	up, down     []Lane // per-leaf trunk lanes toward/from the spine
-
-	// g, when non-nil, replaces the two-level model with a routed switch
-	// graph (three-tier fat tree or dragonfly — see route.go).
 	g *graph
-}
-
-// NewSingleSwitch builds the flat fabric of the paper's testbed.
-func NewSingleSwitch(latency sim.Time) *Net { return &Net{Latency: latency} }
-
-// NewFatTree builds a two-level fabric: nodes are grouped nodesPerLeaf to a
-// leaf switch; each leaf connects to the spine by one trunk of trunkRate
-// bytes/s per direction. With trunkRate = linkRate the tree is
-// non-blocking 1:1 only for a single active node per leaf; lower rates
-// model oversubscription.
-func NewFatTree(latency sim.Time, nodes, nodesPerLeaf int, trunkRate float64) *Net {
-	if nodesPerLeaf <= 0 {
-		return NewSingleSwitch(latency)
-	}
-	leaves := (nodes + nodesPerLeaf - 1) / nodesPerLeaf
-	n := &Net{Latency: latency, nodesPerLeaf: nodesPerLeaf}
-	n.up = make([]Lane, leaves)
-	n.down = make([]Lane, leaves)
-	for i := range n.up {
-		n.up[i].Rate = trunkRate
-		n.down[i].Rate = trunkRate
-	}
-	return n
 }
 
 // OneWay reports the per-hop wire latency.
 func (n *Net) OneWay() sim.Time { return n.Latency }
-
-// Leaf reports the leaf switch of a node (0 in a single-switch fabric).
-func (n *Net) Leaf(node int) int {
-	if n.nodesPerLeaf == 0 {
-		return 0
-	}
-	return node / n.nodesPerLeaf
-}
-
-// CrossLeaf reports whether two nodes sit under different leaf switches.
-func (n *Net) CrossLeaf(a, b int) bool {
-	return n.nodesPerLeaf > 0 && n.Leaf(a) != n.Leaf(b)
-}
-
-// Uplink returns the leaf's trunk lane toward the spine.
-func (n *Net) Uplink(leaf int) *Lane { return &n.up[leaf] }
-
-// Downlink returns the leaf's trunk lane from the spine.
-func (n *Net) Downlink(leaf int) *Lane { return &n.down[leaf] }

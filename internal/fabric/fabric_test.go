@@ -83,7 +83,7 @@ func TestLaneStats(t *testing.T) {
 }
 
 func TestNetOneWay(t *testing.T) {
-	n := &Net{Latency: 600 * sim.Nanosecond}
+	n := NewSingleSwitch(600 * sim.Nanosecond)
 	if n.OneWay() != 600*sim.Nanosecond {
 		t.Errorf("OneWay = %v, want 600ns", n.OneWay())
 	}

@@ -1,19 +1,21 @@
-// Switch-graph fabrics: three-tier fat trees and dragonfly groups with
-// per-switch forwarding tables and deterministic path selection.
+// The switch graph: fat trees and dragonfly groups with per-switch
+// forwarding tables and deterministic path selection.
 //
-// The legacy two-level net (NewFatTree) books a single up/down trunk pair
-// per leaf with no routing at all. The routed fabrics below model every
-// inter-switch cable as its own Lane and pick among parallel candidates at
-// each switch — statically (D-mod-K hashing of the flow key) or adaptively
-// (least modeled finish time at booking, with seeded tie-breaks). Either
-// way a run replays bit-identically: static selection is a pure function of
-// the flow key, and adaptive selection reads only lane state that the
-// deterministic event order already fixes.
+// Every inter-switch cable is its own Lane, and each switch picks among
+// parallel candidates — statically (D-mod-K hashing of the flow key) or
+// adaptively (least modeled finish time at booking, with seeded
+// tie-breaks). Either way a run replays bit-identically: static selection
+// is a pure function of the flow key, and adaptive selection reads only
+// lane state that the deterministic event order already fixes.
 package fabric
 
-import "ib12x/internal/sim"
+import (
+	"math"
 
-// Routing selects the path-selection discipline of a routed fabric.
+	"ib12x/internal/sim"
+)
+
+// Routing selects the path-selection discipline of the fabric.
 type Routing int
 
 const (
@@ -38,26 +40,30 @@ func (r Routing) String() string {
 const maxHops = 4
 
 const (
-	gFatTree3 = iota
+	gFatTree = iota
 	gDragonfly
 )
 
-// graph holds the switch graph of a routed fabric. Lanes live in one slab
-// indexed by closed-form functions of the topology coordinates; a "plane"
-// (spine index in a fat tree, global-link index in a dragonfly) groups the
-// lanes that a single physical failure domain would take down together.
+// graph holds the switch graph of a fabric. Lanes live in one slab indexed
+// by closed-form functions of the topology coordinates; a "plane" (spine
+// index in a fat tree, global-link index in a dragonfly) groups the lanes
+// that a single physical failure domain would take down together.
 type graph struct {
 	kind     int
 	mode     Routing
 	seed     uint64
 	nodesPer int // nodes per leaf switch / per dragonfly router
 
-	// three-tier fat tree: `leaves` leaf switches grouped `spines` to a
-	// pod, each pod with `spines` spine switches, and `spines` core
-	// switches connecting every spine of every pod (full bipartite).
-	spines int
-	pods   int
-	leaves int
+	// fat tree: `leaves` leaf switches grouped podLeaves to a pod, each pod
+	// with `spines` spine switches, and `cores` core switches connecting
+	// every spine of every pod (full bipartite). Three tiers have
+	// podLeaves = cores = spines; two levels are one pod holding every
+	// leaf and no core; a single switch is one leaf with no spine.
+	spines    int
+	cores     int
+	podLeaves int
+	pods      int
+	leaves    int
 
 	// dragonfly: `groups` groups of `routers` routers each, all-to-all
 	// local links inside a group and `glinks` parallel global lanes per
@@ -74,36 +80,61 @@ type graph struct {
 	local, global              int // dragonfly
 }
 
-// NewThreeTier builds a three-tier fat tree: nodes are grouped nodesPerLeaf
+// newTree builds a fat tree of `leaves` leaf switches, podLeaves to a pod,
+// under `spines` spines per pod and `cores` core switches.
+func newTree(latency sim.Time, leaves, perLeaf, podLeaves, spines, cores int, trunkRate float64, mode Routing, seed uint64) *Net {
+	pods := (leaves + podLeaves - 1) / podLeaves
+	g := &graph{
+		kind:      gFatTree,
+		mode:      mode,
+		seed:      seed,
+		nodesPer:  perLeaf,
+		spines:    spines,
+		cores:     cores,
+		podLeaves: podLeaves,
+		pods:      pods,
+		leaves:    leaves,
+	}
+	g.upLS = 0
+	g.downSL = leaves * spines
+	g.upSC = 2 * leaves * spines
+	g.downCS = g.upSC + pods*spines*cores
+	g.alloc(g.downCS+pods*spines*cores, trunkRate)
+	return &Net{Latency: latency, g: g}
+}
+
+// leafCount checks a tree's radix arguments and reports how many leaf
+// switches of perLeaf nodes hold `nodes`.
+func leafCount(nodes, perLeaf, spines int) int {
+	if perLeaf < 1 || spines < 1 {
+		panic("fabric: fat tree needs perLeaf >= 1 and spines >= 1")
+	}
+	return max((nodes+perLeaf-1)/perLeaf, 1)
+}
+
+// NewSingleSwitch builds the flat fabric of the paper's testbed: one leaf
+// that owns every node, so no pair crosses a trunk and there are no planes.
+func NewSingleSwitch(latency sim.Time) *Net {
+	return newTree(latency, 1, math.MaxInt, 1, 0, 0, 0, RouteStatic, 0)
+}
+
+// NewTwoLevel builds a two-level fat tree: nodes are grouped perLeaf
+// to a leaf and every leaf connects to each of `spines` spine switches by
+// one trunk of trunkRate bytes/s per direction, so the leaf
+// oversubscription ratio is perLeaf·linkRate : spines·trunkRate.
+func NewTwoLevel(latency sim.Time, nodes, perLeaf, spines int, trunkRate float64, mode Routing, seed uint64) *Net {
+	leaves := leafCount(nodes, perLeaf, spines)
+	return newTree(latency, leaves, perLeaf, leaves, spines, 0, trunkRate, mode, seed)
+}
+
+// NewThreeTier builds a three-tier fat tree: nodes are grouped perLeaf
 // to a leaf, leaves grouped spinesPerPod to a pod served by spinesPerPod
 // spine switches, and spinesPerPod core switches connect the pods. Every
 // inter-switch lane runs at trunkRate bytes/s, so the leaf oversubscription
-// ratio is nodesPerLeaf·linkRate : spinesPerPod·trunkRate.
-func NewThreeTier(latency sim.Time, nodes, nodesPerLeaf, spinesPerPod int, trunkRate float64, mode Routing, seed uint64) *Net {
-	if nodesPerLeaf < 1 || spinesPerPod < 1 {
-		panic("fabric: three-tier needs nodesPerLeaf >= 1 and spinesPerPod >= 1")
-	}
-	leaves := (nodes + nodesPerLeaf - 1) / nodesPerLeaf
-	if leaves < 1 {
-		leaves = 1
-	}
-	pods := (leaves + spinesPerPod - 1) / spinesPerPod
-	g := &graph{
-		kind:     gFatTree3,
-		mode:     mode,
-		seed:     seed,
-		nodesPer: nodesPerLeaf,
-		spines:   spinesPerPod,
-		pods:     pods,
-		leaves:   leaves,
-	}
-	s := spinesPerPod
-	g.upLS = 0
-	g.downSL = leaves * s
-	g.upSC = 2 * leaves * s
-	g.downCS = 2*leaves*s + pods*s*s
-	g.alloc(2*leaves*s+2*pods*s*s, trunkRate)
-	return &Net{Latency: latency, g: g}
+// ratio is perLeaf·linkRate : spinesPerPod·trunkRate.
+func NewThreeTier(latency sim.Time, nodes, perLeaf, spinesPerPod int, trunkRate float64, mode Routing, seed uint64) *Net {
+	leaves := leafCount(nodes, perLeaf, spinesPerPod)
+	return newTree(latency, leaves, perLeaf, spinesPerPod, spinesPerPod, spinesPerPod, trunkRate, mode, seed)
 }
 
 // NewDragonfly builds a dragonfly: groups × routersPerGroup routers with
@@ -133,8 +164,8 @@ func NewDragonfly(latency sim.Time, groups, routersPerGroup, nodesPerRouter, glo
 }
 
 func (g *graph) alloc(n int, rate float64) {
-	if rate <= 0 {
-		panic("fabric: routed fabric needs trunkRate > 0")
+	if n > 0 && rate <= 0 {
+		panic("fabric: trunk lanes need trunkRate > 0")
 	}
 	g.lanes = make([]Lane, n)
 	g.rates = make([]float64, n)
@@ -150,8 +181,8 @@ func (g *graph) alloc(n int, rate float64) {
 func (g *graph) laneUpLS(leaf, s int) int   { return g.upLS + leaf*g.spines + s }
 func (g *graph) laneDownSL(leaf, s int) int { return g.downSL + leaf*g.spines + s }
 
-func (g *graph) laneUpSC(pod, s, c int) int   { return g.upSC + (pod*g.spines+s)*g.spines + c }
-func (g *graph) laneDownCS(pod, s, c int) int { return g.downCS + (pod*g.spines+s)*g.spines + c }
+func (g *graph) laneUpSC(pod, s, c int) int   { return g.upSC + (pod*g.spines+s)*g.cores + c }
+func (g *graph) laneDownCS(pod, s, c int) int { return g.downCS + (pod*g.spines+s)*g.cores + c }
 
 func (g *graph) laneLocal(grp, a, b int) int { return g.local + (grp*g.routers+a)*g.routers + b }
 func (g *graph) laneGlobal(g1, g2, j int) int {
@@ -219,7 +250,7 @@ func (g *graph) chooseLane(key uint64, cp, base, stride, ncand int, ready sim.Ti
 }
 
 // walk routes src→dst and, when book is true, charges each hop lane with
-// the legacy per-hop recurrence (first = start+hopLat, last = leaves+hopLat
+// the cut-through recurrence (first = start+hopLat, last = leaves+hopLat
 // after every Send). Hop lane indices are recorded into hops; the hop count
 // and the updated (first, last) pair are returned. With book=false the walk
 // only consults lane state (adaptive mode) without mutating it.
@@ -234,27 +265,25 @@ func (g *graph) walk(src, dst int, key uint64, first, last sim.Time, wire int64,
 		}
 	}
 	switch g.kind {
-	case gFatTree3:
+	case gFatTree:
 		sl, dl := src/g.nodesPer, dst/g.nodesPer
 		if sl == dl {
 			return 0, first, last
 		}
-		sp, dp := sl/g.spines, dl/g.spines
-		if sp == dp {
-			// Up to a pod spine, straight down: 2 hops.
-			s := g.chooseLane(key, 0, g.laneUpLS(sl, 0), 1, g.spines, first, wire)
-			take(g.laneUpLS(sl, s))
-			take(g.laneDownSL(dl, s))
-			return nh, first, last
-		}
-		// Up/down through the core: each switch picks among its own
-		// output lanes (leaf: which spine; spine: which core; core:
-		// which spine of the destination pod), never turning back up.
+		// Up/down: each switch picks among its own output lanes (leaf:
+		// which spine; spine: which core; core: which spine of the
+		// destination pod), never turning back up.
+		sp, dp := sl/g.podLeaves, dl/g.podLeaves
 		s1 := g.chooseLane(key, 0, g.laneUpLS(sl, 0), 1, g.spines, first, wire)
 		take(g.laneUpLS(sl, s1))
-		c := g.chooseLane(key, 1, g.laneUpSC(sp, s1, 0), 1, g.spines, first, wire)
+		if sp == dp {
+			// Same pod: straight back down from the spine, 2 hops.
+			take(g.laneDownSL(dl, s1))
+			return nh, first, last
+		}
+		c := g.chooseLane(key, 1, g.laneUpSC(sp, s1, 0), 1, g.cores, first, wire)
 		take(g.laneUpSC(sp, s1, c))
-		s2 := g.chooseLane(key, 2, g.laneDownCS(dp, 0, c), g.spines, g.spines, first, wire)
+		s2 := g.chooseLane(key, 2, g.laneDownCS(dp, 0, c), g.cores, g.spines, first, wire)
 		take(g.laneDownCS(dp, s2, c))
 		take(g.laneDownSL(dl, s2))
 		return nh, first, last
@@ -286,58 +315,45 @@ func (g *graph) walk(src, dst int, key uint64, first, last sim.Time, wire int64,
 	}
 }
 
-// Routed reports whether the fabric carries a switch graph (three-tier fat
-// tree or dragonfly) rather than the flat / legacy two-level model.
-func (n *Net) Routed() bool { return n.g != nil }
-
-// SwitchOf reports a node's first-hop switch in a routed fabric.
-func (n *Net) SwitchOf(node int) int {
-	if n.g == nil {
-		return 0
-	}
-	return n.g.switchOf(node)
-}
-
-// CrossSwitch reports whether two nodes attach to different switches of a
-// routed fabric (false on flat and legacy fabrics, which keep CrossLeaf).
-func (n *Net) CrossSwitch(a, b int) bool {
-	return n.g != nil && n.g.switchOf(a) != n.g.switchOf(b)
-}
+// CrossSwitch reports whether two nodes attach to different switches, i.e.
+// whether traffic between them crosses trunk lanes at all.
+func (n *Net) CrossSwitch(a, b int) bool { return n.g.switchOf(a) != n.g.switchOf(b) }
 
 // BookPath routes src→dst under the flow key and books every hop lane,
-// applying the per-hop recurrence first=start+hopLat, last=leaves+hopLat
-// after each Send — exactly the legacy trunk accounting, once per hop. It
-// returns the delivered (first, last) pair at the destination's leaf port.
+// applying the cut-through recurrence first=start+hopLat, last=leaves+hopLat
+// after each Send. It returns the delivered (first, last) pair at the
+// destination's leaf port.
 func (n *Net) BookPath(src, dst int, key uint64, first, last sim.Time, wire int64, hopLat sim.Time) (sim.Time, sim.Time) {
 	var hops [maxHops]int
 	_, f, l := n.g.walk(src, dst, key, first, last, wire, hopLat, &hops, true)
 	return f, l
 }
 
-// Planes reports the number of fault planes of a routed fabric: spine
-// indices in a three-tier tree (plane s = every up/down lane touching any
-// pod's spine s or core s), global-link indices in a dragonfly (plane j =
-// the j-th parallel global lane of every group pair). 0 on flat fabrics.
+// Planes reports the number of fault planes: spine indices in a fat tree
+// (plane s = every up/down lane touching any pod's spine s or core s),
+// global-link indices in a dragonfly (plane j = the j-th parallel global
+// lane of every group pair). 0 under a single switch.
 func (n *Net) Planes() int {
-	g := n.g
-	if g == nil {
-		return 0
+	if n.g.kind == gFatTree {
+		return n.g.spines
 	}
-	if g.kind == gFatTree3 {
-		return g.spines
-	}
-	return g.glinks
+	return n.g.glinks
 }
 
-// eachPlaneLane visits every lane index of a fault plane.
-func (g *graph) eachPlaneLane(plane int, fn func(idx int)) {
-	if g.kind == gFatTree3 {
+// eachPlaneLane visits every lane index of a fault plane (none when the
+// plane is out of range).
+func (n *Net) eachPlaneLane(plane int, fn func(idx int)) {
+	g := n.g
+	if plane < 0 || plane >= n.Planes() {
+		return
+	}
+	if g.kind == gFatTree {
 		for leaf := 0; leaf < g.leaves; leaf++ {
 			fn(g.laneUpLS(leaf, plane))
 			fn(g.laneDownSL(leaf, plane))
 		}
 		for pod := 0; pod < g.pods; pod++ {
-			for i := 0; i < g.spines; i++ {
+			for i := 0; i < g.cores; i++ { // cores is spines or 0
 				// Spine `plane` to every core, every spine to core `plane`.
 				fn(g.laneUpSC(pod, plane, i))
 				fn(g.laneDownCS(pod, plane, i))
@@ -359,31 +375,25 @@ func (g *graph) eachPlaneLane(plane int, fn func(idx int)) {
 }
 
 // DegradePlane throttles every lane of a fault plane to factor × its built
-// rate (the chaos TrunkDegrade fault). No-op on non-routed fabrics and
-// out-of-range planes; factors outside (0, 1] are clamped into it.
+// rate (the chaos TrunkDegrade fault). No-op on out-of-range planes;
+// factors outside (0, 1] are clamped into it.
 func (n *Net) DegradePlane(plane int, factor float64) {
 	g := n.g
-	if g == nil || plane < 0 || plane >= n.Planes() {
-		return
-	}
 	if factor <= 0 {
 		factor = 0.01
 	} else if factor > 1 {
 		factor = 1
 	}
-	g.eachPlaneLane(plane, func(idx int) {
+	n.eachPlaneLane(plane, func(idx int) {
 		g.lanes[idx].SetRate(g.rates[idx] * factor)
 	})
 }
 
 // RestorePlane returns every lane of a fault plane to its built rate. No-op
-// on non-routed fabrics and out-of-range planes.
+// on out-of-range planes.
 func (n *Net) RestorePlane(plane int) {
 	g := n.g
-	if g == nil || plane < 0 || plane >= n.Planes() {
-		return
-	}
-	g.eachPlaneLane(plane, func(idx int) {
+	n.eachPlaneLane(plane, func(idx int) {
 		g.lanes[idx].SetRate(g.rates[idx])
 	})
 }
@@ -392,10 +402,7 @@ func (n *Net) RestorePlane(plane int) {
 // hook the adaptive-vs-degraded tests assert against.
 func (n *Net) PlaneStats(plane int) (items, bytes int64) {
 	g := n.g
-	if g == nil || plane < 0 || plane >= n.Planes() {
-		return 0, 0
-	}
-	g.eachPlaneLane(plane, func(idx int) {
+	n.eachPlaneLane(plane, func(idx int) {
 		items += g.lanes[idx].items
 		bytes += g.lanes[idx].bytes
 	})

@@ -12,6 +12,10 @@ func threeTier(nodes, npl, spines int, mode Routing) *Net {
 	return NewThreeTier(sim.Microsecond, nodes, npl, spines, testRate, mode, 7)
 }
 
+func twoLevel(nodes, npl, spines int, mode Routing) *Net {
+	return NewTwoLevel(sim.Microsecond, nodes, npl, spines, testRate, mode, 7)
+}
+
 func dragonfly(groups, routers, npr, glinks int, mode Routing) *Net {
 	return NewDragonfly(sim.Microsecond, groups, routers, npr, glinks, testRate, mode, 7)
 }
@@ -19,8 +23,8 @@ func dragonfly(groups, routers, npr, glinks int, mode Routing) *Net {
 // switch numbering for the reference graph: fat-tree leaves, then spines
 // (pod-major), then cores; dragonfly routers group-major.
 func (g *graph) switchCount() int {
-	if g.kind == gFatTree3 {
-		return g.leaves + g.pods*g.spines + g.spines
+	if g.kind == gFatTree {
+		return g.leaves + g.pods*g.spines + g.cores
 	}
 	return g.groups * g.routers
 }
@@ -30,21 +34,21 @@ func (g *graph) coreID(c int) int       { return g.leaves + g.pods*g.spines + c 
 
 // laneEnds maps a lane index back to its (from, to) switch ids.
 func (g *graph) laneEnds(idx int) (int, int) {
-	if g.kind == gFatTree3 {
-		s := g.spines
+	if g.kind == gFatTree {
+		s, c := g.spines, g.cores
 		switch {
 		case idx < g.downSL:
 			rel := idx - g.upLS
-			return rel / s, g.spineID((rel/s)/s, rel%s)
+			return rel / s, g.spineID((rel/s)/g.podLeaves, rel%s)
 		case idx < g.upSC:
 			rel := idx - g.downSL
-			return g.spineID((rel/s)/s, rel%s), rel / s
+			return g.spineID((rel/s)/g.podLeaves, rel%s), rel / s
 		case idx < g.downCS:
 			rel := idx - g.upSC
-			return g.spineID(rel/(s*s), (rel/s)%s), g.coreID(rel % s)
+			return g.spineID(rel/(s*c), (rel/c)%s), g.coreID(rel % c)
 		default:
 			rel := idx - g.downCS
-			return g.coreID(rel % s), g.spineID(rel/(s*s), (rel/s)%s)
+			return g.coreID(rel % c), g.spineID(rel/(s*c), (rel/c)%s)
 		}
 	}
 	r := g.routers
@@ -74,7 +78,7 @@ func (g *graph) tier(sw int) int {
 
 // eachEdge visits every real (unpadded, non-diagonal) lane of the graph.
 func (g *graph) eachEdge(fn func(idx int)) {
-	if g.kind == gFatTree3 {
+	if g.kind == gFatTree {
 		for l := 0; l < g.leaves; l++ {
 			for s := 0; s < g.spines; s++ {
 				fn(g.laneUpLS(l, s))
@@ -83,7 +87,7 @@ func (g *graph) eachEdge(fn func(idx int)) {
 		}
 		for p := 0; p < g.pods; p++ {
 			for s := 0; s < g.spines; s++ {
-				for c := 0; c < g.spines; c++ {
+				for c := 0; c < g.cores; c++ {
 					fn(g.laneUpSC(p, s, c))
 					fn(g.laneDownCS(p, s, c))
 				}
@@ -168,7 +172,7 @@ func checkRoute(t *testing.T, n *Net, src, dst int, key uint64) []int {
 	// local hops over it (anchor mismatch) but never beats it and never
 	// exceeds the l-g-l bound of 3.
 	dist := g.bfsDist(g.switchOf(src))[g.switchOf(dst)]
-	if g.kind == gFatTree3 {
+	if g.kind == gFatTree {
 		if nh != dist {
 			t.Fatalf("route %d->%d took %d hops, BFS distance %d", src, dst, nh, dist)
 		}
@@ -181,7 +185,7 @@ func checkRoute(t *testing.T, n *Net, src, dst int, key uint64) []int {
 	// Deadlock rules. Fat tree: tiers strictly ascend to a peak then
 	// strictly descend (up/down routing, no valley). Dragonfly: at most
 	// one global hop, locals only adjacent to it (l-g-l).
-	if g.kind == gFatTree3 {
+	if g.kind == gFatTree {
 		peaked := false
 		for i := 0; i < nh; i++ {
 			from, to := g.laneEnds(hops[i])
@@ -232,10 +236,10 @@ func TestThreeTierShape(t *testing.T) {
 	if want := 2*8*2 + 2*4*2*2; len(g.lanes) != want {
 		t.Fatalf("lanes: %d, want %d", len(g.lanes), want)
 	}
-	if !n.Routed() || n.Planes() != 2 {
-		t.Fatalf("Routed=%v Planes=%d", n.Routed(), n.Planes())
+	if n.Planes() != 2 {
+		t.Fatalf("Planes=%d, want 2", n.Planes())
 	}
-	if n.SwitchOf(5) != 2 || n.CrossSwitch(0, 1) || !n.CrossSwitch(1, 2) {
+	if g.switchOf(5) != 2 || n.CrossSwitch(0, 1) || !n.CrossSwitch(1, 2) {
 		t.Fatalf("switch assignment wrong")
 	}
 	// Every distinct lane index is in range and unique.
@@ -260,26 +264,30 @@ func TestDragonflyShape(t *testing.T) {
 	if n.Planes() != 2 {
 		t.Fatalf("Planes=%d, want 2", n.Planes())
 	}
-	if n.SwitchOf(9) != 4 || n.CrossSwitch(8, 9) || !n.CrossSwitch(7, 8) {
+	if g.switchOf(9) != 4 || n.CrossSwitch(8, 9) || !n.CrossSwitch(7, 8) {
 		t.Fatalf("router assignment wrong")
 	}
 }
 
 func TestRouteAllPairs(t *testing.T) {
 	nets := map[string]*Net{
-		"tree-static":    threeTier(16, 2, 2, RouteStatic),
-		"tree-adaptive":  threeTier(16, 2, 2, RouteAdaptive),
-		"tree-narrow":    threeTier(6, 1, 3, RouteStatic),
-		"df-static":      dragonfly(3, 4, 2, 2, RouteStatic),
-		"df-adaptive":    dragonfly(3, 4, 2, 2, RouteAdaptive),
-		"df-single-link": dragonfly(2, 3, 1, 1, RouteStatic),
+		"single":          NewSingleSwitch(sim.Microsecond),
+		"two-level":       twoLevel(12, 3, 1, RouteStatic),
+		"two-level-wide":  twoLevel(12, 2, 3, RouteStatic),
+		"two-level-adapt": twoLevel(12, 2, 3, RouteAdaptive),
+		"tree-static":     threeTier(16, 2, 2, RouteStatic),
+		"tree-adaptive":   threeTier(16, 2, 2, RouteAdaptive),
+		"tree-narrow":     threeTier(6, 1, 3, RouteStatic),
+		"df-static":       dragonfly(3, 4, 2, 2, RouteStatic),
+		"df-adaptive":     dragonfly(3, 4, 2, 2, RouteAdaptive),
+		"df-single-link":  dragonfly(2, 3, 1, 1, RouteStatic),
 	}
 	for name, n := range nets {
 		t.Run(name, func(t *testing.T) {
-			nodes := n.g.switchCount() // any upper bound on node count works
+			nodes := 16 // the single switch holds any count
 			if n.g.kind == gDragonfly {
 				nodes = n.g.groups * n.g.routers * n.g.nodesPer
-			} else {
+			} else if n.g.spines > 0 {
 				nodes = n.g.leaves * n.g.nodesPer
 			}
 			for src := 0; src < nodes; src++ {
@@ -296,7 +304,7 @@ func TestRouteAllPairs(t *testing.T) {
 // TestBookPathRecurrence pins the per-hop charge: on an idle fabric a
 // cross-pod transfer's last byte pays one trunk serialization (cut-through
 // pipelining overlaps the rest) plus 4 hop latencies on top of the
-// incoming (first, last) — exactly the legacy trunk recurrence, per hop.
+// incoming (first, last).
 func TestBookPathRecurrence(t *testing.T) {
 	n := threeTier(16, 2, 2, RouteStatic)
 	wire := int64(3000) // 1µs at testRate
@@ -390,18 +398,26 @@ func TestDegradePlaneScopes(t *testing.T) {
 		t.Fatalf("restore missed a lane: %g", r)
 	}
 
-	// Flat and legacy fabrics have no planes: both calls are no-ops.
+	// A single switch has no planes: both calls are no-ops.
 	flat := NewSingleSwitch(sim.Microsecond)
 	flat.DegradePlane(0, 0.5)
 	flat.RestorePlane(0)
-	if flat.Planes() != 0 || flat.Routed() {
-		t.Fatalf("flat fabric reports planes")
+	if flat.Planes() != 0 {
+		t.Fatalf("single switch reports planes")
 	}
-	legacy := NewFatTree(sim.Microsecond, 8, 2, testRate)
-	legacy.DegradePlane(0, 0.5)
-	if legacy.Uplink(0).Rate != testRate {
-		t.Fatalf("legacy trunk touched by DegradePlane")
+
+	// A two-level tree's planes are its spines: plane 1 of 2 takes every
+	// leaf's trunk pair toward spine 1 and leaves spine 0's alone.
+	two := twoLevel(8, 2, 2, RouteStatic)
+	two.DegradePlane(1, 0.5)
+	for leaf := 0; leaf < 4; leaf++ {
+		up0, up1 := two.g.lanes[two.g.laneUpLS(leaf, 0)].Rate, two.g.lanes[two.g.laneUpLS(leaf, 1)].Rate
+		down1 := two.g.lanes[two.g.laneDownSL(leaf, 1)].Rate
+		if up0 != testRate || up1 != testRate/2 || down1 != testRate/2 {
+			t.Fatalf("leaf %d trunk rates %g/%g/%g after degrading plane 1", leaf, up0, up1, down1)
+		}
 	}
+	two.DegradePlane(2, 0.5) // out of range: no-op, no panic
 }
 
 func TestPlaneStats(t *testing.T) {
@@ -432,15 +448,19 @@ func TestPlaneStats(t *testing.T) {
 	}
 }
 
-// FuzzRouteTable drives random topologies and flow triples through the
-// walk and validates each against the flat BFS reference: the route
-// reaches the destination, meets the shortest-path tier bound, static
-// selection is pure, and no up/down (or l-g-l) rule is violated.
+// FuzzRouteTable drives random topologies (three-tier, two-level, single
+// switch, dragonfly) and flow triples through the walk and validates each
+// against the flat BFS reference: the route reaches the destination, meets
+// the shortest-path tier bound, static selection is pure, and no up/down
+// (or l-g-l) rule is violated.
 func FuzzRouteTable(f *testing.F) {
 	f.Add(uint64(1), false, uint8(2), uint8(2), uint8(2), uint8(2), uint16(0), uint16(5), uint64(42))
 	f.Add(uint64(2), true, uint8(3), uint8(4), uint8(2), uint8(2), uint16(1), uint16(20), uint64(7))
 	f.Add(uint64(3), false, uint8(1), uint8(3), uint8(1), uint8(1), uint16(2), uint16(2), uint64(0))
 	f.Add(uint64(4), true, uint8(4), uint8(1), uint8(3), uint8(4), uint16(9), uint16(0), uint64(99))
+	f.Add(uint64(5), false, uint8(1), uint8(0), uint8(10), uint8(0), uint16(0), uint16(11), uint64(3)) // two-level, one spine
+	f.Add(uint64(6), false, uint8(2), uint8(2), uint8(20), uint8(0), uint16(4), uint16(17), uint64(8)) // two-level, three spines
+	f.Add(uint64(9), false, uint8(0), uint8(0), uint8(7), uint8(0), uint16(1), uint16(6), uint64(21))  // single switch
 	f.Fuzz(func(t *testing.T, seed uint64, df bool, a, b, c, d uint8, src, dst uint16, key uint64) {
 		mode := RouteStatic
 		if seed&1 == 1 {
@@ -459,7 +479,14 @@ func FuzzRouteTable(f *testing.F) {
 			npl := int(a%3) + 1
 			spines := int(b%4) + 1
 			nodes = int(c)%24 + 2
-			n = NewThreeTier(sim.Microsecond, nodes, npl, spines, testRate, mode, seed)
+			switch (seed >> 2) % 3 {
+			case 0:
+				n = NewThreeTier(sim.Microsecond, nodes, npl, spines, testRate, mode, seed)
+			case 1:
+				n = NewTwoLevel(sim.Microsecond, nodes, npl, spines, testRate, mode, seed)
+			default:
+				n = NewSingleSwitch(sim.Microsecond)
+			}
 		}
 		s, e := int(src)%nodes, int(dst)%nodes
 		hops := checkRoute(t, n, s, e, key)

@@ -53,7 +53,7 @@ func New(name string, nports int, bus *gx.Bus, m *model.Params, net *fabric.Net)
 // DMA engines, and the two lanes of its link.
 type Port struct {
 	Name string
-	Node int // owning node id (fabric leaf lookup)
+	Node int // owning node id (fabric switch lookup)
 	M    *model.Params
 	Net  *fabric.Net
 	Bus  *gx.Bus
@@ -124,7 +124,7 @@ type Port struct {
 
 	chunksSent int64  // error-injection counter
 	payloadWRs int64  // corruption-injection counter (payload descriptors posted)
-	flowSeq    uint64 // flows created from this port (routed-fabric key salt)
+	flowSeq    uint64 // flows created from this port (route key salt)
 }
 
 // Corrupt describes the integrity fault the port's corruption plan assigns
@@ -248,9 +248,9 @@ func (p *Port) padAt(t sim.Time) sim.Time {
 // Flow is the transmit pipeline of one QP direction: it enforces the
 // per-QP in-order rule at the engine stage and drives each work request
 // through the staged resources. Source-side stages (scheduler, send
-// engines, GX+ fetch, TX/uplink lanes) execute on the source node's
-// engine; destination-side stages (RX/downlink lanes, receive engines,
-// GX+ store, ack generation) execute on the destination node's engine —
+// engines, GX+ fetch, TX lane, trunk bookings) execute on the source
+// node's engine; destination-side stages (RX lane, receive engines, GX+
+// store, ack generation) execute on the destination node's engine —
 // the same engine serially, distinct shard engines in a sharded world.
 type Flow struct {
 	eng    *sim.Engine // source-side engine (srcCtx's engine)
@@ -265,7 +265,7 @@ type Flow struct {
 	pending    sim.Ring[flowItem] // WQEs queued behind the in-order rule
 	xpool      []*xfer            // recycled per-WQE pipeline states
 
-	// routeKey identifies this flow to the routed fabric's path selection:
+	// routeKey identifies this flow to the fabric's path selection:
 	// the D-mod-K hash input (static) and the tie-break salt (adaptive).
 	// Derived from (src node, dst node, per-port flow ordinal) at world
 	// build, which is single-threaded in every mode, so it is identical
@@ -504,20 +504,16 @@ func (f *Flow) txChunkSend(x *xfer, n int) {
 	lat := net.OneWay() + f.src.LatencyPad + f.dst.padAt(now)
 	first := txStart + lat
 	last := leaves + lat
-	if net.Routed() {
-		if !net.CrossSwitch(f.src.Node, f.dst.Node) {
-			f.eng.PostCallTo(f.dstCtx, last, stageRx, x, int64(n), int64(first), wire)
-			return
-		}
-		// Switch-graph walk: the fabric routes and books every trunk hop
-		// under this flow's key, charging the legacy per-hop recurrence.
-		// Spine/core/global lanes carry traffic from many shards (and
-		// adaptive selection reads their load), so in a sharded run the
-		// WHOLE path booking — selection included — is deferred to the
-		// window barrier, where deferred ops apply in serial posting-key
-		// order; lane state and every adaptive choice then match the
-		// serial run bit-exactly. The rx event's stub is reserved here to
-		// keep this node's sequence stream serial-identical.
+	if net.CrossSwitch(f.src.Node, f.dst.Node) {
+		// The fabric routes and books every trunk hop under this flow's
+		// key, charging the cut-through recurrence per hop. Trunk lanes
+		// carry traffic from many shards (and adaptive selection reads
+		// their load), so in a sharded run the WHOLE path booking —
+		// selection included — is deferred to the window barrier, where
+		// deferred ops apply in serial posting-key order; lane state and
+		// every adaptive choice then match the serial run bit-exactly. The
+		// rx event's stub is reserved here to keep this node's sequence
+		// stream serial-identical.
 		if f.eng.Sharded() {
 			stub := f.eng.ReserveStub()
 			e, inFirst, inLast := f.eng, first, last
@@ -528,33 +524,6 @@ func (f *Flow) txChunkSend(x *xfer, n int) {
 			return
 		}
 		first, last = net.BookPath(f.src.Node, f.dst.Node, f.routeKey, first, last, wire, lat)
-		f.eng.PostCallTo(f.dstCtx, last, stageRx, x, int64(n), int64(first), wire)
-		return
-	}
-	if net.CrossLeaf(f.src.Node, f.dst.Node) {
-		// Two extra hops through the spine; the shared trunk lanes of
-		// both leaves carry (and possibly throttle) the chunk. The uplink
-		// belongs to the source leaf (booked inline); the downlink belongs
-		// to the destination leaf, which in a sharded run may live on
-		// another shard whose lane bookings from several shards must apply
-		// in the serial (posting-key) order — so the booking is deferred to
-		// the window barrier, with the rx event's key reserved here to keep
-		// this node's sequence stream serial-identical.
-		upStart, upLeaves := net.Uplink(net.Leaf(f.src.Node)).Send(first, wire, last)
-		down := net.Downlink(net.Leaf(f.dst.Node))
-		inFirst, inLast := upStart+lat, upLeaves+lat
-		if f.eng.Sharded() {
-			stub := f.eng.ReserveStub()
-			e := f.eng
-			f.eng.DeferOrdered(func() {
-				downStart, downLeaves := down.Send(inFirst, wire, inLast)
-				e.PostCallStubTo(stub, f.dstCtx, downLeaves+lat, stageRx, x, int64(n), int64(downStart+lat), wire)
-			})
-			return
-		}
-		downStart, downLeaves := down.Send(inFirst, wire, inLast)
-		first = downStart + lat
-		last = downLeaves + lat
 	}
 	f.eng.PostCallTo(f.dstCtx, last, stageRx, x, int64(n), int64(first), wire)
 }

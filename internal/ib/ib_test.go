@@ -26,7 +26,7 @@ func newRig(t *testing.T) *rig {
 	m := model.Default()
 	eng := sim.NewEngine()
 	realm := NewRealm(eng, m)
-	net := &fabric.Net{Latency: m.WireLatency}
+	net := fabric.NewSingleSwitch(m.WireLatency)
 	ha := hca.New("a", 1, gx.New(m.GXRate), m, net)
 	hb := hca.New("b", 1, gx.New(m.GXRate), m, net)
 	r := &rig{eng: eng, realm: realm, m: m, pa: ha.Ports[0], pb: hb.Ports[0]}
@@ -221,7 +221,7 @@ func TestSendQueueDepthBackpressure(t *testing.T) {
 	m := model.Default()
 	eng := sim.NewEngine()
 	realm := NewRealm(eng, m)
-	net := &fabric.Net{Latency: m.WireLatency}
+	net := fabric.NewSingleSwitch(m.WireLatency)
 	ha := hca.New("a", 1, gx.New(m.GXRate), m, net)
 	hb := hca.New("b", 1, gx.New(m.GXRate), m, net)
 	cqa, cqb := realm.NewCQ(), realm.NewCQ()
@@ -263,7 +263,7 @@ func TestSRQSharedAcrossQPs(t *testing.T) {
 	m := model.Default()
 	eng := sim.NewEngine()
 	realm := NewRealm(eng, m)
-	net := &fabric.Net{Latency: m.WireLatency}
+	net := fabric.NewSingleSwitch(m.WireLatency)
 	ha := hca.New("a", 1, gx.New(m.GXRate), m, net)
 	hb := hca.New("b", 1, gx.New(m.GXRate), m, net)
 	cqa, cqb := realm.NewCQ(), realm.NewCQ()

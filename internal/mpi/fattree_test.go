@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"math"
 	"testing"
 
 	"ib12x/internal/core"
@@ -44,7 +45,7 @@ func TestFatTreeSameLeafMatchesSingleSwitch(t *testing.T) {
 	}
 }
 
-func TestFatTreeCrossLeafAddsHops(t *testing.T) {
+func TestFatTreeCrossSwitchAddsHops(t *testing.T) {
 	lat := func(c Config, peer int) sim.Time {
 		var el sim.Time
 		mustRun(t, c, func(cm *Comm) {
@@ -128,4 +129,29 @@ func TestFatTreeCollectivesCorrect(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBadFabricShapeIsAnError: a trunk rate no lane can run at, or a tree
+// with no leaf radix, is reported by Run — on every shape, serial and
+// sharded — instead of panicking in the fabric constructor.
+func TestBadFabricShapeIsAnError(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"negative trunk", func(c *Config) { c.NodesPerSwitch, c.TrunkRate = 2, -1 }},
+		{"infinite trunk", func(c *Config) { c.NodesPerSwitch, c.TrunkRate = 2, math.Inf(1) }},
+		{"NaN trunk, three tiers", func(c *Config) {
+			c.NodesPerSwitch, c.Tiers, c.SpinesPerPod, c.TrunkRate = 2, 3, 2, math.NaN()
+		}},
+		{"negative trunk, sharded", func(c *Config) { c.NodesPerSwitch, c.TrunkRate, c.Shards = 2, -3e9, 2 }},
+		{"two tiers, no leaf radix", func(c *Config) { c.Tiers = 2 }},
+	} {
+		cf := cfg(4, 1, 4, core.EPC)
+		c.set(&cf)
+		ran := false
+		if _, err := Run(cf, func(*Comm) { ran = true }); err == nil || ran {
+			t.Errorf("%s: Run err = %v, body ran = %v; want an error before any rank starts", c.name, err, ran)
+		}
+	}
 }

@@ -71,10 +71,6 @@ type Config struct {
 	EagerProto adi.EagerProto
 	// Trace, when non-nil, records every rank's protocol events.
 	Trace *trace.Recorder
-	// FaultEvery injects a deterministic link error on every N-th chunk
-	// (0 = error-free). See hca.Port.ErrorEvery. Prefer the Chaos plan:
-	// chaos.LegacyEveryN(n) expresses this knob as a one-event fault plan.
-	FaultEvery int64
 	// Chaos, when non-nil, is a fault plan armed against the world before
 	// the run starts (implemented by *chaos.Plan; the interface keeps the
 	// chaos package, whose oracle drives this one, out of mpi's imports).
@@ -104,15 +100,15 @@ type Config struct {
 	// error listing the stuck ranks instead of simulating forever. The
 	// chaos oracle's no-deadlock invariant runs on this.
 	Deadline sim.Time
-	// NodesPerSwitch groups nodes under leaf switches of a two-level fat
-	// tree (0 = the paper's single switch); TrunkRate sets the per-leaf
-	// trunk bandwidth (0 = 1:1 with the link rate).
+	// NodesPerSwitch groups nodes under the leaf switches of a fat tree
+	// (0 = the paper's single switch); TrunkRate sets the bandwidth of
+	// every inter-switch lane (0 = the link rate).
 	NodesPerSwitch int
 	TrunkRate      float64
-	// Tiers = 3 (with SpinesPerPod) selects the routed three-tier fat
-	// tree; Dragonfly selects the routed dragonfly fabric; Routing picks
-	// static D-mod-K vs adaptive path selection on either (topo.Spec has
-	// the full shape semantics). Zero values keep the historical fabrics.
+	// Tiers picks the tree's depth (2, the default once NodesPerSwitch is
+	// set, or 3) and SpinesPerPod its spine count; Dragonfly selects the
+	// dragonfly fabric instead; Routing picks static D-mod-K vs adaptive
+	// path selection (topo.Spec has the full shape semantics).
 	Tiers        int
 	SpinesPerPod int
 	Dragonfly    topo.Dragonfly
@@ -252,9 +248,8 @@ func runSharded(cfg Config, spec topo.Spec, body func(c *Comm)) (*Report, error)
 	shardOf, shards := spec.ShardPlan(cfg.Shards)
 	// The lookahead bound is the fabric's minimum cross-shard latency:
 	// every cross-shard event chain pays at least one wire traversal
-	// (fabric.Net.OneWay(), built from this same model constant; routed
-	// fabrics shard by pod/group and their trunk hops only add to it —
-	// see topo.Spec.ShardLookahead).
+	// (fabric.Net.OneWay(), built from this same model constant; trunk
+	// hops only add to it — see topo.Spec.ShardLookahead).
 	g := sim.NewGroup(shardOf, shards, spec.ShardLookahead(cfg.Model))
 	world := adi.NewWorldSharded(g, shardOf, cfg.Model, spec, cfg.adiOptions())
 	rep := newReport(world, spec.Size())
@@ -305,7 +300,6 @@ func (c Config) adiOptions() adi.Options {
 		Rndv:       c.Rndv,
 		EagerProto: c.EagerProto,
 		Trace:      c.Trace,
-		FaultEvery: c.FaultEvery,
 		RegCache:   c.RegCache,
 		Integrity:  c.Integrity,
 	}

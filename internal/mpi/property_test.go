@@ -118,30 +118,6 @@ func TestRandomTrafficRGET(t *testing.T) {
 	}
 }
 
-func TestRandomTrafficUnderFaults(t *testing.T) {
-	r := rand.New(rand.NewSource(777))
-	tc := genTraffic(r, 10)
-	c := cfg(2, 1, 4, core.EPC)
-	c.FaultEvery = 9
-	mustRun(t, c, func(cm *Comm) {
-		if cm.Rank() == 0 {
-			var reqs []*Request
-			for i, n := range tc.sizes {
-				reqs = append(reqs, cm.Isend(1, 0, payloadFor(i, n)))
-			}
-			cm.Waitall(reqs)
-		} else {
-			for i, n := range tc.sizes {
-				buf := make([]byte, n)
-				cm.Recv(0, 0, buf)
-				if !bytes.Equal(buf, payloadFor(i, n)) {
-					t.Errorf("msg %d corrupted under faults", i)
-				}
-			}
-		}
-	})
-}
-
 // TestPolicyInvariantResults: the scheduling policy may change WHEN data
 // arrives, never WHAT arrives. Run an identical mixed workload under every
 // policy and compare the received bytes exactly.

@@ -1,17 +1,19 @@
 package topo
 
 import (
+	"math"
 	"testing"
 
 	"ib12x/internal/fabric"
 	"ib12x/internal/model"
 )
 
-func TestSpecValidateRoutedShapes(t *testing.T) {
+func TestSpecValidateFabricShapes(t *testing.T) {
 	base := Spec{Nodes: 8, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1}
 	good := []func(*Spec){
 		func(s *Spec) { s.Tiers = 3; s.NodesPerSwitch = 2; s.SpinesPerPod = 2 },
 		func(s *Spec) { s.Tiers = 2; s.NodesPerSwitch = 2 },
+		func(s *Spec) { s.NodesPerSwitch = 2; s.SpinesPerPod = 2 }, // two levels, two spines
 		func(s *Spec) { s.Dragonfly = Dragonfly{Groups: 2, RoutersPerGroup: 4, GlobalLinks: 1} },
 		func(s *Spec) {
 			s.NodesPerSwitch = 2
@@ -29,6 +31,8 @@ func TestSpecValidateRoutedShapes(t *testing.T) {
 	bad := []func(*Spec){
 		func(s *Spec) { s.Tiers = 1 },
 		func(s *Spec) { s.Tiers = 4 },
+		func(s *Spec) { s.Tiers = 2 }, // no NodesPerSwitch
+		func(s *Spec) { s.NodesPerSwitch = 2; s.SpinesPerPod = -1 },
 		func(s *Spec) { s.Tiers = 3 },                       // no NodesPerSwitch
 		func(s *Spec) { s.Tiers = 3; s.NodesPerSwitch = 2 }, // no SpinesPerPod
 		func(s *Spec) {
@@ -50,17 +54,54 @@ func TestSpecValidateRoutedShapes(t *testing.T) {
 	}
 }
 
-// TestShardPlanRoutedShapes is the property test for pod/group sharding:
+// TestSpecValidateTrunkRate: a trunk rate the fabric cannot serve is an
+// error at Validate, never an infinitely fast trunk or a constructor panic.
+func TestSpecValidateTrunkRate(t *testing.T) {
+	link := model.Default().LinkRawRate
+	for _, c := range []struct {
+		name string
+		rate float64
+		ok   bool
+	}{
+		{"zero means the link rate", 0, true},
+		{"1:1", link, true},
+		{"4:1", link / 4, true},
+		{"negative", -link, false},
+		{"NaN", math.NaN(), false},
+		{"+Inf", math.Inf(1), false},
+		{"-Inf", math.Inf(-1), false},
+	} {
+		for _, shape := range []Spec{
+			{}, // single switch: the rate is unused but still checked
+			{NodesPerSwitch: 2},
+			{Tiers: 3, NodesPerSwitch: 2, SpinesPerPod: 2},
+			{Dragonfly: Dragonfly{Groups: 2, RoutersPerGroup: 4, GlobalLinks: 1}},
+		} {
+			s := shape
+			s.Nodes, s.ProcsPerNode, s.HCAsPerNode, s.PortsPerHCA, s.QPsPerPort = 8, 1, 1, 1, 1
+			s.TrunkRate = c.rate
+			if err := s.Validate(); (err == nil) != c.ok {
+				t.Errorf("%s on %+v: Validate = %v, want ok=%v", c.name, shape, err, c.ok)
+			}
+		}
+	}
+}
+
+// TestShardPlanFabricShapes is the property test for leaf/pod/group sharding:
 // for every shape and requested shard count, every node maps to exactly
-// one shard, nodes of the same pod/group never split across shards, shard
+// one shard, nodes of the same unit never split across shards, shard
 // ids are contiguous from 0 and non-decreasing in node order, and the
 // effective count is clamped to [1, units].
-func TestShardPlanRoutedShapes(t *testing.T) {
+func TestShardPlanFabricShapes(t *testing.T) {
 	shapes := []struct {
 		name  string
 		spec  Spec
 		units int
 	}{
+		{"two-level-8n", Spec{Nodes: 8, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1,
+			NodesPerSwitch: 2}, 4}, // a leaf is the unit
+		{"two-level-ragged", Spec{Nodes: 7, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1,
+			Tiers: 2, NodesPerSwitch: 3, SpinesPerPod: 2}, 3},
 		{"tree3-16n", Spec{Nodes: 16, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1,
 			Tiers: 3, NodesPerSwitch: 2, SpinesPerPod: 2}, 4}, // 8 leaves / 2 per pod → 4 pods
 		{"tree3-ragged", Spec{Nodes: 10, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1,
@@ -103,7 +144,7 @@ func TestShardPlanRoutedShapes(t *testing.T) {
 						t.Fatalf("req=%d: shard ids not contiguous at node %d (%d after %d)", req, n, s, prev)
 					}
 					if s != plan[n/unitSize*unitSize] {
-						t.Fatalf("req=%d: node %d splits its pod/group across shards", req, n)
+						t.Fatalf("req=%d: node %d splits its leaf/pod/group across shards", req, n)
 					}
 					seen[s] = true
 					prev = s
@@ -118,25 +159,33 @@ func TestShardPlanRoutedShapes(t *testing.T) {
 	}
 }
 
-func TestBuildRoutedShapes(t *testing.T) {
+func TestBuildFabricShapes(t *testing.T) {
 	m := model.Default()
-	tree := Build(Spec{Nodes: 8, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1,
-		Tiers: 3, NodesPerSwitch: 2, SpinesPerPod: 2, Routing: fabric.RouteAdaptive}, m)
-	if !tree.Net.Routed() || tree.Net.Planes() != 2 {
-		t.Fatalf("three-tier build: Routed=%v Planes=%d", tree.Net.Routed(), tree.Net.Planes())
-	}
-	if tree.Net.CrossSwitch(0, 1) || !tree.Net.CrossSwitch(1, 2) {
-		t.Fatalf("three-tier switch assignment wrong")
-	}
-	df := Build(Spec{Nodes: 8, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1,
-		NodesPerSwitch: 2, Dragonfly: Dragonfly{Groups: 2, RoutersPerGroup: 2, GlobalLinks: 2}}, m)
-	if !df.Net.Routed() || df.Net.Planes() != 2 {
-		t.Fatalf("dragonfly build: Routed=%v Planes=%d", df.Net.Routed(), df.Net.Planes())
-	}
-	// Legacy shapes stay non-routed.
-	legacy := Build(Spec{Nodes: 8, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1,
-		NodesPerSwitch: 2}, m)
-	if legacy.Net.Routed() || !legacy.Net.CrossLeaf(1, 2) {
-		t.Fatalf("legacy fat tree changed shape")
+	base := Spec{Nodes: 8, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1}
+	for _, c := range []struct {
+		name   string
+		set    func(*Spec)
+		planes int
+		cross  bool // nodes 1 and 2 under different switches
+	}{
+		{"single switch", func(s *Spec) {}, 0, false},
+		{"two-level", func(s *Spec) { s.NodesPerSwitch = 2 }, 1, true},
+		{"two-level, Tiers spelled out", func(s *Spec) { s.Tiers, s.NodesPerSwitch, s.SpinesPerPod = 2, 2, 3 }, 3, true},
+		{"three-tier", func(s *Spec) {
+			s.Tiers, s.NodesPerSwitch, s.SpinesPerPod, s.Routing = 3, 2, 2, fabric.RouteAdaptive
+		}, 2, true},
+		{"dragonfly", func(s *Spec) {
+			s.NodesPerSwitch, s.Dragonfly = 2, Dragonfly{Groups: 2, RoutersPerGroup: 2, GlobalLinks: 2}
+		}, 2, true},
+	} {
+		s := base
+		c.set(&s)
+		net := Build(s, m).Net
+		if net.Planes() != c.planes {
+			t.Errorf("%s: Planes = %d, want %d", c.name, net.Planes(), c.planes)
+		}
+		if net.CrossSwitch(0, 1) || net.CrossSwitch(1, 2) != c.cross {
+			t.Errorf("%s: switch assignment wrong", c.name)
+		}
 	}
 }

@@ -9,6 +9,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 
 	"ib12x/internal/fabric"
 	"ib12x/internal/gx"
@@ -26,18 +27,16 @@ type Spec struct {
 	PortsPerHCA  int
 	QPsPerPort   int
 
-	// NodesPerSwitch groups nodes under leaf switches of a two-level fat
-	// tree (0 = the paper's single switch). TrunkRate is the per-leaf
-	// trunk bandwidth toward the spine in bytes/s (0 = the link's raw
-	// rate, i.e. a 1:1 trunk).
+	// NodesPerSwitch groups nodes under the leaf switches of a fat tree
+	// (0 = the paper's single switch). TrunkRate is the bandwidth of every
+	// inter-switch lane in bytes/s (0 = the link's raw rate).
 	NodesPerSwitch int
 	TrunkRate      float64
 
-	// Tiers = 3 upgrades the fat tree to the routed three-tier fabric:
-	// leaves grouped SpinesPerPod to a pod, SpinesPerPod spines per pod,
-	// SpinesPerPod cores, per-switch path selection (fabric.NewThreeTier).
-	// NodesPerSwitch then sets the leaf radix and TrunkRate every
-	// inter-switch lane. 0/2 keep the legacy shapes.
+	// Tiers picks the fat tree's depth. 2 (or 0 with NodesPerSwitch > 0)
+	// hangs every leaf under SpinesPerPod spines (0 = 1: a single trunk
+	// pair per leaf); 3 groups leaves SpinesPerPod to a pod with
+	// SpinesPerPod spines per pod and SpinesPerPod cores joining the pods.
 	Tiers        int
 	SpinesPerPod int
 
@@ -46,8 +45,8 @@ type Spec struct {
 	// nodes-per-router (0 = 1).
 	Dragonfly Dragonfly
 
-	// Routing picks static D-mod-K vs adaptive path selection on routed
-	// fabrics (ignored by flat and two-level shapes).
+	// Routing picks static D-mod-K vs adaptive selection among parallel
+	// trunk lanes (moot where every route has one candidate).
 	Routing fabric.Routing
 }
 
@@ -60,16 +59,20 @@ type Dragonfly struct {
 	GlobalLinks     int
 }
 
-// routeSeed fixes the deterministic tie-break seed of routed fabrics; runs
+// routeSeed fixes the deterministic tie-break seed of path selection; runs
 // replay bit-identically because it never varies.
 const routeSeed = 0x12b51ab12b51ab
 
 // nodesPerRouter reports the dragonfly leaf radix (NodesPerSwitch, min 1).
-func (s Spec) nodesPerRouter() int {
-	if s.NodesPerSwitch > 0 {
-		return s.NodesPerSwitch
+func (s Spec) nodesPerRouter() int { return max(s.NodesPerSwitch, 1) }
+
+// tiers reports the fat tree's depth: 3, 2 (also Tiers: 0 with
+// NodesPerSwitch set), or 0 for the single switch.
+func (s Spec) tiers() int {
+	if s.Tiers == 0 && s.NodesPerSwitch > 0 {
+		return 2
 	}
-	return 1
+	return s.Tiers
 }
 
 // Validate reports whether the spec is well-formed.
@@ -87,7 +90,10 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("topo: QPsPerPort = %d, need ≥ 1", s.QPsPerPort)
 	}
 	if s.Tiers != 0 && s.Tiers != 2 && s.Tiers != 3 {
-		return fmt.Errorf("topo: Tiers = %d, need 0 (flat/legacy), 2, or 3", s.Tiers)
+		return fmt.Errorf("topo: Tiers = %d, need 0, 2, or 3", s.Tiers)
+	}
+	if s.TrunkRate < 0 || math.IsNaN(s.TrunkRate) || math.IsInf(s.TrunkRate, 0) {
+		return fmt.Errorf("topo: TrunkRate = %g, need a finite rate ≥ 0 (0 = the link rate)", s.TrunkRate)
 	}
 	if s.Dragonfly.Groups > 0 {
 		d := s.Dragonfly
@@ -102,13 +108,16 @@ func (s Spec) Validate() error {
 		if room := d.Groups * d.RoutersPerGroup * s.nodesPerRouter(); s.Nodes > room {
 			return fmt.Errorf("topo: %d nodes exceed dragonfly capacity %d", s.Nodes, room)
 		}
-	} else if s.Tiers == 3 {
+	} else if s.Tiers != 0 {
 		switch {
 		case s.NodesPerSwitch < 1:
-			return fmt.Errorf("topo: Tiers = 3 needs NodesPerSwitch ≥ 1")
-		case s.SpinesPerPod < 1:
+			return fmt.Errorf("topo: Tiers = %d needs NodesPerSwitch ≥ 1", s.Tiers)
+		case s.Tiers == 3 && s.SpinesPerPod < 1:
 			return fmt.Errorf("topo: Tiers = 3 needs SpinesPerPod ≥ 1")
 		}
+	}
+	if s.SpinesPerPod < 0 {
+		return fmt.Errorf("topo: SpinesPerPod = %d, need ≥ 0", s.SpinesPerPod)
 	}
 	return nil
 }
@@ -117,16 +126,15 @@ func (s Spec) Validate() error {
 func (s Spec) Size() int { return s.Nodes * s.ProcsPerNode }
 
 // shardUnitSize reports how many consecutive nodes form one sharding unit:
-// a pod in a three-tier tree, a group in a dragonfly, a leaf in the legacy
-// fat tree, a single node under the flat switch.
+// a pod in a three-tier tree, a group in a dragonfly, a leaf in a two-level
+// tree, a single node under the single switch.
 func (s Spec) shardUnitSize() int {
-	if s.Dragonfly.Groups > 0 {
+	switch {
+	case s.Dragonfly.Groups > 0:
 		return s.Dragonfly.RoutersPerGroup * s.nodesPerRouter()
-	}
-	if s.Tiers == 3 {
+	case s.tiers() == 3:
 		return s.SpinesPerPod * s.NodesPerSwitch
-	}
-	if s.NodesPerSwitch > 0 {
+	case s.tiers() == 2:
 		return s.NodesPerSwitch
 	}
 	return 1
@@ -136,8 +144,8 @@ func (s Spec) shardUnitSize() int {
 // the parallel DES engine: per node under a single switch (nodes share no
 // fabric state but the wire, which the lookahead covers), per leaf switch
 // in a two-level fat tree, per pod in a three-tier tree, per group in a
-// dragonfly — the routed fabrics still share spine/core/global lanes
-// across shards, which the deferred-booking barrier order covers.
+// dragonfly — trunk lanes are still shared across shards, which the
+// deferred-booking barrier order covers.
 func (s Spec) ShardUnits() int {
 	per := s.shardUnitSize()
 	return (s.Nodes + per - 1) / per
@@ -177,7 +185,7 @@ func (s Spec) ShardPlan(shards int) ([]int, int) {
 // cross a shard boundary in. Every cross-shard interaction pays at least
 // one wire hop — data chunks pay OneWay per fabric hop and RC acks pay
 // exactly one OneWay — so the bound is the single-hop wire latency on
-// every shape; deeper routed fabrics only add hops, never shorten one.
+// every shape; deeper fabrics only add hops, never shorten one.
 func (s Spec) ShardLookahead(m *model.Params) sim.Time {
 	return m.WireLatency
 }
@@ -223,17 +231,14 @@ func Build(spec Spec, m *model.Params) *Cluster {
 	switch {
 	case spec.Dragonfly.Groups > 0:
 		d := spec.Dragonfly
-		glinks := d.GlobalLinks
-		if glinks < 1 {
-			glinks = 1
-		}
 		net = fabric.NewDragonfly(m.WireLatency, d.Groups, d.RoutersPerGroup,
-			spec.nodesPerRouter(), glinks, trunk, spec.Routing, routeSeed)
-	case spec.Tiers == 3:
+			spec.nodesPerRouter(), max(d.GlobalLinks, 1), trunk, spec.Routing, routeSeed)
+	case spec.tiers() == 3:
 		net = fabric.NewThreeTier(m.WireLatency, spec.Nodes, spec.NodesPerSwitch,
 			spec.SpinesPerPod, trunk, spec.Routing, routeSeed)
-	case spec.NodesPerSwitch > 0:
-		net = fabric.NewFatTree(m.WireLatency, spec.Nodes, spec.NodesPerSwitch, trunk)
+	case spec.tiers() == 2:
+		net = fabric.NewTwoLevel(m.WireLatency, spec.Nodes, spec.NodesPerSwitch,
+			max(spec.SpinesPerPod, 1), trunk, spec.Routing, routeSeed)
 	}
 	c := &Cluster{Spec: spec, Model: m, Net: net}
 	for i := 0; i < spec.Nodes; i++ {
