@@ -9,8 +9,6 @@ package ib12x
 // Run with: go test -bench=. -benchmem
 
 import (
-	"os"
-	"strconv"
 	"testing"
 
 	"ib12x/internal/adi"
@@ -286,72 +284,6 @@ func BenchmarkAblA4MinStripe(b *testing.B) {
 		b.ReportMetric(v, k+"_us_virtual")
 	}
 }
-
-// ---- Sharded-engine rows (cmd/perfgate) ----
-
-// benchShards is the shard count the sharded rows run at; perfgate's
-// -shards flag overrides it through the environment.
-func benchShards() int {
-	if s := os.Getenv("IB12X_BENCH_SHARDS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 4
-}
-
-// BenchmarkFig06UniBWSharded is the Fig06 EPC leg on the sharded engine
-// (the 2-node topology clamps to 2 shards): virtual results are identical
-// to BenchmarkFig06UniBW's, so the row isolates the wall-clock and
-// allocation cost of the sharding machinery on the allocation-heaviest
-// figure.
-func BenchmarkFig06UniBWSharded(b *testing.B) {
-	sizes := []int{16 * 1024, 1 << 20}
-	var epc []float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		epc, err = bench.UniBandwidth(bench.Setup{QPs: 4, Policy: core.EPC, Shards: benchShards()},
-			sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeries(b, []string{"epc_16K", "epc_peak"}, []float64{epc[0], epc[1]}, "MBps_virtual")
-}
-
-// shardScale256 is the sharded-engine scaling workload: a 256-node
-// two-level fat tree (16 nodes per leaf) running a neighbor ring exchange,
-// so all 256 nodes are simultaneously active and the event load spreads
-// evenly over shards. Serial vs sharded wall clock on this workload is the
-// speedup row in BENCH_hotpath.json.
-func shardScale256(b *testing.B, shards int) {
-	b.Helper()
-	s := bench.Setup{QPs: 4, Policy: core.EPC, Nodes: 256, NodesPerSwitch: 16, Shards: shards}
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		_, err := mpi.Run(s.Config(), func(c *mpi.Comm) {
-			p := c.Size()
-			next, prev := (c.Rank()+1)%p, (c.Rank()+p-1)%p
-			c.Barrier()
-			t0 := c.Time()
-			for it := 0; it < 16; it++ {
-				c.SendrecvN(next, 0, nil, 256<<10, prev, 0, nil, 256<<10)
-			}
-			el := []int64{int64(c.Time() - t0)}
-			c.AllreduceInt64(el, mpi.Max)
-			if c.Rank() == 0 {
-				worst = sim.Time(el[0]).Micros()
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(worst, "ring_us_virtual")
-}
-
-func BenchmarkShardScale256Serial(b *testing.B)  { shardScale256(b, 1) }
-func BenchmarkShardScale256Sharded(b *testing.B) { shardScale256(b, benchShards()) }
 
 // ---- Lane-collective rows (cmd/perfgate) ----
 

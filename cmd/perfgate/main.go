@@ -1,15 +1,15 @@
 // Command perfgate runs the hot-path wall-clock benchmarks
 // (BenchmarkFig04/06/07/08 with -benchmem), records the results in
 // BENCH_hotpath.json next to the seed baseline, and — in gate mode —
-// fails if any gated figure regresses past its budget.
+// fails if any gated figure regresses past its budget, leaving the
+// recorded file as it was.
 //
 // Usage:
 //
 //	perfgate                 # run, print, write BENCH_hotpath.json
-//	perfgate -gate           # also enforce the per-figure floors
+//	perfgate -gate           # enforce the per-figure floors first; write only if they hold
 //	perfgate -benchtime 5x   # more iterations (steadier numbers)
 //	perfgate -samples 5      # repeat each benchmark, report mean ± stddev
-//	perfgate -shards 8       # shard count for the sharded-engine rows
 //	perfgate -o path.json    # alternate output file
 //
 // The test binary is compiled once; each (benchmark, sample) cell then
@@ -48,19 +48,6 @@
 // 1:1 three-tier tree with adaptive selection) gates the same way against
 // the flat Fig06 run: the per-chunk route walk and its lane bookings must
 // stay allocation-free.
-//
-// The sharded-engine rows (BenchmarkFig06UniBWSharded and the
-// BenchmarkShardScale256 serial/sharded pair) have no seed baseline; the
-// 256-node pair is instead compared against itself, and the gate requires
-// the sharded run to beat serial by at least 1.5x wall clock. Those cells
-// run sequentially after the pool drains — a sharded simulation spreads
-// over several OS threads, so the comparison is only honest on an
-// otherwise idle machine. On a host without parallel hardware
-// (runtime.NumCPU() < 2) the speedup row still records what the machine
-// measured — there it is the pure synchronization overhead of the
-// conservative protocol — but the floor is not enforced: a parallel
-// speedup cannot exist without a second core. The report's "cpus" field
-// says which reading applies.
 package main
 
 import (
@@ -73,6 +60,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -108,20 +96,6 @@ var gates = map[string]gateSpec{
 	"BenchmarkFig07BiBW":         {allocFloor: 0.80},
 	"BenchmarkFig08Alltoall":     {allocFloor: 0.80},
 }
-
-// Sharded-engine rows. These have no seed baseline (the seed had no
-// sharded engine); the serial/sharded pair on the 256-node fat-tree ring
-// is compared against each other instead, and the gate requires the
-// sharded run to hold at least shardSpeedupFloor× the serial wall clock.
-const (
-	shardSerialBench  = "BenchmarkShardScale256Serial"
-	shardShardedBench = "BenchmarkShardScale256Sharded"
-	shardFig06Bench   = "BenchmarkFig06UniBWSharded"
-
-	shardSpeedupFloor = 1.5
-)
-
-var shardBenches = []string{shardFig06Bench, shardSerialBench, shardShardedBench}
 
 // Lane-collective rows: the 256KB Allgather under the lane-decomposed and
 // the striped reference algorithm. No seed baseline (the seed had no lane
@@ -185,10 +159,6 @@ type Result struct {
 	NsMin       float64 `json:"ns_min,omitempty"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-
-	// SpeedupVsSerial is set on the sharded 256-node scaling row: serial
-	// wall clock over sharded wall clock on the same workload.
-	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
 }
 
 // gateNs is the ns/op value a gate judges: the fastest sample when
@@ -207,7 +177,6 @@ type Report struct {
 	Benchtime string            `json:"benchtime"`
 	Samples   int               `json:"samples,omitempty"`
 	CPUs      int               `json:"cpus"`
-	Shards    int               `json:"shards"`
 	Seed      map[string]Result `json:"seed"`
 	Current   map[string]Result `json:"current"`
 }
@@ -216,33 +185,22 @@ func main() {
 	gate := flag.Bool("gate", false, "fail unless every per-figure floor holds")
 	benchtime := flag.String("benchtime", "3x", "go test -benchtime value")
 	samples := flag.Int("samples", 1, "runs per benchmark; >1 reports mean ± stddev")
-	shards := flag.Int("shards", 4, "shard count for the sharded-engine rows")
 	out := flag.String("o", "BENCH_hotpath.json", "output file")
 	flag.Parse()
 
 	if *samples < 1 {
 		*samples = 1
 	}
-	if *shards < 2 {
-		*shards = 2
-	}
-	current, err := runBenchmarks(*benchtime, *samples, *shards)
+	current, err := runBenchmarks(*benchtime, *samples)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfgate:", err)
 		os.Exit(1)
-	}
-	if ser, ok := current[shardSerialBench]; ok {
-		if sh, ok := current[shardShardedBench]; ok && sh.gateNs() > 0 {
-			sh.SpeedupVsSerial = ser.gateNs() / sh.gateNs()
-			current[shardShardedBench] = sh
-		}
 	}
 
 	rep := Report{
 		Date:      time.Now().UTC().Format("2006-01-02"),
 		Benchtime: *benchtime,
 		CPUs:      runtime.NumCPU(),
-		Shards:    *shards,
 		Seed:      seedBaseline,
 		Current:   current,
 	}
@@ -255,10 +213,6 @@ func main() {
 		os.Exit(1)
 	}
 	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "perfgate:", err)
-		os.Exit(1)
-	}
 
 	for _, name := range benchNames() {
 		seed := seedBaseline[name]
@@ -275,7 +229,7 @@ func main() {
 			name, cur.NsPerOp, spread, seed.NsPerOp, pct(cur.NsPerOp, seed.NsPerOp),
 			cur.AllocsPerOp, seed.AllocsPerOp, pct(float64(cur.AllocsPerOp), float64(seed.AllocsPerOp)))
 	}
-	for _, name := range append(append(append(append(laneBenches, eagerBenches...), integrityBenches...), routingBenches...), shardBenches...) {
+	for _, name := range noSeedNames() {
 		cur, ok := current[name]
 		if !ok {
 			fmt.Printf("%-30s (missing)\n", name)
@@ -285,15 +239,9 @@ func main() {
 		if cur.NsStddev > 0 {
 			spread = fmt.Sprintf(" ±%.0f", cur.NsStddev)
 		}
-		extra := ""
-		if cur.SpeedupVsSerial > 0 {
-			extra = fmt.Sprintf("  speedup %.2fx vs serial at %d shards", cur.SpeedupVsSerial, *shards)
-		}
-		fmt.Printf("%-30s ns/op %12.0f%s  allocs/op %9d%s\n",
-			name, cur.NsPerOp, spread, cur.AllocsPerOp, extra)
+		fmt.Printf("%-30s ns/op %12.0f%s  allocs/op %9d\n",
+			name, cur.NsPerOp, spread, cur.AllocsPerOp)
 	}
-	fmt.Println("wrote", *out)
-
 	if *gate {
 		failed := false
 		for _, name := range benchNames() {
@@ -318,22 +266,6 @@ func main() {
 					name, cur.AllocsPerOp, float64(seed.AllocsPerOp)*(1-g.allocFloor), seed.AllocsPerOp, g.allocFloor*100)
 				failed = true
 			}
-		}
-		sh, ok := current[shardShardedBench]
-		shardNote := ""
-		switch {
-		case !ok || sh.SpeedupVsSerial == 0:
-			fmt.Fprintln(os.Stderr, "perfgate: sharded scaling rows missing from output")
-			failed = true
-		case runtime.NumCPU() < 2:
-			shardNote = fmt.Sprintf("; sharded 256-node speedup %.2fx recorded, %.1fx floor not enforced (single-CPU host)",
-				sh.SpeedupVsSerial, shardSpeedupFloor)
-		case sh.SpeedupVsSerial < shardSpeedupFloor:
-			fmt.Fprintf(os.Stderr, "perfgate: sharded 256-node speedup %.2fx below the %.1fx floor; rerun with -samples 3 on a noisy machine\n",
-				sh.SpeedupVsSerial, shardSpeedupFloor)
-			failed = true
-		default:
-			shardNote = fmt.Sprintf("; sharded 256-node speedup %.2fx >= %.1fx", sh.SpeedupVsSerial, shardSpeedupFloor)
 		}
 		eagerNote := ""
 		sr, okS := current[eagerSendRecvBench]
@@ -383,10 +315,18 @@ func main() {
 		if failed {
 			os.Exit(1)
 		}
-		fmt.Printf("gate OK: Fig06 holds ns/op -%.0f%% and allocs/op -%.0f%%; Fig04/07/08 hold allocs/op -%.0f%% vs seed%s%s%s%s\n",
+		fmt.Printf("gate OK: Fig06 holds ns/op -%.0f%% and allocs/op -%.0f%%; Fig04/07/08 hold allocs/op -%.0f%% vs seed%s%s%s\n",
 			gates["BenchmarkFig06UniBW"].nsFloor*100, gates["BenchmarkFig06UniBW"].allocFloor*100,
-			gates["BenchmarkFig04LargeLatency"].allocFloor*100, shardNote, eagerNote, integrityNote, routingNote)
+			gates["BenchmarkFig04LargeLatency"].allocFloor*100, eagerNote, integrityNote, routingNote)
 	}
+
+	// The record is written last: a failed gate leaves the tracked file
+	// as it was.
+	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "perfgate:", err)
+		os.Exit(1)
+	}
+	fmt.Println("wrote", *out)
 }
 
 func pct(cur, seed float64) float64 {
@@ -394,6 +334,11 @@ func pct(cur, seed float64) float64 {
 		return 0
 	}
 	return (cur - seed) / seed * 100
+}
+
+// noSeedNames returns the rows that have no seed baseline.
+func noSeedNames() []string {
+	return slices.Concat(laneBenches, eagerBenches, integrityBenches, routingBenches)
 }
 
 // benchNames returns the benchmark set in stable order.
@@ -412,11 +357,8 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) n
 
 // runBenchmarks compiles the test binary once, then runs every
 // (benchmark, sample) cell as its own child process through the harness
-// pool, and folds the samples into per-benchmark means. The sharded rows
-// run afterwards, one at a time: a sharded cell uses several OS threads,
-// and the serial/sharded wall-clock comparison is only meaningful when
-// neither side shares the machine with other cells.
-func runBenchmarks(benchtime string, samples, shards int) (map[string]Result, error) {
+// pool, and folds the samples into per-benchmark means.
+func runBenchmarks(benchtime string, samples int) (map[string]Result, error) {
 	dir, err := os.MkdirTemp("", "perfgate-")
 	if err != nil {
 		return nil, err
@@ -431,33 +373,18 @@ func runBenchmarks(benchtime string, samples, shards int) (map[string]Result, er
 		bench  string
 		sample int
 	}
+	names := append(benchNames(), noSeedNames()...)
 	var cells []cell
-	for _, name := range benchNames() {
-		for s := 0; s < samples; s++ {
-			cells = append(cells, cell{name, s})
-		}
-	}
-	for _, name := range append(append(append(laneBenches, eagerBenches...), integrityBenches...), routingBenches...) {
+	for _, name := range names {
 		for s := 0; s < samples; s++ {
 			cells = append(cells, cell{name, s})
 		}
 	}
 	raw, err := harness.Map(cells, func(c cell) (Result, error) {
-		return runOne(bin, c.bench, benchtime, shards)
+		return runOne(bin, c.bench, benchtime)
 	})
 	if err != nil {
 		return nil, err
-	}
-
-	shardRaw := map[string][]Result{}
-	for _, name := range shardBenches {
-		for s := 0; s < samples; s++ {
-			r, err := runOne(bin, name, benchtime, shards)
-			if err != nil {
-				return nil, err
-			}
-			shardRaw[name] = append(shardRaw[name], r)
-		}
 	}
 
 	results := map[string]Result{}
@@ -481,7 +408,7 @@ func runBenchmarks(benchtime string, samples, shards int) (map[string]Result, er
 		}
 		results[name] = agg
 	}
-	for _, name := range append(append(append(append(benchNames(), laneBenches...), eagerBenches...), integrityBenches...), routingBenches...) {
+	for _, name := range names {
 		var rs []Result
 		for i, c := range cells {
 			if c.bench == name {
@@ -490,18 +417,14 @@ func runBenchmarks(benchtime string, samples, shards int) (map[string]Result, er
 		}
 		fold(name, rs)
 	}
-	for _, name := range shardBenches {
-		fold(name, shardRaw[name])
-	}
 	return results, nil
 }
 
 // runOne executes a single benchmark in a child process and parses its
 // one result line.
-func runOne(bin, bench, benchtime string, shards int) (Result, error) {
+func runOne(bin, bench, benchtime string) (Result, error) {
 	cmd := exec.Command(bin, "-test.run", "^$",
 		"-test.bench", "^"+bench+"$", "-test.benchmem", "-test.benchtime", benchtime)
-	cmd.Env = append(os.Environ(), "IB12X_BENCH_SHARDS="+strconv.Itoa(shards))
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		return Result{}, fmt.Errorf("%s: %v\n%s", bench, err, out)

@@ -27,8 +27,6 @@ package adi
 // The determinism digests in determinism_test.go pin this equivalence
 // against the seed's linear scans.
 
-import "sync"
-
 // matchKey addresses one (context, source) bucket.
 type matchKey struct {
 	ctx, src int
@@ -188,21 +186,14 @@ func cutEnv(q []*envelope, i int) []*envelope {
 // envPool recycles protocol envelopes. Envelopes are allocated at the
 // sending endpoint but consumed (and thus freed) at the receiving one, so
 // the pool is shared per World — the single-threaded engine makes that safe
-// without locks; a sharded world switches the pool to locked mode, since
-// sender and receiver can live on different shards. Payload capacity is
-// recycled separately through the world's buf.Pool, so steady-state eager
-// traffic with real payloads stops allocating buffers too.
+// without locks. Payload capacity is recycled separately through the
+// world's buf.Pool, so steady-state eager traffic with real payloads stops
+// allocating buffers too.
 type envPool struct {
-	free   []*envelope
-	locked bool
-	mu     sync.Mutex
+	free []*envelope
 }
 
 func (p *envPool) get() *envelope {
-	if p.locked {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
 	if n := len(p.free); n > 0 {
 		env := p.free[n-1]
 		p.free[n-1] = nil
@@ -218,10 +209,6 @@ func (p *envPool) get() *envelope {
 func (p *envPool) put(env *envelope) {
 	env.pay.Release()
 	*env = envelope{}
-	if p.locked {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
 	p.free = append(p.free, env)
 }
 

@@ -1,8 +1,6 @@
 package adi
 
 import (
-	"sync"
-
 	"ib12x/internal/buf"
 	"ib12x/internal/core"
 	"ib12x/internal/ib"
@@ -61,41 +59,13 @@ type World struct {
 	bufs         *buf.Pool
 	railRecovery bool
 	rel          *ReliabilityConfig
-
-	// Sharded-engine state (NewWorldSharded): the shard group, the
-	// node→shard table, and the per-shard trace child recorders. nil/empty
-	// on a serial world.
-	grp      *sim.Group
-	shardOf  []int
-	trShards []*trace.Recorder
 }
 
-// Group reports the shard group driving this world (nil when serial).
-func (w *World) Group() *sim.Group { return w.grp }
-
-// lockedPolicy serializes a scheduling policy shared across shards. The
-// built-in policies' only mutable state is a pure memoization cache, so
-// serializing access changes nothing observable; the lock merely keeps the
-// cache map safe. Plans served from the cache are immutable by the Policy
-// contract, so concurrent readers of a returned plan are fine.
-type lockedPolicy struct {
-	mu sync.Mutex
-	p  core.Policy
-}
-
-func (l *lockedPolicy) Name() string { return l.p.Name() }
-
-func (l *lockedPolicy) PickEager(c core.Class, size, rails int, st *core.ConnState) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.p.PickEager(c, size, rails, st)
-}
-
-func (l *lockedPolicy) PlanBulk(c core.Class, size, rails int, st *core.ConnState) []core.Stripe {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.p.PlanBulk(c, size, rails, st)
-}
+// Group reports nil. Like the one ignored field of mpi.Config it is kept
+// only so the nested benchmark module (benchmark/rep.go calls it for an
+// event count) compiles; delete the two together in the next benchmark PR
+// (DESIGN.md §14).
+func (w *World) Group() *sim.Engine { return nil }
 
 // BufLive reports payload blocks handed out of the world's buffer pool and
 // not yet released. After every request of a quiesced run has completed it
@@ -107,14 +77,6 @@ func (w *World) BufLive() int { return w.bufs.Live() }
 // of the allocation, so a BufLive leak report names the site, not just the
 // count. Call before the run starts.
 func (w *World) EnableBufAudit() {
-	if w.grp != nil {
-		// Allocations happen on every shard; the group's window start is
-		// the only clock safely readable from all of them. Audit stamps
-		// only label leak reports, so window granularity is enough.
-		g := w.grp
-		w.bufs.EnableAudit(func() int64 { return int64(g.WindowStart()) })
-		return
-	}
 	w.bufs.EnableAudit(func() int64 { return int64(w.Eng.Now()) })
 }
 
@@ -207,78 +169,9 @@ func (w *World) SetRail(node, rail int, up bool) {
 	}
 }
 
-// SetRailHalf applies the execNode-owned half of SetRail(target, rail, up):
-// it flips, for every endpoint on execNode, the local QP halves (and legacy
-// policy masks) of its inter-node connections touching target. A sharded
-// chaos plan decomposes each SetRail into one SetRailHalf per involved node,
-// posted on that node's own shard, so no shard ever mutates another shard's
-// QPs or endpoint state. The union over execNodes is exactly the serial
-// SetRail, and setup-phase event keys order every half before any runtime
-// event at the same instant — just as the serial single event does.
-func (w *World) SetRailHalf(execNode, target, rail int, up bool) {
-	if !up && !w.railRecovery {
-		panic("adi: SetRailHalf(down) without EnableRailRecovery")
-	}
-	for i, ep := range w.Endpoints {
-		if w.Cluster.NodeOf(i) != execNode {
-			continue
-		}
-		for j, conn := range ep.conns {
-			if conn == nil || conn.sh != nil || rail < 0 || rail >= len(conn.rails) {
-				continue
-			}
-			if w.Cluster.NodeOf(i) != target && w.Cluster.NodeOf(j) != target {
-				continue
-			}
-			qp := conn.rails[rail]
-			if up {
-				qp.SetUp()
-				if w.rel == nil {
-					ep.railUp(j, rail)
-				}
-			} else {
-				qp.SetDown()
-				if w.rel == nil {
-					ep.railDown(j, rail)
-				}
-			}
-		}
-	}
-}
-
-// ForEachRailQP visits the local QP half of rail index rail on every
-// inter-node connection touching node — each endpoint's own half exactly
-// once. Sharded chaos plans use it to precompute per-QP failure timelines.
-func (w *World) ForEachRailQP(node, rail int, fn func(*ib.QP)) {
-	for i, ep := range w.Endpoints {
-		for j, conn := range ep.conns {
-			if conn == nil || conn.sh != nil || rail < 0 || rail >= len(conn.rails) {
-				continue
-			}
-			if w.Cluster.NodeOf(i) != node && w.Cluster.NodeOf(j) != node {
-				continue
-			}
-			fn(conn.rails[rail])
-		}
-	}
-}
-
 // NewWorld builds the cluster hardware and wires every process pair:
 // shared-memory links within a node, `spec.Rails()` QP rails between nodes.
 func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *World {
-	return buildWorld(eng, nil, nil, m, spec, opt)
-}
-
-// NewWorldSharded builds the same world over a shard group: every node's
-// endpoints, ports and shared-memory links bind to the node's shard engine,
-// and the world's cross-shard resources (envelope pool, payload pool, MR
-// realm, scheduling policy, trace recorder) switch to their thread-safe
-// modes. shardOf maps node→shard, as produced by topo.Spec.ShardPlan.
-func NewWorldSharded(g *sim.Group, shardOf []int, m *model.Params, spec topo.Spec, opt Options) *World {
-	return buildWorld(g.Engines()[0], g, shardOf, m, spec, opt)
-}
-
-func buildWorld(eng *sim.Engine, g *sim.Group, shardOf []int, m *model.Params, spec topo.Spec, opt Options) *World {
 	cluster := topo.Build(spec, m)
 	realm := ib.NewRealm(eng, m)
 
@@ -291,47 +184,18 @@ func buildWorld(eng *sim.Engine, g *sim.Group, shardOf []int, m *model.Params, s
 		policy = core.New(opt.Policy, minStripe)
 	}
 
-	w := &World{Eng: eng, M: m, Cluster: cluster, Realm: realm, grp: g, shardOf: shardOf}
-	if g != nil {
-		realm.EnableSharded()
-		policy = &lockedPolicy{p: policy}
-		for _, node := range cluster.Nodes {
-			ctx := g.Ctx(node.ID)
-			for _, port := range node.Ports() {
-				port.Ctx = ctx
-			}
-		}
-		if opt.Trace != nil {
-			w.trShards = make([]*trace.Recorder, g.Shards())
-			for s, se := range g.Engines() {
-				w.trShards[s] = opt.Trace.Child(se)
-			}
-		}
-	}
+	w := &World{Eng: eng, M: m, Cluster: cluster, Realm: realm}
 	n := spec.Size()
 	// One envelope pool and one payload-block pool per world: both are
 	// allocated at the sender but freed at the receiver, so they must span
 	// endpoints.
-	pool := &envPool{locked: g != nil}
+	pool := &envPool{}
 	w.bufs = &buf.Pool{}
-	if g != nil {
-		w.bufs.EnableLocking()
-	}
-	engOf := func(node int) *sim.Engine {
-		if g == nil {
-			return eng
-		}
-		return g.Ctx(node).Engine()
-	}
 	for r := 0; r < n; r++ {
-		node := cluster.NodeOf(r)
-		ep := newEndpoint(r, engOf(node), m, realm, policy, opt.Rndv, n, pool, w.bufs)
+		ep := newEndpoint(r, eng, m, realm, policy, opt.Rndv, n, pool, w.bufs)
 		ep.eagerProto = opt.EagerProto
 		ep.integrity = opt.Integrity
 		ep.tr = opt.Trace
-		if g != nil && opt.Trace != nil {
-			ep.tr = w.trShards[shardOf[node]]
-		}
 		if opt.RegCache != nil {
 			// Per-endpoint state, not a global constant: each rank's cache
 			// warms and evicts on its own traffic (Zambre et al.'s endpoint
@@ -352,9 +216,8 @@ func buildWorld(eng *sim.Engine, g *sim.Group, shardOf []int, m *model.Params, s
 			ci := &Conn{peer: j, sched: core.ConnState{Bound: bind(i, j)}, credits: m.EagerCredits}
 			cj := &Conn{peer: i, sched: core.ConnState{Bound: bind(j, i)}, credits: m.EagerCredits}
 			if cluster.SameNode(i, j) {
-				sheng := engOf(cluster.NodeOf(i))
-				ci.sh = shmem.New(sheng, m)
-				cj.sh = shmem.New(sheng, m)
+				ci.sh = shmem.New(eng, m)
+				cj.sh = shmem.New(eng, m)
 				ci.sh.SetDeliver(shmemSink(epj))
 				cj.sh.SetDeliver(shmemSink(epi))
 			} else {
@@ -405,21 +268,15 @@ func shmemSink(ep *Endpoint) func(shmem.Msg) {
 }
 
 // Spawn starts one simulated process per rank running body and returns the
-// procs. body runs with the endpoint already attached. In a sharded world
-// each rank's proc lives on its node's shard engine.
+// procs. body runs with the endpoint already attached.
 func (w *World) Spawn(name string, body func(ep *Endpoint)) []*sim.Proc {
 	procs := make([]*sim.Proc, len(w.Endpoints))
 	for i, ep := range w.Endpoints {
 		ep := ep
-		run := func(p *sim.Proc) {
+		procs[i] = w.Eng.Spawn(procName(name, ep.Rank), func(p *sim.Proc) {
 			ep.Attach(p)
 			body(ep)
-		}
-		if w.grp != nil {
-			procs[i] = w.grp.Ctx(w.Cluster.NodeOf(ep.Rank)).Spawn(procName(name, ep.Rank), run)
-		} else {
-			procs[i] = w.Eng.Spawn(procName(name, ep.Rank), run)
-		}
+		})
 	}
 	return procs
 }

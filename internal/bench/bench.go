@@ -55,11 +55,6 @@ type Setup struct {
 	// cold/warm bandwidth split of the supplementary RegCacheTable).
 	RegCache *regcache.Config
 
-	// Shards runs the setup on the sharded parallel DES engine (0/1 =
-	// serial). Virtual-time results are bit-identical either way; only the
-	// host wall clock changes.
-	Shards int
-
 	// CollAlg selects the collective-algorithm family (zero value keeps
 	// the striped reference algorithms; CollLane runs the lane-decomposed
 	// ones of the LaneCollTable ablation).
@@ -91,7 +86,6 @@ func (s Setup) Config() mpi.Config {
 		Chaos:          s.Chaos,
 		Reliability:    s.Reliability,
 		RegCache:       s.RegCache,
-		Shards:         s.Shards,
 		CollAlg:        s.CollAlg,
 		Integrity:      s.Integrity,
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // TestIntegrityOverheadTable runs the generator at quick scale; the
-// audit-equals-off and sharded bit-identity invariants are enforced inside
-// it, so a clean return already certifies both.
+// audit-equals-off invariant is enforced inside it, so a clean return
+// already certifies it.
 func TestIntegrityOverheadTable(t *testing.T) {
 	tbl, err := IntegrityOverheadTable(quick)
 	if err != nil {

@@ -3,9 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-
-	"ib12x/internal/core"
-	"ib12x/internal/mpi"
 )
 
 // TestLaneCollTable checks the ablation produces the full matrix — every
@@ -48,26 +45,5 @@ func TestLaneCollTableSerialParallelIdentical(t *testing.T) {
 	}
 	if s, p := serial.Format(), parallel.Format(); s != p {
 		t.Errorf("serial/parallel tables diverge:\n--- serial ---\n%s--- parallel ---\n%s", s, p)
-	}
-}
-
-// TestLaneCollShardedIdentical runs one lane-collective cell on the
-// sharded engine and requires exactly the serial virtual-time values.
-func TestLaneCollShardedIdentical(t *testing.T) {
-	cell := func(shards int) []float64 {
-		s := Setup{QPs: 4, Policy: core.EPC, Nodes: 4, CollAlg: mpi.CollLane, Shards: shards}
-		vals, err := Collective(CollAllgather, s, []int{64 << 10, 256 << 10}, 5, 1)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return vals
-	}
-	serial := cell(0)
-	sharded := cell(2)
-	for i := range serial {
-		if serial[i] != sharded[i] {
-			t.Errorf("size %d: sharded %.6f us vs serial %.6f us; lane schedule not shard-deterministic",
-				i, sharded[i], serial[i])
-		}
 	}
 }

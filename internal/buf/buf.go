@@ -25,7 +25,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // block is the shared backing store behind one or more Views.
@@ -61,31 +60,6 @@ type Pool struct {
 	// check.
 	audit map[*block]auditInfo
 	clock func() int64
-
-	// Sharded-run locking (EnableLocking): blocks are captured on the
-	// sending rank's shard and released on the receiving rank's, so the free
-	// lists, live counter and audit map become cross-shard state. Serial
-	// worlds never take the lock. Block hand-off between shards always rides
-	// a delivery event or this mutex, which is what keeps the per-block
-	// refcounts unsynchronized-but-safe.
-	locked bool
-	mu     sync.Mutex
-}
-
-// EnableLocking switches the pool to thread-safe mode for sharded engine
-// groups. Call before the run starts.
-func (p *Pool) EnableLocking() { p.locked = true }
-
-func (p *Pool) lock() {
-	if p.locked {
-		p.mu.Lock()
-	}
-}
-
-func (p *Pool) unlock() {
-	if p.locked {
-		p.mu.Unlock()
-	}
 }
 
 // auditInfo records where and when an outstanding block was handed out.
@@ -120,9 +94,7 @@ func (p *Pool) record(blk *block, tag string) {
 func (p *Pool) GetTagged(n int, tag string) View {
 	v := p.Get(n)
 	if p.audit != nil && v.blk != nil {
-		p.lock()
 		p.audit[v.blk] = auditInfo{tag: tag, at: p.now()}
-		p.unlock()
 	}
 	return v
 }
@@ -131,9 +103,7 @@ func (p *Pool) GetTagged(n int, tag string) View {
 func (p *Pool) WrapTagged(b []byte, tag string) View {
 	v := p.Wrap(b)
 	if p.audit != nil && v.blk != nil {
-		p.lock()
 		p.audit[v.blk] = auditInfo{tag: tag, at: p.now()}
-		p.unlock()
 	}
 	return v
 }
@@ -203,8 +173,6 @@ func (p *Pool) Get(n int) View {
 	if n <= 0 {
 		return View{}
 	}
-	p.lock()
-	defer p.unlock()
 	c := classOf(n)
 	var blk *block
 	if free := p.classes[c]; len(free) > 0 {
@@ -228,8 +196,6 @@ func (p *Pool) Wrap(b []byte) View {
 	if b == nil {
 		return View{}
 	}
-	p.lock()
-	defer p.unlock()
 	var blk *block
 	if free := p.wrapFree; len(free) > 0 {
 		blk = free[len(free)-1]
@@ -319,8 +285,6 @@ func (v View) Release() {
 	}
 	p := blk.pool
 	blk.gen++
-	p.lock()
-	defer p.unlock()
 	p.live--
 	if p.audit != nil {
 		delete(p.audit, blk)

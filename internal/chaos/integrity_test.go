@@ -191,61 +191,6 @@ func TestIntegritySerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestIntegrityShardedIdentical pins the sharded engine against the serial
-// one with corruption injected and verification armed on a 4-node fabric.
-// The per-port corruption counters advance at post time on the owning
-// shard, and the NACK retransmit reposts on the receiver's evidence carried
-// back in the completion — nothing crosses shards outside the existing
-// merge rule, so every digest must be bit-identical at every shard count.
-func TestIntegrityShardedIdentical(t *testing.T) {
-	type cell struct {
-		tc     corruptionCase
-		policy core.Kind
-	}
-	cases := corruptionCases()
-	cells := []cell{
-		{cases[0], core.EPC},
-		{cases[0], core.EvenStriping},
-		{cases[2], core.EPC},
-		{cases[3], core.EvenStriping},
-	}
-	matrix := func(shards int) []*RunResult {
-		t.Helper()
-		res, err := harness.Map(cells, func(c cell) (*RunResult, error) {
-			return RunConformance(OracleConfig{
-				Seed: oracleSeed, Policy: c.policy, Plan: c.tc.plan,
-				Nodes: 4, Shards: shards,
-				EagerProto: c.tc.proto,
-				Integrity:  adi.IntegrityVerify,
-			})
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return res
-	}
-	serial := matrix(0)
-	for _, shards := range []int{1, 2, 4} {
-		sharded := matrix(shards)
-		for i, res := range sharded {
-			ref := serial[i]
-			for _, v := range res.Violations {
-				t.Errorf("shards=%d %v under %s: %s", shards, cells[i].policy, cells[i].tc.plan.Name, v)
-			}
-			if res.Digest != ref.Digest || res.TraceDigest != ref.TraceDigest || res.Elapsed != ref.Elapsed {
-				t.Errorf("shards=%d %v under %s diverged from serial: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-					shards, cells[i].policy, cells[i].tc.plan.Name,
-					res.Digest, ref.Digest, res.TraceDigest, ref.TraceDigest, res.Elapsed, ref.Elapsed)
-			}
-			if res.IntegrityNacks != ref.IntegrityNacks || res.TornRepolls != ref.TornRepolls {
-				t.Errorf("shards=%d %v under %s: counters diverge: nacks %d/%d repolls %d/%d",
-					shards, cells[i].policy, cells[i].tc.plan.Name,
-					res.IntegrityNacks, ref.IntegrityNacks, res.TornRepolls, ref.TornRepolls)
-			}
-		}
-	}
-}
-
 // TestIntegrityAuditSeesCorruption is the negative control: with
 // verification disarmed every corruption plan must actually land corrupted
 // bytes in user buffers — the workload's own checks report violations and

@@ -58,9 +58,6 @@ type OracleConfig struct {
 	SpinesPerPod   int
 	Dragonfly      topo.Dragonfly
 	Routing        fabric.Routing
-	// Shards runs the workload on a sharded engine group (mpi.Config.Shards).
-	// Every digest must be byte-identical to the serial run's.
-	Shards int
 
 	// CollAlg selects the collective-algorithm family (mpi.Config.CollAlg).
 	// The workload's collective phase only uses exact operators, so the
@@ -230,7 +227,6 @@ func RunConformance(cfg OracleConfig) (*RunResult, error) {
 		EagerProto:     cfg.EagerProto,
 		Trace:          rec,
 		Deadline:       cfg.Deadline,
-		Shards:         cfg.Shards,
 		CollAlg:        cfg.CollAlg,
 		Integrity:      cfg.Integrity,
 		NodesPerSwitch: cfg.NodesPerSwitch,
@@ -252,10 +248,8 @@ func RunConformance(cfg OracleConfig) (*RunResult, error) {
 	rep, err := mpi.Run(mcfg, func(c *mpi.Comm) {
 		r := c.Rank()
 		push := func(vs ...uint64) { recs[r] = append(recs[r], vs...) }
-		// Each rank writes only its own stream slots, so neither serial runs
-		// (one rank at a time on the baton) nor sharded runs (ranks of
-		// different shards in parallel) need a lock; flattening in rank order
-		// below keeps the report deterministic either way.
+		// Each rank writes only its own stream slots; flattening in rank
+		// order below keeps the report deterministic.
 		violf := func(format string, args ...any) {
 			viols[r] = append(viols[r], fmt.Sprintf("rank %d: %s", r, fmt.Sprintf(format, args...)))
 		}

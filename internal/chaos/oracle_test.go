@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"ib12x/internal/core"
-	"ib12x/internal/fabric"
 	"ib12x/internal/harness"
-	"ib12x/internal/model"
 	"ib12x/internal/sim"
 )
 
@@ -282,86 +280,6 @@ func TestGeneratedPlansConverge(t *testing.T) {
 		if res.Digest != ref.Digest {
 			t.Errorf("digest split under %s: %s=%#x vs %s=%#x",
 				cells[i].plan.Name, ref.Policy, ref.Digest, res.Policy, res.Digest)
-		}
-	}
-}
-
-// TestShardedSerialIdentical pins the sharded engine's determinism contract
-// end to end: the full policy x fault-plan chaos matrix run on a sharded
-// group (mpi.Config.Shards) must be BIT-identical to the serial engine —
-// payload digest, protocol trace digest, and elapsed virtual time — at
-// every shard count, with zero invariant violations. Shard counts above the
-// topology's unit count clamp (topo.ShardPlan), so the 8-way sweep runs on
-// an 8-node fabric where all 8 shards are real. The last two sweep rows run
-// the same matrix on a three-tier tree (adaptive), where shards map to
-// pods, and on a two-level 8:1 tree of three leaves, where shards map to
-// leaves (one each, then a ragged two) and every leaf's downlink takes
-// bookings from both other leaves; every trunk booking crosses the
-// deferred-barrier path.
-func TestShardedSerialIdentical(t *testing.T) {
-	type cell struct {
-		plan   *Plan
-		policy core.Kind
-	}
-	var cells []cell
-	for _, plan := range faultPlans() {
-		for _, kind := range allPolicies {
-			cells = append(cells, cell{plan, kind})
-		}
-	}
-	threeTier := func(c *OracleConfig) {
-		c.NodesPerSwitch = 1
-		c.Tiers = 3
-		c.SpinesPerPod = 2
-		c.TrunkRate = model.Default().LinkRawRate / 4
-		c.Routing = fabric.RouteAdaptive
-	}
-	twoLevel := func(c *OracleConfig) {
-		c.NodesPerSwitch = 2
-		c.TrunkRate = model.Default().LinkRawRate / 4
-	}
-	matrix := func(nodes, shards int, shape func(*OracleConfig)) []*RunResult {
-		t.Helper()
-		res, err := harness.Map(cells, func(c cell) (*RunResult, error) {
-			cfg := OracleConfig{
-				Seed: oracleSeed, Policy: c.policy, Plan: c.plan,
-				Nodes: nodes, Shards: shards,
-			}
-			if shape != nil {
-				shape(&cfg)
-			}
-			return RunConformance(cfg)
-		})
-		if err != nil {
-			t.Fatalf("nodes=%d shards=%d: %v", nodes, shards, err)
-		}
-		return res
-	}
-	for _, sweep := range []struct {
-		nodes  int
-		shards []int
-		shape  func(*OracleConfig)
-	}{
-		{nodes: 4, shards: []int{1, 2, 4}},
-		{nodes: 8, shards: []int{8}},
-		{nodes: 4, shards: []int{2}, shape: threeTier},
-		{nodes: 6, shards: []int{3, 2}, shape: twoLevel},
-	} {
-		serial := matrix(sweep.nodes, 0, sweep.shape)
-		for _, shards := range sweep.shards {
-			sharded := matrix(sweep.nodes, shards, sweep.shape)
-			for i, res := range sharded {
-				ref := serial[i]
-				for _, v := range res.Violations {
-					t.Errorf("nodes=%d shards=%d %v under %s: %s",
-						sweep.nodes, shards, cells[i].policy, cells[i].plan.Name, v)
-				}
-				if res.Digest != ref.Digest || res.TraceDigest != ref.TraceDigest || res.Elapsed != ref.Elapsed {
-					t.Errorf("nodes=%d shards=%d %v under %s diverged from serial: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-						sweep.nodes, shards, cells[i].policy, cells[i].plan.Name,
-						res.Digest, ref.Digest, res.TraceDigest, ref.TraceDigest, res.Elapsed, ref.Elapsed)
-				}
-			}
 		}
 	}
 }

@@ -141,68 +141,6 @@ func TestRoutingSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestRoutingShardedIdentical pins the sharded engine against the serial
-// one on routed fabrics: every spine/core/global lane carries traffic from
-// several shards and adaptive selection reads those lanes' load at booking
-// time, so the whole path booking is deferred to the window barrier where
-// it applies in serial posting order. A bounded cut of the matrix — the
-// kitchen-sink, trunk-degrade, and rail-death plans × two policies × both
-// every shape, adaptive routing — must be bit-identical (digest, trace,
-// elapsed) at every shard count, with zero violations.
-func TestRoutingShardedIdentical(t *testing.T) {
-	type cell struct {
-		shape  routedShape
-		plan   *Plan
-		policy core.Kind
-	}
-	plans := []*Plan{
-		routedPlans()[5], // kitchen sink
-		DegradedTrunk(50*sim.Microsecond, 500*sim.Microsecond, 0, 0.25),
-		RailDeath(100*sim.Microsecond, 1, 2),
-	}
-	var cells []cell
-	for _, shape := range routedShapes() {
-		for _, plan := range plans {
-			for _, kind := range []core.Kind{core.EPC, core.EvenStriping} {
-				cells = append(cells, cell{shape, plan, kind})
-			}
-		}
-	}
-	matrix := func(shards int) []*RunResult {
-		t.Helper()
-		res, err := harness.Map(cells, func(c cell) (*RunResult, error) {
-			cfg := OracleConfig{
-				Seed: oracleSeed, Policy: c.policy, Plan: c.plan,
-				Nodes: 4, ProcsPerNode: 1, Shards: shards,
-				Routing: fabric.RouteAdaptive,
-			}
-			c.shape.set(&cfg)
-			return RunConformance(cfg)
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return res
-	}
-	serial := matrix(0)
-	// The two-level tree has 4 sharding units (leaves); the other shapes
-	// have 2 (pods / groups), where 4 exercises the clamp.
-	for _, shards := range []int{2, 4} {
-		sharded := matrix(shards)
-		for i, res := range sharded {
-			c, ref := cells[i], serial[i]
-			for _, v := range res.Violations {
-				t.Errorf("shards=%d %s %v under %s: %s", shards, c.shape.name, c.policy, c.plan.Name, v)
-			}
-			if res.Digest != ref.Digest || res.TraceDigest != ref.TraceDigest || res.Elapsed != ref.Elapsed {
-				t.Errorf("shards=%d %s %v under %s diverged from serial: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-					shards, c.shape.name, c.policy, c.plan.Name,
-					res.Digest, ref.Digest, res.TraceDigest, ref.TraceDigest, res.Elapsed, ref.Elapsed)
-			}
-		}
-	}
-}
-
 // TestAdaptiveBeatsStaticUnderTrunkDegrade is the system-level SetRate ×
 // adaptive regression (the fabric-level tie-break is pinned in
 // internal/fabric): with one spine plane of a 2:1 three-tier tree

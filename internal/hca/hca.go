@@ -58,11 +58,6 @@ type Port struct {
 	Net  *fabric.Net
 	Bus  *gx.Bus
 
-	// Ctx addresses the owning node's shard engine in a sharded world (nil
-	// in a serial world; flows then fall back to the engine they were built
-	// with). Set once during world construction.
-	Ctx *sim.NodeCtx
-
 	Sched       sim.Server   // HW send scheduler (serial, PerItem per WQE)
 	SendEngines []sim.Server // send DMA engines
 	RecvEngines []sim.Server // receive DMA engines
@@ -107,13 +102,6 @@ type Port struct {
 	TornEvery   int64
 	CorruptSeed uint64
 
-	// PadSched, when non-nil, is the precomputed LatencyPad timeline
-	// (sorted by At). Sharded chaos runs install it so that flows on OTHER
-	// shards evaluate this port's pad at any virtual time without reading
-	// the mutable LatencyPad field across threads; it reproduces exactly
-	// the values the serial run's inline transitions would yield.
-	PadSched []PadPoint
-
 	// Stats.
 	WQEs        int64 // data descriptors transmitted
 	Acks        int64 // acknowledgments generated
@@ -141,8 +129,7 @@ type Corrupt struct {
 // descriptor posted through it. ring marks a descriptor that lands in an
 // RDMA eager ring slot (the only torn-write candidates); env marks one that
 // carries a wire header (the only header-corruption candidates). Called at
-// post time on the port's owning shard, exactly like Sched bookings, so the
-// counter sequence is identical serial and sharded.
+// post time, exactly like Sched bookings.
 func (p *Port) CorruptNext(ring, env bool) Corrupt {
 	if p.FlipEvery == 0 && p.HdrEvery == 0 && p.TornEvery == 0 {
 		return Corrupt{}
@@ -221,44 +208,15 @@ type Timing struct {
 	AckArrive sim.Time // RC acknowledgment back at the requester
 }
 
-// PadPoint is one scheduled LatencyPad transition: the pad in force from
-// At onward (until the next point).
-type PadPoint struct {
-	At  sim.Time
-	Pad sim.Time
-}
-
-// padAt evaluates the port's one-way latency pad at virtual time t: from
-// the precomputed schedule when present (sharded runs), else the live
-// field (serial runs, where transitions apply inline).
-func (p *Port) padAt(t sim.Time) sim.Time {
-	if p.PadSched == nil {
-		return p.LatencyPad
-	}
-	pad := sim.Time(0)
-	for _, pt := range p.PadSched {
-		if pt.At > t {
-			break
-		}
-		pad = pt.Pad
-	}
-	return pad
-}
-
 // Flow is the transmit pipeline of one QP direction: it enforces the
 // per-QP in-order rule at the engine stage and drives each work request
-// through the staged resources. Source-side stages (scheduler, send
-// engines, GX+ fetch, TX lane, trunk bookings) execute on the source
-// node's engine; destination-side stages (RX lane, receive engines, GX+
-// store, ack generation) execute on the destination node's engine —
-// the same engine serially, distinct shard engines in a sharded world.
+// through the staged resources: scheduler, send engines, GX+ fetch, TX
+// lane and trunk bookings on the source port, then RX lane, receive
+// engines, GX+ store and ack generation on the destination port.
 type Flow struct {
-	eng    *sim.Engine // source-side engine (srcCtx's engine)
-	dstEng *sim.Engine
-	srcCtx *sim.NodeCtx
-	dstCtx *sim.NodeCtx
-	src    *Port
-	dst    *Port
+	eng *sim.Engine
+	src *Port
+	dst *Port
 
 	prevEngEnd sim.Time           // engine-phase end of the last WQE to enter the pool
 	busy       bool               // a WQE is waiting for / holding the engine stage
@@ -268,8 +226,7 @@ type Flow struct {
 	// routeKey identifies this flow to the fabric's path selection:
 	// the D-mod-K hash input (static) and the tie-break salt (adaptive).
 	// Derived from (src node, dst node, per-port flow ordinal) at world
-	// build, which is single-threaded in every mode, so it is identical
-	// serial and sharded.
+	// build.
 	routeKey uint64
 }
 
@@ -303,20 +260,9 @@ func pairAcked(a any, t Timing) {
 	}
 }
 
-// NewFlow creates the transmit pipeline from p toward dst. In a serial
-// world eng drives both sides; in a sharded world the ports' node contexts
-// (Port.Ctx) place each side on its owning shard.
+// NewFlow creates the transmit pipeline from p toward dst, driven by eng.
 func (p *Port) NewFlow(eng *sim.Engine, dst *Port) *Flow {
-	f := &Flow{src: p, dst: dst}
-	f.srcCtx, f.dstCtx = p.Ctx, dst.Ctx
-	if f.srcCtx == nil {
-		f.srcCtx = eng.NodeCtx(p.Node)
-	}
-	if f.dstCtx == nil {
-		f.dstCtx = eng.NodeCtx(dst.Node)
-	}
-	f.eng = f.srcCtx.Engine()
-	f.dstEng = f.dstCtx.Engine()
+	f := &Flow{eng: eng, src: p, dst: dst}
 	p.flowSeq++
 	f.routeKey = corruptMix(uint64(p.Node)<<40 ^ uint64(dst.Node)<<20 ^ p.flowSeq)
 	return f
@@ -501,41 +447,25 @@ func (f *Flow) txChunkSend(x *xfer, n int) {
 		x.t.Leaves = leaves
 	}
 	net := f.src.Net
-	lat := net.OneWay() + f.src.LatencyPad + f.dst.padAt(now)
+	lat := net.OneWay() + f.src.LatencyPad + f.dst.LatencyPad
 	first := txStart + lat
 	last := leaves + lat
 	if net.CrossSwitch(f.src.Node, f.dst.Node) {
 		// The fabric routes and books every trunk hop under this flow's
-		// key, charging the cut-through recurrence per hop. Trunk lanes
-		// carry traffic from many shards (and adaptive selection reads
-		// their load), so in a sharded run the WHOLE path booking —
-		// selection included — is deferred to the window barrier, where
-		// deferred ops apply in serial posting-key order; lane state and
-		// every adaptive choice then match the serial run bit-exactly. The
-		// rx event's stub is reserved here to keep this node's sequence
-		// stream serial-identical.
-		if f.eng.Sharded() {
-			stub := f.eng.ReserveStub()
-			e, inFirst, inLast := f.eng, first, last
-			f.eng.DeferOrdered(func() {
-				df, dl := net.BookPath(f.src.Node, f.dst.Node, f.routeKey, inFirst, inLast, wire, lat)
-				e.PostCallStubTo(stub, f.dstCtx, dl, stageRx, x, int64(n), int64(df), wire)
-			})
-			return
-		}
+		// key, charging the cut-through recurrence per hop.
 		first, last = net.BookPath(f.src.Node, f.dst.Node, f.routeKey, first, last, wire, lat)
 	}
-	f.eng.PostCallTo(f.dstCtx, last, stageRx, x, int64(n), int64(first), wire)
+	f.eng.PostCall(last, stageRx, x, int64(n), int64(first), wire)
 }
 
 // rxChunk books the destination RX lane at arrival (fan-in serializes here)
 // and then the receive engine + GX+ store for this chunk.
 func (f *Flow) rxChunk(x *xfer, n int, first sim.Time, wire int64) {
-	delivered := f.dst.RX.Recv(first, f.dstEng.Now(), wire)
+	delivered := f.dst.RX.Recv(first, f.eng.Now(), wire)
 	if delivered > x.t.Delivered {
 		x.t.Delivered = delivered
 	}
-	f.dstEng.PostCall(delivered, stageRecv, x, int64(n), 0, 0)
+	f.eng.PostCall(delivered, stageRecv, x, int64(n), 0, 0)
 }
 
 // recvChunk runs the receive-side DMA of one chunk. Inbound processing is
@@ -543,7 +473,7 @@ func (f *Flow) rxChunk(x *xfer, n int, first sim.Time, wire int64) {
 // receive engine; the per-WQE setup cost is paid once, on the first chunk.
 func (f *Flow) recvChunk(x *xfer, n int) {
 	m := f.dst.M
-	now := f.dstEng.Now()
+	now := f.eng.Now()
 	f.dst.RxBytes += int64(n)
 	var dur sim.Time
 	if x.recvEng < 0 {
@@ -563,7 +493,7 @@ func (f *Flow) recvChunk(x *xfer, n int) {
 	}
 	x.chunksOut--
 	if x.chunksOut == 0 {
-		f.dstEng.PostCall(x.t.InMemory, stageComplete, x, 0, 0, 0)
+		f.eng.PostCall(x.t.InMemory, stageComplete, x, 0, 0, 0)
 	}
 }
 
@@ -573,14 +503,14 @@ func (f *Flow) recvChunk(x *xfer, n int) {
 // backlogs, so their wire time is charged but they are never delayed by it.
 func (f *Flow) completeStage(x *xfer) {
 	m := f.dst.M
-	_, done := f.dst.Sched.ReserveDur(f.dstEng.Now()+f.dst.AckDelay, m.AckProcTime)
+	_, done := f.dst.Sched.ReserveDur(f.eng.Now()+f.dst.AckDelay, m.AckProcTime)
 	leaves := f.dst.TX.Preempt(done, int64(m.AckWireBytes))
 	f.dst.Acks++
 	x.t.AckArrive = leaves + f.dst.Net.OneWay()
 	if x.it.delivered != nil {
 		x.it.delivered(x.it.ctx, x.t)
 	}
-	f.dstEng.PostCallTo(f.srcCtx, x.t.AckArrive, stageAck, x, 0, 0, 0)
+	f.eng.PostCall(x.t.AckArrive, stageAck, x, 0, 0, 0)
 }
 
 func max64(a, b int64) int64 {

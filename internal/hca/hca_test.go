@@ -329,54 +329,6 @@ func TestErrorInjectionPreservesDelivery(t *testing.T) {
 	}
 }
 
-// trunkRun drives a fan-in over a two-level tree of three one-node leaves
-// at a quarter-rate trunk: nodes 0 and 1 each stream to node 2, so both
-// flows' chunks contend on leaf 2's downlink. shards = 0 runs the serial
-// engine, otherwise a sharded group (3 = one shard per leaf). It returns each flow's timings and
-// the trunk plane's booking totals.
-func trunkRun(t *testing.T, shards int) (tms [2][]Timing, items, bytes int64) {
-	t.Helper()
-	m := model.Default()
-	net := fabric.NewTwoLevel(m.WireLatency, 3, 1, 1, m.LinkRawRate/4, fabric.RouteStatic, 0)
-	eng := sim.NewEngine()
-	var g *sim.Group
-	if shards > 0 {
-		g = sim.NewGroup([]int{0, 1 % shards, 2 % shards}, shards, m.WireLatency)
-	}
-	ports := make([]*Port, 3)
-	for i := range ports {
-		ports[i] = New("n", 1, gx.New(m.GXRate), m, net).Ports[0]
-		ports[i].Node = i
-		if g != nil {
-			ports[i].Ctx = g.Ctx(i)
-		}
-	}
-	for src := 0; src < 2; src++ {
-		f := ports[src].NewFlow(eng, ports[2])
-		sends := func() {
-			for i := 0; i < 4; i++ {
-				f.Send(48*1024, func(tm Timing) { tms[src] = append(tms[src], tm) }, nil)
-			}
-		}
-		if g != nil {
-			g.Ctx(src).Post(0, sends)
-		} else {
-			eng.At(0, sends)
-		}
-	}
-	var err error
-	if g != nil {
-		err = g.Run()
-	} else {
-		err = eng.Run()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	items, bytes = net.PlaneStats(0)
-	return tms, items, bytes
-}
-
 // TestCrossSwitchPaysTrunkHops: a chunk between switches books one up and
 // one down trunk lane and pays a hop latency after each; at a trunk as fast
 // as the link the serialization overlaps and only the two hops remain.
@@ -409,32 +361,36 @@ func TestCrossSwitchPaysTrunkHops(t *testing.T) {
 	}
 }
 
-// TestTrunkBookingShardedMatchesSerial: in a sharded run every trunk
-// booking is deferred to the window barrier; timings and lane totals must
-// come out exactly as the serial engine's inline bookings do.
-func TestTrunkBookingShardedMatchesSerial(t *testing.T) {
-	serial, items, bytes := trunkRun(t, 0)
-	if items == 0 || len(serial[0]) != 4 || len(serial[1]) != 4 {
-		t.Fatalf("serial run: %d trunk items, %d+%d deliveries", items, len(serial[0]), len(serial[1]))
+// TestTrunkPacesFanIn drives a fan-in over a two-level tree of three
+// one-node leaves at a quarter-rate trunk: nodes 0 and 1 each stream to
+// node 2, so both flows' chunks contend on leaf 2's downlink, and the
+// trunk, not the link, paces the last delivery.
+func TestTrunkPacesFanIn(t *testing.T) {
+	m := model.Default()
+	net := fabric.NewTwoLevel(m.WireLatency, 3, 1, 1, m.LinkRawRate/4, fabric.RouteStatic, 0)
+	eng := sim.NewEngine()
+	ports := make([]*Port, 3)
+	for i := range ports {
+		ports[i] = New("n", 1, gx.New(m.GXRate), m, net).Ports[0]
+		ports[i].Node = i
 	}
-	// The quarter-rate trunk, not the link, paces the fan-in.
-	if last, free := serial[1][3].Delivered, sim.TransferTime(bytes/2, model.Default().LinkRawRate/4); last < free {
+	var tms [2][]Timing
+	for src := 0; src < 2; src++ {
+		f := ports[src].NewFlow(eng, ports[2])
+		eng.At(0, func() {
+			for i := 0; i < 4; i++ {
+				f.Send(48*1024, func(tm Timing) { tms[src] = append(tms[src], tm) }, nil)
+			}
+		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	items, bytes := net.PlaneStats(0)
+	if items == 0 || len(tms[0]) != 4 || len(tms[1]) != 4 {
+		t.Fatalf("%d trunk items, %d+%d deliveries", items, len(tms[0]), len(tms[1]))
+	}
+	if last, free := tms[1][3].Delivered, sim.TransferTime(bytes/2, m.LinkRawRate/4); last < free {
 		t.Errorf("last delivery at %v, before the downlink could drain (%v)", last, free)
-	}
-	for _, shards := range []int{1, 3} {
-		got, gi, gb := trunkRun(t, shards)
-		if gi != items || gb != bytes {
-			t.Errorf("shards=%d: trunk carried %d items / %d bytes, serial %d / %d", shards, gi, gb, items, bytes)
-		}
-		for f := range serial {
-			if len(got[f]) != len(serial[f]) {
-				t.Fatalf("shards=%d flow %d: %d deliveries, serial %d", shards, f, len(got[f]), len(serial[f]))
-			}
-			for i := range serial[f] {
-				if got[f][i] != serial[f][i] {
-					t.Errorf("shards=%d flow %d msg %d: %+v, serial %+v", shards, f, i, got[f][i], serial[f][i])
-				}
-			}
-		}
 	}
 }

@@ -12,8 +12,6 @@ package ib
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"ib12x/internal/model"
 	"ib12x/internal/sim"
@@ -71,41 +69,16 @@ type Realm struct {
 	ops   []*wrOp // free list of recycled work-request descriptors
 	stats RealmStats
 
-	// Sharded-run synchronization. The realm's shared resources — the op
-	// free list, the MR table and its rkey counter, and the counters — are
-	// touched from every shard; sharded runs take the locks (or atomics).
-	// Serial runs skip them entirely, keeping the hot path branch-only.
-	// Lock-acquisition order across shards is nondeterministic, but none of
-	// it is observable: op identity, rkey numeric values and counter
-	// interleavings never feed back into event timing or payload bytes.
-	sharded bool
-	opMu    sync.Mutex
-	mrMu    sync.RWMutex
-
 	// integrity arms the receiving-HCA ICRC check: tainted payload
 	// placements are suppressed and the sender is NACKed with
 	// StatusIntegrityErr. Set once at world build (mpi.Config.Integrity),
-	// read-only during the run, so shards read it freely.
+	// read-only during the run.
 	integrity bool
 }
-
-// EnableSharded switches the realm's shared structures to thread-safe mode
-// for a sharded engine group. Call before the run starts.
-func (r *Realm) EnableSharded() { r.sharded = true }
 
 // EnableIntegrity arms the ICRC-style placement check on every QP of the
 // realm (DESIGN.md §17). Call before the run starts.
 func (r *Realm) EnableIntegrity() { r.integrity = true }
-
-// bump increments a realm counter: atomically in sharded runs, plainly
-// otherwise.
-func (r *Realm) bump(p *int64, v int64) {
-	if r.sharded {
-		atomic.AddInt64(p, v)
-		return
-	}
-	*p += v
-}
 
 // RealmStats aggregates transport-level counters across the realm.
 type RealmStats struct {

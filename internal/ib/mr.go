@@ -15,10 +15,6 @@ func (r *Realm) RegisterMR(buf []byte, n int) *MR {
 	if buf != nil && len(buf) < n {
 		panic("ib: RegisterMR buffer shorter than declared length")
 	}
-	if r.sharded {
-		r.mrMu.Lock()
-		defer r.mrMu.Unlock()
-	}
 	r.rkey++
 	mr := &MR{RKey: r.rkey, Buf: buf, N: n}
 	r.mrs[mr.RKey] = mr
@@ -28,19 +24,11 @@ func (r *Realm) RegisterMR(buf []byte, n int) *MR {
 // DeregisterMR removes the region from the realm; later RDMA to its rkey
 // fails with ErrBadRKey.
 func (r *Realm) DeregisterMR(mr *MR) {
-	if r.sharded {
-		r.mrMu.Lock()
-		defer r.mrMu.Unlock()
-	}
 	delete(r.mrs, mr.RKey)
 }
 
 // LookupMR resolves an rkey.
 func (r *Realm) LookupMR(rkey uint32) (*MR, bool) {
-	if r.sharded {
-		r.mrMu.RLock()
-		defer r.mrMu.RUnlock()
-	}
 	mr, ok := r.mrs[rkey]
 	return mr, ok
 }

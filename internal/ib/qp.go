@@ -145,7 +145,7 @@ func (r *Realm) NewSRQ() *SRQ { return &SRQ{realm: r} }
 
 // PostRecv adds a receive buffer to the shared pool.
 func (s *SRQ) PostRecv(wr RecvWR) {
-	s.realm.bump(&s.realm.stats.RecvsPosted, 1)
+	s.realm.stats.RecvsPosted++
 	s.pool.post(wr)
 }
 
@@ -183,34 +183,7 @@ type QP struct {
 	// that were in the air when it struck.
 	down  bool
 	epoch uint64
-
-	// downSched, when non-nil, lists every future SetDown instant of this
-	// QP (sharded runs precompute it from the static chaos plan). Remote-
-	// side stages then evaluate "was this descriptor flushed?" from the
-	// descriptor's own flushAfter stamp instead of reading the mutable
-	// down/epoch fields across shards: a descriptor posted at P is lost at
-	// time T iff some SetDown lies in (P, T], i.e. iff flushAfter ≤ T —
-	// exactly the serial epoch comparison, since posts on a down QP are
-	// rejected outright.
-	downSched []sim.Time
 }
-
-// SetDownSched installs the precomputed SetDown timeline (sorted ascending).
-// Sharded chaos plans call this for every QP they will down.
-func (q *QP) SetDownSched(times []sim.Time) { q.downSched = times }
-
-// flushAfterFor stamps a descriptor posted now: the first scheduled SetDown
-// strictly after now, or maxTime when none (or when running serially).
-func (q *QP) flushAfterFor(now sim.Time) sim.Time {
-	for _, d := range q.downSched {
-		if d > now {
-			return d
-		}
-	}
-	return maxTime
-}
-
-const maxTime = sim.Time(1<<63 - 1)
 
 // SetDown transitions the QP into the error state: new posts fail with
 // ErrQPDown, and descriptors currently in flight are flushed — those whose
@@ -279,7 +252,7 @@ func (q *QP) PostRecv(wr RecvWR) error {
 	if q.SRQ != nil {
 		return ErrBadWR
 	}
-	q.realm.bump(&q.realm.stats.RecvsPosted, 1)
+	q.realm.stats.RecvsPosted++
 	q.pool.post(wr)
 	return nil
 }
@@ -311,7 +284,7 @@ func (q *QP) PostSend(wr SendWR) error {
 	var mr *MR
 	switch wr.Op {
 	case OpSend:
-		q.realm.bump(&q.realm.stats.SendsPosted, 1)
+		q.realm.stats.SendsPosted++
 	case OpRDMAWrite, OpRDMARead:
 		var ok bool
 		mr, ok = q.realm.LookupMR(wr.RKey)
@@ -322,13 +295,13 @@ func (q *QP) PostSend(wr SendWR) error {
 			return ErrMRBounds
 		}
 		if wr.Op == OpRDMARead {
-			q.realm.bump(&q.realm.stats.ReadsPosted, 1)
-			q.realm.bump(&q.realm.stats.BytesRead, int64(wr.N))
+			q.realm.stats.ReadsPosted++
+			q.realm.stats.BytesRead += int64(wr.N)
 			q.outstanding++
 			q.postRead(wr, mr)
 			return nil
 		}
-		q.realm.bump(&q.realm.stats.WritesPosted, 1)
+		q.realm.stats.WritesPosted++
 	case OpAtomicFAdd, OpAtomicCAS:
 		mr2, ok := q.realm.LookupMR(wr.RKey)
 		if !ok {
@@ -337,14 +310,14 @@ func (q *QP) PostSend(wr SendWR) error {
 		if wr.RemoteOff < 0 || wr.RemoteOff%8 != 0 || wr.RemoteOff+8 > mr2.N {
 			return ErrMRBounds
 		}
-		q.realm.bump(&q.realm.stats.AtomicsPosted, 1)
+		q.realm.stats.AtomicsPosted++
 		q.outstanding++
 		q.postAtomic(wr, mr2)
 		return nil
 	default:
 		return ErrBadWR
 	}
-	q.realm.bump(&q.realm.stats.BytesSent, int64(wr.N))
+	q.realm.stats.BytesSent += int64(wr.N)
 	q.outstanding++
 
 	o := q.realm.getOp()
@@ -357,7 +330,6 @@ func (q *QP) PostSend(wr SendWR) error {
 	if wr.Payload && !wr.NoCorrupt {
 		o.stampCorrupt(q.Port.CorruptNext(wr.Ring, wr.Ctx != nil))
 	}
-	o.stampFlush()
 	q.flow.SendCtx(wr.N, o, opDelivered, opAcked)
 	return nil
 }
@@ -392,22 +364,10 @@ type wrOp struct {
 	// Atomic operands and result.
 	operand, swap, old uint64
 
-	// Sharded-run state: flushAfter is the first SetDown instant after the
-	// post (maxTime = cannot be flushed); hazardHeld marks an op that
-	// raised the group's zero-latency hazard at post; captured holds the
-	// responder-side snapshot of an RDMA-read region, taken at request
-	// arrival so the response-side copy never reads remote memory across
-	// shards (its backing array survives recycling).
-	flushAfter  sim.Time
-	hazardHeld  bool
-	captured    []byte
-	hasCaptured bool
-
 	// Integrity state: the capture-time checksum (verification armed), the
 	// corruption taint the port's plan assigned at post, and the verdict of
-	// the receiving HCA's check. integrityFail is written at delivery on
-	// the destination shard and read at ack on the source shard — the same
-	// causal hand-off as effected.
+	// the receiving HCA's check. integrityFail is written at delivery and
+	// read at ack — the same causal hand-off as effected.
 	crc           uint32
 	flipOff       int
 	flipMask      byte
@@ -461,8 +421,8 @@ func (o *wrOp) verifyTaint() {
 // so the self-check only proves the flip would have changed the source
 // bytes' checksum.
 func (o *wrOp) verifyRead() {
-	src := o.captured
-	if !o.hasCaptured && o.mr.Buf != nil {
+	var src []byte
+	if o.mr.Buf != nil {
 		k := o.n
 		if len(o.mr.Buf)-o.off < k {
 			k = len(o.mr.Buf) - o.off
@@ -481,64 +441,7 @@ func (o *wrOp) verifyRead() {
 	}
 }
 
-// lostAt reports whether the descriptor was flushed by a failure as of
-// virtual time t. Remote-side stages use it: serially it is the live epoch
-// check; in sharded runs it is the precomputed flushAfter predicate.
-func (o *wrOp) lostAt(t sim.Time) bool {
-	if o.q.downSched == nil {
-		return o.q.lost(o.epoch)
-	}
-	return o.flushAfter <= t
-}
-
-// stampFlush records the descriptor's flush horizon at post time. QPs with
-// no scheduled failures (all serial runs, most sharded QPs) stamp maxTime.
-func (o *wrOp) stampFlush() {
-	q := o.q
-	if q.downSched == nil {
-		o.flushAfter = maxTime
-		return
-	}
-	o.flushAfter = q.flushAfterFor(q.localNow())
-}
-
-// localNow reads the QP owner's clock: its port's node context in a sharded
-// run (posts always execute on the owning shard), else the realm engine.
-func (q *QP) localNow() sim.Time {
-	if q.Port.Ctx != nil {
-		return q.Port.Ctx.Now()
-	}
-	return q.realm.Eng.Now()
-}
-
-// raiseHazard marks a read/atomic that a scheduled failure can flush
-// mid-flight: its flush completions mutate requester state from
-// responder-side events with zero cross-shard latency, so the shard group
-// must run merged (serial-order) windows while it is in flight. No-op for
-// descriptors that cannot be lost and on plain engines.
-func (o *wrOp) raiseHazard() {
-	if o.flushAfter == maxTime {
-		return
-	}
-	if c := o.q.Port.Ctx; c != nil {
-		c.Engine().HazardInc()
-		o.hazardHeld = true
-	}
-}
-
-// dropHazard releases the merged-window hazard at any terminal completion.
-func (o *wrOp) dropHazard() {
-	if o.hazardHeld {
-		o.hazardHeld = false
-		o.q.Port.Ctx.Engine().HazardDec()
-	}
-}
-
 func (r *Realm) getOp() *wrOp {
-	if r.sharded {
-		r.opMu.Lock()
-		defer r.opMu.Unlock()
-	}
 	if n := len(r.ops); n > 0 {
 		o := r.ops[n-1]
 		r.ops[n-1] = nil
@@ -549,13 +452,7 @@ func (r *Realm) getOp() *wrOp {
 }
 
 func (r *Realm) putOp(o *wrOp) {
-	buf := o.captured[:0]
 	*o = wrOp{}
-	o.captured = buf
-	if r.sharded {
-		r.opMu.Lock()
-		defer r.opMu.Unlock()
-	}
 	r.ops = append(r.ops, o)
 }
 
@@ -565,7 +462,7 @@ func (r *Realm) putOp(o *wrOp) {
 func opDelivered(a any, t hca.Timing) {
 	o := a.(*wrOp)
 	q := o.q
-	if o.lostAt(t.InMemory) {
+	if q.lost(o.epoch) {
 		return
 	}
 	armed := q.realm.integrity
@@ -668,56 +565,35 @@ func (q *QP) postRead(wr SendWR, mr *MR) {
 	if wr.Payload && !wr.NoCorrupt {
 		o.stampCorrupt(q.Port.CorruptNext(false, false))
 	}
-	o.stampFlush()
-	o.raiseHazard()
 	q.flow.SendCtx(0, o, readReqDelivered, nil)
 }
 
 // flushRead completes a read flushed by a failure and recycles its op.
-// In a sharded run this can execute on the responder's shard, mutating
-// requester state with zero cross-shard latency — which is exactly why a
-// flushable read holds the group hazard, forcing merged (serial) windows
-// for its whole flight.
 func (o *wrOp) flushRead() {
 	q := o.q
 	q.outstanding--
 	if o.signaled {
 		q.CQ.push(CQE{QPN: q.QPN, WRID: o.wrid, Op: OpRDMARead, Status: StatusFlushErr, Bytes: o.n})
 	}
-	o.dropHazard()
 	q.realm.putOp(o)
 }
 
 // readReqDelivered fires when the read request reaches the responder, which
 // then streams the region back on the requester's responder resources.
-func readReqDelivered(a any, t hca.Timing) {
+func readReqDelivered(a any, _ hca.Timing) {
 	o := a.(*wrOp)
-	if o.lostAt(t.InMemory) {
+	if o.q.lost(o.epoch) {
 		o.flushRead() // request lost before reaching the responder
 		return
-	}
-	if o.q.realm.sharded && o.data != nil && o.mr.Buf != nil {
-		// Snapshot the source region on the responder's shard: the
-		// response-side copy below then never reads remote memory across
-		// shards. (Serially the bytes are read at response delivery; the
-		// snapshot is equivalent because nothing writes the region while a
-		// read of it is in flight — RC ordering per QP, and the protocol
-		// layer never issues conflicting RMA to an outstanding-read region.)
-		k := o.n
-		if len(o.data) < k {
-			k = len(o.data)
-		}
-		o.captured = append(o.captured[:0], o.mr.Buf[o.off:o.off+k]...)
-		o.hasCaptured = true
 	}
 	o.q.respFlow.SendCtx(o.n, o, readRespDelivered, nil)
 }
 
 // readRespDelivered fires when the read data lands in local memory.
-func readRespDelivered(a any, t hca.Timing) {
+func readRespDelivered(a any, _ hca.Timing) {
 	o := a.(*wrOp)
 	q := o.q
-	if o.lostAt(t.InMemory) {
+	if q.lost(o.epoch) {
 		o.flushRead() // response lost in flight; no local memory was touched
 		return
 	}
@@ -735,9 +611,7 @@ func readRespDelivered(a any, t hca.Timing) {
 		q.flow.SendCtx(0, o, readReqDelivered, nil)
 		return
 	}
-	if o.hasCaptured {
-		copy(o.data[:len(o.captured)], o.captured)
-	} else if o.data != nil && o.mr.Buf != nil {
+	if o.data != nil && o.mr.Buf != nil {
 		k := o.n
 		if len(o.data) < k {
 			k = len(o.data)
@@ -763,7 +637,6 @@ func readRespDelivered(a any, t hca.Timing) {
 		}
 		q.CQ.push(e)
 	}
-	o.dropHazard()
 	q.realm.putOp(o)
 }
 
@@ -777,8 +650,6 @@ func (q *QP) postAtomic(wr SendWR, mr *MR) {
 	o.off, o.mr = wr.RemoteOff, mr
 	o.operand, o.swap = wr.CompareAdd, wr.Swap
 	o.wrid, o.signaled = wr.WRID, wr.Signaled
-	o.stampFlush()
-	o.raiseHazard()
 	q.flow.SendCtx(8, o, atomicReqDelivered, nil)
 }
 
@@ -786,17 +657,16 @@ func (q *QP) postAtomic(wr SendWR, mr *MR) {
 // whose HCA performs the 8-byte read-modify-write in arrival order (the
 // simulation's event serialization provides the atomicity guarantee the
 // hardware does) and streams the original value back.
-func atomicReqDelivered(a any, t hca.Timing) {
+func atomicReqDelivered(a any, _ hca.Timing) {
 	o := a.(*wrOp)
 	q := o.q
-	if o.lostAt(t.InMemory) {
+	if q.lost(o.epoch) {
 		// Request lost before the responder applied it: flush, so the
 		// requester may safely retry without double-applying.
 		q.outstanding--
 		if o.signaled {
 			q.CQ.push(CQE{QPN: q.QPN, WRID: o.wrid, Op: o.op, Status: StatusFlushErr, Bytes: 8})
 		}
-		o.dropHazard()
 		q.realm.putOp(o)
 		return
 	}
@@ -835,7 +705,6 @@ func atomicRespDelivered(a any, _ hca.Timing) {
 	if o.signaled {
 		q.CQ.push(CQE{QPN: q.QPN, WRID: o.wrid, Op: o.op, Status: StatusSuccess, Bytes: 8, AtomicOld: o.old})
 	}
-	o.dropHazard()
 	q.realm.putOp(o)
 }
 

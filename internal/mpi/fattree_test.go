@@ -132,8 +132,8 @@ func TestFatTreeCollectivesCorrect(t *testing.T) {
 }
 
 // TestBadFabricShapeIsAnError: a trunk rate no lane can run at, or a tree
-// with no leaf radix, is reported by Run — on every shape, serial and
-// sharded — instead of panicking in the fabric constructor.
+// with no leaf radix, is reported by Run — on every shape — instead of
+// panicking in the fabric constructor.
 func TestBadFabricShapeIsAnError(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -144,7 +144,6 @@ func TestBadFabricShapeIsAnError(t *testing.T) {
 		{"NaN trunk, three tiers", func(c *Config) {
 			c.NodesPerSwitch, c.Tiers, c.SpinesPerPod, c.TrunkRate = 2, 3, 2, math.NaN()
 		}},
-		{"negative trunk, sharded", func(c *Config) { c.NodesPerSwitch, c.TrunkRate, c.Shards = 2, -3e9, 2 }},
 		{"two tiers, no leaf radix", func(c *Config) { c.Tiers = 2 }},
 	} {
 		cf := cfg(4, 1, 4, core.EPC)

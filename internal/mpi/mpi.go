@@ -113,12 +113,9 @@ type Config struct {
 	SpinesPerPod int
 	Dragonfly    topo.Dragonfly
 	Routing      fabric.Routing
-	// Shards splits the discrete-event engine into per-shard engines (one
-	// per node, or per leaf switch on a fat tree; clamped to the topology's
-	// unit count) synchronized by conservative lookahead on the fabric's
-	// one-way wire latency. 0 or 1 keeps the historical serial engine
-	// byte-for-byte. Results — digests, traces, reports — are bit-identical
-	// either way; only host wall-clock time changes.
+	// Shards is ignored: the sharded engine was removed (DESIGN.md §14).
+	// The field is kept only so the nested benchmark module compiles;
+	// delete it together with sim.shard2_speedup in the next benchmark PR.
 	Shards int
 
 	// CollAlg selects the collective-algorithm family for every
@@ -165,15 +162,6 @@ type ChaosPlan interface {
 	Arm(eng *sim.Engine, w *adi.World)
 }
 
-// ShardedChaosPlan is a chaos plan that can also arm against a sharded
-// world, decomposing each fault into per-shard sub-events (implemented by
-// *chaos.Plan). A Config with Shards > 1 and a Chaos plan lacking this
-// interface is an error — arming serially would race across shards.
-type ShardedChaosPlan interface {
-	ChaosPlan
-	ArmSharded(g *sim.Group, w *adi.World)
-}
-
 // Report summarises a finished run.
 type Report struct {
 	// Elapsed is the virtual time at which the slowest rank finished the
@@ -208,9 +196,6 @@ func Run(cfg Config, body func(c *Comm)) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 1 {
-		return runSharded(cfg, spec, body)
-	}
 	eng := sim.NewEngine()
 	world := adi.NewWorld(eng, cfg.Model, spec, cfg.adiOptions())
 	rep := newReport(world, spec.Size())
@@ -241,54 +226,6 @@ func Run(cfg Config, body func(c *Comm)) (*Report, error) {
 	return rep, nil
 }
 
-// runSharded is Run over a sharded engine group: same world, same workload,
-// same results, with each node's (or leaf's) events simulated by its own
-// shard engine under conservative-lookahead synchronization.
-func runSharded(cfg Config, spec topo.Spec, body func(c *Comm)) (*Report, error) {
-	shardOf, shards := spec.ShardPlan(cfg.Shards)
-	// The lookahead bound is the fabric's minimum cross-shard latency:
-	// every cross-shard event chain pays at least one wire traversal
-	// (fabric.Net.OneWay(), built from this same model constant; trunk
-	// hops only add to it — see topo.Spec.ShardLookahead).
-	g := sim.NewGroup(shardOf, shards, spec.ShardLookahead(cfg.Model))
-	world := adi.NewWorldSharded(g, shardOf, cfg.Model, spec, cfg.adiOptions())
-	rep := newReport(world, spec.Size())
-	if cfg.Reliability != nil {
-		world.EnableReliability(*cfg.Reliability)
-	}
-	if cfg.BufAudit {
-		world.EnableBufAudit()
-	}
-	if cfg.Chaos != nil {
-		sp, ok := cfg.Chaos.(ShardedChaosPlan)
-		if !ok {
-			return nil, fmt.Errorf("mpi: chaos plan %T cannot arm a sharded run (no ArmSharded)", cfg.Chaos)
-		}
-		sp.ArmSharded(g, world)
-	}
-	spawnRanks(world, spec.Size(), rep, cfg.CollAlg, body)
-	var runErr error
-	if cfg.Deadline > 0 {
-		runErr = g.RunUntil(cfg.Deadline)
-	} else {
-		runErr = g.Run()
-	}
-	if cfg.Trace != nil {
-		cfg.Trace.Merge() // fold shard recorders back into serial order
-	}
-	if runErr != nil {
-		return nil, fmt.Errorf("mpi: %w", runErr)
-	}
-	if cfg.Deadline > 0 {
-		if n := g.LiveProcs(); n > 0 {
-			return nil, fmt.Errorf("mpi: watchdog: %d ranks still running at virtual deadline %v; parked: %v",
-				n, cfg.Deadline, g.ParkedProcs())
-		}
-	}
-	rep.finish()
-	return rep, nil
-}
-
 // adiOptions maps the config onto world-construction options.
 func (c Config) adiOptions() adi.Options {
 	return adi.Options{
@@ -313,8 +250,7 @@ func newReport(world *adi.World, size int) *Report {
 	}
 }
 
-// spawnRanks launches the per-rank procs (on each rank's own shard engine
-// in a sharded world).
+// spawnRanks launches the per-rank procs.
 func spawnRanks(world *adi.World, size int, rep *Report, alg CollAlg, body func(c *Comm)) {
 	world.Spawn("mpi", func(ep *adi.Endpoint) {
 		c := newWorld(ep, size, alg)

@@ -35,19 +35,6 @@ type Engine struct {
 
 	procRegistry []*Proc // every spawned proc, for deadlock diagnostics
 
-	nodeCtxs []NodeCtx // per-node ctx cache for plain-engine NodeCtx calls
-
-	// Shard-group state (nil/zero on a plain engine; see shard.go).
-	grp      *Group      // owning group
-	self     int32       // shard index within the group
-	curNode  int32       // execution node of the current event/proc context
-	curKey   EventKey    // ordering key of the current context (trace attribution)
-	curSub   uint64      // records emitted under curKey so far
-	wlog     []wlogEntry // events fired this window (barrier ordinal merge)
-	postTags []postTag   // attribution of this window's local posts
-	escapes  []escapeRec // posts escaping this window, renumbered at the barrier
-	tagHooks []func(resolve func(EventKey) EventKey)
-
 	// Debugf, when non-nil, receives internal trace lines (for tests).
 	Debugf func(format string, args ...any)
 }
@@ -72,8 +59,6 @@ type Proc struct {
 	dead   bool   // body returned
 	why    string // reason for the current park (diagnostics)
 	regIdx int    // position in Engine.procRegistry (for swap-removal on death)
-	node   int32  // execution node (shard groups; 0 on a plain engine)
-	key    EventKey
 	body   func(*Proc)
 }
 
@@ -90,15 +75,8 @@ func (p *Proc) Now() Time { return p.eng.now }
 // current time (time zero if the engine has not started). Spawn may be called
 // before Run, from handlers, or from other procs.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
-	return e.spawnNode(e.curNode, name, body)
-}
-
-func (e *Engine) spawnNode(node int32, name string, body func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, node: node, resume: make(chan struct{}), body: body}
+	p := &Proc{eng: e, name: name, resume: make(chan struct{}), body: body}
 	e.nprocs++
-	if e.grp != nil {
-		e.grp.live.Add(1)
-	}
 	p.regIdx = len(e.procRegistry)
 	e.procRegistry = append(e.procRegistry, p)
 	e.enqueue(p)
@@ -118,24 +96,6 @@ func (e *Engine) enqueue(p *Proc) {
 	p.queued = true
 	p.parked = false
 	p.why = ""
-	if g := e.grp; g != nil {
-		// Stamp the attribution key: the proc runs "inside" the context that
-		// readied it (serial semantics — readied procs drain before the next
-		// event pops). Setup-phase spawns get ascending setup keys, which
-		// reproduces the serial spawn-order initial drain across shards.
-		if g.setup {
-			p.key = EventKey{At: e.now, Src: srcSetup, Seq: g.setupSeq}
-			g.setupSeq++
-		} else {
-			p.key = e.contextKey()
-		}
-		if g.merged {
-			// Merged windows drain through the group FIFO instead of the
-			// per-shard ring, preserving the serial global ready order.
-			g.mergedReady = append(g.mergedReady, p)
-			return
-		}
-	}
 	e.ready.Push(p)
 }
 
@@ -204,9 +164,6 @@ func (e *Engine) Run() error {
 	if e.running {
 		panic("sim: Run called reentrantly")
 	}
-	if e.grp != nil {
-		panic("sim: Run called on a grouped engine (use Group.Run)")
-	}
 	e.running = true
 	defer func() { e.running = false }()
 	for !e.stopped {
@@ -232,19 +189,12 @@ func (e *Engine) Run() error {
 // runProc hands the baton to p until it parks, yields, or dies.
 func (e *Engine) runProc(p *Proc) {
 	p.queued = false
-	if e.grp != nil {
-		e.curNode = p.node
-		e.setContextKey(p.key)
-	}
 	e.cur = p
 	p.resume <- struct{}{}
 	<-e.yield
 	e.cur = nil
 	if p.dead {
 		e.nprocs--
-		if e.grp != nil {
-			e.grp.live.Add(-1)
-		}
 		e.unregister(p)
 	}
 }
@@ -260,32 +210,6 @@ func (e *Engine) drainReady() {
 // fireTimer executes a popped, non-cancelled timer node.
 func (e *Engine) fireTimer(tm *Timer) {
 	e.now = tm.at
-	if g := e.grp; g != nil {
-		e.curNode = tm.exec
-		switch {
-		case g.merged:
-			// Merged windows run in serial order single-threaded: every
-			// fired event takes its global execution ordinal as context key
-			// inline — the same key the barrier merge would assign it.
-			e.setContextKey(EventKey{At: tm.at, SchedT: tm.schedT, Src: srcEscape, Seq: g.ord})
-			g.ord++
-		case g.parallel:
-			// Log the firing for the barrier's global-order merge and adopt
-			// a provisional context key (resolved at the barrier).
-			kind, a := wlLocal, tm.seq
-			switch tm.src {
-			case srcSetup:
-				kind = wlSetup
-			case srcEscape:
-				kind = wlEsc
-			}
-			pos := uint64(len(e.wlog))
-			e.wlog = append(e.wlog, wlogEntry{at: tm.at, schedT: tm.schedT, kind: kind, a: a})
-			e.setContextKey(EventKey{At: tm.at, SchedT: tm.schedT, Src: srcProv, Seq: pos})
-		default:
-			e.setContextKey(EventKey{At: tm.at, SchedT: tm.schedT, Src: tm.src, Seq: tm.seq})
-		}
-	}
 	// Pull the action out and recycle the node before firing, so
 	// the handler's own scheduling can reuse it immediately.
 	fn, afn, a := tm.fn, tm.afn, tm.a
@@ -357,15 +281,8 @@ func (e *Engine) EventsFired() uint64 { return e.fired }
 
 // LiveProcs reports spawned procs whose bodies have not returned. A nonzero
 // value after RunUntil means the run did not complete within the horizon —
-// the virtual-time watchdog signal used by the chaos harness. On a grouped
-// engine it reports the group-wide count (an atomic, safe mid-window), since
-// liveness guards in higher layers mean "anywhere in the simulation".
-func (e *Engine) LiveProcs() int {
-	if e.grp != nil {
-		return int(e.grp.live.Load())
-	}
-	return e.nprocs
-}
+// the virtual-time watchdog signal used by the chaos harness.
+func (e *Engine) LiveProcs() int { return e.nprocs }
 
 // ParkedProcs lists "name: reason" for every live parked proc, sorted, for
 // watchdog diagnostics.

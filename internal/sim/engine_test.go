@@ -2,7 +2,10 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -314,4 +317,189 @@ func TestEventsFired(t *testing.T) {
 	if e.EventsFired() != 5 {
 		t.Errorf("EventsFired = %d, want 5", e.EventsFired())
 	}
+}
+
+// TestProcRegistryPrune is the regression test for the Spawn registry leak:
+// after a large transient fleet dies, the registry backing array must shrink
+// instead of pinning the high-water capacity forever.
+func TestProcRegistryPrune(t *testing.T) {
+	e := NewEngine()
+	const fleet = 4096
+	for i := 0; i < fleet; i++ {
+		e.Spawn("transient", func(p *Proc) {})
+	}
+	var parked *Proc
+	e.Spawn("keeper", func(p *Proc) { p.park("held") })
+	if err := e.Run(); err == nil {
+		t.Fatal("want deadlock (keeper parked)")
+	}
+	if got := cap(e.procRegistry); got >= fleet/4 {
+		t.Fatalf("registry not pruned: cap=%d after %d procs died", got, fleet)
+	}
+	if len(e.procRegistry) != 1 || e.procRegistry[0].name != "keeper" {
+		t.Fatalf("survivor lost during pruning: %d entries", len(e.procRegistry))
+	}
+	if e.procRegistry[0].regIdx != 0 {
+		t.Fatalf("bad regIdx after pruning: %d", e.procRegistry[0].regIdx)
+	}
+	_ = parked
+}
+
+// TestProcRegistryPruneKeepsDiagnostics interleaves dying and surviving
+// procs so swap-removal plus shrinking must preserve every survivor's
+// registry slot.
+func TestProcRegistryPruneKeepsDiagnostics(t *testing.T) {
+	e := NewEngine()
+	const n = 512
+	for i := 0; i < n; i++ {
+		if i%8 == 0 {
+			e.Spawn(fmt.Sprintf("s%d", i), func(p *Proc) { p.park("survivor") })
+		} else {
+			e.Spawn("t", func(p *Proc) {})
+		}
+	}
+	err := e.Run()
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("want DeadlockError, got %v", err)
+	}
+	if want := n / 8; de.NumLive != want || len(de.Parked) != want {
+		t.Fatalf("diagnostics lost procs: live=%d parked=%d want %d", de.NumLive, len(de.Parked), want)
+	}
+	for i, p := range e.procRegistry {
+		if p.regIdx != i {
+			t.Fatalf("registry index desync at %d", i)
+		}
+	}
+}
+
+// heapScript drives one engine with a seeded random mix of At, Post,
+// PostCall, Sleep and Cancel — n posts and a cancel pass before Run, then
+// follow-up posts and cancels from handlers and three sleeping procs — and
+// checks the firing order against the reference: a stable sort of the
+// surviving posts by (fire time, post ordinal). Delays are a few ticks, so
+// most instants hold several events and the ordinal decides. It returns how
+// many Cancel calls compacted the queue.
+func heapScript(t *testing.T, seed uint64, n, cancelPct int) (compactions int) {
+	type post struct {
+		at          Time
+		dead, fired bool
+	}
+	type handle struct {
+		tm *Timer
+		id int
+	}
+	e := NewEngine()
+	var (
+		posts   []post // index = post ordinal
+		handles []handle
+		got     []int
+		left    = 4 * n // posts still allowed, so the run terminates
+	)
+	rnd := rand.New(rand.NewSource(int64(seed))).Intn
+	newPost := func(d Time) int {
+		left--
+		posts = append(posts, post{at: e.Now() + d})
+		return len(posts) - 1
+	}
+	delay := func() Time {
+		if rnd(8) == 0 {
+			return Time(rnd(1000))
+		}
+		return Time(rnd(4))
+	}
+	var fire func(id int)
+	schedule := func() {
+		d := delay()
+		id := newPost(d)
+		switch rnd(8) {
+		case 0:
+			e.Post(e.Now()+d, func() { fire(id) })
+		case 1:
+			e.PostCall(e.Now()+d, func(_ any, id, _, _ int64) { fire(int(id)) }, nil, int64(id), 0, 0)
+		default:
+			handles = append(handles, handle{e.At(e.Now()+d, func() { fire(id) }), id})
+		}
+	}
+	cancel := func(h handle) {
+		p := &posts[h.id]
+		before := len(e.pq)
+		if got, want := h.tm.Cancel(), !p.dead && !p.fired; got != want {
+			t.Fatalf("Cancel(post %d) = %v, want %v", h.id, got, want)
+		}
+		p.dead = p.dead || !p.fired
+		if len(e.pq) < before {
+			compactions++
+		}
+	}
+	fire = func(id int) {
+		if p := &posts[id]; p.dead || p.fired || p.at != e.Now() {
+			t.Fatalf("post %d fired at %v: %+v", id, e.Now(), *p)
+		}
+		posts[id].fired = true
+		got = append(got, id)
+		for k := rnd(3); k > 0 && left > 0; k-- {
+			schedule()
+		}
+		if len(handles) > 0 && rnd(100) < cancelPct {
+			cancel(handles[rnd(len(handles))])
+		}
+	}
+
+	for i := 0; i < n; i++ {
+		schedule()
+	}
+	for _, h := range handles {
+		if rnd(100) < cancelPct {
+			cancel(h)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		e.Spawn("sleeper", func(p *Proc) {
+			for left > 0 {
+				d := delay()
+				id := newPost(d)
+				p.Sleep(d)
+				fire(id)
+			}
+		})
+	}
+	mustRun(t, e)
+
+	var want []int
+	for id, p := range posts {
+		if !p.dead {
+			want = append(want, id)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return posts[want[i]].at < posts[want[j]].at })
+	if !reflect.DeepEqual(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("firing order leaves (at, ordinal) order at %d of %d/%d fired", i, len(got), len(want))
+	}
+	return compactions
+}
+
+// TestTimerHeapMatchesStableSort is the seeded property test of the one
+// event order: the 4-ary heap, the free list and lazy compaction together
+// fire exactly what a stable sort by fire time would.
+func TestTimerHeapMatchesStableSort(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		if heapScript(t, seed, 200, 90) == 0 {
+			t.Errorf("seed %d: no Cancel compacted the queue", seed)
+		}
+	}
+}
+
+// FuzzTimerHeap runs the same script on fuzzed sizes and cancel rates.
+func FuzzTimerHeap(f *testing.F) {
+	f.Add(uint64(1), uint8(199), uint8(90))
+	f.Add(uint64(42), uint8(255), uint8(80))
+	f.Add(uint64(7), uint8(15), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, n, cancelPct uint8) {
+		heapScript(t, seed, int(n)+1, int(cancelPct)%101)
+	})
 }

@@ -31,18 +31,6 @@ type Timer struct {
 	at  Time
 	seq uint64
 
-	// Sharded-mode ordering fields (see shard.go). On a plain engine both
-	// stay zero, so the extended comparator degenerates to the historical
-	// (at, seq) order. schedT is the virtual time the event was posted at;
-	// src classifies the post (srcSetup during setup, srcEscape for
-	// barrier-renumbered window escapes, posterLogPos+1 for window-local
-	// posts); exec is the node the event runs under (sets Engine.curNode
-	// when fired); escaped marks a timer parked for barrier renumbering.
-	schedT  Time
-	src     int32
-	exec    int32
-	escaped bool
-
 	// Exactly one of the three fire actions is set: a plain closure, a
 	// closure-free call (afn applied to the stashed args), or a proc to
 	// ready (the Sleep/Yield fast path).
@@ -65,12 +53,6 @@ func (tm *Timer) Cancel() bool {
 	if tm == nil || tm.cancelled {
 		return false
 	}
-	if tm.escaped {
-		// Parked for barrier renumbering: not yet in any heap. The barrier
-		// drops cancelled escapes instead of pushing them.
-		tm.cancelled = true
-		return true
-	}
 	if !tm.queued {
 		return false
 	}
@@ -91,26 +73,21 @@ func (tm *Timer) When() Time { return tm.at }
 // below it the dead entries are cheaper to pop than to rebuild around.
 const compactFloor = 64
 
-// timerLess is the global total order on events. On a plain engine schedT
-// and src are always zero, so the order is the historical (at, seq); in a
-// shard group the full key (at, schedT, src, seq) reproduces the serial
-// engine's global post order exactly (see the ordering proof in shard.go).
+// timerLess is the total order on events: fire time, then post order.
 func timerLess(a, b *Timer) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.schedT != b.schedT {
-		return a.schedT < b.schedT
-	}
-	if a.src != b.src {
-		return a.src < b.src
 	}
 	return a.seq < b.seq
 }
 
 // ---- 4-ary heap (methods on Engine; the heap lives in e.pq) ----
 
-func (e *Engine) heapPush(tm *Timer) {
+// heapPush stamps tm with its fire time and the next post ordinal — the
+// (at, seq) key — and queues it.
+func (e *Engine) heapPush(tm *Timer, t Time) {
+	tm.at, tm.seq = t, e.seq
+	e.seq++
 	tm.queued = true
 	e.pq = append(e.pq, tm)
 	e.siftUp(len(e.pq) - 1)
@@ -222,10 +199,6 @@ func (e *Engine) recycle(tm *Timer) {
 
 // ---- scheduling ----
 
-// The key assignment and routing logic lives in Engine.sched (shard.go):
-// plain engines stamp the historical (at, global seq) and push directly,
-// grouped engines classify the post per the shard ordering scheme.
-
 // At schedules fn to run when the virtual clock reaches t and returns a
 // cancellable handle. Scheduling in the past (t < Now) is a programming
 // error and panics. Handlers run on the engine's goroutine and must not
@@ -236,7 +209,7 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 		panic("sim: At called with a time in the past")
 	}
 	tm := &Timer{fn: fn, eng: e}
-	e.sched(e, tm, t, e.curNode)
+	e.heapPush(tm, t)
 	return tm
 }
 
@@ -257,7 +230,7 @@ func (e *Engine) Post(t Time, fn func()) {
 	}
 	tm := e.alloc()
 	tm.fn = fn
-	e.sched(e, tm, t, e.curNode)
+	e.heapPush(tm, t)
 }
 
 // PostAfter schedules fn to run d ticks from now, without a handle.
@@ -277,7 +250,7 @@ func (e *Engine) PostCall(t Time, fn func(a any, i0, i1, i2 int64), a any, i0, i
 	}
 	tm := e.alloc()
 	tm.afn, tm.a, tm.i0, tm.i1, tm.i2 = fn, a, i0, i1, i2
-	e.sched(e, tm, t, e.curNode)
+	e.heapPush(tm, t)
 }
 
 // postProc schedules p to be readied at t — the allocation-free core of
@@ -285,5 +258,5 @@ func (e *Engine) PostCall(t Time, fn func(a any, i0, i1, i2 int64), a any, i0, i
 func (e *Engine) postProc(t Time, p *Proc) {
 	tm := e.alloc()
 	tm.proc = p
-	e.sched(e, tm, t, p.node)
+	e.heapPush(tm, t)
 }

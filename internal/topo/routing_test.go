@@ -87,73 +87,38 @@ func TestSpecValidateTrunkRate(t *testing.T) {
 	}
 }
 
-// TestShardPlanFabricShapes is the property test for leaf/pod/group sharding:
-// for every shape and requested shard count, every node maps to exactly
-// one shard, nodes of the same unit never split across shards, shard
-// ids are contiguous from 0 and non-decreasing in node order, and the
-// effective count is clamped to [1, units].
-func TestShardPlanFabricShapes(t *testing.T) {
+// TestFabricShapesFullAndRagged: every routed shape validates and builds
+// with its last leaf, pod or group full or only partly populated, and the
+// first and last node sit under different switches.
+func TestFabricShapesFullAndRagged(t *testing.T) {
 	shapes := []struct {
-		name  string
-		spec  Spec
-		units int
+		name string
+		spec Spec
 	}{
 		{"two-level-8n", Spec{Nodes: 8, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1,
-			NodesPerSwitch: 2}, 4}, // a leaf is the unit
+			NodesPerSwitch: 2}},
 		{"two-level-ragged", Spec{Nodes: 7, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1,
-			Tiers: 2, NodesPerSwitch: 3, SpinesPerPod: 2}, 3},
+			Tiers: 2, NodesPerSwitch: 3, SpinesPerPod: 2}},
 		{"tree3-16n", Spec{Nodes: 16, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1,
-			Tiers: 3, NodesPerSwitch: 2, SpinesPerPod: 2}, 4}, // 8 leaves / 2 per pod → 4 pods
+			Tiers: 3, NodesPerSwitch: 2, SpinesPerPod: 2}}, // 8 leaves / 2 per pod → 4 pods
 		{"tree3-ragged", Spec{Nodes: 10, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1,
-			Tiers: 3, NodesPerSwitch: 2, SpinesPerPod: 2}, 3}, // 5 leaves → 3 pods
+			Tiers: 3, NodesPerSwitch: 2, SpinesPerPod: 2}}, // 5 leaves → 3 pods
 		{"dragonfly-12n", Spec{Nodes: 12, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1,
-			NodesPerSwitch: 2, Dragonfly: Dragonfly{Groups: 3, RoutersPerGroup: 2, GlobalLinks: 1}}, 3},
+			NodesPerSwitch: 2, Dragonfly: Dragonfly{Groups: 3, RoutersPerGroup: 2, GlobalLinks: 1}}},
 		{"dragonfly-ragged", Spec{Nodes: 5, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 1,
-			Dragonfly: Dragonfly{Groups: 3, RoutersPerGroup: 2, GlobalLinks: 1}}, 3},
+			Dragonfly: Dragonfly{Groups: 3, RoutersPerGroup: 2, GlobalLinks: 1}}},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			if err := sh.spec.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			if got := sh.spec.ShardUnits(); got != sh.units {
-				t.Fatalf("ShardUnits = %d, want %d", got, sh.units)
+			c := Build(sh.spec, model.Default())
+			if len(c.Nodes) != sh.spec.Nodes || c.Net.Planes() == 0 {
+				t.Fatalf("built %d nodes over %d planes", len(c.Nodes), c.Net.Planes())
 			}
-			unitSize := sh.spec.shardUnitSize()
-			for req := -1; req <= sh.units+3; req++ {
-				plan, eff := sh.spec.ShardPlan(req)
-				if len(plan) != sh.spec.Nodes {
-					t.Fatalf("req=%d: plan covers %d nodes, want %d", req, len(plan), sh.spec.Nodes)
-				}
-				if eff < 1 || eff > sh.units {
-					t.Fatalf("req=%d: effective count %d outside [1,%d]", req, eff, sh.units)
-				}
-				// Contiguous blocks of ceil(units/eff) units can use fewer
-				// shards than requested (4 units over 3 shards = two blocks
-				// of 2), so eff may undershoot req but never exceed it.
-				if req >= 1 && eff > req {
-					t.Fatalf("req=%d yielded %d shards", req, eff)
-				}
-				seen := make([]bool, eff)
-				prev := 0
-				for n, s := range plan {
-					if s < 0 || s >= eff {
-						t.Fatalf("req=%d: node %d on shard %d of %d", req, n, s, eff)
-					}
-					if s != prev && s != prev+1 {
-						t.Fatalf("req=%d: shard ids not contiguous at node %d (%d after %d)", req, n, s, prev)
-					}
-					if s != plan[n/unitSize*unitSize] {
-						t.Fatalf("req=%d: node %d splits its leaf/pod/group across shards", req, n)
-					}
-					seen[s] = true
-					prev = s
-				}
-				for s, ok := range seen {
-					if !ok {
-						t.Fatalf("req=%d: shard %d owns no nodes", req, s)
-					}
-				}
+			if !c.Net.CrossSwitch(0, sh.spec.Nodes-1) {
+				t.Error("first and last node share a switch")
 			}
 		})
 	}

@@ -15,7 +15,6 @@ import (
 	"ib12x/internal/gx"
 	"ib12x/internal/hca"
 	"ib12x/internal/model"
-	"ib12x/internal/sim"
 )
 
 // Spec declares a cluster shape. The paper's testbed is 2 nodes × 4 procs,
@@ -124,71 +123,6 @@ func (s Spec) Validate() error {
 
 // Size reports the total number of ranks.
 func (s Spec) Size() int { return s.Nodes * s.ProcsPerNode }
-
-// shardUnitSize reports how many consecutive nodes form one sharding unit:
-// a pod in a three-tier tree, a group in a dragonfly, a leaf in a two-level
-// tree, a single node under the single switch.
-func (s Spec) shardUnitSize() int {
-	switch {
-	case s.Dragonfly.Groups > 0:
-		return s.Dragonfly.RoutersPerGroup * s.nodesPerRouter()
-	case s.tiers() == 3:
-		return s.SpinesPerPod * s.NodesPerSwitch
-	case s.tiers() == 2:
-		return s.NodesPerSwitch
-	}
-	return 1
-}
-
-// ShardUnits reports the natural sharding granularity of the topology for
-// the parallel DES engine: per node under a single switch (nodes share no
-// fabric state but the wire, which the lookahead covers), per leaf switch
-// in a two-level fat tree, per pod in a three-tier tree, per group in a
-// dragonfly — trunk lanes are still shared across shards, which the
-// deferred-booking barrier order covers.
-func (s Spec) ShardUnits() int {
-	per := s.shardUnitSize()
-	return (s.Nodes + per - 1) / per
-}
-
-// ShardPlan maps every node to a shard for the sharded DES engine: sharding
-// units (see ShardUnits) are assigned to shards in contiguous blocks, and
-// the requested shard count is clamped to [1, units]. It returns the
-// node→shard table and the effective shard count.
-func (s Spec) ShardPlan(shards int) ([]int, int) {
-	units := s.ShardUnits()
-	if shards > units {
-		shards = units
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	unitSize := s.shardUnitSize()
-	per := (units + shards - 1) / shards
-	out := make([]int, s.Nodes)
-	for n := range out {
-		sh := n / unitSize / per
-		if sh >= shards {
-			sh = shards - 1
-		}
-		out[n] = sh
-	}
-	// Ragged unit counts can leave trailing blocks empty (4 units over 3
-	// shards = two blocks of 2); report the used count so no shard engine
-	// ever owns zero nodes. Assignment is monotone, so the last node has
-	// the highest shard id.
-	return out, out[len(out)-1] + 1
-}
-
-// ShardLookahead reports the conservative lookahead of the sharded DES
-// engine on this topology: the minimum virtual-time distance any event can
-// cross a shard boundary in. Every cross-shard interaction pays at least
-// one wire hop — data chunks pay OneWay per fabric hop and RC acks pay
-// exactly one OneWay — so the bound is the single-hop wire latency on
-// every shape; deeper fabrics only add hops, never shorten one.
-func (s Spec) ShardLookahead(m *model.Params) sim.Time {
-	return m.WireLatency
-}
 
 // Rails reports the number of rails between any inter-node process pair.
 func (s Spec) Rails() int { return s.HCAsPerNode * s.PortsPerHCA * s.QPsPerPort }

@@ -132,33 +132,12 @@ type Event struct {
 	Rail  int // rail index (-1 if not rail-specific)
 }
 
-// taggedEvent pairs an event with its serial position: the ordering key of
-// the engine context that recorded it plus a per-context ordinal. Sorting
-// tagged events by (key, sub) reconstructs the order a serial engine would
-// have inserted them in.
-type taggedEvent struct {
-	ev  Event
-	key sim.EventKey
-	sub uint64
-}
-
 // Recorder accumulates events. Each recorder is fed from a single engine
 // goroutine, so no locking is needed. A nil *Recorder is safe to record
 // into (no-op), which lets the ADI layer call unconditionally.
-//
-// In a sharded run every shard records into its own Child recorder, whose
-// entries carry the shard engine's serial-position tag; Merge folds them
-// back into the parent in exactly the serial insertion order, so Events,
-// Timeline, and every digest built on them are bit-identical to a serial
-// run.
 type Recorder struct {
 	events []Event
 	limit  int
-
-	eng      *sim.Engine // child mode: tag source (nil on a plain recorder)
-	tagged   []taggedEvent
-	resolved int // tagged entries whose keys are already final
-	children []*Recorder
 }
 
 // NewRecorder creates a recorder keeping at most limit events (0 = 64k).
@@ -174,79 +153,16 @@ func (r *Recorder) Record(t sim.Time, kind Kind, rank, peer, bytes, rail int) {
 	if r == nil {
 		return
 	}
-	ev := Event{T: t, Kind: kind, Rank: rank, Peer: peer, Bytes: bytes, Rail: rail}
-	if r.eng != nil {
-		// Child mode. A shard's records are tagged in non-decreasing key
-		// order (engines fire in local key order), so each child is a
-		// subsequence of the merged stream and the per-child cap cannot
-		// drop an entry that would have made the merged prefix.
-		if len(r.tagged) >= r.limit {
-			return
-		}
-		key, sub := r.eng.TraceTag()
-		r.tagged = append(r.tagged, taggedEvent{ev: ev, key: key, sub: sub})
-		return
-	}
 	if len(r.events) >= r.limit {
 		return
 	}
-	r.events = append(r.events, ev)
-}
-
-// Child returns a recorder bound to one shard engine. Records into the
-// child carry the engine's serial-position tag; they reach the parent (and
-// its capacity limit) only at Merge. Tags taken during a parallel window
-// are provisional, so the child registers for the engine's barrier-time
-// resolution pass, which finalizes them before Merge can sort on them.
-func (r *Recorder) Child(eng *sim.Engine) *Recorder {
-	if r == nil {
-		return nil
-	}
-	c := &Recorder{limit: r.limit, eng: eng}
-	eng.OnResolveTags(func(resolve func(sim.EventKey) sim.EventKey) {
-		for i := c.resolved; i < len(c.tagged); i++ {
-			c.tagged[i].key = resolve(c.tagged[i].key)
-		}
-		c.resolved = len(c.tagged)
-	})
-	r.children = append(r.children, c)
-	return c
-}
-
-// Merge folds all child recorders into the parent in serial insertion
-// order and detaches them. The parent's capacity limit applies to the
-// merged stream, exactly as it would have applied serially.
-func (r *Recorder) Merge() {
-	if r == nil || len(r.children) == 0 {
-		return
-	}
-	var all []taggedEvent
-	for _, c := range r.children {
-		all = append(all, c.tagged...)
-		c.tagged = nil
-	}
-	r.children = nil
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].key != all[j].key {
-			return all[i].key.Less(all[j].key)
-		}
-		return all[i].sub < all[j].sub
-	})
-	for _, te := range all {
-		if len(r.events) >= r.limit {
-			break
-		}
-		r.events = append(r.events, te.ev)
-	}
+	r.events = append(r.events, Event{T: t, Kind: kind, Rank: rank, Peer: peer, Bytes: bytes, Rail: rail})
 }
 
 // Len reports the number of recorded events.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
-	}
-	if r.eng != nil {
-		return len(r.tagged)
 	}
 	return len(r.events)
 }
