@@ -176,9 +176,24 @@ type Report struct {
 	Date      string            `json:"date"`
 	Benchtime string            `json:"benchtime"`
 	Samples   int               `json:"samples,omitempty"`
+	Host      string            `json:"host"`
 	CPUs      int               `json:"cpus"`
 	Seed      map[string]Result `json:"seed"`
 	Current   map[string]Result `json:"current"`
+}
+
+// hostID names the machine class the numbers came from — CPU model where
+// /proc/cpuinfo gives one, then platform and toolchain: a recorded ns/op
+// cannot be compared with anything without it.
+func hostID() string {
+	id := runtime.GOOS + "/" + runtime.GOARCH + " " + runtime.Version()
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		if _, rest, ok := strings.Cut(string(b), "model name\t: "); ok {
+			model, _, _ := strings.Cut(rest, "\n")
+			id = model + ", " + id
+		}
+	}
+	return id
 }
 
 func main() {
@@ -200,6 +215,7 @@ func main() {
 	rep := Report{
 		Date:      time.Now().UTC().Format("2006-01-02"),
 		Benchtime: *benchtime,
+		Host:      hostID(),
 		CPUs:      runtime.NumCPU(),
 		Seed:      seedBaseline,
 		Current:   current,

@@ -61,10 +61,10 @@ type Conn struct {
 
 // pendingEnvelope is a channel message stalled on an empty credit pool.
 type pendingEnvelope struct {
-	rail     int
-	env      *envelope
-	wireN    int
-	onPosted func()
+	rail   int
+	env    *envelope
+	wireN  int
+	posted *Request
 }
 
 // ctrlRail picks the rail for the next RTS/CTS/FIN. Control messages are
@@ -620,10 +620,10 @@ func (ep *Endpoint) inbound(env *envelope) {
 // in the connection's credit queue. The WR borrows the envelope's payload
 // view; the envelope outlives the WR (it is freed by the receiver after
 // delivery), so no extra reference is needed even across retransmissions.
-func (ep *Endpoint) sendEnvelope(conn *Conn, rail int, env *envelope, wireN int, onPosted func()) {
+func (ep *Endpoint) sendEnvelope(conn *Conn, rail int, env *envelope, wireN int, posted *Request) {
 	if conn.credits <= 0 {
 		ep.stats.CreditStalls++
-		conn.creditQueue = append(conn.creditQueue, pendingEnvelope{rail, env, wireN, onPosted})
+		conn.creditQueue = append(conn.creditQueue, pendingEnvelope{rail, env, wireN, posted})
 		return
 	}
 	conn.credits--
@@ -644,7 +644,7 @@ func (ep *Endpoint) sendEnvelope(conn *Conn, rail int, env *envelope, wireN int,
 		wr.Payload, wr.CRC = true, env.crc
 		wr.NoCorrupt = env.noCorrupt
 	}
-	ep.post(conn, rail, wr, onPosted)
+	ep.post(conn, rail, wr, posted)
 }
 
 // creditArrived books returned credits and drains any stalled messages.
@@ -657,7 +657,7 @@ func (ep *Endpoint) creditArrived(conn *Conn, n int) {
 		pe := conn.creditQueue[0]
 		conn.creditQueue[0] = pendingEnvelope{} // unpin the shifted-out entry
 		conn.creditQueue = conn.creditQueue[1:]
-		ep.sendEnvelope(conn, pe.rail, pe.env, pe.wireN, pe.onPosted)
+		ep.sendEnvelope(conn, pe.rail, pe.env, pe.wireN, pe.posted)
 	}
 }
 
@@ -721,11 +721,11 @@ func (ep *Endpoint) handleMatchable(env *envelope) {
 	ep.unexIx.add(env)
 }
 
-// deferredWR is a work request awaiting send-queue space, with a callback
-// fired when it finally reaches the hardware.
+// deferredWR is a work request awaiting send-queue space, with the request
+// (if any) that completes when it finally reaches the hardware.
 type deferredWR struct {
-	wr       ib.SendWR
-	onPosted func()
+	wr     ib.SendWR
+	posted *Request
 }
 
 // drainBacklog retries WRs deferred on a full send queue, preserving their
@@ -745,10 +745,10 @@ func (ep *Endpoint) drainBacklog(qpn int) {
 		} else if err != nil {
 			panic(fmt.Sprintf("adi: backlog repost failed: %v", err))
 		}
-		if q[0].onPosted != nil {
-			q[0].onPosted()
+		if q[0].posted != nil {
+			q[0].posted.done = true
 		}
-		q[0] = deferredWR{} // unpin the WR payload and callback
+		q[0] = deferredWR{} // unpin the WR payload and request
 		q = q[1:]
 	}
 	if len(q) == 0 {
@@ -758,16 +758,18 @@ func (ep *Endpoint) drainBacklog(qpn int) {
 	}
 }
 
-// post sends a WR on a rail, deferring it on backpressure. onPosted runs
-// when the WR actually reaches the hardware — immediately on the fast path.
+// post sends a WR on a rail, deferring it on backpressure. posted, when
+// non-nil, is marked done when the WR actually reaches the hardware —
+// immediately on the fast path (buffered-send completion, carried as the
+// request itself so an eager send allocates no closure).
 // A dead target rail is stepped over to the next live one; with every rail
 // dead the WR parks until a recovery.
-func (ep *Endpoint) post(conn *Conn, rail int, wr ib.SendWR, onPosted func()) {
+func (ep *Endpoint) post(conn *Conn, rail int, wr ib.SendWR, posted *Request) {
 	if d := conn.sched.Dead; d != 0 {
 		if lr := d.NextLive(rail, len(conn.rails)); lr >= 0 {
 			rail = lr
 		} else {
-			conn.railWait = append(conn.railWait, deferredWR{wr, onPosted})
+			conn.railWait = append(conn.railWait, deferredWR{wr, posted})
 			return
 		}
 	}
@@ -781,11 +783,11 @@ func (ep *Endpoint) post(conn *Conn, rail int, wr ib.SendWR, onPosted func()) {
 	}
 	qp := conn.rails[rail]
 	if q := ep.backlog[qp]; len(q) > 0 {
-		ep.backlog[qp] = append(q, deferredWR{wr, onPosted})
+		ep.backlog[qp] = append(q, deferredWR{wr, posted})
 		return
 	}
 	if err := qp.PostSend(wr); err == ib.ErrSQFull {
-		ep.backlog[qp] = append(ep.backlog[qp], deferredWR{wr, onPosted})
+		ep.backlog[qp] = append(ep.backlog[qp], deferredWR{wr, posted})
 		return
 	} else if err == ib.ErrQPDown && ep.rel != nil {
 		// Hard evidence the rail is dead, discovered at post time: the
@@ -793,13 +795,13 @@ func (ep *Endpoint) post(conn *Conn, rail int, wr ib.SendWR, onPosted func()) {
 		// recursive post steps onto a survivor or parks in railWait.
 		ep.putFl(wr.WRID)
 		ep.railFailed(conn, rail)
-		ep.post(conn, rail, wr, onPosted)
+		ep.post(conn, rail, wr, posted)
 		return
 	} else if err != nil {
 		panic(fmt.Sprintf("adi: PostSend failed: %v", err))
 	}
-	if onPosted != nil {
-		onPosted()
+	if posted != nil {
+		posted.done = true
 	}
 }
 
@@ -858,7 +860,7 @@ func (ep *Endpoint) railDown(peer, rail int) {
 	if q := ep.backlog[qp]; len(q) > 0 {
 		delete(ep.backlog, qp)
 		for _, d := range q {
-			ep.post(conn, rail, d.wr, d.onPosted)
+			ep.post(conn, rail, d.wr, d.posted)
 		}
 	}
 }
@@ -876,7 +878,7 @@ func (ep *Endpoint) railUp(peer, rail int) {
 		q := conn.railWait
 		conn.railWait = nil
 		for _, d := range q {
-			ep.post(conn, rail, d.wr, d.onPosted)
+			ep.post(conn, rail, d.wr, d.posted)
 		}
 	}
 	ep.wake()

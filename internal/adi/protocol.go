@@ -43,7 +43,7 @@ func (ep *Endpoint) sendEager(conn *Conn, req *Request) {
 	// descriptor reaches the hardware. If the send queue is full or the
 	// credit pool is empty, it completes when the stall drains (so a Wait
 	// keeps progress alive).
-	ep.sendEnvelope(conn, rail, env, req.n+ep.m.MPIHeaderBytes, func() { req.done = true })
+	ep.sendEnvelope(conn, rail, env, req.n+ep.m.MPIHeaderBytes, req)
 	ep.stats.EagerSent++
 }
 

@@ -272,7 +272,7 @@ func (ep *Endpoint) quarantine(conn *Conn, rail int) {
 	if q := ep.backlog[qp]; len(q) > 0 {
 		delete(ep.backlog, qp)
 		for _, d := range q {
-			ep.post(conn, rail, d.wr, d.onPosted)
+			ep.post(conn, rail, d.wr, d.posted)
 		}
 	}
 	ep.scheduleProbe(conn, rail)
@@ -354,7 +354,7 @@ func (ep *Endpoint) reintegrate(conn *Conn, rail int) {
 		q := conn.railWait
 		conn.railWait = nil
 		for _, d := range q {
-			ep.post(conn, rail, d.wr, d.onPosted)
+			ep.post(conn, rail, d.wr, d.posted)
 		}
 	}
 	ep.wake()

@@ -126,7 +126,7 @@ func (ep *Endpoint) sendEagerRing(conn *Conn, req *Request) bool {
 		Imm: uint64(slot), HasImm: true,
 		Signaled: true, Ctx: env,
 		Payload: true, Ring: true, CRC: env.crc, NoCorrupt: req.noCorrupt,
-	}, func() { req.done = true })
+	}, req)
 	ep.stats.EagerSent++
 	ep.stats.RingSends++
 	return true

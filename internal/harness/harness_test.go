@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"ib12x/internal/mpi"
 )
 
 func TestMapPreservesOrder(t *testing.T) {
@@ -95,4 +97,34 @@ func TestMapEmpty(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("Map(nil) = %v, %v", got, err)
 	}
+}
+
+// TestMapCapturesRankBodyPanic pins that a panic inside a simulated rank —
+// not just in the item function's own frame — unwinds through mpi.Run on
+// the worker that ran the item, so it is arbitrated like any other panic:
+// every other item completes and the lowest panicking index is re-raised.
+func TestMapCapturesRankBodyPanic(t *testing.T) {
+	items := []int{0, 1, 2, 3, 4, 5}
+	completed := make([]bool, len(items))
+	defer func() {
+		if r := recover(); r != "rank 1 of item 2" {
+			t.Fatalf("recovered %v, want item 2's rank panic", r)
+		}
+		for i, ok := range completed {
+			if ok == (i == 2 || i == 4) {
+				t.Errorf("item %d completed = %v", i, ok)
+			}
+		}
+	}()
+	MapN(3, items, func(x int) (int, error) {
+		_, err := mpi.Run(mpi.Config{}, func(c *mpi.Comm) {
+			c.Barrier()
+			if (x == 2 || x == 4) && c.Rank() == 1 {
+				panic(fmt.Sprintf("rank 1 of item %d", x))
+			}
+		})
+		completed[x] = true
+		return x, err
+	})
+	t.Fatal("MapN returned instead of panicking")
 }

@@ -4,7 +4,7 @@
 // over the ADI layer, the multi-rail communication scheduler, and the
 // simulated IBM 12x InfiniBand cluster.
 //
-// A job is launched with Run: one goroutine-backed simulated process per
+// A job is launched with Run: one coroutine-backed simulated process per
 // rank executes the supplied body against a deterministic virtual clock.
 // All times reported by Comm.Time are virtual.
 //

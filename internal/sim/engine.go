@@ -1,7 +1,14 @@
+// go.mod says go 1.22 and must stay there: the nested benchmark/ module (also
+// 1.22, not editable) will not build against a root that asks for more. This
+// tag raises just this file's language version, which iter.Pull needs.
+//
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 )
@@ -10,10 +17,11 @@ import (
 //
 // Two kinds of code execute under an Engine:
 //
-//   - event handlers, scheduled with At/After, which run inline on the
-//     engine goroutine and must never block;
-//   - processes (Proc), goroutines that the engine schedules one at a time,
-//     coroutine style, and that may park on Waiters, Sleep, etc.
+//   - event handlers, scheduled with At/After, which run inline on
+//     whichever coroutine is driving the event loop (Run's caller, or a proc
+//     inside park) and must never block;
+//   - processes (Proc), coroutines that the engine resumes one at a time and
+//     that may park on Waiters, Sleep, etc.
 //
 // The zero value is not usable; call NewEngine.
 type Engine struct {
@@ -26,8 +34,7 @@ type Engine struct {
 
 	ready  Ring[*Proc] // FIFO ready queue
 	cur    *Proc       // proc currently holding the baton (nil in handlers)
-	yield  chan struct{}
-	nprocs int // live (spawned, not yet finished) procs
+	nprocs int         // live (spawned, not yet finished) procs
 
 	stopped bool
 	running bool
@@ -41,25 +48,25 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Proc is a simulated process: a goroutine that runs only while it holds the
-// engine's baton. All blocking is via park/Ready handoff, so at most one proc
-// (or the engine itself) executes at any moment.
+// Proc is a simulated process: an iter.Pull coroutine that runs only while it
+// holds the engine's baton. All blocking is via park/Ready handoff, so at most
+// one proc (or Run's caller) executes at any moment.
 type Proc struct {
 	eng    *Engine
 	name   string
-	resume chan struct{}
-	queued bool   // in the ready queue
-	parked bool   // waiting to be Ready'd
-	dead   bool   // body returned
-	why    string // reason for the current park (diagnostics)
-	regIdx int    // position in Engine.procRegistry (for swap-removal on death)
-	body   func(*Proc)
+	next   func() (struct{}, bool) // resumes the body until it parks or returns
+	yield  func(struct{}) bool     // suspends the body, returning from next
+	queued bool                    // in the ready queue
+	parked bool                    // waiting to be Ready'd
+	dead   bool                    // body returned
+	why    string                  // reason for the current park (diagnostics)
+	regIdx int                     // position in Engine.procRegistry (for swap-removal on death)
 }
 
 // Name reports the name given at Spawn.
@@ -74,18 +81,21 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Spawn registers a new process. The body starts running at the engine's
 // current time (time zero if the engine has not started). Spawn may be called
 // before Run, from handlers, or from other procs.
+//
+// The stop function iter.Pull returns is never called: it would resume a
+// parked body with yield reporting false. A proc abandoned by Stop, RunUntil
+// or a deadlock simply stays suspended for the life of the process.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{}), body: body}
+	p := &Proc{eng: e, name: name}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		body(p)
+		p.dead = true
+	})
 	e.nprocs++
 	p.regIdx = len(e.procRegistry)
 	e.procRegistry = append(e.procRegistry, p)
 	e.enqueue(p)
-	go func() {
-		<-p.resume
-		p.body(p)
-		p.dead = true
-		e.yield <- struct{}{}
-	}()
 	return p
 }
 
@@ -111,6 +121,11 @@ func (e *Engine) Ready(p *Proc) {
 
 // park suspends the calling proc until somebody calls Engine.Ready(p).
 // why is recorded for deadlock diagnostics.
+//
+// The parker does not switch to Run to wait: it runs Run's own loop in place
+// (nothing ready: fire the next event) until some proc is runnable. Usually
+// that is the parker itself, a Sleep whose wake is the next event, and park
+// returns with no switch; otherwise it yields to Run, which carries on.
 func (p *Proc) park(why string) {
 	e := p.eng
 	if e.cur != p {
@@ -118,8 +133,16 @@ func (p *Proc) park(why string) {
 	}
 	p.parked = true
 	p.why = why
-	e.yield <- struct{}{}
-	<-p.resume
+	e.cur = nil
+	for !e.stopped && e.ready.Len() == 0 && e.fireNext() {
+	}
+	if !e.stopped && e.ready.Len() > 0 && e.ready.Peek() == p {
+		e.ready.Pop()
+		p.queued = false
+		e.cur = p
+		return
+	}
+	p.yield(struct{}{})
 }
 
 // Sleep suspends the calling proc for d ticks of virtual time.
@@ -159,7 +182,9 @@ func (d *DeadlockError) Error() string {
 // Run executes the simulation until no work remains: all procs have finished
 // and the event queue is empty (cancelled timers are ignored). It returns a
 // *DeadlockError if procs remain parked with no pending events, and nil on a
-// clean completion. Run must not be called reentrantly.
+// clean completion. Run must not be called reentrantly. A panic in a proc
+// body, or in a handler fired while a proc drives the loop, resurfaces here
+// on Run's caller; an engine that panicked is dead and must not be run again.
 func (e *Engine) Run() error {
 	if e.running {
 		panic("sim: Run called reentrantly")
@@ -190,8 +215,7 @@ func (e *Engine) Run() error {
 func (e *Engine) runProc(p *Proc) {
 	p.queued = false
 	e.cur = p
-	p.resume <- struct{}{}
-	<-e.yield
+	p.next()
 	e.cur = nil
 	if p.dead {
 		e.nprocs--

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -502,4 +503,149 @@ func FuzzTimerHeap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, n, cancelPct uint8) {
 		heapScript(t, seed, int(n)+1, int(cancelPct)%101)
 	})
+}
+
+// ---- a proc is the driver ----
+//
+// A proc that parks runs the event loop itself until some proc is runnable,
+// so handlers fire on a proc's coroutine as often as on Run's caller. These
+// tests pin what must not depend on who is driving.
+
+// mustPanic runs f and returns the value it panicked with.
+func mustPanic(t *testing.T, f func()) (r any) {
+	t.Helper()
+	defer func() {
+		if r = recover(); r == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	f()
+	return nil
+}
+
+func TestBodyPanicSurfacesFromRun(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("bystander", func(p *Proc) { p.Sleep(5 * Microsecond) })
+	e.Spawn("bad", func(p *Proc) {
+		p.Sleep(1 * Microsecond)
+		panic("body boom")
+	})
+	if r := mustPanic(t, func() { e.Run() }); r != "body boom" {
+		t.Errorf("Run panicked with %v, want the body's value", r)
+	}
+}
+
+func TestHandlerPanicSurfacesFromRunWhileProcDrives(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("driver", func(p *Proc) { p.Sleep(10 * Microsecond) })
+	e.At(5*Microsecond, func() { panic("handler boom") })
+	if r := mustPanic(t, func() { e.Run() }); r != "handler boom" {
+		t.Errorf("Run panicked with %v, want the handler's value", r)
+	}
+}
+
+func TestStopFromHandlerInsidePark(t *testing.T) {
+	e := NewEngine()
+	var w Waiter
+	resumed := false
+	e.Spawn("driver", func(p *Proc) {
+		w.Wait(p, "signal")
+		resumed = true
+	})
+	// The wake puts the driver itself at the head of the ready queue; the
+	// Stop that follows must still keep it from running.
+	e.At(5*Microsecond, func() {
+		w.WakeAll()
+		e.Stop()
+	})
+	e.At(6*Microsecond, func() { t.Error("event fired after Stop") })
+	mustRun(t, e)
+	if resumed || e.Now() != 5*Microsecond || e.LiveProcs() != 1 {
+		t.Errorf("resumed=%v now=%v live=%d, want a suspended driver at 5us",
+			resumed, e.Now(), e.LiveProcs())
+	}
+}
+
+func TestRunUntilHorizonInsidePark(t *testing.T) {
+	e := NewEngine()
+	var wakes []Time
+	e.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < 2; i++ {
+			p.Sleep(10 * Microsecond)
+			wakes = append(wakes, p.Now())
+		}
+	})
+	for _, h := range []Time{5 * Microsecond, 15 * Microsecond} {
+		if err := e.RunUntil(h); err != nil {
+			t.Fatal(err)
+		}
+		if e.Now() != h || e.LiveProcs() != 1 || !reflect.DeepEqual(e.ParkedProcs(), []string{"sleeper: sleep"}) {
+			t.Fatalf("horizon %v: now=%v live=%d parked=%v", h, e.Now(), e.LiveProcs(), e.ParkedProcs())
+		}
+	}
+	mustRun(t, e)
+	if want := []Time{10 * Microsecond, 20 * Microsecond}; !reflect.DeepEqual(wakes, want) || e.LiveProcs() != 0 {
+		t.Errorf("wakes = %v live=%d, want %v and a finished proc", wakes, e.LiveProcs(), want)
+	}
+}
+
+func TestDeadlockWhenLastDriverWasProc(t *testing.T) {
+	e := NewEngine()
+	var never Waiter
+	e.Spawn("a", func(p *Proc) { never.Wait(p, "lost") })
+	e.Spawn("b", func(p *Proc) {
+		p.Sleep(5 * Microsecond) // b fires its own wake, then runs out of events
+		never.Wait(p, "lost too")
+	})
+	var d *DeadlockError
+	if err := e.Run(); !errors.As(err, &d) {
+		t.Fatalf("Run = %v, want DeadlockError", err)
+	}
+	if want := []string{"a: lost", "b: lost too"}; d.Time != 5*Microsecond || d.NumLive != 2 || !reflect.DeepEqual(d.Parked, want) {
+		t.Errorf("diagnostics = %+v, want %v at 5us", d, want)
+	}
+}
+
+func TestHandlerMustNotBlockWhileProcDrives(t *testing.T) {
+	e := NewEngine()
+	var w Waiter
+	var driver *Proc
+	finished := false
+	e.Spawn("driver", func(p *Proc) {
+		driver = p
+		p.Sleep(10 * Microsecond)
+		finished = true
+	})
+	e.At(5*Microsecond, func() {
+		// The handler runs on the driver's own coroutine; it still is not
+		// the driver, and parking "as" it must be refused.
+		r := mustPanic(t, func() { w.Wait(driver, "illegal") })
+		if s, _ := r.(string); !strings.Contains(s, "handlers must not block") {
+			t.Errorf("panic = %v", r)
+		}
+	})
+	mustRun(t, e)
+	if !finished {
+		t.Error("driver never finished")
+	}
+}
+
+func TestProcSpawnedByHandlerRunsBeforeParkerResumes(t *testing.T) {
+	e := NewEngine()
+	var trace []string
+	spawn := func(name string) func() {
+		return func() { e.Spawn(name, func(*Proc) { trace = append(trace, name) }) }
+	}
+	// Three events at 10us, in post order: spawn "early", the parker's own
+	// wake, spawn "late" (posted from a handler after the parker slept).
+	e.At(10*Microsecond, spawn("early"))
+	e.Spawn("parker", func(p *Proc) {
+		p.Sleep(10 * Microsecond)
+		trace = append(trace, "parker")
+	})
+	e.At(5*Microsecond, func() { e.After(5*Microsecond, spawn("late")) })
+	mustRun(t, e)
+	if want := []string{"early", "parker", "late"}; !reflect.DeepEqual(trace, want) {
+		t.Errorf("trace = %v, want %v", trace, want)
+	}
 }

@@ -201,9 +201,9 @@ func (e *Engine) recycle(tm *Timer) {
 
 // At schedules fn to run when the virtual clock reaches t and returns a
 // cancellable handle. Scheduling in the past (t < Now) is a programming
-// error and panics. Handlers run on the engine's goroutine and must not
-// block or park. For fire-and-forget events prefer Post/PostAfter, which
-// recycle their timer node.
+// error and panics. Handlers run inline in the event loop, whoever is
+// driving it (see Engine), and must not block or park. For fire-and-forget
+// events prefer Post/PostAfter, which recycle their timer node.
 func (e *Engine) At(t Time, fn func()) *Timer {
 	if t < e.now {
 		panic("sim: At called with a time in the past")

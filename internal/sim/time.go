@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine drives a set of processes (goroutines scheduled one at a time,
-// coroutine style) and timed event handlers over a virtual clock. Exactly one
+// The engine drives a set of processes (iter.Pull coroutines, resumed one at
+// a time) and timed event handlers over a virtual clock. Exactly one
 // runnable entity executes at any instant, the ready queue is FIFO and the
 // event queue is a min-heap tie-broken by insertion sequence, so a simulation
 // is bit-for-bit reproducible across runs and machines.

@@ -132,8 +132,8 @@ type Event struct {
 	Rail  int // rail index (-1 if not rail-specific)
 }
 
-// Recorder accumulates events. Each recorder is fed from a single engine
-// goroutine, so no locking is needed. A nil *Recorder is safe to record
+// Recorder accumulates events. Each recorder is fed from a single engine,
+// which runs one handler or proc at a time, so no locking is needed. A nil *Recorder is safe to record
 // into (no-op), which lets the ADI layer call unconditionally.
 type Recorder struct {
 	events []Event
