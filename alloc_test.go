@@ -1,0 +1,65 @@
+package ib12x
+
+import (
+	"testing"
+
+	"ib12x/internal/adi"
+	"ib12x/internal/bench"
+	"ib12x/internal/fabric"
+)
+
+// TestAllocationInvariants counts what one iteration of the figure benchmarks
+// allocates (the bodies are bench_test.go's own) and holds each count to a
+// budget. Allocation counts are a property of the code, not of the host, so
+// they gate under plain `go test`; host time is benchmark/'s business.
+//
+// A ceiling row may allocate up to 1.5× its last recorded count. A parity row
+// runs the same traffic as its base with one mechanism switched on, and that
+// mechanism's state is per connection, built once with the world: the row may
+// exceed its base by 10 % plus a fixed headroom for that state, so garbage
+// per message or per chunk trips it. (The ping-pong body sends 220 messages
+// and 10 % of its base is 40 allocations, so the ring's headroom must stay
+// well under 180 for one allocation per message to show.)
+func TestAllocationInvariants(t *testing.T) {
+	rows := []struct {
+		name     string
+		body     figBody
+		recorded int64  // ceiling row: allocs/op when the ceiling was set
+		base     string // parity row: the earlier row it must stay level with
+		headroom int64
+		leak     string // what a parity failure means
+	}{
+		{name: "Fig04", body: fig04, recorded: 2148},
+		{name: "Fig06", body: fig06(bench.Setup{}), recorded: 25401},
+		{name: "Fig07", body: fig07, recorded: 16127},
+		{name: "Fig08", body: fig08, recorded: 4681},
+		{name: "Fig06/integrity", body: fig06(bench.Setup{Integrity: adi.IntegrityVerify}),
+			base: "Fig06", headroom: 512, leak: "checksum capture or verify allocates per payload"},
+		{name: "Fig06/three-tier", body: fig06(bench.Setup{NodesPerSwitch: 1, Tiers: 3, SpinesPerPod: 2, Routing: fabric.RouteAdaptive}),
+			base: "Fig06", headroom: 512, leak: "the route walk allocates per chunk"},
+		{name: "SmallMsg/sendrecv", body: smallMsg(adi.EagerSendRecv)},
+		{name: "SmallMsg/ring", body: smallMsg(adi.EagerRDMAWrite),
+			base: "SmallMsg/sendrecv", headroom: 128, leak: "the ring fast path allocates per message"},
+	}
+	got := map[string]int64{}
+	for _, r := range rows {
+		n := int64(testing.AllocsPerRun(1, func() {
+			if _, err := r.body(); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		got[r.name] = n
+		switch {
+		case r.base != "":
+			b := got[r.base]
+			if budget := b + b/10 + r.headroom; n > budget {
+				t.Errorf("%s: %d allocs/op, budget %d (%s %d + 10%% + %d): %s", r.name, n, budget, r.base, b, r.headroom, r.leak)
+			}
+		case r.recorded > 0:
+			if budget := r.recorded * 3 / 2; n > budget {
+				t.Errorf("%s: %d allocs/op, budget %d (1.5 × the recorded %d)", r.name, n, budget, r.recorded)
+			}
+		}
+		t.Logf("%-18s %6d allocs/op", r.name, n)
+	}
+}

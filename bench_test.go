@@ -9,13 +9,13 @@ package ib12x
 // Run with: go test -bench=. -benchmem
 
 import (
+	"strconv"
 	"testing"
 
 	"ib12x/internal/adi"
 	"ib12x/internal/bench"
 	"ib12x/internal/chaos"
 	"ib12x/internal/core"
-	"ib12x/internal/fabric"
 	"ib12x/internal/model"
 	"ib12x/internal/mpi"
 	"ib12x/internal/sim"
@@ -34,6 +34,23 @@ func reportSeries(b *testing.B, names []string, vals []float64, unit string) {
 	for i, n := range names {
 		b.ReportMetric(vals[i], n+"_"+unit)
 	}
+}
+
+// figBody is one iteration of a figure benchmark: it runs the figure's
+// sweeps and returns the series the benchmark reports. The bodies below are
+// shared with TestAllocationInvariants, which counts what one call allocates.
+type figBody func() ([]float64, error)
+
+func runFig(b *testing.B, body figBody, unit string, names ...string) {
+	b.Helper()
+	var vals []float64
+	for i := 0; i < b.N; i++ {
+		var err error
+		if vals, err = body(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportSeries(b, names, vals, unit)
 }
 
 // ---- Figure 3: small-message latency ----
@@ -58,7 +75,7 @@ func BenchmarkFig03SmallLatency(b *testing.B) {
 
 // ---- Figure 4: large-message latency per policy ----
 
-func BenchmarkFig04LargeLatency(b *testing.B) {
+func fig04() ([]float64, error) {
 	sizes := []int{1 << 20}
 	setups := []bench.Setup{
 		{QPs: 1, Policy: core.Original},
@@ -68,16 +85,18 @@ func BenchmarkFig04LargeLatency(b *testing.B) {
 		{QPs: 4, Policy: core.RoundRobin},
 	}
 	vals := make([]float64, len(setups))
-	for i := 0; i < b.N; i++ {
-		for j, s := range setups {
-			v, err := bench.Latency(s, sizes, 20, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			vals[j] = v[0]
+	for j, s := range setups {
+		v, err := bench.Latency(s, sizes, 20, 2)
+		if err != nil {
+			return nil, err
 		}
+		vals[j] = v[0]
 	}
-	reportSeries(b, []string{"orig", "epc", "binding", "striping", "rr"}, vals, "us_virtual")
+	return vals, nil
+}
+
+func BenchmarkFig04LargeLatency(b *testing.B) {
+	runFig(b, fig04, "us_virtual", "orig", "epc", "binding", "striping", "rr")
 }
 
 // ---- Figure 5: small-message uni-directional bandwidth ----
@@ -102,66 +121,70 @@ func BenchmarkFig05SmallUniBW(b *testing.B) {
 
 // ---- Figure 6: large-message uni-directional bandwidth ----
 
-func BenchmarkFig06UniBW(b *testing.B) {
-	sizes := []int{16 * 1024, 1 << 20}
-	var orig, epc, strp []float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		orig, err = bench.UniBandwidth(bench.Setup{QPs: 1, Policy: core.Original}, sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
+// fig06 is the three Figure 6 sweeps on the given setup: the zero Setup is
+// the paper's flat switch; the allocation test also runs the integrity and
+// three-tier variants.
+func fig06(on bench.Setup) figBody {
+	return func() ([]float64, error) {
+		sizes := []int{16 * 1024, 1 << 20}
+		var bw [3][]float64
+		for i, v := range []bench.Setup{
+			{QPs: 1, Policy: core.Original},
+			{QPs: 4, Policy: core.EPC},
+			{QPs: 4, Policy: core.EvenStriping},
+		} {
+			s := on
+			s.QPs, s.Policy = v.QPs, v.Policy
+			var err error
+			if bw[i], err = bench.UniBandwidth(s, sizes, window, bwIters, bwWarm); err != nil {
+				return nil, err
+			}
 		}
-		epc, err = bench.UniBandwidth(bench.Setup{QPs: 4, Policy: core.EPC}, sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		strp, err = bench.UniBandwidth(bench.Setup{QPs: 4, Policy: core.EvenStriping}, sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
+		orig, epc, strp := bw[0], bw[1], bw[2]
+		return []float64{orig[1], epc[1], strp[0], epc[0]}, nil
 	}
-	reportSeries(b, []string{"orig_peak", "epc_peak", "striping_16K", "epc_16K"},
-		[]float64{orig[1], epc[1], strp[0], epc[0]}, "MBps_virtual")
+}
+
+func BenchmarkFig06UniBW(b *testing.B) {
+	runFig(b, fig06(bench.Setup{}), "MBps_virtual", "orig_peak", "epc_peak", "striping_16K", "epc_16K")
 }
 
 // ---- Figure 7: bi-directional bandwidth ----
 
-func BenchmarkFig07BiBW(b *testing.B) {
+func fig07() ([]float64, error) {
 	sizes := []int{1 << 20}
-	var orig, epc float64
-	for i := 0; i < b.N; i++ {
-		v, err := bench.BiBandwidth(bench.Setup{QPs: 1, Policy: core.Original}, sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		orig = v[0]
-		v, err = bench.BiBandwidth(bench.Setup{QPs: 4, Policy: core.EPC}, sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		epc = v[0]
+	orig, err := bench.BiBandwidth(bench.Setup{QPs: 1, Policy: core.Original}, sizes, window, bwIters, bwWarm)
+	if err != nil {
+		return nil, err
 	}
-	reportSeries(b, []string{"orig_peak", "epc_peak"}, []float64{orig, epc}, "MBps_virtual")
+	epc, err := bench.BiBandwidth(bench.Setup{QPs: 4, Policy: core.EPC}, sizes, window, bwIters, bwWarm)
+	if err != nil {
+		return nil, err
+	}
+	return []float64{orig[0], epc[0]}, nil
+}
+
+func BenchmarkFig07BiBW(b *testing.B) {
+	runFig(b, fig07, "MBps_virtual", "orig_peak", "epc_peak")
 }
 
 // ---- Figure 8: Alltoall on 2x4 ----
 
-func BenchmarkFig08Alltoall(b *testing.B) {
+func fig08() ([]float64, error) {
 	sizes := []int{16 * 1024}
-	var orig, epc float64
-	for i := 0; i < b.N; i++ {
-		v, err := bench.Alltoall(bench.Setup{QPs: 1, Policy: core.Original, PPN: 4}, sizes, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		orig = v[0]
-		v, err = bench.Alltoall(bench.Setup{QPs: 4, Policy: core.EPC, PPN: 4}, sizes, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		epc = v[0]
+	orig, err := bench.Alltoall(bench.Setup{QPs: 1, Policy: core.Original, PPN: 4}, sizes, bwIters, bwWarm)
+	if err != nil {
+		return nil, err
 	}
-	reportSeries(b, []string{"orig_16K", "epc_16K"}, []float64{orig, epc}, "us_virtual")
+	epc, err := bench.Alltoall(bench.Setup{QPs: 4, Policy: core.EPC, PPN: 4}, sizes, bwIters, bwWarm)
+	if err != nil {
+		return nil, err
+	}
+	return []float64{orig[0], epc[0]}, nil
+}
+
+func BenchmarkFig08Alltoall(b *testing.B) {
+	runFig(b, fig08, "us_virtual", "orig_16K", "epc_16K")
 }
 
 // ---- Figures 9-12: NAS kernels ----
@@ -228,7 +251,7 @@ func BenchmarkAblA2EnginesPerPort(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			vals["engines_"+itoa(eng)] = v[0]
+			vals["engines_"+strconv.Itoa(eng)] = v[0]
 		}
 	}
 	for k, v := range vals {
@@ -285,114 +308,18 @@ func BenchmarkAblA4MinStripe(b *testing.B) {
 	}
 }
 
-// ---- Lane-collective rows (cmd/perfgate) ----
+// ---- Small-message ping-pong ----
 
-// benchLaneAllgather is the lane-vs-striped perfgate pair: the same 256KB
-// Allgather on the paper's 2x2 EPC configuration under either algorithm
-// family. The virtual per-op time is the figure of merit; ns/op tracks the
-// host cost of the lane machinery itself.
-func benchLaneAllgather(b *testing.B, alg mpi.CollAlg) {
-	b.Helper()
-	var v []float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		v, err = bench.Collective(bench.CollAllgather,
-			bench.Setup{QPs: 4, Policy: core.EPC, PPN: 2, CollAlg: alg},
-			[]int{256 << 10}, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
+// smallMsg is the 1B/1KB ping-pong on the paper's EPC 4QP configuration under
+// the given eager channel.
+func smallMsg(proto adi.EagerProto) figBody {
+	return func() ([]float64, error) {
+		return bench.Latency(bench.Setup{QPs: 4, Policy: core.EPC, EagerProto: proto}, []int{1, 1024}, latIters, latWarm)
 	}
-	reportSeries(b, []string{alg.String() + "_256K"}, []float64{v[0]}, "us_virtual")
 }
 
-func BenchmarkLaneAllgather(b *testing.B)        { benchLaneAllgather(b, mpi.CollLane) }
-func BenchmarkLaneAllgatherStriped(b *testing.B) { benchLaneAllgather(b, mpi.CollStriped) }
-
-// ---- Eager-channel rows (cmd/perfgate) ----
-
-// benchSmallMsg is the eager-channel perfgate pair: the same 1B/1KB
-// ping-pong on the paper's EPC 4QP configuration under either eager
-// channel. The virtual latency is the figure of merit; allocs/op is gated
-// (the ring's slab and header cache are per-connection state, so the ring
-// must not add per-message allocations over the send/recv row).
-func benchSmallMsg(b *testing.B, proto adi.EagerProto) {
-	b.Helper()
-	sizes := []int{1, 1024}
-	var v []float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		v, err = bench.Latency(bench.Setup{QPs: 4, Policy: core.EPC, EagerProto: proto}, sizes, latIters, latWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeries(b, []string{"epc_1B", "epc_1K"}, v, "us_virtual")
-}
-
-func BenchmarkSmallMsgLatency(b *testing.B)     { benchSmallMsg(b, adi.EagerSendRecv) }
-func BenchmarkSmallMsgLatencyRDMA(b *testing.B) { benchSmallMsg(b, adi.EagerRDMAWrite) }
-
-// BenchmarkFig06Integrity repeats the Figure 6 uni-directional bandwidth
-// sweep with end-to-end payload verification armed (DESIGN.md §17). The
-// virtual-time metrics show the modeled checksum cost; the host-side
-// allocs/op is gated by perfgate against BenchmarkFig06UniBW's — checksum
-// capture and verification work in place and must not allocate per payload.
-func BenchmarkFig06Integrity(b *testing.B) {
-	sizes := []int{16 * 1024, 1 << 20}
-	var orig, epc, strp []float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		orig, err = bench.UniBandwidth(bench.Setup{QPs: 1, Policy: core.Original, Integrity: adi.IntegrityVerify},
-			sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		epc, err = bench.UniBandwidth(bench.Setup{QPs: 4, Policy: core.EPC, Integrity: adi.IntegrityVerify},
-			sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		strp, err = bench.UniBandwidth(bench.Setup{QPs: 4, Policy: core.EvenStriping, Integrity: adi.IntegrityVerify},
-			sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeries(b, []string{"orig_peak", "epc_peak", "striping_16K", "epc_16K"},
-		[]float64{orig[1], epc[1], strp[0], epc[0]}, "MBps_virtual")
-}
-
-// BenchmarkFig06ThreeTier repeats the Figure 6 uni-directional bandwidth
-// sweep over a routed 1:1 three-tier tree (2 nodes, 1 per leaf, 2 spines,
-// adaptive selection) instead of the flat switch. The virtual-time metrics
-// must match flat Fig06 within noise (the trunks are not oversubscribed);
-// the host-side allocs/op is gated by perfgate against BenchmarkFig06UniBW —
-// the per-chunk route walk books lanes in place and must not allocate.
-func BenchmarkFig06ThreeTier(b *testing.B) {
-	sizes := []int{16 * 1024, 1 << 20}
-	tree := func(qps int, policy core.Kind) bench.Setup {
-		return bench.Setup{QPs: qps, Policy: policy,
-			NodesPerSwitch: 1, Tiers: 3, SpinesPerPod: 2, Routing: fabric.RouteAdaptive}
-	}
-	var orig, epc, strp []float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		orig, err = bench.UniBandwidth(tree(1, core.Original), sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		epc, err = bench.UniBandwidth(tree(4, core.EPC), sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		strp, err = bench.UniBandwidth(tree(4, core.EvenStriping), sizes, window, bwIters, bwWarm)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeries(b, []string{"orig_peak", "epc_peak", "striping_16K", "epc_16K"},
-		[]float64{orig[1], epc[1], strp[0], epc[0]}, "MBps_virtual")
+func BenchmarkSmallMsgLatency(b *testing.B) {
+	runFig(b, smallMsg(adi.EagerSendRecv), "us_virtual", "epc_1B", "epc_1K")
 }
 
 // BenchmarkSimulatorThroughput measures host-side simulation speed: virtual
@@ -413,23 +340,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 func sizeName(n int) string {
 	if n >= 1024 {
-		return itoa(n/1024) + "K"
+		return strconv.Itoa(n/1024) + "K"
 	}
-	return itoa(n)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return strconv.Itoa(n)
 }
 
 // ---- Supplementary benches: the beyond-the-paper features ----

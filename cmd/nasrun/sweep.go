@@ -288,10 +288,3 @@ func runSweep(kernels, classes, procs, policies, protos string, qps, batch int, 
 	}
 	return nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,6 +1,8 @@
 package adi
 
 import (
+	"strconv"
+
 	"ib12x/internal/buf"
 	"ib12x/internal/core"
 	"ib12x/internal/ib"
@@ -282,28 +284,5 @@ func (w *World) Spawn(name string, body func(ep *Endpoint)) []*sim.Proc {
 }
 
 func procName(base string, rank int) string {
-	return base + "/rank" + itoa(rank)
-}
-
-// itoa avoids pulling strconv into the hot path for a two-digit rank.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return base + "/rank" + strconv.Itoa(rank)
 }

@@ -8,6 +8,8 @@
 package bench
 
 import (
+	"strconv"
+
 	"ib12x/internal/adi"
 	"ib12x/internal/core"
 	"ib12x/internal/fabric"
@@ -98,21 +100,7 @@ func (s Setup) Label() string {
 	if s.Policy == core.Original {
 		return "original (1 QP/port)"
 	}
-	return name + " " + itoa(qps) + "QP"
-}
-
-func itoa(n int) string {
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return string(rune('0'+n/10)) + string(rune('0'+n%10))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return name + " " + strconv.Itoa(qps) + "QP"
 }
 
 // Latency runs the ping-pong test between ranks 0 and 1 and returns the

@@ -31,6 +31,7 @@ func TestSetupLabels(t *testing.T) {
 		{Setup{QPs: 4, Policy: core.EPC}, "EPC 4QP"},
 		{Setup{QPs: 2, Policy: core.RoundRobin}, "round robin 2QP"},
 		{Setup{QPs: 12, Policy: core.EvenStriping}, "even striping 12QP"},
+		{Setup{QPs: 128, Policy: core.EPC}, "EPC 128QP"},
 	}
 	for _, c := range cases {
 		if got := c.s.Label(); got != c.want {

@@ -54,25 +54,28 @@ type Stripe struct {
 
 // RailMask is a bitmask of dead rails on a connection. The zero value means
 // every rail is healthy, so fault-free runs never pay for health checks.
-// Rail indices ≥ 64 are treated as always healthy (no real configuration in
-// the paper's design space comes close).
+// Rail indices ≥ MaxRails are treated as always healthy; topo.Spec.Validate
+// rejects shapes that wide, so none reaches a connection.
 type RailMask uint64
+
+// MaxRails is the widest rail set a RailMask can track.
+const MaxRails = 64
 
 // IsDown reports whether rail r is marked dead.
 func (m RailMask) IsDown(r int) bool {
-	return r >= 0 && r < 64 && m&(1<<uint(r)) != 0
+	return r >= 0 && r < MaxRails && m&(1<<uint(r)) != 0
 }
 
 // MarkDown records rail r as dead.
 func (m *RailMask) MarkDown(r int) {
-	if r >= 0 && r < 64 {
+	if r >= 0 && r < MaxRails {
 		*m |= 1 << uint(r)
 	}
 }
 
 // MarkUp records rail r as healthy again.
 func (m *RailMask) MarkUp(r int) {
-	if r >= 0 && r < 64 {
+	if r >= 0 && r < MaxRails {
 		*m &^= 1 << uint(r)
 	}
 }

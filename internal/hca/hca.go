@@ -399,7 +399,7 @@ func (f *Flow) engineStage(x *xfer) {
 		nchunks = 1
 	}
 	x.chunksOut = nchunks
-	pace := float64(x.t.EngineEnd-engStart-m.EnginePerWQE) / float64(max64(int64(it.n), 1))
+	pace := float64(x.t.EngineEnd-engStart-m.EnginePerWQE) / float64(max(it.n, 1))
 	off := 0
 	for i := 0; i < nchunks; i++ {
 		n := chunk
@@ -511,13 +511,6 @@ func (f *Flow) completeStage(x *xfer) {
 		x.it.delivered(x.it.ctx, x.t)
 	}
 	f.eng.PostCall(x.t.AckArrive, stageAck, x, 0, 0, 0)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // DegradeLink throttles the port's link to factor × the model's raw link

@@ -716,10 +716,3 @@ func (q *QP) arrive(msg message) {
 	}
 	q.pool.arrive(msg)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -145,6 +145,9 @@ func TestBadFabricShapeIsAnError(t *testing.T) {
 			c.NodesPerSwitch, c.Tiers, c.SpinesPerPod, c.TrunkRate = 2, 3, 2, math.NaN()
 		}},
 		{"two tiers, no leaf radix", func(c *Config) { c.Tiers = 2 }},
+		// core.RailMask cannot mark rail 65 down, so a fault there used to
+		// recurse in Endpoint.post until the stack overflowed.
+		{"68 rails", func(c *Config) { c.HCAs, c.Ports, c.QPsPerPort = 2, 2, 17 }},
 	} {
 		cf := cfg(4, 1, 4, core.EPC)
 		c.set(&cf)

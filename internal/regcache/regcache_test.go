@@ -205,9 +205,8 @@ func TestNilAndEmptyAreFree(t *testing.T) {
 	}
 }
 
-// TestWarmRegisterNoAllocs is the warm-rendezvous-path allocation gate wired
-// into `make perfstat`: a cache hit — the steady state of every bandwidth
-// loop — must not allocate.
+// TestWarmRegisterNoAllocs is the warm-rendezvous-path allocation gate: a
+// cache hit — the steady state of every bandwidth loop — must not allocate.
 func TestWarmRegisterNoAllocs(t *testing.T) {
 	c := New(Config{})
 	buf := make([]byte, 64<<10)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"ib12x/internal/core"
 	"ib12x/internal/fabric"
 	"ib12x/internal/gx"
 	"ib12x/internal/hca"
@@ -87,6 +88,9 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("topo: PortsPerHCA = %d, the IBM 12x HCA is dual-port (1 or 2)", s.PortsPerHCA)
 	case s.QPsPerPort < 1:
 		return fmt.Errorf("topo: QPsPerPort = %d, need ≥ 1", s.QPsPerPort)
+	case s.Rails() > core.MaxRails:
+		return fmt.Errorf("topo: %d HCAs × %d ports × %d QPs = %d rails, the rail health mask tracks at most %d",
+			s.HCAsPerNode, s.PortsPerHCA, s.QPsPerPort, s.Rails(), core.MaxRails)
 	}
 	if s.Tiers != 0 && s.Tiers != 2 && s.Tiers != 3 {
 		return fmt.Errorf("topo: Tiers = %d, need 0, 2, or 3", s.Tiers)

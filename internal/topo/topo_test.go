@@ -17,6 +17,7 @@ func TestSpecValidate(t *testing.T) {
 		{Nodes: 1, ProcsPerNode: 1, HCAsPerNode: 0, PortsPerHCA: 1, QPsPerPort: 1},
 		{Nodes: 1, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 3, QPsPerPort: 1},
 		{Nodes: 1, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 0},
+		{Nodes: 2, ProcsPerNode: 1, HCAsPerNode: 2, PortsPerHCA: 2, QPsPerPort: 17}, // 68 rails > core.MaxRails
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
