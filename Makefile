@@ -36,8 +36,9 @@ soak:
 # against its tiling/steering invariants, the bucketed matcher against the
 # naive linear reference, the eager-ring header cache against its flat
 # MRU-scan reference, the pin-down registration cache against its
-# flat-scan LRU reference, and the engine's timer heap against a stable
-# sort by (fire time, post ordinal).
+# flat-scan LRU reference, and the engine's timer heap (reserved-ordinal
+# blocks posted lazily included) against a stable sort by (fire time, post
+# ordinal).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEvenStripes -fuzztime=$(FUZZTIME) ./internal/core

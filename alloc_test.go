@@ -6,6 +6,7 @@ import (
 	"ib12x/internal/adi"
 	"ib12x/internal/bench"
 	"ib12x/internal/fabric"
+	"ib12x/internal/sim"
 )
 
 // TestAllocationInvariants counts what one iteration of the figure benchmarks
@@ -61,5 +62,34 @@ func TestAllocationInvariants(t *testing.T) {
 			}
 		}
 		t.Logf("%-18s %6d allocs/op", r.name, n)
+	}
+}
+
+// engineTap is a fault plan that arms no fault: it hands the test every
+// engine a figure body builds, so vitals the body does not report can be
+// read after it returns.
+type engineTap []*sim.Engine
+
+func (tap *engineTap) Arm(eng *sim.Engine, _ *adi.World) { *tap = append(*tap, eng) }
+
+// TestFig06QueueHighWater bounds the event queue's depth over the Figure 6
+// sweeps. Each chunk stream keeps one event pending — the next chunk a send
+// engine will stage, and per port the next chunk to arrive off the wire —
+// so the depth follows the number of live streams, not the bytes in flight.
+// Posting every chunk of a WQE up front and one arrival event per chunk on
+// the wire peaked at 2521 here; the lazy pipeline peaks at 66.
+func TestFig06QueueHighWater(t *testing.T) {
+	var tap engineTap
+	if _, err := fig06(bench.Setup{Chaos: &tap})(); err != nil {
+		t.Fatal(err)
+	}
+	hw := 0
+	for _, e := range tap {
+		hw = max(hw, e.QueueHighWater())
+	}
+	t.Logf("%d runs, queue high-water %d", len(tap), hw)
+	const recorded = 66
+	if hw > 2*recorded {
+		t.Errorf("queue high-water %d, budget %d (2 × the recorded %d)", hw, 2*recorded, recorded)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -31,19 +32,31 @@ type block struct {
 }
 
 func main() {
-	profile := flag.String("profile", "cover.out", "comma-separated cover profile path(s)")
-	floorFile := flag.String("floor", "COVERAGE.txt", "file holding the coverage floor percentage")
-	record := flag.Bool("record", false, "rewrite the floor from the current measurement")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "covergate: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the gate: it parses args, merges the profiles and checks (or with
+// -record, rewrites) the floor, reporting the verdict on out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("covergate", flag.ContinueOnError)
+	profile := fs.String("profile", "cover.out", "comma-separated cover profile path(s)")
+	floorFile := fs.String("floor", "COVERAGE.txt", "file holding the coverage floor percentage")
+	record := fs.Bool("record", false, "rewrite the floor from the current measurement")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	covered := map[block]bool{}
 	for _, p := range strings.Split(*profile, ",") {
 		if err := readProfile(strings.TrimSpace(p), covered); err != nil {
-			fatalf("reading %s: %v", p, err)
+			return fmt.Errorf("reading %s: %v", p, err)
 		}
 	}
 	if len(covered) == 0 {
-		fatalf("no coverage blocks found in %s", *profile)
+		return fmt.Errorf("no coverage blocks found in %s", *profile)
 	}
 
 	var total, hit int
@@ -58,21 +71,22 @@ func main() {
 	if *record {
 		body := fmt.Sprintf("%s%.1f\n", floorHeader, pct)
 		if err := os.WriteFile(*floorFile, []byte(body), 0o644); err != nil {
-			fatalf("recording floor: %v", err)
+			return fmt.Errorf("recording floor: %v", err)
 		}
-		fmt.Printf("covergate: recorded floor %.1f%% (%d/%d statements) to %s\n", pct, hit, total, *floorFile)
-		return
+		fmt.Fprintf(out, "covergate: recorded floor %.1f%% (%d/%d statements) to %s\n", pct, hit, total, *floorFile)
+		return nil
 	}
 
 	floor, err := readFloor(*floorFile)
 	if err != nil {
-		fatalf("reading floor: %v", err)
+		return fmt.Errorf("reading floor: %v", err)
 	}
 	if pct+epsilon < floor {
-		fatalf("coverage %.1f%% fell below the %.1f%% floor in %s (%d/%d statements)",
+		return fmt.Errorf("coverage %.1f%% fell below the %.1f%% floor in %s (%d/%d statements)",
 			pct, floor, *floorFile, hit, total)
 	}
-	fmt.Printf("covergate: %.1f%% >= %.1f%% floor (%d/%d statements)\n", pct, floor, hit, total)
+	fmt.Fprintf(out, "covergate: %.1f%% >= %.1f%% floor (%d/%d statements)\n", pct, floor, hit, total)
+	return nil
 }
 
 // readProfile folds one cover profile into the block map. A block already
@@ -131,9 +145,4 @@ func readFloor(path string) (float64, error) {
 		return strconv.ParseFloat(strings.TrimSuffix(line, "%"), 64)
 	}
 	return 0, fmt.Errorf("no floor value in %s", path)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "covergate: "+format+"\n", args...)
-	os.Exit(1)
 }

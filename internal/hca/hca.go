@@ -113,6 +113,10 @@ type Port struct {
 	chunksSent int64  // error-injection counter
 	payloadWRs int64  // corruption-injection counter (payload descriptors posted)
 	flowSeq    uint64 // flows created from this port (route key salt)
+
+	wire       sim.Ring[wireChunk] // chunks in flight, in arrival order (launch)
+	wireTail   sim.Time            // arrival of the FIFO's last chunk
+	wireBypass int64               // chunks that overtook the FIFO tail
 }
 
 // Corrupt describes the integrity fault the port's corruption plan assigns
@@ -327,6 +331,13 @@ type xfer struct {
 	t         Timing
 	chunksOut int // chunks not yet fully received
 	recvEng   int // receive engine assigned at first chunk (-1 before)
+
+	// Lazy chunk release (engineStage, releaseChunk).
+	chunk   int      // lane chunk size
+	off     int      // payload bytes released so far
+	staged  sim.Time // engine start + per-WQE setup: the earliest release
+	pace    float64  // engine ticks per payload byte
+	nextSeq uint64   // post ordinal of the next chunk to release
 }
 
 func (f *Flow) getXfer() *xfer {
@@ -344,20 +355,69 @@ func (f *Flow) putXfer(x *xfer) {
 	f.xpool = append(f.xpool, x)
 }
 
+// stageHook, when non-nil, sees every pipeline stage event as it fires:
+// the stage name, the flow and the chunk bytes. Tests digest the event
+// order through it; it is nil in every real run.
+var stageHook func(stage string, f *Flow, n int)
+
+func observe(stage string, x *xfer, n int64) {
+	if stageHook != nil {
+		stageHook(stage, x.f, int(n))
+	}
+}
+
 // Pipeline-stage thunks: package-level functions scheduled via PostCall so
 // each hop carries its state in the pooled timer node instead of allocating
 // a capturing closure per chunk.
-func stageEngine(a any, _, _, _ int64) { x := a.(*xfer); x.f.engineStage(x) }
-func stageTx(a any, n, _, _ int64)     { x := a.(*xfer); x.f.txChunk(x, int(n)) }
-func stageTxSend(a any, n, _, _ int64) { x := a.(*xfer); x.f.txChunkSend(x, int(n)) }
+func stageEngine(a any, _, _, _ int64) {
+	x := a.(*xfer)
+	observe("engine", x, 0)
+	x.f.engineStage(x)
+}
+func stageTx(a any, n, _, _ int64) {
+	x := a.(*xfer)
+	observe("tx", x, n)
+	if x.off < x.it.n {
+		x.f.releaseChunk(x)
+	}
+	x.f.txChunk(x, int(n))
+}
+func stageTxSend(a any, n, _, _ int64) {
+	x := a.(*xfer)
+	observe("txsend", x, n)
+	x.f.txChunkSend(x, int(n))
+}
 func stageRx(a any, n, first, wire int64) {
 	x := a.(*xfer)
+	observe("rx", x, n)
 	x.f.rxChunk(x, int(n), sim.Time(first), wire)
 }
-func stageRecv(a any, n, _, _ int64)     { x := a.(*xfer); x.f.recvChunk(x, int(n)) }
-func stageComplete(a any, _, _, _ int64) { x := a.(*xfer); x.f.completeStage(x) }
+
+// stageWire fires the head of a port's wire FIFO: it queues the next head
+// under that chunk's stored key, then receives the chunk.
+func stageWire(a any, _, _, _ int64) {
+	p := a.(*Port)
+	c := p.wire.Pop()
+	if p.wire.Len() > 0 {
+		next := p.wire.Peek()
+		c.x.f.eng.PostCallSeq(next.at, next.seq, stageWire, p, 0, 0, 0)
+	}
+	observe("rx", c.x, int64(c.n))
+	c.x.f.rxChunk(c.x, c.n, c.first, c.wire)
+}
+func stageRecv(a any, n, _, _ int64) {
+	x := a.(*xfer)
+	observe("recv", x, n)
+	x.f.recvChunk(x, int(n))
+}
+func stageComplete(a any, _, _, _ int64) {
+	x := a.(*xfer)
+	observe("complete", x, 0)
+	x.f.completeStage(x)
+}
 func stageAck(a any, _, _, _ int64) {
 	x := a.(*xfer)
+	observe("ack", x, 0)
 	f := x.f
 	f.src.RX.Preempt(f.eng.Now(), int64(f.dst.M.AckWireBytes))
 	if x.it.acked != nil {
@@ -389,7 +449,10 @@ func (f *Flow) engineStage(x *xfer) {
 	f.kick()
 
 	// Chunk the payload for lane interleaving; each chunk is released when
-	// the engine has staged it.
+	// the engine has staged it. One post ordinal per chunk is reserved now,
+	// but only the next chunk waits in the event queue: each posts its
+	// successor as it fires (releaseChunk), under the key this loop's
+	// eager posts would have had.
 	chunk := m.LaneChunk
 	if chunk <= 0 {
 		chunk = m.MTU
@@ -399,20 +462,22 @@ func (f *Flow) engineStage(x *xfer) {
 		nchunks = 1
 	}
 	x.chunksOut = nchunks
-	pace := float64(x.t.EngineEnd-engStart-m.EnginePerWQE) / float64(max(it.n, 1))
-	off := 0
-	for i := 0; i < nchunks; i++ {
-		n := chunk
-		if off+n > it.n {
-			n = it.n - off
-		}
-		off += n
-		ready := engStart + m.EnginePerWQE + sim.Time(pace*float64(off))
-		if ready < engStart+m.EnginePerWQE {
-			ready = engStart + m.EnginePerWQE
-		}
-		f.eng.PostCall(ready, stageTx, x, int64(n), 0, 0)
-	}
+	x.chunk = chunk
+	x.staged = engStart + m.EnginePerWQE
+	x.pace = float64(x.t.EngineEnd-engStart-m.EnginePerWQE) / float64(max(it.n, 1))
+	x.nextSeq = f.eng.ReserveSeq(nchunks)
+	f.releaseChunk(x)
+}
+
+// releaseChunk posts x's next chunk at the instant the engine has staged
+// it, under the ordinal engineStage reserved for it. Release instants never
+// decrease, so posting chunk i+1 when chunk i fires keeps the order exact.
+func (f *Flow) releaseChunk(x *xfer) {
+	n := min(x.chunk, x.it.n-x.off)
+	x.off += n
+	ready := max(x.staged+sim.Time(x.pace*float64(x.off)), x.staged)
+	f.eng.PostCallSeq(ready, x.nextSeq, stageTx, x, int64(n), 0, 0)
+	x.nextSeq++
 }
 
 // txChunk fetches one staged chunk across GX+, books the TX lane for it
@@ -455,7 +520,35 @@ func (f *Flow) txChunkSend(x *xfer, n int) {
 		// key, charging the cut-through recurrence per hop.
 		first, last = net.BookPath(f.src.Node, f.dst.Node, f.routeKey, first, last, wire, lat)
 	}
-	f.eng.PostCall(last, stageRx, x, int64(n), int64(first), wire)
+	f.src.launch(f.eng, wireChunk{at: last, seq: f.eng.ReserveSeq(1), x: x, n: n, first: first, wire: wire})
+}
+
+// wireChunk is one chunk in flight from a port: its arrival event's
+// (at, seq) key and stageRx's arguments.
+type wireChunk struct {
+	at    sim.Time
+	seq   uint64
+	x     *xfer
+	n     int
+	first sim.Time
+	wire  int64
+}
+
+// launch puts a chunk on the wire. A port's chunks nearly always arrive in
+// the order they leave, so they wait in a FIFO sorted by (at, seq) whose
+// head alone is in the event queue. A chunk that would arrive before the
+// FIFO's tail (a shorter routed path, a latency pad that dropped) goes to
+// the event queue directly.
+func (p *Port) launch(eng *sim.Engine, c wireChunk) {
+	if p.wire.Len() == 0 {
+		eng.PostCallSeq(c.at, c.seq, stageWire, p, 0, 0, 0)
+	} else if c.at < p.wireTail {
+		p.wireBypass++
+		eng.PostCallSeq(c.at, c.seq, stageRx, c.x, int64(c.n), int64(c.first), c.wire)
+		return
+	}
+	p.wire.Push(c)
+	p.wireTail = c.at
 }
 
 // rxChunk books the destination RX lane at arrival (fan-in serializes here)

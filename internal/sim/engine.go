@@ -23,6 +23,13 @@ import (
 //   - processes (Proc), coroutines that the engine resumes one at a time and
 //     that may park on Waiters, Sleep, etc.
 //
+// Events fire in (at, seq) order, seq being the post ordinal. A stream of
+// events with ascending keys need not sit in the queue all at once: it can
+// set its ordinals aside with ReserveSeq and keep only its next event
+// queued, each event posting its successor with PostCallSeq. The order is
+// the same as if every event had been posted up front. QueueHighWater
+// reports how deep the queue got.
+//
 // The zero value is not usable; call NewEngine.
 type Engine struct {
 	now Time
@@ -31,6 +38,8 @@ type Engine struct {
 	pq      []*Timer // 4-ary min-heap ordered by (at, seq); see event.go
 	free    []*Timer // recycled pooled timer nodes
 	ncancel int      // cancelled timers still in pq (lazy compaction)
+
+	highWater int // deepest pq has been (telemetry)
 
 	ready  Ring[*Proc] // FIFO ready queue
 	cur    *Proc       // proc currently holding the baton (nil in handlers)
@@ -302,6 +311,10 @@ func (e *Engine) deadlock() *DeadlockError {
 // EventsFired reports how many timer events have executed (telemetry for
 // performance analysis of the simulator itself).
 func (e *Engine) EventsFired() uint64 { return e.fired }
+
+// QueueHighWater reports the most events that were ever pending at once,
+// cancelled ones included (telemetry: the depth the heap had to sift).
+func (e *Engine) QueueHighWater() int { return e.highWater }
 
 // LiveProcs reports spawned procs whose bodies have not returned. A nonzero
 // value after RunUntil means the run did not complete within the horizon —

@@ -375,7 +375,7 @@ func TestProcRegistryPruneKeepsDiagnostics(t *testing.T) {
 }
 
 // heapScript drives one engine with a seeded random mix of At, Post,
-// PostCall, Sleep and Cancel — n posts and a cancel pass before Run, then
+// PostCall, reserved PostCallSeq blocks, Sleep and Cancel — n posts and a cancel pass before Run, then
 // follow-up posts and cancels from handlers and three sleeping procs — and
 // checks the firing order against the reference: a stable sort of the
 // surviving posts by (fire time, post ordinal). Delays are a few ticks, so
@@ -418,6 +418,22 @@ func heapScript(t *testing.T, seed uint64, n, cancelPct int) (compactions int) {
 			e.Post(e.Now()+d, func() { fire(id) })
 		case 1:
 			e.PostCall(e.Now()+d, func(_ any, id, _, _ int64) { fire(int(id)) }, nil, int64(id), 0, 0)
+		case 2:
+			// A reserved block: k ordinals set aside now, with ascending
+			// fire times, posted one at a time from the previous member.
+			k := 1 + rnd(4)
+			for j := 1; j < k; j++ {
+				newPost(posts[len(posts)-1].at - e.Now() + Time(rnd(3)))
+			}
+			base := e.ReserveSeq(k)
+			var member func(_ any, j, _, _ int64)
+			member = func(_ any, j, _, _ int64) {
+				if next := int(j) + 1; next < k {
+					e.PostCallSeq(posts[id+next].at, base+uint64(next), member, nil, int64(next), 0, 0)
+				}
+				fire(id + int(j))
+			}
+			e.PostCallSeq(posts[id].at, base, member, nil, 0, 0, 0)
 		default:
 			handles = append(handles, handle{e.At(e.Now()+d, func() { fire(id) }), id})
 		}
@@ -503,6 +519,25 @@ func FuzzTimerHeap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, n, cancelPct uint8) {
 		heapScript(t, seed, int(n)+1, int(cancelPct)%101)
 	})
+}
+
+func TestPostCallSeqRejectsPastAndUnreserved(t *testing.T) {
+	e := NewEngine()
+	nop := func(any, int64, int64, int64) {}
+	seq := e.ReserveSeq(2)
+	e.PostCall(10, func(any, int64, int64, int64) {
+		if r := mustPanic(t, func() { e.PostCallSeq(9, seq, nop, nil, 0, 0, 0) }); r != "sim: PostCallSeq called with a time in the past" {
+			t.Errorf("past: panicked with %v", r)
+		}
+		if r := mustPanic(t, func() { e.PostCallSeq(20, seq+3, nop, nil, 0, 0, 0) }); r != "sim: PostCallSeq called with an unreserved ordinal" {
+			t.Errorf("unreserved: panicked with %v", r)
+		}
+		e.PostCallSeq(10, seq+1, nop, nil, 0, 0, 0)
+	}, nil, 0, 0, 0)
+	mustRun(t, e)
+	if e.EventsFired() != 2 || e.QueueHighWater() != 1 {
+		t.Errorf("fired %d, high-water %d; want 2, 1", e.EventsFired(), e.QueueHighWater())
+	}
 }
 
 // ---- a proc is the driver ----

@@ -86,10 +86,19 @@ func timerLess(a, b *Timer) bool {
 // heapPush stamps tm with its fire time and the next post ordinal — the
 // (at, seq) key — and queues it.
 func (e *Engine) heapPush(tm *Timer, t Time) {
-	tm.at, tm.seq = t, e.seq
 	e.seq++
+	e.heapPushSeq(tm, t, e.seq-1)
+}
+
+// heapPushSeq queues tm under an explicit (at, seq) key and tracks the
+// queue's high-water mark.
+func (e *Engine) heapPushSeq(tm *Timer, t Time, seq uint64) {
+	tm.at, tm.seq = t, seq
 	tm.queued = true
 	e.pq = append(e.pq, tm)
+	if len(e.pq) > e.highWater {
+		e.highWater = len(e.pq)
+	}
 	e.siftUp(len(e.pq) - 1)
 }
 
@@ -251,6 +260,33 @@ func (e *Engine) PostCall(t Time, fn func(a any, i0, i1, i2 int64), a any, i0, i
 	tm := e.alloc()
 	tm.afn, tm.a, tm.i0, tm.i1, tm.i2 = fn, a, i0, i1, i2
 	e.heapPush(tm, t)
+}
+
+// ReserveSeq sets aside n consecutive post ordinals and returns the first.
+// Each may later be handed to PostCallSeq, so an event can be posted after
+// the fact under the key an immediate PostCall would have given it.
+func (e *Engine) ReserveSeq(n int) uint64 {
+	seq := e.seq
+	e.seq += uint64(n)
+	return seq
+}
+
+// PostCallSeq is PostCall under a reserved ordinal: fn(a, i0, i1, i2) fires
+// at (t, seq) among all other events. The caller keeps the order exact by
+// posting before the key comes due: the key must not precede the event now
+// firing, and the event must be queued before anything past it is popped.
+// A stream of events whose keys ascend can thus keep one pending event in
+// the queue, each posting its successor as it fires.
+func (e *Engine) PostCallSeq(t Time, seq uint64, fn func(a any, i0, i1, i2 int64), a any, i0, i1, i2 int64) {
+	if t < e.now {
+		panic("sim: PostCallSeq called with a time in the past")
+	}
+	if seq >= e.seq {
+		panic("sim: PostCallSeq called with an unreserved ordinal")
+	}
+	tm := e.alloc()
+	tm.afn, tm.a, tm.i0, tm.i1, tm.i2 = fn, a, i0, i1, i2
+	e.heapPushSeq(tm, t, seq)
 }
 
 // postProc schedules p to be readied at t — the allocation-free core of
