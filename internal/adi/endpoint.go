@@ -87,15 +87,12 @@ func (c *Conn) Rails() int { return len(c.rails) }
 
 // InterRails reports the rail count of this endpoint's inter-node
 // connections — the lane width available to lane-decomposed collectives —
-// or 0 when every peer is intra-node (or the world has one rank). All
-// inter-node connections share the topology's rail count, so the first
-// one answers for all; the value is a topology constant, identical on
-// every rank, which lane partitioning depends on.
+// or 0 when the world has one node. It is a topology constant, identical on
+// every rank and independent of which connections are wired yet, which lane
+// partitioning depends on.
 func (ep *Endpoint) InterRails() int {
-	for _, c := range ep.conns {
-		if c != nil && c.sh == nil && c.peer != ep.Rank {
-			return len(c.rails)
-		}
+	if s := ep.w.Cluster.Spec; s.Nodes > 1 {
+		return s.Rails()
 	}
 	return 0
 }
@@ -103,6 +100,7 @@ func (ep *Endpoint) InterRails() int {
 // Endpoint is the ADI-layer object of one MPI rank.
 type Endpoint struct {
 	Rank int
+	w    *World // wires connections on first use (conn)
 
 	eng        *sim.Engine
 	m          *model.Params
@@ -206,7 +204,7 @@ func (ep *Endpoint) putFl(wrid uint64) {
 }
 
 // newEndpoint wires the passive state; connections are added by the World
-// builder.
+// on first use.
 func newEndpoint(rank int, eng *sim.Engine, m *model.Params, realm *ib.Realm, policy core.Policy, rndv RndvProto, nranks int, pool *envPool, bufs *buf.Pool) *Endpoint {
 	ep := &Endpoint{
 		Rank:       rank,
@@ -259,8 +257,26 @@ func (ep *Endpoint) ChargeCopy(n int) {
 	ep.charge(sim.TransferTime(int64(n), ep.m.EagerCopyRate))
 }
 
-// Conn returns the connection to a peer (nil for self).
-func (ep *Endpoint) Conn(peer int) *Conn { return ep.conns[peer] }
+// Conn returns the connection to a peer (nil for self), wiring the pair if
+// it has not talked yet.
+func (ep *Endpoint) Conn(peer int) *Conn {
+	if peer == ep.Rank {
+		return nil
+	}
+	return ep.conn(peer)
+}
+
+// conn returns the connection to peer, wiring the pair on first use. Paths
+// that initiate traffic (sends, one-sided operations) go through it; the
+// receive side reads conns directly, because the initiator wired both
+// halves before anything could arrive.
+func (ep *Endpoint) conn(peer int) *Conn {
+	if c := ep.conns[peer]; c != nil {
+		return c
+	}
+	ep.w.connect(min(ep.Rank, peer), max(ep.Rank, peer))
+	return ep.conns[peer]
+}
 
 // wake readies the rank if it is parked waiting for progress.
 func (ep *Endpoint) wake() { ep.idle.WakeAll() }
@@ -319,7 +335,7 @@ func (ep *Endpoint) postSend(peer, tag, ctxID int, class core.Class, data []byte
 		ep.sendSelf(req)
 		return req
 	}
-	conn := ep.conns[peer]
+	conn := ep.conn(peer)
 	if conn.sh != nil {
 		ep.sendShmem(conn, req)
 		return req

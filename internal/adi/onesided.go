@@ -95,7 +95,7 @@ func (ep *Endpoint) PutBulk(peer, winID int, rkey uint32, off int, data []byte, 
 		req.done = true
 		return req, false
 	}
-	conn := ep.conns[peer]
+	conn := ep.conn(peer)
 	if conn.sh != nil {
 		env := ep.pool.get()
 		env.kind, env.src, env.size, env.winID, env.off = envPut, ep.Rank, n, winID, off
@@ -163,7 +163,7 @@ func (ep *Endpoint) GetBulk(peer, winID int, rkey uint32, off int, buf []byte, n
 		req.done = true
 		return req
 	}
-	conn := ep.conns[peer]
+	conn := ep.conn(peer)
 	if conn.sh != nil {
 		req.data = buf
 		env := ep.pool.get()
@@ -206,7 +206,7 @@ func (ep *Endpoint) AccumulateSend(peer, winID int, off int, data []byte, n int,
 		applyAccumulate(ep.windows[winID], off, data, n, op)
 		return false // self ops apply synchronously; not fence-counted
 	}
-	conn := ep.conns[peer]
+	conn := ep.conn(peer)
 	env := ep.pool.get()
 	env.kind, env.src, env.size, env.winID, env.off, env.accOp = envAccum, ep.Rank, n, winID, off, op
 	ep.sendRMAMsg(conn, env, data, n)
@@ -227,7 +227,7 @@ func (ep *Endpoint) FetchAtomic(peer, winID int, rkey uint32, off int, cas bool,
 		req.done = true
 		return req
 	}
-	conn := ep.conns[peer]
+	conn := ep.conn(peer)
 	if conn.sh != nil {
 		env := ep.pool.get()
 		env.kind, env.src, env.size, env.winID, env.off = envAtomicReq, ep.Rank, 8, winID, off

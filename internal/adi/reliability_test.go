@@ -81,7 +81,7 @@ func relWorld(cfg ReliabilityConfig) (*sim.Engine, *World) {
 func TestHealthStateMachine(t *testing.T) {
 	_, w := relWorld(ReliabilityConfig{SuspectAfter: 3})
 	ep := w.Endpoints[0]
-	conn := ep.conns[1]
+	conn := ep.conn(1)
 	h := &conn.health[1]
 
 	ep.strike(conn, 1)

@@ -49,8 +49,9 @@ type Options struct {
 	Integrity IntegrityMode
 }
 
-// World is a fully wired simulated MPI job: hardware topology plus one
-// endpoint per rank, all connections established.
+// World is a simulated MPI job: hardware topology plus one endpoint per
+// rank. A rank pair's connection is wired the first time either side
+// initiates traffic to the other (DESIGN.md §19).
 type World struct {
 	Eng       *sim.Engine
 	M         *model.Params
@@ -58,6 +59,7 @@ type World struct {
 	Realm     *ib.Realm
 	Endpoints []*Endpoint
 
+	opt          Options // BindRail defaulted; read by connect
 	bufs         *buf.Pool
 	railRecovery bool
 	rel          *ReliabilityConfig
@@ -117,7 +119,7 @@ func (w *World) EnableReliability(cfg ReliabilityConfig) {
 	for _, ep := range w.Endpoints {
 		ep.rel = rc
 		ep.probes = make(map[uint64]probeRef)
-		for _, conn := range ep.conns {
+		for _, conn := range ep.conns { // wired before arming; connect covers the rest
 			if conn != nil && conn.sh == nil && len(conn.rails) > 0 {
 				conn.health = make([]railHealth, len(conn.rails))
 			}
@@ -137,9 +139,23 @@ func (w *World) Reliability() *ReliabilityConfig { return w.rel }
 // only the hardware state flips, and the endpoints must discover the change
 // themselves. Failing a rail requires EnableRailRecovery to have been
 // called.
+//
+// Every pair touching the node is wired first, so a rail event reaches the
+// same QPs, masks and wakes as in a world wired up front, and a connection
+// built later never misses a failure.
 func (w *World) SetRail(node, rail int, up bool) {
 	if !up && !w.railRecovery {
 		panic("adi: SetRail(down) without EnableRailRecovery")
+	}
+	for i, epi := range w.Endpoints {
+		if w.Cluster.NodeOf(i) != node {
+			continue
+		}
+		for j := range w.Endpoints {
+			if j != i {
+				epi.conn(j)
+			}
+		}
 	}
 	for i, epi := range w.Endpoints {
 		if w.Cluster.NodeOf(i) != node {
@@ -171,8 +187,9 @@ func (w *World) SetRail(node, rail int, up bool) {
 	}
 }
 
-// NewWorld builds the cluster hardware and wires every process pair:
-// shared-memory links within a node, `spec.Rails()` QP rails between nodes.
+// NewWorld builds the cluster hardware and one endpoint per rank. No process
+// pair is wired yet: each pair gets its shared-memory link or `spec.Rails()`
+// QP rails when either side first initiates traffic to the other (connect).
 func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *World {
 	cluster := topo.Build(spec, m)
 	realm := ib.NewRealm(eng, m)
@@ -186,7 +203,10 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 		policy = core.New(opt.Policy, minStripe)
 	}
 
-	w := &World{Eng: eng, M: m, Cluster: cluster, Realm: realm}
+	if opt.BindRail == nil {
+		opt.BindRail = func(rank, peer int) int { return 0 }
+	}
+	w := &World{Eng: eng, M: m, Cluster: cluster, Realm: realm, opt: opt}
 	n := spec.Size()
 	// One envelope pool and one payload-block pool per world: both are
 	// allocated at the sender but freed at the receiver, so they must span
@@ -195,6 +215,7 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 	w.bufs = &buf.Pool{}
 	for r := 0; r < n; r++ {
 		ep := newEndpoint(r, eng, m, realm, policy, opt.Rndv, n, pool, w.bufs)
+		ep.w = w
 		ep.eagerProto = opt.EagerProto
 		ep.integrity = opt.Integrity
 		ep.tr = opt.Trace
@@ -207,50 +228,6 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 		w.Endpoints = append(w.Endpoints, ep)
 	}
 
-	bind := opt.BindRail
-	if bind == nil {
-		bind = func(rank, peer int) int { return 0 }
-	}
-
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			epi, epj := w.Endpoints[i], w.Endpoints[j]
-			ci := &Conn{peer: j, sched: core.ConnState{Bound: bind(i, j)}, credits: m.EagerCredits}
-			cj := &Conn{peer: i, sched: core.ConnState{Bound: bind(j, i)}, credits: m.EagerCredits}
-			if cluster.SameNode(i, j) {
-				ci.sh = shmem.New(eng, m)
-				cj.sh = shmem.New(eng, m)
-				ci.sh.SetDeliver(shmemSink(epj))
-				cj.sh.SetDeliver(shmemSink(epi))
-			} else {
-				portsI := cluster.PortsOf(i)
-				portsJ := cluster.PortsOf(j)
-				for r := 0; r < spec.Rails(); r++ {
-					pidx := r / spec.QPsPerPort
-					qpi := realm.NewQP(ib.QPConfig{Port: portsI[pidx], CQ: epi.cq, SRQ: epi.srq, SQDepth: opt.SQDepth})
-					qpj := realm.NewQP(ib.QPConfig{Port: portsJ[pidx], CQ: epj.cq, SRQ: epj.srq, SQDepth: opt.SQDepth})
-					if err := ib.Connect(qpi, qpj); err != nil {
-						panic(err)
-					}
-					ci.rails = append(ci.rails, qpi)
-					cj.rails = append(cj.rails, qpj)
-					epi.qpIdx[qpi.QPN] = qpi
-					epj.qpIdx[qpj.QPN] = qpj
-				}
-				if opt.EagerProto == EagerRDMAWrite {
-					// Connect-time ring negotiation: each direction gets its
-					// own slot array at the receiver and header cache at the
-					// sender.
-					ci.ring = newEagerRing(realm, m)
-					cj.ring = newEagerRing(realm, m)
-					ci.hdr = newHdrCache(m.HdrCacheSlots)
-					cj.hdr = newHdrCache(m.HdrCacheSlots)
-				}
-			}
-			epi.conns[j] = ci
-			epj.conns[i] = cj
-		}
-	}
 	if opt.Integrity == IntegrityVerify {
 		// Arm the receiving-HCA check and the WR tracking the NACK-driven
 		// retransmission depends on.
@@ -258,6 +235,81 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 		w.EnableRailRecovery()
 	}
 	return w
+}
+
+// connect wires the rank pair i < j, both halves at once: a shared-memory
+// link each way within a node, or `Rails()` QP pairs between nodes (plus the
+// eager ring and header cache each way under EagerRDMAWrite, and the rail
+// health arrays once the reliability layer is armed).
+//
+// A rail's flows take their route keys from pairsBefore, not from the
+// ports' creation counters, so every key is the one the all-pairs build
+// (pairs (i, j) in lexicographic order, rails in order, ib.Connect each)
+// gave, whichever pair talks first. QPNs and ring rkeys do come from the
+// realm's counters in first-use order: they are opaque lookup keys.
+func (w *World) connect(i, j int) {
+	epi, epj := w.Endpoints[i], w.Endpoints[j]
+	m, opt, cl := w.M, &w.opt, w.Cluster
+	ci := &Conn{peer: j, sched: core.ConnState{Bound: opt.BindRail(i, j)}, credits: m.EagerCredits}
+	cj := &Conn{peer: i, sched: core.ConnState{Bound: opt.BindRail(j, i)}, credits: m.EagerCredits}
+	if cl.SameNode(i, j) {
+		ci.sh = shmem.New(w.Eng, m)
+		cj.sh = shmem.New(w.Eng, m)
+		ci.sh.SetDeliver(shmemSink(epj))
+		cj.sh.SetDeliver(shmemSink(epi))
+	} else {
+		// Every inter-node pair puts QPsPerPort rails on each port of
+		// both nodes, and each rail takes two flow ordinals per port: its
+		// own transmit flow and the peer's responder flow.
+		q := cl.Spec.QPsPerPort
+		baseI := 2 * q * w.pairsBefore(cl.NodeOf(i), i, j)
+		baseJ := 2 * q * w.pairsBefore(cl.NodeOf(j), i, j)
+		portsI, portsJ := cl.PortsOf(i), cl.PortsOf(j)
+		for r := 0; r < cl.Spec.Rails(); r++ {
+			pidx, k := r/q, r%q
+			qpi := w.Realm.NewQP(ib.QPConfig{Port: portsI[pidx], CQ: epi.cq, SRQ: epi.srq, SQDepth: opt.SQDepth})
+			qpj := w.Realm.NewQP(ib.QPConfig{Port: portsJ[pidx], CQ: epj.cq, SRQ: epj.srq, SQDepth: opt.SQDepth})
+			if err := ib.ConnectAt(qpi, qpj, uint64(baseI+2*k+1), uint64(baseJ+2*k+1)); err != nil {
+				panic(err)
+			}
+			ci.rails = append(ci.rails, qpi)
+			cj.rails = append(cj.rails, qpj)
+			epi.qpIdx[qpi.QPN] = qpi
+			epj.qpIdx[qpj.QPN] = qpj
+		}
+		if opt.EagerProto == EagerRDMAWrite {
+			// Connect-time ring negotiation: each direction gets its own
+			// slot array at the receiver and header cache at the sender.
+			ci.ring = newEagerRing(w.Realm, m)
+			cj.ring = newEagerRing(w.Realm, m)
+			ci.hdr = newHdrCache(m.HdrCacheSlots)
+			cj.hdr = newHdrCache(m.HdrCacheSlots)
+		}
+		if w.rel != nil {
+			ci.health = make([]railHealth, len(ci.rails))
+			cj.health = make([]railHealth, len(cj.rails))
+		}
+	}
+	epi.conns[j] = ci
+	epj.conns[i] = cj
+}
+
+// pairsBefore counts the inter-node rank pairs x < y that touch node a and
+// precede (i, j) in lexicographic order: the pairs whose rails the
+// all-pairs build wired onto a's ports before (i, j)'s.
+func (w *World) pairsBefore(a, i, j int) int {
+	p, n := w.Cluster.Spec.ProcsPerNode, len(w.Endpoints)
+	lo, hi := a*p, a*p+p // node a's ranks
+	// Pairs led by a rank below i: a's ranks pair with every rank above
+	// node a, and earlier nodes' ranks pair with each of a's.
+	t := min(max(i-lo, 0), p)*(n-hi) + min(i, lo)*p
+	// Pairs (i, y) with i < y < j.
+	if i >= lo && i < hi {
+		t += (j - i - 1) - max(0, min(j, hi)-i-1) // y off node a
+	} else {
+		t += max(0, min(j, hi)-max(i+1, lo)) // y on node a
+	}
+	return t
 }
 
 // shmemSink delivers an intra-node message into an endpoint's inbox and

@@ -112,7 +112,7 @@ type Port struct {
 
 	chunksSent int64  // error-injection counter
 	payloadWRs int64  // corruption-injection counter (payload descriptors posted)
-	flowSeq    uint64 // flows created from this port (route key salt)
+	flowSeq    uint64 // flow ordinals handed out by ReserveFlows (route key salt)
 
 	wire       sim.Ring[wireChunk] // chunks in flight, in arrival order (launch)
 	wireTail   sim.Time            // arrival of the FIFO's last chunk
@@ -229,8 +229,7 @@ type Flow struct {
 
 	// routeKey identifies this flow to the fabric's path selection:
 	// the D-mod-K hash input (static) and the tie-break salt (adaptive).
-	// Derived from (src node, dst node, per-port flow ordinal) at world
-	// build.
+	// Derived from (src node, dst node, per-port flow ordinal).
 	routeKey uint64
 }
 
@@ -264,13 +263,30 @@ func pairAcked(a any, t Timing) {
 	}
 }
 
-// NewFlow creates the transmit pipeline from p toward dst, driven by eng.
+// NewFlow creates the transmit pipeline from p toward dst, driven by eng,
+// under the port's next flow ordinal.
 func (p *Port) NewFlow(eng *sim.Engine, dst *Port) *Flow {
-	f := &Flow{eng: eng, src: p, dst: dst}
-	p.flowSeq++
-	f.routeKey = corruptMix(uint64(p.Node)<<40 ^ uint64(dst.Node)<<20 ^ p.flowSeq)
-	return f
+	return p.NewFlowAt(eng, dst, p.ReserveFlows(1))
 }
+
+// ReserveFlows sets aside n flow ordinals of the port's creation counter and
+// returns the first (ordinals start at 1).
+func (p *Port) ReserveFlows(n int) uint64 {
+	p.flowSeq += uint64(n)
+	return p.flowSeq - uint64(n) + 1
+}
+
+// NewFlowAt creates the transmit pipeline from p toward dst under flow
+// ordinal seq, which salts the route key. It leaves the port's counter
+// alone: a caller that builds flows out of order derives each ordinal
+// itself, so the key is the one an in-order build would have given.
+func (p *Port) NewFlowAt(eng *sim.Engine, dst *Port, seq uint64) *Flow {
+	return &Flow{eng: eng, src: p, dst: dst,
+		routeKey: corruptMix(uint64(p.Node)<<40 ^ uint64(dst.Node)<<20 ^ seq)}
+}
+
+// RouteKey reports the key the fabric selects this flow's paths by.
+func (f *Flow) RouteKey() uint64 { return f.routeKey }
 
 // Src and Dst report the flow's endpoints.
 func (f *Flow) Src() *Port { return f.src }

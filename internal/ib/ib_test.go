@@ -46,6 +46,39 @@ func (r *rig) run(t *testing.T) {
 	}
 }
 
+// TestConnectKeepsFlowOrdinals: Connect takes each port's next two flow
+// ordinals, which gives every flow the route key of the original build
+// order (a's flow, b's flow, a's responder on b's port, b's responder on
+// a's port) — responder flows included, though they are built on first use.
+func TestConnectKeepsFlowOrdinals(t *testing.T) {
+	m := model.Default()
+	net := fabric.NewSingleSwitch(m.WireLatency)
+	ports := func() (*hca.Port, *hca.Port) {
+		a := hca.New("a", 1, gx.New(m.GXRate), m, net).Ports[0]
+		b := hca.New("b", 1, gx.New(m.GXRate), m, net).Ports[0]
+		a.Node, b.Node = 0, 1
+		return a, b
+	}
+	pa, pb := ports()
+	ra, rb := ports() // twins for the reference order
+	eng := sim.NewEngine()
+	realm := NewRealm(eng, m)
+	for round := 0; round < 3; round++ {
+		qa := realm.NewQP(QPConfig{Port: pa, CQ: realm.NewCQ()})
+		qb := realm.NewQP(QPConfig{Port: pb, CQ: realm.NewCQ()})
+		if err := Connect(qa, qb); err != nil {
+			t.Fatal(err)
+		}
+		want := [4]uint64{ra.NewFlow(eng, rb).RouteKey(), rb.NewFlow(eng, ra).RouteKey(),
+			rb.NewFlow(eng, ra).RouteKey(), ra.NewFlow(eng, rb).RouteKey()}
+		got := [4]uint64{qa.Flow().RouteKey(), qb.Flow().RouteKey(),
+			qa.RespFlow().RouteKey(), qb.RespFlow().RouteKey()}
+		if got != want {
+			t.Errorf("round %d: route keys %x, want %x", round, got, want)
+		}
+	}
+}
+
 func TestSendRecvDeliversData(t *testing.T) {
 	r := newRig(t)
 	payload := []byte("hello, twelve-x world")

@@ -173,7 +173,8 @@ type QP struct {
 	realm       *Realm
 	remote      *QP
 	flow        *hca.Flow // staged transmit pipeline toward the peer
-	respFlow    *hca.Flow // responder resources for RDMA-read responses
+	respFlow    *hca.Flow // responder resources for RDMA-read responses (RespFlow)
+	respSeq     uint64    // respFlow's ordinal on the peer's port
 	sqDepth     int
 	outstanding int
 	pool        recvPool
@@ -221,20 +222,42 @@ func (r *Realm) NewQP(cfg QPConfig) *QP {
 	return &QP{QPN: r.qpn, Port: cfg.Port, CQ: cfg.CQ, SRQ: cfg.SRQ, realm: r, sqDepth: depth}
 }
 
-// Connect pairs two QPs into a reliable connection. Both must be idle.
+// Connect pairs two QPs into a reliable connection. Both must be idle. Each
+// port hands out its next two flow ordinals: the first to its QP's transmit
+// flow, the second to the peer's responder flow it hosts.
 func Connect(a, b *QP) error {
+	return ConnectAt(a, b, a.Port.ReserveFlows(2), b.Port.ReserveFlows(2))
+}
+
+// ConnectAt is Connect under caller-chosen flow ordinals: a's transmit flow
+// gets seqA on a's port and b's responder flow seqA+1 there; b's transmit
+// flow gets seqB on b's port and a's responder flow seqB+1. Responder flows
+// are built on the first RDMA read or atomic (RespFlow).
+func ConnectAt(a, b *QP, seqA, seqB uint64) error {
 	if a.remote != nil || b.remote != nil {
 		return ErrNotConnected // already wired elsewhere
 	}
 	a.remote = b
 	b.remote = a
-	a.flow = a.Port.NewFlow(a.realm.Eng, b.Port)
-	b.flow = b.Port.NewFlow(b.realm.Eng, a.Port)
-	// RDMA-read responses are generated by the peer's responder hardware:
-	// they share its engines and link but not its send-queue ordering.
-	a.respFlow = b.Port.NewFlow(a.realm.Eng, a.Port)
-	b.respFlow = a.Port.NewFlow(b.realm.Eng, b.Port)
+	a.flow = a.Port.NewFlowAt(a.realm.Eng, b.Port, seqA)
+	b.flow = b.Port.NewFlowAt(b.realm.Eng, a.Port, seqB)
+	a.respSeq = seqB + 1
+	b.respSeq = seqA + 1
 	return nil
+}
+
+// Flow returns the QP's transmit flow (nil before Connect).
+func (q *QP) Flow() *hca.Flow { return q.flow }
+
+// RespFlow returns the flow that carries this QP's RDMA-read and atomic
+// responses from the peer's port, building it on first use. RDMA-read
+// responses are generated by the peer's responder hardware: they share its
+// engines and link but not its send-queue ordering.
+func (q *QP) RespFlow() *hca.Flow {
+	if q.respFlow == nil {
+		q.respFlow = q.remote.Port.NewFlowAt(q.realm.Eng, q.Port, q.respSeq)
+	}
+	return q.respFlow
 }
 
 // Connected reports whether the QP has a peer.
@@ -586,7 +609,7 @@ func readReqDelivered(a any, _ hca.Timing) {
 		o.flushRead() // request lost before reaching the responder
 		return
 	}
-	o.q.respFlow.SendCtx(o.n, o, readRespDelivered, nil)
+	o.q.RespFlow().SendCtx(o.n, o, readRespDelivered, nil)
 }
 
 // readRespDelivered fires when the read data lands in local memory.
@@ -691,7 +714,7 @@ func atomicReqDelivered(a any, _ hca.Timing) {
 		}
 		o.old = old
 	}
-	o.q.respFlow.SendCtx(8, o, atomicRespDelivered, nil)
+	o.q.RespFlow().SendCtx(8, o, atomicRespDelivered, nil)
 }
 
 // atomicRespDelivered completes the atomic at the requester. The RMW was

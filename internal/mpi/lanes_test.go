@@ -8,6 +8,7 @@ import (
 
 	"ib12x/internal/adi"
 	"ib12x/internal/core"
+	"ib12x/internal/trace"
 )
 
 // Property tests for the lane-decomposed collectives: for randomized
@@ -195,6 +196,34 @@ func TestLaneFloatReduce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLaneBcastFirstOperation: the lane width is known before any
+// connection is wired, so a lane Bcast that is every rank's first operation
+// takes the lane path (its rendezvous pieces are pinned to their lanes).
+func TestLaneBcastFirstOperation(t *testing.T) {
+	const n = 256 << 10
+	c := laneCfg(2, 2, CollLane, adi.RndvWrite)
+	c.Trace = trace.NewRecorder(1 << 12)
+	mustRun(t, c, func(cm *Comm) {
+		buf := make([]byte, n)
+		if cm.Rank() == 0 {
+			copy(buf, lanePattern(0, n))
+		}
+		cm.Bcast(0, buf)
+		if !bytes.Equal(buf, lanePattern(0, n)) {
+			t.Errorf("rank %d: bcast payload mismatch", cm.Rank())
+		}
+	})
+	pins := 0
+	for _, ev := range c.Trace.Events() {
+		if ev.Kind == trace.KindLanePin {
+			pins++
+		}
+	}
+	if pins == 0 {
+		t.Error("first-operation lane Bcast took the reference path: no LANEPIN events")
 	}
 }
 

@@ -136,16 +136,13 @@ type Node struct {
 	ID   int
 	Bus  *gx.Bus
 	HCAs []*hca.HCA
+
+	ports []*hca.Port // HCAs' ports flattened once, at Build
 }
 
 // Ports returns the node's ports flattened across HCAs, in (hca, port) order.
-func (n *Node) Ports() []*hca.Port {
-	var ps []*hca.Port
-	for _, h := range n.HCAs {
-		ps = append(ps, h.Ports...)
-	}
-	return ps
-}
+// The slice is shared by every caller and must not be modified.
+func (n *Node) Ports() []*hca.Port { return n.ports }
 
 // Cluster is a built topology.
 type Cluster struct {
@@ -187,6 +184,7 @@ func Build(spec Spec, m *model.Params) *Cluster {
 				port.Node = i
 			}
 			n.HCAs = append(n.HCAs, hc)
+			n.ports = append(n.ports, hc.Ports...)
 		}
 		c.Nodes = append(c.Nodes, n)
 	}
