@@ -1,10 +1,14 @@
 // Command benchhist appends the run that `bash benchmark/run.sh` left in
 // benchmark/out/result.json to the tracked BENCH_history.json and prints its
-// delta against the latest record from the same CPU model and CPU count. No
-// arguments; run from the repository root (`make perf`). The record is always
-// appended. Exit 1 only on what repeats from run to run: failed ops, or a
-// metric in repeats worse than its BENCHMARK.json bound. Host-time metrics are
-// flagged but never fail: days apart on a shared host they differ by more.
+// delta against the latest record from the same CPU model, CPU count and
+// seed. No arguments; run from the repository root (`make perf`). The record
+// is always appended. Exit 1 only on what repeats from run to run: failed
+// ops, a metric in repeats worse than its BENCHMARK.json bound, or an exact
+// per-layer counter that moved while its workload's virt_us did not (the
+// signature of an unintended behaviour change). Every counter that moved is
+// printed; one that moved with virt_us is reported, not failed. Host-time
+// metrics are flagged but never fail: days apart on a shared host they differ
+// by more.
 package main
 
 import (
@@ -15,6 +19,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 )
@@ -22,7 +27,9 @@ import (
 var repeats = map[string]bool{"virt_us": true, "allocs_per_msg": true, "alloc_mb": true}
 var sign = map[string]float64{"lower": 1, "higher": -1} // BENCHMARK.json's "better", as the sign of a worsening delta
 
-// record is one run: per workload, each end-to-end median plus ops_failed.
+// record is one run: per workload, each end-to-end median plus ops_failed,
+// and the exact per-layer counters (absent from records made before they
+// were kept).
 type record struct {
 	Date      string                        `json:"date"`
 	Commit    string                        `json:"commit"`
@@ -31,6 +38,7 @@ type record struct {
 	Go        string                        `json:"go"`
 	Seed      int64                         `json:"seed"`
 	Workloads map[string]map[string]float64 `json:"workloads"`
+	Counters  map[string]map[string]float64 `json:"counters,omitempty"`
 }
 
 func main() {
@@ -64,6 +72,7 @@ func run(dir, date, commit string, w io.Writer) error {
 			Name      string
 			OpsFailed int64
 			EndToEnd  map[string]struct{ Median float64 }
+			Counters  map[string]float64
 		}
 	}
 	var hist []record
@@ -78,13 +87,14 @@ func run(dir, date, commit string, w io.Writer) error {
 		return fmt.Errorf("%s: %w", histPath, err)
 	}
 	cur, prev := res.Host, record{Commit: "no comparable record"}
-	cur.Date, cur.Commit, cur.Seed, cur.Workloads = date, commit, res.Seed, map[string]map[string]float64{}
+	cur.Date, cur.Commit, cur.Seed = date, commit, res.Seed
+	cur.Workloads, cur.Counters = map[string]map[string]float64{}, map[string]map[string]float64{}
 	for _, h := range hist {
-		if h.CPU == cur.CPU && h.NProc == cur.NProc {
+		if h.CPU == cur.CPU && h.NProc == cur.NProc && h.Seed == cur.Seed {
 			prev = h
 		}
 	}
-	fmt.Fprintf(w, "%s on %s, %d CPUs, against: %s %s\n", commit, cur.CPU, cur.NProc, prev.Commit, prev.Date)
+	fmt.Fprintf(w, "%s on %s, %d CPUs, seed %d, against: %s %s\n", commit, cur.CPU, cur.NProc, cur.Seed, prev.Commit, prev.Date)
 	var failed []string
 	for _, wl := range res.Workloads {
 		m := map[string]float64{"ops_failed": float64(wl.OpsFailed)}
@@ -108,6 +118,12 @@ func run(dir, date, commit string, w io.Writer) error {
 			}
 			fmt.Fprintf(w, "%-14s %-15s %12.6g -> %-12.6g %+7.1f%% (bound %2.0f%%) %s\n", wl.Name, d.Name, was, m[d.Name], 100*delta, 100*d.Bound, note)
 		}
+		if wl.Counters != nil {
+			cur.Counters[wl.Name] = wl.Counters
+		}
+		if moved := countersMoved(w, wl.Name, prev, wl.Counters); moved != "" && m["virt_us"] == prev.Workloads[wl.Name]["virt_us"] {
+			failed = append(failed, fmt.Sprintf("%s counter %s moved with virt_us unchanged", wl.Name, moved))
+		}
 	}
 	data, err := json.MarshalIndent(append(hist, cur), "", " ")
 	if err == nil {
@@ -117,4 +133,46 @@ func run(dir, date, commit string, w io.Writer) error {
 		err = errors.New(strings.Join(failed, "; "))
 	}
 	return err
+}
+
+// countersMoved prints every counter of workload wl that differs from the
+// previous record, with zero tolerance: they are exact for a seed. It returns
+// the first one that moved ("" when none did, or when prev kept no
+// counters). A counter present on one side only is printed, not returned: a
+// renamed metric is not a behaviour change.
+func countersMoved(w io.Writer, wl string, prev record, now map[string]float64) (first string) {
+	was, ok := prev.Counters[wl]
+	if !ok {
+		if now != nil && prev.Date != "" {
+			fmt.Fprintf(w, "%-14s counters: none in the previous record, not compared\n", wl)
+		}
+		return ""
+	}
+	var keys []string
+	for k := range was {
+		keys = append(keys, k)
+	}
+	for k := range now {
+		if _, ok := was[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		a, inA := was[k]
+		b, inB := now[k]
+		switch {
+		case inA && inB && a == b:
+		case inA && inB:
+			fmt.Fprintf(w, "%-14s counter %-32s %v -> %v\n", wl, k, a, b)
+			if first == "" {
+				first = k
+			}
+		case inA:
+			fmt.Fprintf(w, "%-14s counter %-32s %v -> (gone)\n", wl, k, a)
+		default:
+			fmt.Fprintf(w, "%-14s counter %-32s (new) -> %v\n", wl, k, b)
+		}
+	}
+	return first
 }

@@ -191,10 +191,14 @@ func (ep *Endpoint) wrDeadline(conn *Conn, rail, n int) sim.Time {
 // ---- health scan (soft evidence) ----
 
 // startHealthTimer arms the periodic scan. Called once per endpoint when the
-// reliability layer is enabled, before the engine runs.
+// reliability layer is enabled, before the engine runs, and by each tick.
 func (ep *Endpoint) startHealthTimer() {
-	ep.eng.Post(ep.eng.Now()+ep.rel.CheckInterval, ep.healthTick)
+	ep.eng.PostCall(ep.eng.Now()+ep.rel.CheckInterval, healthTickThunk, ep, 0, 0, 0)
 }
+
+// healthTickThunk is healthTick in PostCall form: the method value ep.healthTick
+// would allocate a closure on every tick.
+func healthTickThunk(a any, _, _, _ int64) { a.(*Endpoint).healthTick() }
 
 // healthTick runs one scan and reschedules itself while the job is alive.
 // It runs as an engine event: it must never block, and it never does — every

@@ -208,3 +208,26 @@ func bytesEqual(a, b []byte) bool {
 	}
 	return true
 }
+
+// TestIdleHealthTickAllocatesNothing runs an armed world whose only proc
+// idles, so the health scan re-arms every CheckInterval with nothing to
+// strike. A window of 100 intervals must allocate no more than a window of
+// one: whatever RunUntil itself costs, a tick costs nothing.
+func TestIdleHealthTickAllocatesNothing(t *testing.T) {
+	eng, w := relWorld(ReliabilityConfig{})
+	var never sim.Waiter
+	eng.Spawn("idle", func(p *sim.Proc) { never.Wait(p, "idle") }) // keeps the ticks re-arming
+	every := w.Reliability().CheckInterval
+	window := func(n sim.Time) float64 {
+		return testing.AllocsPerRun(10, func() { eng.RunUntil(eng.Now() + n*every) })
+	}
+	one := window(1)
+	fired := eng.EventsFired()
+	hundred := window(100)
+	if ticks := eng.EventsFired() - fired; ticks < 11*100*uint64(len(w.Endpoints)) {
+		t.Fatalf("%d events over 11 windows of 100 intervals: the health scan did not tick", ticks)
+	}
+	if hundred != one {
+		t.Errorf("allocs per RunUntil window: %v over 100 intervals, %v over one; want equal", hundred, one)
+	}
+}

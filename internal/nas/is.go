@@ -1,6 +1,7 @@
 package nas
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ib12x/internal/mpi"
@@ -336,24 +337,10 @@ func alltoallvKeys(c *mpi.Comm, synthetic bool, board *isBoard, send []int32, sc
 	}
 }
 
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
+func putU32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
 
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
+func getU32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
 
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
+func putU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
+func getU64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }

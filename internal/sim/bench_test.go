@@ -12,44 +12,61 @@ import (
 //	go test -run '^$' -bench . -benchmem ./internal/sim
 
 // sleeper runs body inside the only proc of a fresh engine; step is one
-// Sleep(1). The proc's wake is always the next event, so it fires it itself
-// and never leaves its coroutine.
-func sleeper(body func(step func())) {
+// Sleep(1). The proc's wake is always the next event, so the clock advances
+// in place and the proc never leaves its coroutine.
+func sleeper(body func(e *Engine, step func())) {
 	e := NewEngine()
-	e.Spawn("sleeper", func(p *Proc) { body(func() { p.Sleep(1) }) })
+	e.Spawn("sleeper", func(p *Proc) { body(e, func() { p.Sleep(1) }) })
 	if err := e.Run(); err != nil {
 		panic(err)
 	}
 }
 
 // pingPong runs body inside one of two procs; step is one round trip through
-// two Waiters, so every step switches to the other proc and back.
-func pingPong(body func(step func())) {
+// two Waiters, so every step switches to the other proc and back. The first
+// proc to park resumes the other directly, which yields straight back.
+func pingPong(body func(e *Engine, step func())) {
+	ring(2, body)
+}
+
+// ring3 is pingPong over three procs: the one that drives resumes each of the
+// other two in turn, and the first yields back to it to let the second run.
+func ring3(body func(e *Engine, step func())) {
+	ring(3, body)
+}
+
+// ring runs body inside the last of n procs that pass a token around a cycle
+// of Waiters; step is one lap.
+func ring(n int, body func(e *Engine, step func())) {
 	e := NewEngine()
-	var ping, pong Waiter
+	ws := make([]Waiter, n)
 	done := false
-	e.Spawn("pong", func(p *Proc) {
-		for !done {
-			ping.Wait(p, "ping")
-			pong.WakeOne()
-		}
-	})
-	e.Spawn("ping", func(p *Proc) {
-		body(func() {
-			ping.WakeOne()
-			pong.Wait(p, "pong")
+	for i := 0; i < n-1; i++ {
+		e.Spawn(fmt.Sprint("hop", i), func(p *Proc) {
+			for !done {
+				ws[i].Wait(p, "token")
+				ws[i+1].WakeOne()
+			}
+		})
+	}
+	e.Spawn("lap", func(p *Proc) {
+		body(e, func() {
+			ws[0].WakeOne()
+			ws[n-1].Wait(p, "lap")
 		})
 		done = true
-		ping.WakeOne()
+		for i := range ws {
+			ws[i].WakeAll()
+		}
 	})
 	if err := e.Run(); err != nil {
 		panic(err)
 	}
 }
 
-func benchSteps(b *testing.B, shape func(func(step func()))) {
+func benchSteps(b *testing.B, shape func(func(e *Engine, step func()))) {
 	b.ReportAllocs()
-	shape(func(step func()) {
+	shape(func(_ *Engine, step func()) {
 		step() // first use grows the timer free list and the rings
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -88,19 +105,55 @@ func BenchmarkPostFire(b *testing.B) {
 	}
 }
 
-// TestSwitchNoAllocs pins the steady state of both switch shapes at zero
-// allocations: a park that resumes itself, and a park that hands the baton
-// to another proc through Run.
+// TestSwitchNoAllocs pins the steady state of every switch shape at zero
+// allocations, and checks each shape takes the path it is named for: a Sleep
+// whose wake is taken in place, and a parker resuming the next proc itself
+// (once per lap of two procs, twice per lap of three).
 func TestSwitchNoAllocs(t *testing.T) {
 	for _, c := range []struct {
-		name  string
-		shape func(func(step func()))
-	}{{"sleep", sleeper}, {"pingpong", pingPong}} {
-		c.shape(func(step func()) {
+		name            string
+		shape           func(func(e *Engine, step func()))
+		skips, handoffs uint64 // per step
+	}{{"sleep", sleeper, 1, 0}, {"pingpong", pingPong, 0, 1}, {"ring3", ring3, 0, 2}} {
+		c.shape(func(e *Engine, step func()) {
 			step()
-			if n := testing.AllocsPerRun(1000, step); n != 0 {
+			skips, handoffs := e.skips, e.handoffs
+			const runs = 1000
+			if n := testing.AllocsPerRun(runs, step); n != 0 {
 				t.Errorf("%s: %v allocs per step, want 0", c.name, n)
 			}
+			// AllocsPerRun adds one warm-up call.
+			if s, h := e.skips-skips, e.handoffs-handoffs; s != c.skips*(runs+1) || h != c.handoffs*(runs+1) {
+				t.Errorf("%s: %d skips, %d handoffs over %d steps; want %d and %d per step", c.name, s, h, runs+1, c.skips, c.handoffs)
+			}
 		})
+	}
+}
+
+// TestPingPongTakesBothPaths runs the shape of a p2p_lat round trip: each
+// side charges CPU time with Sleep, then wakes its peer and waits. Every
+// charge but the first (rank1 has not run yet) is taken in place, and every
+// wait of rank0 hands the baton straight to rank1.
+func TestPingPongTakesBothPaths(t *testing.T) {
+	e := NewEngine()
+	var ws [2]Waiter
+	const rounds = 10
+	for i := range ws {
+		e.Spawn(fmt.Sprint("rank", i), func(p *Proc) {
+			for r := 0; r < rounds; r++ {
+				if i == 1 || r > 0 {
+					ws[i].Wait(p, "recv")
+				}
+				p.Sleep(Microsecond)
+				ws[1-i].WakeOne()
+			}
+		})
+	}
+	mustRun(t, e)
+	if e.Now() != 2*rounds*Microsecond || e.EventsFired() != 2*rounds {
+		t.Fatalf("now=%v fired=%d, want %v and %d", e.Now(), e.EventsFired(), 2*rounds*Microsecond, 2*rounds)
+	}
+	if e.skips != 2*rounds-1 || e.handoffs != rounds {
+		t.Errorf("skips=%d handoffs=%d, want %d and %d", e.skips, e.handoffs, 2*rounds-1, rounds)
 	}
 }

@@ -23,6 +23,11 @@ import (
 //   - processes (Proc), coroutines that the engine resumes one at a time and
 //     that may park on Waiters, Sleep, etc.
 //
+// Run's caller drives the loop only until the first proc parks. From then on
+// the parker drives it: it fires events and resumes the next ready proc from
+// its own coroutine (see park), and Run takes over again only when that proc
+// dies, the engine stops, or nothing is left to run.
+//
 // Events fire in (at, seq) order, seq being the post ordinal. A stream of
 // events with ascending keys need not sit in the queue all at once: it can
 // set its ordinals aside with ReserveSeq and keep only its next event
@@ -41,18 +46,17 @@ type Engine struct {
 
 	highWater int // deepest pq has been (telemetry)
 
-	ready  Ring[*Proc] // FIFO ready queue
-	cur    *Proc       // proc currently holding the baton (nil in handlers)
-	nprocs int         // live (spawned, not yet finished) procs
+	ready Ring[*Proc] // FIFO ready queue
+	cur   *Proc       // proc currently holding the baton (nil in handlers)
 
 	stopped bool
 	running bool
 	fired   uint64 // events executed (telemetry)
 
-	procRegistry []*Proc // every spawned proc, for deadlock diagnostics
+	skips    uint64 // Sleep/Yield wakes taken in place, bypassing the queue (telemetry)
+	handoffs uint64 // procs a parker resumed itself instead of yielding to Run (telemetry)
 
-	// Debugf, when non-nil, receives internal trace lines (for tests).
-	Debugf func(format string, args ...any)
+	procRegistry []*Proc // every live (spawned, not yet finished) proc, for deadlock diagnostics
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -73,6 +77,7 @@ type Proc struct {
 	yield  func(struct{}) bool     // suspends the body, returning from next
 	queued bool                    // in the ready queue
 	parked bool                    // waiting to be Ready'd
+	nested bool                    // last resumed by a parked proc, not by Run
 	dead   bool                    // body returned
 	why    string                  // reason for the current park (diagnostics)
 	regIdx int                     // position in Engine.procRegistry (for swap-removal on death)
@@ -101,7 +106,6 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 		body(p)
 		p.dead = true
 	})
-	e.nprocs++
 	p.regIdx = len(e.procRegistry)
 	e.procRegistry = append(e.procRegistry, p)
 	e.enqueue(p)
@@ -131,10 +135,15 @@ func (e *Engine) Ready(p *Proc) {
 // park suspends the calling proc until somebody calls Engine.Ready(p).
 // why is recorded for deadlock diagnostics.
 //
-// The parker does not switch to Run to wait: it runs Run's own loop in place
-// (nothing ready: fire the next event) until some proc is runnable. Usually
-// that is the parker itself, a Sleep whose wake is the next event, and park
-// returns with no switch; otherwise it yields to Run, which carries on.
+// The parker does not switch to Run to wait: it runs Run's own loop in place.
+// With nothing ready it fires the next event. When the head of the ready
+// queue is the parker itself, park pops it and returns with no switch. When
+// it is another proc q, the parker resumes q from its own coroutine and loops
+// once q parks or dies, so a p→q→p handoff is two switches, not four through
+// Run. A proc resumed that way is nested: it drives the loop too, but when
+// someone other than itself must run next it yields back to its caller, so
+// nesting never goes deeper than Run → p → q. On Stop, or with no event left
+// (a deadlock or an empty world), the parker yields to Run, which decides.
 func (p *Proc) park(why string) {
 	e := p.eng
 	if e.cur != p {
@@ -143,36 +152,67 @@ func (p *Proc) park(why string) {
 	p.parked = true
 	p.why = why
 	e.cur = nil
-	for !e.stopped && e.ready.Len() == 0 && e.fireNext() {
-	}
-	if !e.stopped && e.ready.Len() > 0 && e.ready.Peek() == p {
+	for !e.stopped {
+		if e.ready.Len() == 0 {
+			if e.fireNext() {
+				continue
+			}
+			break
+		}
+		q := e.ready.Peek()
+		if q == p {
+			e.ready.Pop()
+			p.queued = false
+			e.cur = p
+			return
+		}
+		if p.nested {
+			break
+		}
 		e.ready.Pop()
-		p.queued = false
-		e.cur = p
-		return
+		e.handoffs++
+		e.runProc(q, true)
 	}
 	p.yield(struct{}{})
 }
 
-// Sleep suspends the calling proc for d ticks of virtual time.
+// Sleep suspends the calling proc for d ticks of virtual time. When the wake
+// would be the next thing to run, the clock advances in place (see wakeAt).
 func (p *Proc) Sleep(d Time) {
 	if d <= 0 {
 		p.Yield()
 		return
 	}
-	e := p.eng
-	e.postProc(e.now+d, p)
-	p.park("sleep")
+	p.wakeAt(p.eng.now+d, "sleep")
 }
 
 // Yield places the calling proc at the back of the ready queue, letting other
-// ready procs and same-time events run first.
+// ready procs and same-time events run first. With neither pending it
+// returns at once (see wakeAt).
 func (p *Proc) Yield() {
+	p.wakeAt(p.eng.now, "yield")
+}
+
+// wakeAt parks p until a wake-up event at t fires. When p holds the baton,
+// nothing is ready and t is strictly before every pending event, that event
+// would be the next to fire and would find p alone at the head of the ready
+// queue, so wakeAt takes it in place: it consumes the event's ordinal,
+// advances the clock, counts it as fired and notes the queue depth the push
+// would have reached. A tie on t is not taken: the pending event has the
+// smaller ordinal. A handler calling Sleep fails e.cur == p and still panics
+// in park.
+func (p *Proc) wakeAt(t Time, why string) {
 	e := p.eng
-	// Re-enqueue via a zero-delay event so that all currently ready procs
-	// and already-scheduled same-time events get their turn.
-	e.postProc(e.now, p)
-	p.park("yield")
+	if e.cur == p && !e.stopped && e.ready.Len() == 0 && (len(e.pq) == 0 || t < e.pq[0].at) {
+		e.seq++
+		e.now = t
+		e.fired++
+		e.highWater = max(e.highWater, len(e.pq)+1)
+		e.skips++
+		return
+	}
+	e.postProc(t, p)
+	p.park(why)
 }
 
 // DeadlockError is returned by Run when live procs remain but no events are
@@ -191,9 +231,12 @@ func (d *DeadlockError) Error() string {
 // Run executes the simulation until no work remains: all procs have finished
 // and the event queue is empty (cancelled timers are ignored). It returns a
 // *DeadlockError if procs remain parked with no pending events, and nil on a
-// clean completion. Run must not be called reentrantly. A panic in a proc
-// body, or in a handler fired while a proc drives the loop, resurfaces here
-// on Run's caller; an engine that panicked is dead and must not be run again.
+// clean completion. Run must not be called reentrantly. Once a proc parks it
+// drives the loop (see park), and Run resumes only when that proc dies or
+// yields because the engine stopped or ran out of events. A panic in a proc
+// body (a nested one included), or in a handler fired while a proc drives
+// the loop, resurfaces here on Run's caller; an engine that panicked is dead
+// and must not be run again.
 func (e *Engine) Run() error {
 	if e.running {
 		panic("sim: Run called reentrantly")
@@ -212,7 +255,7 @@ func (e *Engine) Run() error {
 			continue
 		}
 		// No ready procs, no events.
-		if e.nprocs > 0 {
+		if len(e.procRegistry) > 0 {
 			return e.deadlock()
 		}
 		return nil
@@ -220,14 +263,15 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// runProc hands the baton to p until it parks, yields, or dies.
-func (e *Engine) runProc(p *Proc) {
+// runProc hands the baton to p until it parks, yields, or dies. nested is
+// set when the caller is a parked proc rather than Run (see park).
+func (e *Engine) runProc(p *Proc, nested bool) {
 	p.queued = false
+	p.nested = nested
 	e.cur = p
 	p.next()
 	e.cur = nil
 	if p.dead {
-		e.nprocs--
 		e.unregister(p)
 	}
 }
@@ -236,7 +280,7 @@ func (e *Engine) runProc(p *Proc) {
 // current instant completes before the clock advances.
 func (e *Engine) drainReady() {
 	for e.ready.Len() > 0 && !e.stopped {
-		e.runProc(e.ready.Pop())
+		e.runProc(e.ready.Pop(), false)
 	}
 }
 
@@ -298,7 +342,7 @@ func (e *Engine) unregister(p *Proc) {
 }
 
 func (e *Engine) deadlock() *DeadlockError {
-	d := &DeadlockError{Time: e.now, NumLive: e.nprocs}
+	d := &DeadlockError{Time: e.now, NumLive: len(e.procRegistry)}
 	for _, p := range e.procRegistry {
 		if !p.dead && p.parked {
 			d.Parked = append(d.Parked, p.name+": "+p.why)
@@ -319,7 +363,7 @@ func (e *Engine) QueueHighWater() int { return e.highWater }
 // LiveProcs reports spawned procs whose bodies have not returned. A nonzero
 // value after RunUntil means the run did not complete within the horizon —
 // the virtual-time watchdog signal used by the chaos harness.
-func (e *Engine) LiveProcs() int { return e.nprocs }
+func (e *Engine) LiveProcs() int { return len(e.procRegistry) }
 
 // ParkedProcs lists "name: reason" for every live parked proc, sorted, for
 // watchdog diagnostics.

@@ -684,3 +684,244 @@ func TestProcSpawnedByHandlerRunsBeforeParkerResumes(t *testing.T) {
 		t.Errorf("trace = %v, want %v", trace, want)
 	}
 }
+
+// ---- a wake that is next skips the queue ----
+//
+// A Sleep or Yield whose wake would be the next event advances the clock in
+// place. These tests pin the cases where that must not happen, or must look
+// exactly as if the wake had gone through the queue.
+
+func TestSleepWakeTyingAnEventFiresAfterIt(t *testing.T) {
+	e := NewEngine()
+	var trace []string
+	at := func(who string) { trace = append(trace, fmt.Sprintf("%s@%v", who, e.Now())) }
+	e.At(10*Microsecond, func() { at("event") })
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(5 * Microsecond) // strictly before the event
+		at("sleeper")
+		p.Sleep(5 * Microsecond) // ties it: the event was posted first
+		at("sleeper")
+		p.Yield() // nothing pending at now
+		at("sleeper")
+	})
+	mustRun(t, e)
+	if want := []string{"sleeper@5us", "event@10us", "sleeper@10us", "sleeper@10us"}; !reflect.DeepEqual(trace, want) {
+		t.Errorf("trace = %v, want %v", trace, want)
+	}
+	// Each wake took an ordinal, queued or not: the next post gets the 5th.
+	if e.EventsFired() != 4 || e.QueueHighWater() != 2 || e.ReserveSeq(0) != 4 {
+		t.Errorf("fired %d, high-water %d, next ordinal %d; want 4, 2, 4", e.EventsFired(), e.QueueHighWater(), e.ReserveSeq(0))
+	}
+}
+
+func TestSleepWhileAnotherProcIsReadyWaitsItsTurn(t *testing.T) {
+	e := NewEngine()
+	var trace []string
+	for _, name := range []string{"a", "b"} {
+		e.Spawn(name, func(p *Proc) {
+			trace = append(trace, fmt.Sprintf("%s@%v", name, p.Now()))
+			p.Sleep(1 * Microsecond) // a: b is ready and must run at 0 first
+			trace = append(trace, fmt.Sprintf("%s@%v", name, p.Now()))
+		})
+	}
+	mustRun(t, e)
+	if want := []string{"a@0ps", "b@0ps", "a@1us", "b@1us"}; !reflect.DeepEqual(trace, want) {
+		t.Errorf("trace = %v, want %v", trace, want)
+	}
+}
+
+func TestRunUntilHorizonBeforeTheWake(t *testing.T) {
+	e := NewEngine()
+	var wakes []Time
+	e.Spawn("sleeper", func(p *Proc) {
+		for _, d := range []Time{2 * Microsecond, 10 * Microsecond} {
+			p.Sleep(d) // the first lands before the horizon, the second past it
+			wakes = append(wakes, p.Now())
+		}
+	})
+	if err := e.RunUntil(5 * Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 5*Microsecond || !reflect.DeepEqual(wakes, []Time{2 * Microsecond}) ||
+		!reflect.DeepEqual(e.ParkedProcs(), []string{"sleeper: sleep"}) {
+		t.Fatalf("at the horizon: now=%v wakes=%v parked=%v", e.Now(), wakes, e.ParkedProcs())
+	}
+	mustRun(t, e)
+	if want := []Time{2 * Microsecond, 12 * Microsecond}; !reflect.DeepEqual(wakes, want) || e.LiveProcs() != 0 {
+		t.Errorf("wakes = %v live=%d, want %v and a finished proc", wakes, e.LiveProcs(), want)
+	}
+}
+
+func TestStopFromHandlerHaltsASleepLoop(t *testing.T) {
+	e := NewEngine()
+	count := 0
+	e.Spawn("looper", func(p *Proc) {
+		for {
+			p.Sleep(1 * Microsecond)
+			count++
+		}
+	})
+	e.At(3500*Nanosecond, e.Stop)
+	e.At(10*Microsecond, func() { t.Error("event fired after Stop") })
+	mustRun(t, e)
+	if count != 3 || e.Now() != 3500*Nanosecond || e.LiveProcs() != 1 {
+		t.Errorf("count=%d now=%v live=%d, want 3 wakes and a stop at 3.5us", count, e.Now(), e.LiveProcs())
+	}
+}
+
+func TestHandlerSleepingAProcPanics(t *testing.T) {
+	e := NewEngine()
+	var w Waiter
+	var pr *Proc
+	var woke Time
+	e.Spawn("held", func(p *Proc) {
+		pr = p
+		w.Wait(p, "held")
+		woke = p.Now()
+	})
+	// When this handler fires, the queue is empty and nothing is ready.
+	e.At(5*Microsecond, func() {
+		r := mustPanic(t, func() { pr.Sleep(1 * Microsecond) })
+		if s, _ := r.(string); !strings.Contains(s, "handlers must not block") {
+			t.Errorf("panic = %v", r)
+		}
+		w.WakeAll()
+	})
+	mustRun(t, e)
+	if woke != 5*Microsecond {
+		t.Errorf("held proc woke at %v, want 5us", woke)
+	}
+}
+
+// ---- a parker resumes the next proc itself ----
+//
+// A parked proc runs the next ready proc from its own coroutine, and that
+// nested proc yields back to it when someone else must run. These tests pin
+// what must not depend on who resumed whom.
+
+func TestNestedProcReadiesItsCaller(t *testing.T) {
+	e := NewEngine()
+	var trace []string
+	at := func(what string) { trace = append(trace, fmt.Sprintf("%s@%v", what, e.Now())) }
+	var pw Waiter
+	e.Spawn("p", func(p *Proc) {
+		at("p start")
+		pw.Wait(p, "caller") // the baton goes to q
+		at("p woken")
+		p.Sleep(2 * Microsecond)
+		at("p done")
+	})
+	e.Spawn("q", func(q *Proc) {
+		at("q start")
+		pw.WakeOne()
+		at("q readied p")
+		q.Sleep(1 * Microsecond)
+		at("q done")
+	})
+	mustRun(t, e)
+	want := []string{"p start@0ps", "q start@0ps", "q readied p@0ps", "p woken@0ps", "q done@1us", "p done@2us"}
+	if !reflect.DeepEqual(trace, want) {
+		t.Errorf("trace = %v, want %v", trace, want)
+	}
+}
+
+func TestNestedProcSpawnsAndProcsDie(t *testing.T) {
+	e := NewEngine()
+	var trace []string
+	at := func(what string) { trace = append(trace, fmt.Sprintf("%s@%v", what, e.Now())) }
+	var w Waiter
+	e.Spawn("p", func(p *Proc) {
+		at("p start")
+		w.Wait(p, "r's wake")
+		at("p end")
+	})
+	e.Spawn("q", func(q *Proc) {
+		at("q start")
+		e.Spawn("r", func(*Proc) {
+			at("r runs")
+			w.WakeOne()
+		})
+		q.Sleep(1 * Microsecond)
+		at("q end")
+	})
+	mustRun(t, e)
+	want := []string{"p start@0ps", "q start@0ps", "r runs@0ps", "p end@0ps", "q end@1us"}
+	if !reflect.DeepEqual(trace, want) || e.LiveProcs() != 0 || len(e.procRegistry) != 0 {
+		t.Errorf("trace = %v live=%d registry=%d, want %v and none left", trace, e.LiveProcs(), len(e.procRegistry), want)
+	}
+}
+
+func TestNestedProcPanicSurfacesFromRun(t *testing.T) {
+	e := NewEngine()
+	var w Waiter
+	e.Spawn("caller", func(p *Proc) { w.Wait(p, "forever") })
+	e.Spawn("nested", func(q *Proc) {
+		q.Sleep(1 * Microsecond)
+		panic("nested boom")
+	})
+	if r := mustPanic(t, func() { e.Run() }); r != "nested boom" {
+		t.Errorf("Run panicked with %v, want the nested body's value", r)
+	}
+}
+
+func TestDeadlockWhileNested(t *testing.T) {
+	e := NewEngine()
+	var never Waiter
+	e.Spawn("caller", func(p *Proc) { never.Wait(p, "lost") })
+	e.Spawn("nested", func(q *Proc) {
+		q.Sleep(5 * Microsecond)
+		never.Wait(q, "lost too")
+	})
+	var d *DeadlockError
+	if err := e.Run(); !errors.As(err, &d) {
+		t.Fatalf("Run = %v, want DeadlockError", err)
+	}
+	if want := []string{"caller: lost", "nested: lost too"}; d.Time != 5*Microsecond || d.NumLive != 2 || !reflect.DeepEqual(d.Parked, want) {
+		t.Errorf("diagnostics = %+v, want %v at 5us", d, want)
+	}
+}
+
+func TestStopWhileNested(t *testing.T) {
+	e := NewEngine()
+	var w Waiter
+	count := 0
+	e.Spawn("caller", func(p *Proc) { w.Wait(p, "held") })
+	e.Spawn("nested", func(q *Proc) {
+		for {
+			q.Sleep(1 * Microsecond)
+			count++
+		}
+	})
+	e.At(3500*Nanosecond, e.Stop)
+	mustRun(t, e)
+	if count != 3 || e.Now() != 3500*Nanosecond || e.LiveProcs() != 2 {
+		t.Errorf("count=%d now=%v live=%d, want 3 wakes, a stop at 3.5us and both procs live", count, e.Now(), e.LiveProcs())
+	}
+}
+
+func TestRunUntilWhileNested(t *testing.T) {
+	e := NewEngine()
+	var w Waiter
+	var woke Time
+	e.Spawn("caller", func(p *Proc) {
+		w.Wait(p, "held")
+		woke = p.Now()
+	})
+	e.Spawn("nested", func(q *Proc) {
+		for i := 0; i < 3; i++ {
+			q.Sleep(10 * Microsecond)
+		}
+		w.WakeOne()
+	})
+	if err := e.RunUntil(15 * Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"caller: held", "nested: sleep"}; e.Now() != 15*Microsecond || !reflect.DeepEqual(e.ParkedProcs(), want) {
+		t.Fatalf("at the horizon: now=%v parked=%v, want %v", e.Now(), e.ParkedProcs(), want)
+	}
+	// Run, not the caller, resumes the once-nested proc now.
+	mustRun(t, e)
+	if woke != 30*Microsecond || e.LiveProcs() != 0 {
+		t.Errorf("caller woke at %v live=%d, want 30us and none left", woke, e.LiveProcs())
+	}
+}

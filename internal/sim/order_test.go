@@ -18,6 +18,12 @@ import (
 // forever to pin the DeadlockError text, and seed%4 == 3 runs in RunUntil
 // slices so horizons land inside parks.
 func orderScript(seed int64) uint64 {
+	digest, _ := orderRun(seed)
+	return digest
+}
+
+// orderRun is orderScript, also returning the engine's QueueHighWater.
+func orderRun(seed int64) (digest uint64, highWater int) {
 	e := NewEngine()
 	h := fnv.New64a()
 	step := func(who string) {
@@ -124,7 +130,7 @@ func orderScript(seed int64) uint64 {
 		}
 	}
 	step(fmt.Sprintf("end %v live %d", e.Run(), e.LiveProcs()))
-	return h.Sum64()
+	return h.Sum64(), e.QueueHighWater()
 }
 
 // orderDigests are orderScript's digests for seeds 0..23, recorded on the
@@ -145,6 +151,22 @@ func TestOrderOracle(t *testing.T) {
 	for seed, want := range orderDigests {
 		if got := orderScript(int64(seed)); got != want {
 			t.Errorf("seed %d: digest %#016x, want %#016x", seed, got, want)
+		}
+	}
+}
+
+// orderHighWater is QueueHighWater after orderRun for seeds 0..23, recorded
+// with every Sleep and Yield wake posted to the queue. A wake taken in place
+// must still count toward the depth its push would have reached.
+var orderHighWater = [...]int{
+	23, 26, 23, 30, 34, 25, 25, 30, 23, 27, 27, 25,
+	30, 43, 21, 16, 26, 23, 25, 28, 24, 29, 24, 37,
+}
+
+func TestOrderOracleQueueHighWater(t *testing.T) {
+	for seed, want := range orderHighWater {
+		if _, got := orderRun(int64(seed)); got != want {
+			t.Errorf("seed %d: QueueHighWater %d, want %d", seed, got, want)
 		}
 	}
 }

@@ -6,6 +6,12 @@
 // event queue is a min-heap tie-broken by insertion sequence, so a simulation
 // is bit-for-bit reproducible across runs and machines.
 //
+// Whoever holds the baton runs the event loop. Run starts it; after that a
+// proc that parks fires the next events and resumes the next ready proc from
+// its own coroutine, and a Sleep whose wake is the next event just advances
+// the clock. Either way the events and procs run in the order Run alone
+// would give them.
+//
 // The virtual clock counts integer picoseconds. At the bandwidths modeled in
 // this repository (hundreds of MB/s to tens of GB/s) per-byte service times
 // are fractions of a nanosecond; picoseconds keep the arithmetic exact enough
