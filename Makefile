@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check race fuzz cover benchcheck soak bench perf reproduce extra examples clean
+.PHONY: all build test vet check race fuzz cover benchcheck soak bench simbench perf reproduce extra examples clean
 
 all: vet test build
 
@@ -36,9 +36,9 @@ soak:
 # against its tiling/steering invariants, the bucketed matcher against the
 # naive linear reference, the eager-ring header cache against its flat
 # MRU-scan reference, the pin-down registration cache against its
-# flat-scan LRU reference, and the engine's timer heap (reserved-ordinal
-# blocks posted lazily included) against a stable sort by (fire time, post
-# ordinal).
+# flat-scan LRU reference, and the engine's radix event queue (reserved-
+# ordinal blocks posted lazily, ties, keys 2^62 apart and cancel-heavy
+# compaction included) against a stable sort by (fire time, post ordinal).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEvenStripes -fuzztime=$(FUZZTIME) ./internal/core
@@ -70,6 +70,11 @@ benchcheck:
 # One testing.B benchmark per paper figure, plus ablations.
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# The engine's own hot paths, pinned to one CPU, three runs each: the hold
+# model at the workloads' queue depths, post+fire, Sleep and a ping-pong.
+simbench:
+	taskset -c 1 $(GO) test -run '^$$' -bench 'Hold|PostFire|Sleep|PingPong' -count 3 ./internal/sim
 
 # The one speed yardstick: all six benchmark/ workloads at a fixed seed, then
 # benchhist appends the run to the tracked BENCH_history.json and prints the

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ib12x/internal/bench"
@@ -28,12 +29,12 @@ func main() {
 	flag.Parse()
 
 	o := bench.FigOpts{Quick: *quickFlag}
-	if err := run(*fig, o); err != nil {
+	if err := run(os.Stdout, *fig, o); err != nil {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
 		os.Exit(1)
 	}
 	if *extra {
-		if err := supplementary(o); err != nil {
+		if err := supplementary(os.Stdout, o); err != nil {
 			fmt.Fprintln(os.Stderr, "reproduce:", err)
 			os.Exit(1)
 		}
@@ -48,7 +49,7 @@ func main() {
 // RDMA-write eager ring vs send/recv small-message latency floor, the
 // pin-down registration cache cold/warm bandwidth split, and the "no
 // degradation on other NAS kernels" check.
-func supplementary(o bench.FigOpts) error {
+func supplementary(w io.Writer, o bench.FigOpts) error {
 	gens := []func(bench.FigOpts) (*stats.Table, error){
 		func(o bench.FigOpts) (*stats.Table, error) { return bench.CollectiveTable(bench.CollBcast, o) },
 		func(o bench.FigOpts) (*stats.Table, error) { return bench.CollectiveTable(bench.CollAllgather, o) },
@@ -80,12 +81,13 @@ func supplementary(o bench.FigOpts) error {
 		return err
 	}
 	for _, t := range tables {
-		fmt.Println(t)
+		fmt.Fprintln(w, t)
 	}
 	return nil
 }
 
-func run(fig string, o bench.FigOpts) error {
+// run prints the figure fig ("3".."12", "headline" or "all") to w.
+func run(w io.Writer, fig string, o bench.FigOpts) error {
 	type gen struct {
 		name  string
 		notes string
@@ -116,13 +118,13 @@ func run(fig string, o bench.FigOpts) error {
 	order := []string{"3", "4", "5", "6", "7", "8", "9", "10", "11", "12"}
 
 	if fig == "headline" || fig == "all" {
-		if err := headline(o); err != nil {
+		if err := headline(w, o); err != nil {
 			return err
 		}
 		if fig == "headline" {
 			return nil
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	var selected []string
 	for _, k := range order {
@@ -149,25 +151,25 @@ func run(fig string, o bench.FigOpts) error {
 	}
 	for i, k := range selected {
 		g := gens[k]
-		fmt.Printf("==== %s ====\n(%s)\n", g.name, g.notes)
-		fmt.Println(tables[i])
+		fmt.Fprintf(w, "==== %s ====\n(%s)\n", g.name, g.notes)
+		fmt.Fprintln(w, tables[i])
 	}
 	return nil
 }
 
-func headline(o bench.FigOpts) error {
+func headline(w io.Writer, o bench.FigOpts) error {
 	h, err := o.Measure()
 	if err != nil {
 		return err
 	}
-	fmt.Println("==== Headline numbers (paper §1 / §4.3) ====")
-	fmt.Printf("%-34s %10s %10s\n", "", "paper", "measured")
-	fmt.Printf("%-34s %10s %9.0f%%\n", "ping-pong latency improvement", "41%", h.LatencyImprovePct)
-	fmt.Printf("%-34s %10s %10.0f\n", "uni-dir peak, original (MB/s)", "1661", h.UniPeakOrig)
-	fmt.Printf("%-34s %10s %10.0f\n", "uni-dir peak, EPC (MB/s)", "2745", h.UniPeakEPC)
-	fmt.Printf("%-34s %10s %9.0f%%\n", "uni-dir improvement", "63-65%", h.UniGainPct)
-	fmt.Printf("%-34s %10s %10.0f\n", "bi-dir peak, original (MB/s)", "~3100", h.BiPeakOrig)
-	fmt.Printf("%-34s %10s %10.0f\n", "bi-dir peak, EPC (MB/s)", "5362", h.BiPeakEPC)
-	fmt.Printf("%-34s %10s %9.0f%%\n", "bi-dir improvement", "63-65%", h.BiGainPct)
+	fmt.Fprintln(w, "==== Headline numbers (paper §1 / §4.3) ====")
+	fmt.Fprintf(w, "%-34s %10s %10s\n", "", "paper", "measured")
+	fmt.Fprintf(w, "%-34s %10s %9.0f%%\n", "ping-pong latency improvement", "41%", h.LatencyImprovePct)
+	fmt.Fprintf(w, "%-34s %10s %10.0f\n", "uni-dir peak, original (MB/s)", "1661", h.UniPeakOrig)
+	fmt.Fprintf(w, "%-34s %10s %10.0f\n", "uni-dir peak, EPC (MB/s)", "2745", h.UniPeakEPC)
+	fmt.Fprintf(w, "%-34s %10s %9.0f%%\n", "uni-dir improvement", "63-65%", h.UniGainPct)
+	fmt.Fprintf(w, "%-34s %10s %10.0f\n", "bi-dir peak, original (MB/s)", "~3100", h.BiPeakOrig)
+	fmt.Fprintf(w, "%-34s %10s %10.0f\n", "bi-dir peak, EPC (MB/s)", "5362", h.BiPeakEPC)
+	fmt.Fprintf(w, "%-34s %10s %9.0f%%\n", "bi-dir improvement", "63-65%", h.BiGainPct)
 	return nil
 }

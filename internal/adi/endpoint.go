@@ -653,12 +653,11 @@ func (ep *Endpoint) sendEnvelope(conn *Conn, rail int, env *envelope, wireN int,
 		Signaled: true, Ctx: env,
 	}
 	if env.kind == envEager {
-		// Eager data is payload: it consults the port's corruption plan and
-		// carries the capture-time checksum. Control envelopes (RTS/CTS/FIN,
-		// credits, probes, message-based RMA) are VCRC-protected wire
-		// headers — never corrupted, so probes can always reintegrate.
-		wr.Payload, wr.CRC = true, env.crc
-		wr.NoCorrupt = env.noCorrupt
+		// Eager data is payload: it consults the port's corruption plan.
+		// Control envelopes (RTS/CTS/FIN, credits, probes, message-based
+		// RMA) are VCRC-protected wire headers — never corrupted, so probes
+		// can always reintegrate.
+		wr.Payload, wr.NoCorrupt = true, env.noCorrupt
 	}
 	ep.post(conn, rail, wr, posted)
 }

@@ -120,13 +120,9 @@ func (ep *Endpoint) PutBulk(peer, winID int, rkey uint32, off int, data []byte, 
 	for _, s := range plan {
 		var chunk []byte
 		var sv buf.View
-		var crc uint32
 		if !req.owner.Zero() {
 			sv = req.owner.Slice(s.Off, s.N).Retain()
 			chunk = sv.Bytes()
-			if ep.integrity != IntegrityOff {
-				crc = buf.Sum(chunk)
-			}
 		}
 		ep.charge(ep.m.CPUPostWQE + ep.m.DoorbellTime)
 		wrid := ep.nextWRID(func() {
@@ -141,7 +137,7 @@ func (ep *Endpoint) PutBulk(peer, winID int, rkey uint32, off int, data []byte, 
 		ep.post(conn, s.Rail, ib.SendWR{
 			WRID: wrid, Op: ib.OpRDMAWrite,
 			Data: chunk, N: s.N, RKey: rkey, RemoteOff: off + s.Off,
-			Signaled: true, Payload: true, CRC: crc,
+			Signaled: true, Payload: true,
 		}, nil)
 		ep.stats.StripesSent++
 		ep.trace(trace.KindRMA, peer, s.N, s.Rail)

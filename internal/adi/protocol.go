@@ -280,15 +280,9 @@ func (ep *Endpoint) handleCTS(env *envelope) {
 	for _, s := range plan {
 		var chunk []byte
 		var sv buf.View
-		var crc uint32
 		if !sreq.owner.Zero() {
 			sv = sreq.owner.Slice(s.Off, s.N).Retain()
 			chunk = sv.Bytes()
-			if ep.integrity != IntegrityOff {
-				// Per-chunk checksum: what the receiving HCA judges each
-				// stripe by. Covered by the whole-message charge in sendRTS.
-				crc = buf.Sum(chunk)
-			}
 		}
 		ep.charge(ep.m.CPUPostWQE + ep.m.DoorbellTime)
 		wrid := ep.nextWRID(func() {
@@ -301,7 +295,7 @@ func (ep *Endpoint) handleCTS(env *envelope) {
 		ep.post(conn, s.Rail, ib.SendWR{
 			WRID: wrid, Op: ib.OpRDMAWrite,
 			Data: chunk, N: s.N, RKey: rkey, RemoteOff: s.Off,
-			Signaled: true, Ctx: nil, Payload: true, CRC: crc, NoCorrupt: sreq.noCorrupt,
+			Signaled: true, Ctx: nil, Payload: true, NoCorrupt: sreq.noCorrupt,
 		}, nil)
 		ep.stats.StripesSent++
 		ep.trace(trace.KindStripeWrite, env.src, s.N, s.Rail)

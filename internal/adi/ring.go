@@ -125,7 +125,7 @@ func (ep *Endpoint) sendEagerRing(conn *Conn, req *Request) bool {
 		RKey: ring.rkey, RemoteOff: slot * ring.slotBytes,
 		Imm: uint64(slot), HasImm: true,
 		Signaled: true, Ctx: env,
-		Payload: true, Ring: true, CRC: env.crc, NoCorrupt: req.noCorrupt,
+		Payload: true, Ring: true, NoCorrupt: req.noCorrupt,
 	}, req)
 	ep.stats.EagerSent++
 	ep.stats.RingSends++

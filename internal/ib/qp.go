@@ -51,11 +51,6 @@ type SendWR struct {
 	// persistently bad rail is modeled by the counter striking fresh
 	// traffic until the health layer quarantines it).
 	NoCorrupt bool
-
-	// CRC is the capture-time payload checksum (buf.Sum over Data) carried
-	// on the wire when integrity verification is armed; zero when off. The
-	// receiving HCA model uses it to prove an injected fault detectable.
-	CRC uint32
 }
 
 // RecvWR is a receive-side work request. Buf may be nil to discard payload.
@@ -349,9 +344,13 @@ func (q *QP) PostSend(wr SendWR) error {
 	o.imm, o.hasImm, o.ctx = wr.Imm, wr.HasImm, wr.Ctx
 	o.mr = mr
 	o.wrid, o.signaled = wr.WRID, wr.Signaled
-	o.crc = wr.CRC
 	if wr.Payload && !wr.NoCorrupt {
 		o.stampCorrupt(q.Port.CorruptNext(wr.Ring, wr.Ctx != nil))
+		if q.realm.integrity && o.rejected() && len(o.data) > 0 {
+			// Only verifyTaint reads the checksum, and only on a descriptor
+			// the armed receiving HCA rejects: take it here, for that one.
+			o.crc = buf.Sum(o.data)
+		}
 	}
 	q.flow.SendCtx(wr.N, o, opDelivered, opAcked)
 	return nil
@@ -387,7 +386,8 @@ type wrOp struct {
 	// Atomic operands and result.
 	operand, swap, old uint64
 
-	// Integrity state: the capture-time checksum (verification armed), the
+	// Integrity state: the checksum of the payload at post (only on a
+	// descriptor an armed receiver rejects; zero otherwise), the
 	// corruption taint the port's plan assigned at post, and the verdict of
 	// the receiving HCA's check. integrityFail is written at delivery and
 	// read at ack — the same causal hand-off as effected.
@@ -423,10 +423,22 @@ func (o *wrOp) stampCorrupt(c hca.Corrupt) {
 	}
 }
 
+// rejected reports whether an armed receiving HCA rejects the descriptor's
+// image: it carries a flip or a header fault, and is not a torn ring slot
+// (whose bytes are late, not wrong).
+func (o *wrOp) rejected() bool {
+	return !o.torn && (o.flipMask != 0 || o.hdrTaint)
+}
+
 // verifyTaint is the receiving-HCA check's self-check: the corrupt image
-// must provably disagree with the capture-time checksum while the clean
+// must provably disagree with the checksum PostSend took while the clean
 // bytes still match it. Either failing is a model bug (a checksum that
-// cannot see the fault it is rejecting), never a simulated fault.
+// cannot see the fault it is rejecting), never a simulated fault. The
+// "capture" it checks against is the post, so it covers the source bytes
+// from post to delivery only. Before the post, adi's own checksums cover
+// them: an eager envelope's (stampPayloadCRC ↔ verifyEagerCRC) and, for
+// rendezvous stripes, the whole message's (sendRTS ↔ verifyAssembled).
+// One-sided stripes have no check before the post.
 func (o *wrOp) verifyTaint() {
 	if o.crc == 0 || len(o.data) == 0 {
 		return
@@ -489,7 +501,7 @@ func opDelivered(a any, t hca.Timing) {
 		return
 	}
 	armed := q.realm.integrity
-	if armed && !o.torn && (o.flipMask != 0 || o.hdrTaint) {
+	if armed && o.rejected() {
 		// The receiving HCA's ICRC check rejects the corrupt image: nothing
 		// is placed, no receive completes, and the ack carries the NAK
 		// (StatusIntegrityErr at opAcked). effected stays false — exactly a

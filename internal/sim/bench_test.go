@@ -78,8 +78,9 @@ func benchSteps(b *testing.B, shape func(func(e *Engine, step func()))) {
 func BenchmarkSleep(b *testing.B)    { benchSteps(b, sleeper) }
 func BenchmarkPingPong(b *testing.B) { benchSteps(b, pingPong) }
 
-// BenchmarkPostFire posts and fires one event at a time over a heap that
-// already holds depth far-future events.
+// BenchmarkPostFire posts and fires one event at a time over a queue that
+// already holds depth far-future events. Each post is the new minimum, which
+// flatters any queue; BenchmarkHold measures the traffic the queue serves.
 func BenchmarkPostFire(b *testing.B) {
 	for _, depth := range []int{10, 1000} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
@@ -102,6 +103,49 @@ func BenchmarkPostFire(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// BenchmarkHold is the classic hold model: depth events are pending, and
+// each one that fires posts a successor a random 0–65 535 ticks later, so
+// one op is one pop plus one push at a steady depth. The depths are the
+// average queue depths of the benchmark workloads: p2p_lat 3, p2p_bw and
+// coll_mix 22, chaos_routed 110, scale_ring 550.
+func BenchmarkHold(b *testing.B) {
+	for _, depth := range []int{3, 22, 110, 550} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			h := &hold{e: NewEngine(), left: b.N, x: 88172645463325252}
+			for i := 0; i < depth; i++ {
+				h.post()
+			}
+			b.ResetTimer()
+			if err := h.e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// hold is BenchmarkHold's state: the posts still to make and an xorshift
+// generator for the delays.
+type hold struct {
+	e    *Engine
+	left int
+	x    uint64
+}
+
+func (h *hold) post() {
+	h.x ^= h.x << 13
+	h.x ^= h.x >> 7
+	h.x ^= h.x << 17
+	h.e.PostCall(h.e.Now()+Time(h.x&0xFFFF), holdFire, h, 0, 0, 0)
+}
+
+func holdFire(a any, _, _, _ int64) {
+	if h := a.(*hold); h.left > 0 {
+		h.left--
+		h.post()
 	}
 }
 

@@ -40,11 +40,10 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	pq      []*Timer // 4-ary min-heap ordered by (at, seq); see event.go
 	free    []*Timer // recycled pooled timer nodes
-	ncancel int      // cancelled timers still in pq (lazy compaction)
+	ncancel int      // cancelled timers still queued (lazy compaction)
 
-	highWater int // deepest pq has been (telemetry)
+	highWater int // most timers ever queued at once (telemetry)
 
 	ready Ring[*Proc] // FIFO ready queue
 	cur   *Proc       // proc currently holding the baton (nil in handlers)
@@ -57,6 +56,10 @@ type Engine struct {
 	handoffs uint64 // procs a parker resumed itself instead of yielding to Run (telemetry)
 
 	procRegistry []*Proc // every live (spawned, not yet finished) proc, for deadlock diagnostics
+
+	// The event queue, ordered by (at, seq); see event.go. Last, so that
+	// its 64 bucket headers do not push the fields above apart.
+	q queue
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -203,11 +206,11 @@ func (p *Proc) Yield() {
 // in park.
 func (p *Proc) wakeAt(t Time, why string) {
 	e := p.eng
-	if e.cur == p && !e.stopped && e.ready.Len() == 0 && (len(e.pq) == 0 || t < e.pq[0].at) {
+	if e.cur == p && !e.stopped && e.ready.Len() == 0 && e.q.before(t) {
 		e.seq++
 		e.now = t
 		e.fired++
-		e.highWater = max(e.highWater, len(e.pq)+1)
+		e.highWater = max(e.highWater, e.q.n+1)
 		e.skips++
 		return
 	}
@@ -306,8 +309,8 @@ func (e *Engine) fireTimer(tm *Timer) {
 
 // fireNext pops and fires the next pending event, reporting whether one ran.
 func (e *Engine) fireNext() bool {
-	for len(e.pq) > 0 {
-		tm := e.heapPop()
+	for e.q.n > 0 {
+		tm := e.q.pop()
 		if tm.cancelled {
 			e.ncancel--
 			continue
@@ -315,6 +318,9 @@ func (e *Engine) fireNext() bool {
 		e.fireTimer(tm)
 		return true
 	}
+	// Popping cancelled timers may have carried the queue's last key past
+	// the clock; the queue is empty, so the clock is a valid last again.
+	e.q.last = e.now
 	return false
 }
 
@@ -357,7 +363,7 @@ func (e *Engine) deadlock() *DeadlockError {
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
 // QueueHighWater reports the most events that were ever pending at once,
-// cancelled ones included (telemetry: the depth the heap had to sift).
+// cancelled ones included (telemetry: the depth the queue had to sort).
 func (e *Engine) QueueHighWater() int { return e.highWater }
 
 // LiveProcs reports spawned procs whose bodies have not returned. A nonzero

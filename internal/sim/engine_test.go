@@ -374,14 +374,23 @@ func TestProcRegistryPruneKeepsDiagnostics(t *testing.T) {
 	}
 }
 
+// Delay shapes for heapScript, each aimed at one part of the radix queue.
+const (
+	shapeTicks  = iota // a few ticks, now and then up to 1000: ties decide most pops
+	shapeTies          // 0 or 1 tick: deep bucket 0 and redistributed ties
+	shapeBit62         // some keys 2^62 ahead: keys differing only in bit 62
+	shapeSpread        // up to 2^20 ticks: many lone-entry pops beside deep buckets
+	numShapes
+)
+
 // heapScript drives one engine with a seeded random mix of At, Post,
 // PostCall, reserved PostCallSeq blocks, Sleep and Cancel — n posts and a cancel pass before Run, then
 // follow-up posts and cancels from handlers and three sleeping procs — and
 // checks the firing order against the reference: a stable sort of the
-// surviving posts by (fire time, post ordinal). Delays are a few ticks, so
-// most instants hold several events and the ordinal decides. It returns how
-// many Cancel calls compacted the queue.
-func heapScript(t *testing.T, seed uint64, n, cancelPct int) (compactions int) {
+// surviving posts by (fire time, post ordinal). shape picks the delays; with
+// shapeTicks they are a few ticks, so most instants hold several events and
+// the ordinal decides. It returns how many Cancel calls compacted the queue.
+func heapScript(t *testing.T, seed uint64, n, cancelPct, shape int) (compactions int) {
 	type post struct {
 		at          Time
 		dead, fired bool
@@ -404,6 +413,17 @@ func heapScript(t *testing.T, seed uint64, n, cancelPct int) (compactions int) {
 		return len(posts) - 1
 	}
 	delay := func() Time {
+		switch shape {
+		case shapeTies:
+			return Time(rnd(2))
+		case shapeBit62:
+			if e.Now() < 1<<62 && rnd(4) == 0 {
+				return 1<<62 + Time(rnd(2))
+			}
+			return Time(rnd(4))
+		case shapeSpread:
+			return Time(rnd(1 << 20))
+		}
 		if rnd(8) == 0 {
 			return Time(rnd(1000))
 		}
@@ -440,14 +460,15 @@ func heapScript(t *testing.T, seed uint64, n, cancelPct int) (compactions int) {
 	}
 	cancel := func(h handle) {
 		p := &posts[h.id]
-		before := len(e.pq)
+		before := e.q.n
 		if got, want := h.tm.Cancel(), !p.dead && !p.fired; got != want {
 			t.Fatalf("Cancel(post %d) = %v, want %v", h.id, got, want)
 		}
 		p.dead = p.dead || !p.fired
-		if len(e.pq) < before {
+		if e.q.n < before {
 			compactions++
 		}
+		checkQueue(t, &e.q)
 	}
 	fire = func(id int) {
 		if p := &posts[id]; p.dead || p.fired || p.at != e.Now() {
@@ -501,23 +522,30 @@ func heapScript(t *testing.T, seed uint64, n, cancelPct int) (compactions int) {
 }
 
 // TestTimerHeapMatchesStableSort is the seeded property test of the one
-// event order: the 4-ary heap, the free list and lazy compaction together
-// fire exactly what a stable sort by fire time would.
+// event order: the radix queue, the free list and lazy compaction together
+// fire exactly what a stable sort by fire time would, under every delay
+// shape.
 func TestTimerHeapMatchesStableSort(t *testing.T) {
-	for seed := uint64(1); seed <= 40; seed++ {
-		if heapScript(t, seed, 200, 90) == 0 {
-			t.Errorf("seed %d: no Cancel compacted the queue", seed)
+	for shape := 0; shape < numShapes; shape++ {
+		for seed := uint64(1); seed <= 40; seed++ {
+			if heapScript(t, seed, 200, 90, shape) == 0 {
+				t.Errorf("shape %d seed %d: no Cancel compacted the queue", shape, seed)
+			}
 		}
 	}
 }
 
-// FuzzTimerHeap runs the same script on fuzzed sizes and cancel rates.
+// FuzzTimerHeap runs the same script on fuzzed sizes, cancel rates and
+// delay shapes.
 func FuzzTimerHeap(f *testing.F) {
-	f.Add(uint64(1), uint8(199), uint8(90))
-	f.Add(uint64(42), uint8(255), uint8(80))
-	f.Add(uint64(7), uint8(15), uint8(0))
-	f.Fuzz(func(t *testing.T, seed uint64, n, cancelPct uint8) {
-		heapScript(t, seed, int(n)+1, int(cancelPct)%101)
+	f.Add(uint64(1), uint8(199), uint8(90), uint8(shapeTicks))
+	f.Add(uint64(42), uint8(255), uint8(80), uint8(shapeTicks))
+	f.Add(uint64(7), uint8(15), uint8(0), uint8(shapeTicks))
+	f.Add(uint64(3), uint8(120), uint8(30), uint8(shapeTies))
+	f.Add(uint64(5), uint8(64), uint8(50), uint8(shapeBit62))
+	f.Add(uint64(9), uint8(255), uint8(95), uint8(shapeSpread))
+	f.Fuzz(func(t *testing.T, seed uint64, n, cancelPct, shape uint8) {
+		heapScript(t, seed, int(n)+1, int(cancelPct)%101, int(shape)%numShapes)
 	})
 }
 

@@ -1,16 +1,35 @@
 package sim
 
-// Event machinery for the hot path: a hand-inlined 4-ary min-heap over
-// pooled Timer nodes.
+// Event machinery for the hot path: a monotone radix queue over pooled Timer
+// nodes.
 //
-// The original implementation used container/heap over a slice of *Timer,
-// which costs an interface-boxing allocation per operation and one heap
-// allocation per At/After call; profile-wise those two were the largest
-// single source of both CPU (sift comparisons through interface dispatch)
-// and garbage in full-figure simulations. Here the heap is specialized:
+// Events fire in the total order (at, seq): fire time, then post ordinal.
+// The queue exploits what a discrete-event simulation guarantees: no event
+// is posted before the clock, so keys only ever arrive at or after the key
+// last popped. A radix queue sorts them lazily by how far they lie from it:
 //
-//   - 4-ary layout: shallower than binary (fewer cache-missing levels) with
-//     the 4 children adjacent in memory, a standard DES event-queue trick;
+//   - last is the key of the most recent pop. Bucket i > 0 holds the timers
+//     whose at differs from last first in bit i-1 (bits.Len64(at ^ last) ==
+//     i), as a plain slice in arrival order; a 64-bit mask marks the
+//     non-empty ones. Every key of a lower bucket is smaller than every key
+//     of a higher one, so the minimum lies in bucket 0 or the lowest
+//     non-empty bucket. Keys are never negative, so at ^ last has at most
+//     63 bits and 64 buckets cover them.
+//   - Bucket 0 holds the timers at exactly last, as a small binary heap
+//     ordered by seq. Equal fire times always share a bucket and end up
+//     here together, so ties fire in post order, reserved ordinals posted
+//     late (PostCallSeq) included.
+//   - Push is O(1): one append. Pop takes bucket 0's root; with bucket 0
+//     empty it takes the lowest non-empty bucket. A lone timer there is the
+//     minimum and pops directly (the common case on a shallow queue).
+//     Otherwise pop scans that bucket for its smallest (at, seq), pops it,
+//     makes its at the new last and redistributes the rest of the bucket
+//     into lower ones. Buckets above it keep their index under the new
+//     last, so each timer moves down at most 63 times however deep the
+//     queue.
+//
+// Around it:
+//
 //   - Timer nodes for handle-free events (Post, PostCall, Sleep, Yield) come
 //     from a per-engine free list and are recycled as soon as they fire, so
 //     steady-state scheduling allocates nothing;
@@ -19,12 +38,12 @@ package sim
 //     recycling under a live handle would let a stale Cancel kill an
 //     unrelated event), they are simply garbage-collected;
 //   - cancelled timers are compacted lazily: Cancel marks the node and the
-//     heap is rebuilt without them only once more than half the queue is
-//     dead, instead of carrying every corpse to the root one pop at a time.
+//     queue drops them only once more than half of it is dead, instead of
+//     carrying every corpse to the front one pop at a time.
 //
-// Event order is the total order (at, seq) — identical to the previous
-// implementation, so virtual timelines are bit-for-bit unchanged (the
-// determinism digests in internal/adi assert this).
+// DESIGN.md §8.4 has the measurements and the variants that lost to it.
+
+import "math/bits"
 
 // Timer is a handle to a scheduled event. It may be cancelled before firing.
 type Timer struct {
@@ -41,7 +60,7 @@ type Timer struct {
 	proc       *Proc
 
 	eng       *Engine // owning engine (for cancel bookkeeping); nil on pooled nodes
-	queued    bool    // currently in the heap (pending)
+	queued    bool    // currently in the queue (pending)
 	pooled    bool    // node belongs to the engine free list
 	cancelled bool
 }
@@ -59,8 +78,9 @@ func (tm *Timer) Cancel() bool {
 	tm.cancelled = true
 	if e := tm.eng; e != nil {
 		e.ncancel++
-		if e.ncancel > len(e.pq)/2 && len(e.pq) >= compactFloor {
-			e.compact()
+		if e.ncancel > e.q.n/2 && e.q.n >= compactFloor {
+			e.q.compact()
+			e.ncancel = 0
 		}
 	}
 	return true
@@ -73,109 +93,179 @@ func (tm *Timer) When() Time { return tm.at }
 // below it the dead entries are cheaper to pop than to rebuild around.
 const compactFloor = 64
 
-// timerLess is the total order on events: fire time, then post order.
-func timerLess(a, b *Timer) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// ---- the monotone radix queue ----
+
+// queue holds the pending timers, cancelled ones included, in (at, seq)
+// order (see the file comment).
+type queue struct {
+	last Time         // key of the most recent pop; no pending key is before it
+	mask uint64       // bit i set iff b[i] is non-empty
+	n    int          // pending timers
+	b    [64][]*Timer // b[0]: at == last, a heap by seq; b[i]: bits.Len64(at^last) == i
+}
+
+// put appends tm, whose key must not be before last, to its bucket and
+// returns the bucket's index. A caller that gets 0 sifts tm up bucket 0's
+// heap; leaving that to the caller keeps put small enough to inline.
+func (q *queue) put(tm *Timer) int {
+	i := bits.Len64(uint64(tm.at ^ q.last))
+	q.b[i] = append(q.b[i], tm)
+	q.mask |= 1 << i
+	return i
+}
+
+// pop removes and returns the first timer in (at, seq) order. The queue
+// must not be empty.
+func (q *queue) pop() *Timer {
+	if q.mask&1 != 0 {
+		return q.popZero()
 	}
-	return a.seq < b.seq
-}
-
-// ---- 4-ary heap (methods on Engine; the heap lives in e.pq) ----
-
-// heapPush stamps tm with its fire time and the next post ordinal — the
-// (at, seq) key — and queues it.
-func (e *Engine) heapPush(tm *Timer, t Time) {
-	e.seq++
-	e.heapPushSeq(tm, t, e.seq-1)
-}
-
-// heapPushSeq queues tm under an explicit (at, seq) key and tracks the
-// queue's high-water mark.
-func (e *Engine) heapPushSeq(tm *Timer, t Time, seq uint64) {
-	tm.at, tm.seq = t, seq
-	tm.queued = true
-	e.pq = append(e.pq, tm)
-	if len(e.pq) > e.highWater {
-		e.highWater = len(e.pq)
+	// Bucket 0 is empty, so the first timer is the lowest non-empty bucket's
+	// smallest (at, seq). Its at becomes last, and the bucket's other timers
+	// move to lower buckets under it.
+	i := bits.TrailingZeros64(q.mask)
+	b := q.b[i]
+	q.b[i] = b[:0]
+	q.mask &^= 1 << i
+	tm := b[0]
+	for _, x := range b[1:] {
+		if x.at < tm.at || x.at == tm.at && x.seq < tm.seq {
+			tm = x
+		}
 	}
-	e.siftUp(len(e.pq) - 1)
-}
-
-func (e *Engine) heapPop() *Timer {
-	h := e.pq
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	e.pq = h[:n]
-	if n > 0 {
-		e.siftDown(0)
+	q.last = tm.at
+	if len(b) == 1 {
+		b[0] = nil // a lone timer: nothing moves
+	} else {
+		for j, x := range b {
+			b[j] = nil
+			if x != tm && q.put(x) == 0 {
+				seqUp(q.b[0], len(q.b[0])-1)
+			}
+		}
 	}
-	top.queued = false
-	return top
+	q.n--
+	tm.queued = false
+	return tm
 }
 
-func (e *Engine) siftUp(i int) {
-	h := e.pq
-	tm := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !timerLess(tm, h[p]) {
+// popZero pops the root of bucket 0's heap.
+func (q *queue) popZero() *Timer {
+	z := q.b[0]
+	tm := z[0]
+	k := len(z) - 1
+	z[0] = z[k]
+	z[k] = nil
+	z = z[:k]
+	q.b[0] = z
+	if k == 0 {
+		q.mask &^= 1
+	} else {
+		seqDown(z)
+	}
+	q.n--
+	tm.queued = false
+	return tm
+}
+
+// before reports whether t is strictly before every pending key. t must not
+// be before last; a tie is not before. A non-empty bucket 0 holds last, and
+// last <= t.
+func (q *queue) before(t Time) bool {
+	return q.mask == 0 || q.mask&1 == 0 && t < q.lowest()
+}
+
+// lowest is the smallest fire time in the lowest non-empty bucket: its lone
+// entry's, or found by a scan.
+func (q *queue) lowest() Time {
+	b := q.b[bits.TrailingZeros64(q.mask)]
+	m := b[0].at
+	for _, tm := range b[1:] {
+		m = min(m, tm.at)
+	}
+	return m
+}
+
+// compact drops every cancelled timer. last does not move, so each live
+// timer keeps its bucket; bucket 0 is rebuilt as a heap.
+func (q *queue) compact() {
+	for m := q.mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		b := q.b[i]
+		live := b[:0]
+		for _, tm := range b {
+			if tm.cancelled {
+				tm.queued = false
+				continue
+			}
+			live = append(live, tm)
+			if i == 0 {
+				seqUp(live, len(live)-1)
+			}
+		}
+		clear(b[len(live):])
+		q.n -= len(b) - len(live)
+		q.b[i] = live
+		if len(live) == 0 {
+			q.mask &^= 1 << i
+		}
+	}
+}
+
+// seqUp restores bucket 0's heap order after h[j] was added.
+func seqUp(h []*Timer, j int) {
+	tm := h[j]
+	for j > 0 {
+		p := (j - 1) >> 1
+		if h[p].seq <= tm.seq {
 			break
 		}
-		h[i] = h[p]
-		i = p
+		h[j] = h[p]
+		j = p
 	}
-	h[i] = tm
+	h[j] = tm
 }
 
-func (e *Engine) siftDown(i int) {
-	h := e.pq
+// seqDown restores bucket 0's heap order after its root was replaced.
+func seqDown(h []*Timer) {
 	n := len(h)
-	tm := h[i]
+	tm := h[0]
+	j := 0
 	for {
-		c := i<<2 + 1
+		c := 2*j + 1
 		if c >= n {
 			break
 		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
+		if c+1 < n && h[c+1].seq < h[c].seq {
+			c++
 		}
-		for j := c + 1; j < end; j++ {
-			if timerLess(h[j], h[m]) {
-				m = j
-			}
-		}
-		if !timerLess(h[m], tm) {
+		if tm.seq <= h[c].seq {
 			break
 		}
-		h[i] = h[m]
-		i = m
+		h[j] = h[c]
+		j = c
 	}
-	h[i] = tm
+	h[j] = tm
 }
 
-// compact rebuilds the heap without cancelled entries.
-func (e *Engine) compact() {
-	h := e.pq
-	live := h[:0]
-	for _, tm := range h {
-		if tm.cancelled {
-			tm.queued = false
-			continue
-		}
-		live = append(live, tm)
+// push stamps tm with its fire time and the next post ordinal — the
+// (at, seq) key — and queues it.
+func (e *Engine) push(tm *Timer, t Time) {
+	e.seq++
+	e.pushSeq(tm, t, e.seq-1)
+}
+
+// pushSeq queues tm under an explicit (at, seq) key and tracks the queue's
+// high-water mark.
+func (e *Engine) pushSeq(tm *Timer, t Time, seq uint64) {
+	tm.at, tm.seq = t, seq
+	tm.queued = true
+	e.q.n++
+	if e.q.put(tm) == 0 {
+		seqUp(e.q.b[0], len(e.q.b[0])-1)
 	}
-	for i := len(live); i < len(h); i++ {
-		h[i] = nil
-	}
-	e.pq = live
-	e.ncancel = 0
-	for i := (len(live) - 2) >> 2; i >= 0; i-- {
-		e.siftDown(i)
+	if e.q.n > e.highWater {
+		e.highWater = e.q.n
 	}
 }
 
@@ -218,7 +308,7 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 		panic("sim: At called with a time in the past")
 	}
 	tm := &Timer{fn: fn, eng: e}
-	e.heapPush(tm, t)
+	e.push(tm, t)
 	return tm
 }
 
@@ -239,7 +329,7 @@ func (e *Engine) Post(t Time, fn func()) {
 	}
 	tm := e.alloc()
 	tm.fn = fn
-	e.heapPush(tm, t)
+	e.push(tm, t)
 }
 
 // PostAfter schedules fn to run d ticks from now, without a handle.
@@ -259,7 +349,7 @@ func (e *Engine) PostCall(t Time, fn func(a any, i0, i1, i2 int64), a any, i0, i
 	}
 	tm := e.alloc()
 	tm.afn, tm.a, tm.i0, tm.i1, tm.i2 = fn, a, i0, i1, i2
-	e.heapPush(tm, t)
+	e.push(tm, t)
 }
 
 // ReserveSeq sets aside n consecutive post ordinals and returns the first.
@@ -286,7 +376,7 @@ func (e *Engine) PostCallSeq(t Time, seq uint64, fn func(a any, i0, i1, i2 int64
 	}
 	tm := e.alloc()
 	tm.afn, tm.a, tm.i0, tm.i1, tm.i2 = fn, a, i0, i1, i2
-	e.heapPushSeq(tm, t, seq)
+	e.pushSeq(tm, t, seq)
 }
 
 // postProc schedules p to be readied at t — the allocation-free core of
@@ -294,5 +384,5 @@ func (e *Engine) PostCallSeq(t Time, seq uint64, fn func(a any, i0, i1, i2 int64
 func (e *Engine) postProc(t Time, p *Proc) {
 	tm := e.alloc()
 	tm.proc = p
-	e.heapPush(tm, t)
+	e.push(tm, t)
 }

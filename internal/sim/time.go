@@ -3,8 +3,8 @@
 // The engine drives a set of processes (iter.Pull coroutines, resumed one at
 // a time) and timed event handlers over a virtual clock. Exactly one
 // runnable entity executes at any instant, the ready queue is FIFO and the
-// event queue is a min-heap tie-broken by insertion sequence, so a simulation
-// is bit-for-bit reproducible across runs and machines.
+// event queue pops by fire time, tie-broken by insertion sequence, so a
+// simulation is bit-for-bit reproducible across runs and machines.
 //
 // Whoever holds the baton runs the event loop. Run starts it; after that a
 // proc that parks fires the next events and resumes the next ready proc from
