@@ -17,13 +17,13 @@ vet:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 
 # Full pre-merge gate: vet + the whole suite + the race detector over the
-# hot-path packages + the fuzz corpus + the statement-coverage floor + the
+# hot-path packages and the NAS kernels + the fuzz corpus + the statement-coverage floor + the
 # nested benchmark module.
 check: vet test race fuzz cover benchcheck
 
 race:
-	$(GO) test -race ./internal/sim/... ./internal/adi/... ./internal/core/... ./internal/mpi/... ./internal/chaos/... ./internal/buf/... ./internal/harness/... ./internal/regcache/... ./internal/fabric/... ./internal/topo/... ./internal/hca/... ./internal/ib/... ./internal/trace/... ./internal/shmem/...
-	$(GO) test -race -run 'TestLaneColl|TestEagerLatencyTable' ./internal/bench/
+	$(GO) test -race ./internal/sim/... ./internal/adi/... ./internal/core/... ./internal/mpi/... ./internal/chaos/... ./internal/buf/... ./internal/harness/... ./internal/regcache/... ./internal/fabric/... ./internal/topo/... ./internal/hca/... ./internal/ib/... ./internal/trace/... ./internal/shmem/... ./internal/nas/...
+	$(GO) test -race -run 'TestLaneColl|TestEagerLatencyTable|TestNASFig' ./internal/bench/
 
 # Self-healing soak: the full chaos conformance matrix with the rail
 # reliability layer armed, the health state machine and replay tests, and
@@ -38,7 +38,8 @@ soak:
 # MRU-scan reference, the pin-down registration cache against its
 # flat-scan LRU reference, and the engine's radix event queue (reserved-
 # ordinal blocks posted lazily, ties, keys 2^62 apart and cancel-heavy
-# compaction included) against a stable sort by (fire time, post ordinal).
+# compaction included) against a stable sort by (fire time, post ordinal),
+# and the NAS FT's planned FFT against the unplanned recurrence, bit for bit.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEvenStripes -fuzztime=$(FUZZTIME) ./internal/core
@@ -50,8 +51,10 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTimerHeap -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzChunkChecksum -fuzztime=$(FUZZTIME) ./internal/buf
 	$(GO) test -run='^$$' -fuzz=FuzzRouteTable -fuzztime=$(FUZZTIME) ./internal/fabric
+	$(GO) test -run='^$$' -fuzz=FuzzFFT -fuzztime=$(FUZZTIME) ./internal/nas
 
-# Statement-coverage floor over the deterministic-simulation core. The gate
+# Statement-coverage floor over the deterministic-simulation core and the
+# NAS kernels. The gate
 # fails when coverage drops below COVERAGE.txt; re-record the floor with
 #   go run ./cmd/covergate -record
 # only when a PR legitimately moves it. The profile goes to a temp path so
@@ -59,7 +62,7 @@ fuzz:
 cover:
 	@prof=$$(mktemp -t ib12x-cover-XXXXXX.out); \
 	trap 'rm -f $$prof' EXIT; \
-	$(GO) test -coverprofile=$$prof ./internal/core ./internal/adi ./internal/sim ./internal/chaos ./internal/buf ./internal/harness ./internal/regcache ./internal/fabric ./internal/topo ./internal/hca ./internal/mpi ./internal/shmem && \
+	$(GO) test -coverprofile=$$prof ./internal/core ./internal/adi ./internal/sim ./internal/chaos ./internal/buf ./internal/harness ./internal/regcache ./internal/fabric ./internal/topo ./internal/hca ./internal/mpi ./internal/shmem ./internal/nas && \
 	$(GO) run ./cmd/covergate -profile $$prof -floor COVERAGE.txt
 
 # benchmark/ is its own Go module, so `go test ./...` at the root never

@@ -126,7 +126,7 @@ func readProfile(path string, covered map[block]bool) error {
 // readFloor parses the floor percentage, tolerating comments and blank lines.
 // floorHeader keeps the floor file self-documenting across -record
 // rewrites (readFloor skips # lines).
-const floorHeader = `# Statement-coverage floor for internal/{core,adi,sim,chaos,buf,harness,regcache,fabric,topo,hca,mpi,shmem},
+const floorHeader = `# Statement-coverage floor for internal/{core,adi,sim,chaos,buf,harness,regcache,fabric,topo,hca,mpi,shmem,nas},
 # enforced by ` + "`make cover`" + ` (cmd/covergate). Re-record with
 #   go run ./cmd/covergate -record
 # only when a PR legitimately moves coverage.

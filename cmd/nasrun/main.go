@@ -1,5 +1,5 @@
-// Command nasrun executes one NAS Parallel Benchmark kernel (IS or FT) on
-// the simulated cluster and reports the timed-region result, or sweeps the
+// Command nasrun executes one NAS Parallel Benchmark kernel (IS, FT, EP,
+// CG, MG or the LU wavefront) on the simulated cluster and reports the timed-region result, or sweeps the
 // full kernel x class x layout x policy x eager-protocol matrix.
 //
 // Examples:
@@ -114,6 +114,10 @@ func main() {
 		fmt.Printf("  time     = %.4f s (virtual)\n", res.Elapsed.Seconds())
 		for i, chk := range res.Checksums {
 			fmt.Printf("  checksum[%d] = %.10e %+.10ei\n", i+1, real(chk), imag(chk))
+		}
+		fmt.Printf("  verified = %v\n", res.Verified)
+		if !res.Verified {
+			os.Exit(1)
 		}
 	case "ep":
 		cl, err := nas.EPClassByName((*class)[0])

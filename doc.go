@@ -10,8 +10,9 @@
 // layer with eager/rendezvous protocols and the paper's communication
 // marker (internal/adi), the multi-rail scheduling policies including EPC
 // (internal/core), an MPI interface with point-to-point and collective
-// operations (internal/mpi), and the two NAS Parallel Benchmarks of the
-// evaluation, IS and FT (internal/nas).
+// operations (internal/mpi), and the NAS Parallel Benchmarks: the
+// evaluation's IS and FT, plus EP, CG, MG and an LU wavefront
+// (internal/nas).
 //
 // The benchmarks in bench_test.go regenerate every figure of the paper's
 // evaluation; cmd/reproduce prints them as tables. See README.md for a

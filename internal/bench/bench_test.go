@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -283,6 +284,24 @@ func TestNASFigTable(t *testing.T) {
 			if _, ok := s.At(np); !ok {
 				t.Errorf("series %q missing np=%d", series, np)
 			}
+		}
+	}
+}
+
+// TestNASFigSerialParallelIdentical pins determinism of the NAS figures'
+// fan-out: one worker and two give the same table, value for value.
+func TestNASFigSerialParallelIdentical(t *testing.T) {
+	for _, kernel := range []byte{'I', 'F'} {
+		serial, err := nasFig(1, kernel, 'S', quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel, err := nasFig(2, kernel, 'S', quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("%c: serial/parallel tables diverge:\n--- serial ---\n%s--- parallel ---\n%s", kernel, serial.Format(), parallel.Format())
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ib12x/internal/core"
+	"ib12x/internal/harness"
 	"ib12x/internal/mpi"
 	"ib12x/internal/nas"
 	"ib12x/internal/stats"
@@ -175,23 +176,42 @@ func Fig8(o FigOpts) (*stats.Table, error) {
 // (2, 4, 8 on two nodes, as 2×1, 2×2, 2×4) for the single-rail original and
 // 4-QP EPC. kernel is 'I' (IS) or 'F' (FT); class 'S'..'C'.
 func NASFig(kernel, class byte, o FigOpts) (*stats.Table, error) {
+	return nasFig(harness.Workers(), kernel, class, o)
+}
+
+// nasCell is one NASFig configuration: a setup at a processes-per-node.
+type nasCell struct {
+	s   Setup
+	ppn int
+}
+
+// nasFig is NASFig with an explicit worker count. Each cell is its own
+// simulation, so the six fan out over the harness pool; the determinism
+// suite pins serial/parallel bit-identity on it.
+func nasFig(workers int, kernel, class byte, o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
 	title := map[byte]string{'I': "Integer Sort", 'F': "Fourier Transform"}[kernel]
 	t := &stats.Table{
 		Title:  fmt.Sprintf("NAS %s, class %c", title, class),
 		XLabel: "Procs", Unit: "s",
 	}
+	var cells []nasCell
 	for _, s := range []Setup{
 		{QPs: 1, Policy: core.Original},
 		{QPs: 4, Policy: core.EPC},
 	} {
 		for _, ppn := range []int{1, 2, 4} {
-			sec, err := RunNAS(kernel, class, 2, ppn, s.QPs, s.Policy)
-			if err != nil {
-				return nil, err
-			}
-			t.Add(s.Label(), 2*ppn, sec)
+			cells = append(cells, nasCell{s, ppn})
 		}
+	}
+	secs, err := harness.MapN(workers, cells, func(c nasCell) (float64, error) {
+		return RunNAS(kernel, class, 2, c.ppn, c.s.QPs, c.s.Policy)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range cells {
+		t.Add(c.s.Label(), 2*c.ppn, secs[i])
 	}
 	return t, nil
 }

@@ -3,6 +3,7 @@ package nas
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ib12x/internal/mpi"
 	"ib12x/internal/sim"
@@ -59,11 +60,15 @@ type CGResult struct {
 	Verified bool
 }
 
-// sparseRows is a rank's block of the matrix in CSR-ish form.
+// sparseRows is a rank's block of the matrix in CSR form: row i's
+// entries are cols[rowPtr[i]:rowPtr[i+1]] and the matching vals, in the
+// order the generator produced them (the order each row's matvec sum
+// runs in).
 type sparseRows struct {
 	rowStart int // first global row of the block
-	colIdx   [][]int32
-	values   [][]float64
+	rowPtr   []int
+	cols     []int32
+	vals     []float64
 }
 
 // buildMatrix constructs the rank's row block of a symmetric, diagonally
@@ -77,9 +82,6 @@ func buildMatrix(class CGClass, rank, p int) *sparseRows {
 	if rank == p-1 {
 		rows = n - start
 	}
-	m := &sparseRows{rowStart: start}
-	m.colIdx = make([][]int32, rows)
-	m.values = make([][]float64, rows)
 	// Random strides shared by all rows: row i connects to i±s_k, so the
 	// pattern is trivially symmetric (a randomly banded ring).
 	nstr := class.Nonzer / 2
@@ -87,20 +89,24 @@ func buildMatrix(class CGClass, rank, p int) *sparseRows {
 	for k := range strides {
 		strides[k] = int(mulpow(lcgA, uint64(3*k+5))%uint64(n-1)) + 1
 	}
+	perRow := 2*nstr + 1
+	m := &sparseRows{
+		rowStart: start,
+		rowPtr:   make([]int, 1, rows+1),
+		cols:     make([]int32, 0, rows*perRow),
+		vals:     make([]float64, 0, rows*perRow),
+	}
 	for i := 0; i < rows; i++ {
 		gi := start + i
-		cols := make([]int32, 0, 2*nstr+1)
-		vals := make([]float64, 0, 2*nstr+1)
-		seen := map[int32]bool{int32(gi): true}
+		first := len(m.cols)
 		var offDiagSum float64
 		add := func(j int) {
-			if seen[int32(j)] {
+			if j == gi || slices.Contains(m.cols[first:], int32(j)) {
 				return
 			}
-			seen[int32(j)] = true
 			v := symVal(gi, j, n)
-			cols = append(cols, int32(j))
-			vals = append(vals, v)
+			m.cols = append(m.cols, int32(j))
+			m.vals = append(m.vals, v)
 			offDiagSum += math.Abs(v)
 		}
 		for _, str := range strides {
@@ -108,10 +114,9 @@ func buildMatrix(class CGClass, rank, p int) *sparseRows {
 			add((gi - str + n) % n)
 		}
 		// Diagonal dominance makes A SPD.
-		cols = append(cols, int32(gi))
-		vals = append(vals, offDiagSum+1+float64(class.Shift)/10)
-		m.colIdx[i] = cols
-		m.values[i] = vals
+		m.cols = append(m.cols, int32(gi))
+		m.vals = append(m.vals, offDiagSum+1+float64(class.Shift)/10)
+		m.rowPtr = append(m.rowPtr, len(m.cols))
 	}
 	return m
 }
@@ -142,10 +147,9 @@ func RunCG(c *mpi.Comm, class CGClass) CGResult {
 	blockBytes := (n/p + p) * 8 // allgather block, padded for the tail rank
 
 	A := buildMatrix(class, rank, p)
-	nnz := 0
-	for i := range A.colIdx {
-		nnz += len(A.colIdx[i])
-	}
+	nnz := len(A.cols)
+	ex := &cgExchange{c: c, scalar: make([]float64, 1),
+		send: make([]byte, blockBytes), recv: make([]byte, blockBytes*p), blockBytes: blockBytes}
 
 	// Working vectors: x global estimate (replicated via allgather), local
 	// blocks for z, r, q; p is the replicated search direction.
@@ -170,7 +174,7 @@ func RunCG(c *mpi.Comm, class CGClass) CGResult {
 			rLoc[i] = x[start+i]
 		}
 		copy(pv, x)
-		rho := dot(c, rLoc, rLoc)
+		rho := ex.dot(rLoc, rLoc)
 		for it := 0; it < 25; it++ {
 			// q = A p (p replicated; matvec local; then dot products).
 			matvec(A, pv, qLoc)
@@ -179,24 +183,24 @@ func RunCG(c *mpi.Comm, class CGClass) CGResult {
 			for i := 0; i < rows; i++ {
 				dLoc += pv[start+i] * qLoc[i]
 			}
-			d := reduceScalar(c, dLoc)
+			d := ex.reduce(dLoc)
 			alpha := rho / d
 			for i := 0; i < rows; i++ {
 				zLoc[i] += alpha * pv[start+i]
 				rLoc[i] -= alpha * qLoc[i]
 			}
 			rho0 := rho
-			rho = dot(c, rLoc, rLoc)
+			rho = ex.dot(rLoc, rLoc)
 			beta := rho / rho0
 			// p = r + beta p, then re-replicate p via allgather.
 			for i := 0; i < rows; i++ {
 				qLoc[i] = rLoc[i] + beta*pv[start+i] // reuse qLoc as scratch
 			}
-			allgatherVec(c, qLoc, pv, blockBytes, rows, n)
+			ex.allgatherVec(qLoc, pv, n)
 			c.Compute(sim.Time(rows) * class.NnzCost)
 		}
 		// ||r|| for reporting.
-		res.Residual = math.Sqrt(dot(c, rLoc, rLoc))
+		res.Residual = math.Sqrt(ex.dot(rLoc, rLoc))
 
 		// zeta = shift + 1 / (x·z); x = z/||z||.
 		var xzLoc, zzLoc float64
@@ -211,7 +215,7 @@ func RunCG(c *mpi.Comm, class CGClass) CGResult {
 		for i := 0; i < rows; i++ {
 			qLoc[i] = zLoc[i] * norm
 		}
-		allgatherVec(c, qLoc, x, blockBytes, rows, n)
+		ex.allgatherVec(qLoc, x, n)
 	}
 
 	el := []int64{int64(c.Time() - t0)}
@@ -228,51 +232,63 @@ func RunCG(c *mpi.Comm, class CGClass) CGResult {
 
 // matvec computes q = A p for the local row block.
 func matvec(A *sparseRows, p []float64, q []float64) {
-	for i := range A.colIdx {
+	cols, vals := A.cols, A.vals
+	lo := 0
+	for i, hi := range A.rowPtr[1:] {
 		var sum float64
-		cols, vals := A.colIdx[i], A.values[i]
-		for k := range cols {
+		for k := lo; k < hi; k++ {
 			sum += vals[k] * p[cols[k]]
 		}
 		q[i] = sum
+		lo = hi
 	}
 }
 
+// cgExchange is one CG run's communication scratch, allocated once.
+type cgExchange struct {
+	c          *mpi.Comm
+	scalar     []float64 // the one-element Allreduce buffer
+	send, recv []byte    // allgatherVec's padded blocks
+	blockBytes int
+}
+
 // dot computes the global dot product of two distributed vectors.
-func dot(c *mpi.Comm, a, b []float64) float64 {
+func (e *cgExchange) dot(a, b []float64) float64 {
 	var local float64
 	for i := range a {
 		local += a[i] * b[i]
 	}
-	return reduceScalar(c, local)
+	return e.reduce(local)
 }
 
-func reduceScalar(c *mpi.Comm, v float64) float64 {
-	s := []float64{v}
-	c.AllreduceFloat64(s, mpi.Sum)
-	return s[0]
+// reduce sums one scalar across all ranks.
+func (e *cgExchange) reduce(v float64) float64 {
+	e.scalar[0] = v
+	e.c.AllreduceFloat64(e.scalar, mpi.Sum)
+	return e.scalar[0]
 }
 
-// allgatherVec re-replicates a block-distributed vector. Blocks are padded
-// to a fixed size so the collective is regular; the tail rank's extra rows
-// ride inside its padding and the unpack loop trims per rank.
-func allgatherVec(c *mpi.Comm, local []float64, global []float64, blockBytes, rows, n int) {
-	p := c.Size()
+// allgatherVec re-replicates a block-distributed vector of length n.
+// Blocks are padded to a fixed size so the collective is regular; the tail
+// rank's extra rows ride inside its padding and the unpack loop trims per
+// rank.
+func (e *cgExchange) allgatherVec(local []float64, global []float64, n int) {
+	p := e.c.Size()
 	base := n / p
-	send := make([]byte, blockBytes)
-	for i := 0; i < rows; i++ {
-		putU64(send[8*i:], math.Float64bits(local[i]))
+	for i, v := range local {
+		putU64(e.send[8*i:], math.Float64bits(v))
 	}
-	recv := make([]byte, blockBytes*p)
-	c.Allgather(send, blockBytes, recv)
+	e.c.Allgather(e.send, e.blockBytes, e.recv)
 	for r := 0; r < p; r++ {
 		rRows := base
 		rStart := r * base
 		if r == p-1 {
 			rRows = n - rStart
 		}
-		for i := 0; i < rRows; i++ {
-			global[rStart+i] = math.Float64frombits(getU64(recv[r*blockBytes+8*i:]))
+		dst := global[rStart : rStart+rRows]
+		src := e.recv[r*e.blockBytes:][:8*len(dst)]
+		for i := range dst {
+			dst[i] = math.Float64frombits(getU64(src[8*i:]))
 		}
 	}
 }

@@ -113,15 +113,22 @@ func TestCGZetaIndependentOfDecomposition(t *testing.T) {
 	}
 }
 
+// row returns row i's column indices and values.
+func (m *sparseRows) row(i int) ([]int32, []float64) {
+	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+	return m.cols[lo:hi], m.vals[lo:hi]
+}
+
 func TestCGMatrixSymmetric(t *testing.T) {
 	// Build the whole matrix single-block and check A == Aᵀ entry-wise.
 	class := CGClass{'T', 240, 7, 1, 10, 9}
 	m := buildMatrix(class, 0, 1)
 	type key struct{ i, j int32 }
 	entries := map[key]float64{}
-	for i := range m.colIdx {
-		for k, j := range m.colIdx[i] {
-			entries[key{int32(i), j}] = m.values[i][k]
+	for i := range m.rowPtr[1:] {
+		cols, vals := m.row(i)
+		for k, j := range cols {
+			entries[key{int32(i), j}] = vals[k]
 		}
 	}
 	for k, v := range entries {
@@ -137,13 +144,14 @@ func TestCGMatrixSymmetric(t *testing.T) {
 
 func TestCGMatrixDiagonallyDominant(t *testing.T) {
 	m := buildMatrix(CGClassS, 0, 1)
-	for i := range m.colIdx {
+	for i := range m.rowPtr[1:] {
 		var diag, off float64
-		for k, j := range m.colIdx[i] {
+		cols, vals := m.row(i)
+		for k, j := range cols {
 			if int(j) == i {
-				diag = m.values[i][k]
+				diag = vals[k]
 			} else {
-				off += math.Abs(m.values[i][k])
+				off += math.Abs(vals[k])
 			}
 		}
 		if diag <= off {

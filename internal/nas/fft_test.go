@@ -1,9 +1,11 @@
 package nas
 
 import (
+	"encoding/binary"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -103,6 +105,111 @@ func TestFFTImpulse(t *testing.T) {
 			t.Fatalf("bin %d = %v, want 1", i, v)
 		}
 	}
+}
+
+// fftReference is the transform without a plan: the bit-reversal scan and
+// the twiddle recurrence run inline on every call. The planned fft must
+// match it bit for bit.
+func fftReference(x []complex128, sign float64) {
+	n := len(x)
+	for i, j := 0, 0; i < n; i++ {
+		if i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+		m := n >> 1
+		for m >= 1 && j&m != 0 {
+			j ^= m
+			m >>= 1
+		}
+		j |= m
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		ang := sign * 2 * math.Pi / float64(size)
+		wstep := complex(math.Cos(ang), math.Sin(ang))
+		for start := 0; start < n; start += size {
+			w := complex(1, 0)
+			for k := 0; k < half; k++ {
+				a := x[start+k]
+				b := x[start+k+half] * w
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+				w *= wstep
+			}
+		}
+	}
+}
+
+// FuzzFFT checks the planned fft against fftReference bit for bit, for
+// every power-of-two length up to 4096 and both signs. raw overwrites the
+// leading real and imaginary parts with arbitrary float64 bit patterns, so
+// signed zeros, subnormals, infinities and NaNs get through too.
+func FuzzFFT(f *testing.F) {
+	f.Add(uint8(0), int64(1), false, []byte{})
+	f.Add(uint8(6), int64(7), true, []byte{0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint8(12), int64(42), false, []byte{1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
+	f.Fuzz(func(t *testing.T, logN uint8, seed int64, inverse bool, raw []byte) {
+		n := 1 << (logN % 13)
+		x := randomField(n, seed)
+		for i := 0; 8*i+8 <= len(raw) && i < 2*n; i++ {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+			if i%2 == 0 {
+				x[i/2] = complex(v, imag(x[i/2]))
+			} else {
+				x[i/2] = complex(real(x[i/2]), v)
+			}
+		}
+		sign := -1.0
+		if inverse {
+			sign = +1
+		}
+		want := append([]complex128(nil), x...)
+		fftReference(want, sign)
+		fft(x, sign)
+		if i := firstBitDiff(x, want); i >= 0 {
+			t.Fatalf("n=%d sign=%v bin %d: planned %v, reference %v", n, sign, i, x[i], want[i])
+		}
+	})
+}
+
+// firstBitDiff returns the first index where a and b differ in any bit,
+// or -1.
+func firstBitDiff(a, b []complex128) int {
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestFFTPlansConcurrent builds every plan from several goroutines at
+// once, as simulations running in parallel under the harness do, and
+// checks each transform against the reference. Under -race it also checks
+// that publishing a plan is synchronised.
+func TestFFTPlansConcurrent(t *testing.T) {
+	for i := range fftPlans {
+		fftPlans[i].Store(nil)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			for n := 2; n <= 4096; n <<= 1 {
+				x := randomField(n, seed)
+				want := append([]complex128(nil), x...)
+				fftReference(want, +1)
+				fft(x, +1)
+				if i := firstBitDiff(x, want); i >= 0 {
+					t.Errorf("n=%d bin %d: planned %v, reference %v", n, i, x[i], want[i])
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
 }
 
 func TestFFTRejectsNonPowerOfTwo(t *testing.T) {

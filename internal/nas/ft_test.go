@@ -2,6 +2,7 @@ package nas
 
 import (
 	"math/cmplx"
+	"slices"
 	"testing"
 
 	"ib12x/internal/core"
@@ -40,6 +41,45 @@ func TestFTClassSRuns(t *testing.T) {
 		if cmplx.Abs(chk) == 0 {
 			t.Errorf("iteration %d checksum is zero", i+1)
 		}
+	}
+}
+
+func TestFTVerifiesAgainstNPBReference(t *testing.T) {
+	// Class S matches NPB 3.x's published checksums on every
+	// decomposition the slab layout allows on two nodes.
+	var res FTResult
+	for _, ppn := range []int{1, 2, 4} {
+		res = runFT(t, FTClassS, 2, ppn, 4, core.EPC, false)
+		if !res.Verified {
+			t.Errorf("%d ranks: class S checksums %v do not match NPB", 2*ppn, res.Checksums)
+		}
+	}
+	// With no compute charge between transposes, a rank can pack its next
+	// transpose before a peer has unpacked the last one; the board's two
+	// slots must still hand every peer the right blocks.
+	free := FTClassS
+	free.PointCost = 0
+	if r := runFT(t, free, 2, 2, 4, core.EPC, false); !r.Verified {
+		t.Errorf("zero-cost class S checksums %v do not match NPB", r.Checksums)
+	}
+	// One checksum 1e-10 off in relative terms fails NPB's 1e-12 epsilon.
+	for i := range res.Checksums {
+		chks := slices.Clone(res.Checksums)
+		chks[i] *= complex(1+1e-10, 0)
+		if ftVerify(FTClassS, chks) {
+			t.Errorf("checksum %d off by 1e-10 still verified", i+1)
+		}
+	}
+	if ftVerify(FTClassS, res.Checksums[:5]) {
+		t.Error("a missing iteration verified")
+	}
+	// A grid without a bundled table only needs finite checksums.
+	custom := FTClass{'T', 32, 32, 32, 2, FTClassS.PointCost}
+	if !ftVerify(custom, []complex128{1, 2i}) {
+		t.Error("finite checksums of an unreferenced grid failed")
+	}
+	if ftVerify(custom, []complex128{1, cmplx.NaN()}) || ftVerify(custom, []complex128{cmplx.Inf(), 1}) {
+		t.Error("a non-finite checksum verified")
 	}
 }
 

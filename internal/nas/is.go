@@ -99,53 +99,67 @@ func RunIS(c *mpi.Comm, class ISClass, synthetic bool, board *isBoard) ISResult 
 	var recvKeys []int32
 	var myLo, myHi int // this rank's key range after the last iteration
 
+	// Scratch reused by every iteration.
+	local := make([]int64, nbuckets)  // this rank's bucket histogram
+	counts := make([]int64, nbuckets) // global bucket sizes (Allreduce in place)
+	owner := make([]int32, nbuckets)  // bucket -> owning rank
+	sendCounts := make([]int, p)
+	sdispls := make([]int, p)
+	fill := make([]int, p)
+	rdispls := make([]int, p)
+	sendKeys := make([]int32, nk)
+	var hist []int32
+	ex := newISExchange(p, synthetic, board)
+
 	for iter := 1; iter <= class.Iterations; iter++ {
 		// NPB modifies two keys each iteration.
 		keys[iter] = int32(iter)
 		keys[iter+class.Iterations] = int32(maxKey - iter)
 
 		// 1. Local bucket counts.
-		counts := make([]int64, nbuckets)
+		clear(local)
 		for _, k := range keys {
-			counts[int(k)>>shift]++
+			local[int(k)>>shift]++
 		}
 		c.Compute(nops(nk) * class.KeyCost)
 
 		// 2. Global bucket sizes.
+		copy(counts, local)
 		c.AllreduceInt64(counts, mpi.Sum)
 
 		// 3. Partition buckets over ranks: contiguous ranges with
 		// balanced cumulative key counts.
 		bounds := partitionBuckets(counts, p)
 
-		// 4. Redistribute keys: order the local keys by destination.
-		sendCounts := make([]int, p)
-		for _, k := range keys {
-			sendCounts[destOf(bounds, int(k)>>shift)]++
+		// 4. Redistribute keys: order the local keys by destination. A
+		// destination's count is the sum of the local histogram over the
+		// buckets it owns.
+		clear(sendCounts)
+		for b := range owner {
+			d := destOf(bounds, b)
+			owner[b] = int32(d)
+			sendCounts[d] += int(local[b])
 		}
-		sdispls := make([]int, p)
 		for j := 1; j < p; j++ {
 			sdispls[j] = sdispls[j-1] + sendCounts[j-1]
 		}
-		sendKeys := make([]int32, nk)
-		fill := append([]int(nil), sdispls...)
+		copy(fill, sdispls)
 		for _, k := range keys {
-			d := destOf(bounds, int(k)>>shift)
+			d := owner[int(k)>>shift]
 			sendKeys[fill[d]] = k
 			fill[d]++
 		}
 		c.Compute(nops(nk) * class.KeyCost)
 
 		// Exchange per-destination byte counts, then the keys.
-		recvCounts := exchangeCounts(c, sendCounts)
+		recvCounts := ex.counts(c, sendCounts)
 		total := 0
-		rdispls := make([]int, p)
 		for j := 0; j < p; j++ {
 			rdispls[j] = total
 			total += recvCounts[j]
 		}
-		recvKeys = make([]int32, total)
-		alltoallvKeys(c, synthetic, board, sendKeys, sendCounts, sdispls, recvKeys, recvCounts, rdispls)
+		recvKeys = grow(recvKeys, total)
+		ex.keys(c, sendKeys, sendCounts, sdispls, recvKeys, recvCounts, rdispls)
 
 		// 5. Local ranking (counting sort histogram over our range).
 		lo := 0
@@ -154,7 +168,8 @@ func RunIS(c *mpi.Comm, class ISClass, synthetic bool, board *isBoard) ISResult 
 		}
 		myLo, myHi = lo<<shift, bounds[rank]<<shift
 		span := myHi - myLo
-		hist := make([]int32, span)
+		hist = grow(hist, span)
+		clear(hist)
 		ok := true
 		for _, k := range recvKeys {
 			idx := int(k) - myLo
@@ -285,55 +300,83 @@ func destOf(bounds []int, bucket int) int {
 	return len(bounds) - 1
 }
 
-// exchangeCounts shares per-destination key counts (NPB uses an alltoall of
-// counts before the keys).
-func exchangeCounts(c *mpi.Comm, send []int) []int {
-	p := c.Size()
-	sendB := make([]byte, 8*p)
-	for j, v := range send {
-		putU64(sendB[8*j:], uint64(v))
+// grow returns v resliced to length n. When the capacity is short it
+// reallocates with an eighth to spare: an iteration's received key count
+// differs from the last one's by about a bucket, so the first allocation
+// is normally the only one. The contents are unspecified.
+func grow[T any](v []T, n int) []T {
+	if cap(v) < n {
+		return make([]T, n, n+n/8)
 	}
-	recvB := make([]byte, 8*p)
-	c.Alltoall(sendB, 8, recvB)
-	recv := make([]int, p)
-	for j := range recv {
-		recv[j] = int(getU64(recvB[8*j:]))
-	}
-	return recv
+	return v[:n]
 }
 
-// alltoallvKeys moves the keys. Real mode serialises int32 keys into the
-// simulated transport; synthetic mode sends length-only messages and moves
-// the keys through the shared board.
-func alltoallvKeys(c *mpi.Comm, synthetic bool, board *isBoard, send []int32, scounts, sdispls []int, recv []int32, rcounts, rdispls []int) {
+// isExchange is one IS run's redistribution scratch, allocated once and
+// grown to the largest iteration's needs.
+type isExchange struct {
+	synthetic      bool
+	board          *isBoard
+	countB         []byte // the count Alltoall's send and receive blocks
+	countR         []byte
+	recvCounts     []int
+	sb, sd, rb, rd []int  // byte counts and displacements
+	sendB, recvB   []byte // real mode's serialised keys
+}
+
+func newISExchange(p int, synthetic bool, board *isBoard) *isExchange {
+	return &isExchange{
+		synthetic: synthetic, board: board,
+		countB: make([]byte, 8*p), countR: make([]byte, 8*p), recvCounts: make([]int, p),
+		sb: make([]int, p), sd: make([]int, p), rb: make([]int, p), rd: make([]int, p),
+	}
+}
+
+// counts shares per-destination key counts (NPB uses an alltoall of counts
+// before the keys) and returns the per-source counts received.
+func (e *isExchange) counts(c *mpi.Comm, send []int) []int {
+	for j, v := range send {
+		putU64(e.countB[8*j:], uint64(v))
+	}
+	c.Alltoall(e.countB, 8, e.countR)
+	for j := range e.recvCounts {
+		e.recvCounts[j] = int(getU64(e.countR[8*j:]))
+	}
+	return e.recvCounts
+}
+
+// keys moves the keys. Real mode serialises int32 keys into the simulated
+// transport; synthetic mode sends length-only messages and moves the keys
+// through the shared board.
+//
+// A rank's board entries point into its send buffer, which the next
+// iteration refills. That is safe because the refill comes after the next
+// iteration's count Allreduce, which no rank can finish before every peer
+// has entered it, and each peer enters it only after copying its keys out.
+func (e *isExchange) keys(c *mpi.Comm, send []int32, scounts, sdispls []int, recv []int32, rcounts, rdispls []int) {
 	p := c.Size()
 	rank := c.Rank()
-	sb := make([]int, p)
-	sd := make([]int, p)
-	rb := make([]int, p)
-	rd := make([]int, p)
 	for j := 0; j < p; j++ {
-		sb[j], sd[j] = 4*scounts[j], 4*sdispls[j]
-		rb[j], rd[j] = 4*rcounts[j], 4*rdispls[j]
+		e.sb[j], e.sd[j] = 4*scounts[j], 4*sdispls[j]
+		e.rb[j], e.rd[j] = 4*rcounts[j], 4*rdispls[j]
 	}
-	if synthetic {
+	if e.synthetic {
 		for j := 0; j < p; j++ {
-			board.out[rank][j] = send[sdispls[j] : sdispls[j]+scounts[j]]
+			e.board.out[rank][j] = send[sdispls[j] : sdispls[j]+scounts[j]]
 		}
-		c.Alltoallv(nil, sb, sd, nil, rb, rd)
+		c.Alltoallv(nil, e.sb, e.sd, nil, e.rb, e.rd)
 		for j := 0; j < p; j++ {
-			copy(recv[rdispls[j]:rdispls[j]+rcounts[j]], board.out[j][rank])
+			copy(recv[rdispls[j]:rdispls[j]+rcounts[j]], e.board.out[j][rank])
 		}
 		return
 	}
-	sendB := make([]byte, 4*len(send))
+	e.sendB = grow(e.sendB, 4*len(send))
 	for i, k := range send {
-		putU32(sendB[4*i:], uint32(k))
+		putU32(e.sendB[4*i:], uint32(k))
 	}
-	recvB := make([]byte, 4*len(recv))
-	c.Alltoallv(sendB, sb, sd, recvB, rb, rd)
+	e.recvB = grow(e.recvB, 4*len(recv))
+	c.Alltoallv(e.sendB, e.sb, e.sd, e.recvB, e.rb, e.rd)
 	for i := range recv {
-		recv[i] = int32(getU32(recvB[4*i:]))
+		recv[i] = int32(getU32(e.recvB[4*i:]))
 	}
 }
 

@@ -2,6 +2,7 @@ package nas
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"ib12x/internal/core"
@@ -79,6 +80,69 @@ func TestLUEPCNotSlower(t *testing.T) {
 	epc := runLU(t, LUClassW, 2, 1, 4, core.EPC)
 	if d := (epc.Elapsed.Seconds() - orig.Elapsed.Seconds()) / orig.Elapsed.Seconds(); d > 0.02 {
 		t.Errorf("LU: EPC %.4fs vs original %.4fs (+%.1f%%)", epc.Elapsed.Seconds(), orig.Elapsed.Seconds(), d*100)
+	}
+}
+
+// TestLUPlanesMatchPointwise holds the row-pair plane sweeps to the plain
+// point-by-point loop, with every edge test inline, bit for bit. It covers
+// odd row counts (a single trailing row) and one-point rows, which the
+// 2×2 oracle world never builds.
+func TestLUPlanesMatchPointwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	fill := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.Float64()*2 - 1
+		}
+		return v
+	}
+	for _, lx := range []int{1, 2, 3, 8} {
+		for _, ly := range []int{1, 2, 3, 5, 8} {
+			pl, k := fill(lx*ly), fill(lx*ly)
+			edgeW, edgeS := fill(ly), fill(lx)
+			lower := append([]float64(nil), pl...)
+			luLowerPlane(lower, k, edgeW, edgeS, lx)
+			want := append([]float64(nil), pl...)
+			for y := 0; y < ly; y++ {
+				for x := 0; x < lx; x++ {
+					w := edgeW[y]
+					if x > 0 {
+						w = want[y*lx+x-1]
+					}
+					s := edgeS[x]
+					if y > 0 {
+						s = want[(y-1)*lx+x]
+					}
+					want[y*lx+x] = 0.2*want[y*lx+x] + 0.25*(w+s+k[y*lx+x]) + 0.05
+				}
+			}
+			for i := range want {
+				if math.Float64bits(lower[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("lower %dx%d point %d: %v, pointwise %v", lx, ly, i, lower[i], want[i])
+				}
+			}
+			upper := append([]float64(nil), pl...)
+			luUpperPlane(upper, k, edgeW, edgeS, lx)
+			want = append(want[:0], pl...)
+			for y := ly - 1; y >= 0; y-- {
+				for x := lx - 1; x >= 0; x-- {
+					e := edgeW[y]
+					if x < lx-1 {
+						e = want[y*lx+x+1]
+					}
+					nn := edgeS[x]
+					if y < ly-1 {
+						nn = want[(y+1)*lx+x]
+					}
+					want[y*lx+x] = 0.2*want[y*lx+x] + 0.25*(e+nn+k[y*lx+x]) + 0.05
+				}
+			}
+			for i := range want {
+				if math.Float64bits(upper[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("upper %dx%d point %d: %v, pointwise %v", lx, ly, i, upper[i], want[i])
+				}
+			}
+		}
 	}
 }
 

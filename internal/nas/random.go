@@ -1,14 +1,21 @@
-// Package nas implements the two NAS Parallel Benchmarks the paper
-// evaluates (§4.4): IS (Integer Sort) and FT (3-D Fast Fourier Transform),
-// running their real algorithms over the simulated MPI while charging local
-// computation to the virtual clock through a calibrated Power6 model.
+// Package nas implements NAS Parallel Benchmark kernels over the simulated
+// MPI: the two the paper evaluates (§4.4), IS (Integer Sort) and FT (3-D
+// Fast Fourier Transform), plus EP, CG, MG and an LU-style wavefront for
+// the "no degradation on other applications" check. Each runs its real
+// algorithm (or, where the field would not fit, a synthetic twin with the
+// same traffic) while charging local computation to the virtual clock
+// through a calibrated Power6 model.
 //
 // The kernels follow the NPB specifications: the 5^13 linear-congruential
 // generator with per-rank seed jumping, IS's bucket sort with Allreduce +
 // Alltoallv redistribution, and FT's transpose-based 3-D FFT with Alltoall.
-// The official NPB verification vectors are not bundled; correctness is
-// established by invariant checks (global sortedness and permutation
-// preservation for IS, inverse-transform and Parseval checks for FT).
+// FT class S bundles NPB 3.x's published checksums and verifies against
+// them at NPB's 1e-12 relative epsilon; the other kernels and classes are
+// checked by invariants (global sortedness and permutation preservation for
+// IS, finite checksums for FT classes without a table, convergence for CG).
+//
+// How fast the host does a kernel's arithmetic never reaches virtual time:
+// every Compute charge is an operation count times a calibrated cost.
 package nas
 
 // NPB linear congruential generator: x_{k+1} = a·x_k (mod 2^46) with
