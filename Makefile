@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check race fuzz cover benchcheck soak bench simbench perf reproduce extra examples clean
+.PHONY: all build test vet check race fuzz cover benchcheck soak bench simbench perf reproduce extra clean
 
 all: vet test build
 
@@ -95,15 +95,6 @@ reproduce:
 # The beyond-the-paper supplementary tables.
 extra:
 	$(GO) run ./cmd/reproduce -fig headline -extra
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/stencil
-	$(GO) run ./examples/multirail
-	$(GO) run ./examples/alltoall
-	$(GO) run ./examples/onesided
-	$(GO) run ./examples/faults
-	$(GO) run ./examples/chaos
 
 clean:
 	$(GO) clean ./...

@@ -189,30 +189,30 @@ func BenchmarkFig08Alltoall(b *testing.B) {
 
 // ---- Figures 9-12: NAS kernels ----
 
-func benchNAS(b *testing.B, kernel, class byte, ppn int) {
+func benchNAS(b *testing.B, kernel string, class byte, ppn int) {
 	b.Helper()
 	var orig, epc float64
 	for i := 0; i < b.N; i++ {
-		var err error
-		orig, err = bench.RunNAS(kernel, class, 2, ppn, 1, core.Original)
+		o, err := bench.RunNAS(bench.Setup{QPs: 1, Policy: core.Original, PPN: ppn}.Config(), kernel, class, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		epc, err = bench.RunNAS(kernel, class, 2, ppn, 4, core.EPC)
+		e, err := bench.RunNAS(bench.Setup{QPs: 4, Policy: core.EPC, PPN: ppn}.Config(), kernel, class, false)
 		if err != nil {
 			b.Fatal(err)
 		}
+		orig, epc = o.Elapsed.Seconds(), e.Elapsed.Seconds()
 	}
 	reportSeries(b, []string{"orig", "epc"}, []float64{orig, epc}, "s_virtual")
 	b.ReportMetric(100*(orig-epc)/orig, "improve_%")
 }
 
-func BenchmarkFig09ISClassA(b *testing.B)  { benchNAS(b, 'I', 'A', 1) }
-func BenchmarkFig10ISClassB(b *testing.B)  { benchNAS(b, 'I', 'B', 1) }
-func BenchmarkFig11FTClassA(b *testing.B)  { benchNAS(b, 'F', 'A', 1) }
-func BenchmarkFig12FTClassB(b *testing.B)  { benchNAS(b, 'F', 'B', 1) }
-func BenchmarkFig09ISClassA4(b *testing.B) { benchNAS(b, 'I', 'A', 2) }
-func BenchmarkFig11FTClassA4(b *testing.B) { benchNAS(b, 'F', 'A', 2) }
+func BenchmarkFig09ISClassA(b *testing.B)  { benchNAS(b, "is", 'A', 1) }
+func BenchmarkFig10ISClassB(b *testing.B)  { benchNAS(b, "is", 'B', 1) }
+func BenchmarkFig11FTClassA(b *testing.B)  { benchNAS(b, "ft", 'A', 1) }
+func BenchmarkFig12FTClassB(b *testing.B)  { benchNAS(b, "ft", 'B', 1) }
+func BenchmarkFig09ISClassA4(b *testing.B) { benchNAS(b, "is", 'A', 2) }
+func BenchmarkFig11FTClassA4(b *testing.B) { benchNAS(b, "ft", 'A', 2) }
 
 // ---- Ablations (DESIGN.md A1-A4) ----
 
@@ -437,7 +437,7 @@ func BenchmarkExtFaultyFabric(b *testing.B) {
 }
 
 // BenchmarkExtLUWavefront times the small-message pipelined kernel.
-func BenchmarkExtLUWavefront(b *testing.B) { benchNAS(b, 'L', 'W', 2) }
+func BenchmarkExtLUWavefront(b *testing.B) { benchNAS(b, "lu", 'W', 2) }
 
 // BenchmarkExtOneSided measures striped one-sided Put bandwidth.
 func BenchmarkExtOneSided(b *testing.B) {

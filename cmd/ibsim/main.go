@@ -29,7 +29,7 @@ import (
 
 func main() {
 	test := flag.String("test", "latency", "latency | unibw | bibw | msgrate | alltoall | bcast | allgather | allreduce")
-	policy := flag.String("policy", "epc", "original | binding | rr | striping | weighted | epc")
+	policy := flag.String("policy", "epc", "original | binding | rr | striping | weighted | epc | adaptive")
 	qps := flag.Int("qps", 4, "QPs per port (rails per port)")
 	ports := flag.Int("ports", 1, "ports per HCA (the IBM HCA is dual-port)")
 	hcas := flag.Int("hcas", 1, "HCAs per node")
@@ -46,7 +46,7 @@ func main() {
 	traceN := flag.Int("trace", 0, "print the first N protocol events for the last size")
 	flag.Parse()
 
-	kind, err := parsePolicy(*policy)
+	kind, err := core.ParseKind(*policy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ibsim:", err)
 		os.Exit(2)
@@ -192,24 +192,6 @@ func dispatch(test string, s bench.Setup, sizes []int, window, iters, warmup int
 	default:
 		return nil, "", fmt.Errorf("unknown test %q", test)
 	}
-}
-
-func parsePolicy(s string) (core.Kind, error) {
-	switch strings.ToLower(s) {
-	case "original", "orig":
-		return core.Original, nil
-	case "binding", "bind":
-		return core.Binding, nil
-	case "rr", "roundrobin", "round-robin":
-		return core.RoundRobin, nil
-	case "striping", "stripe", "even-striping":
-		return core.EvenStriping, nil
-	case "weighted":
-		return core.WeightedStriping, nil
-	case "epc":
-		return core.EPC, nil
-	}
-	return 0, fmt.Errorf("unknown policy %q", s)
 }
 
 func parseSizes(arg, test string) ([]int, error) {

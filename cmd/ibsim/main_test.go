@@ -1,28 +1,6 @@
 package main
 
-import (
-	"testing"
-
-	"ib12x/internal/core"
-)
-
-func TestParsePolicy(t *testing.T) {
-	cases := map[string]core.Kind{
-		"original": core.Original, "orig": core.Original,
-		"binding": core.Binding, "rr": core.RoundRobin,
-		"round-robin": core.RoundRobin, "striping": core.EvenStriping,
-		"weighted": core.WeightedStriping, "EPC": core.EPC, "epc": core.EPC,
-	}
-	for in, want := range cases {
-		got, err := parsePolicy(in)
-		if err != nil || got != want {
-			t.Errorf("parsePolicy(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parsePolicy("bogus"); err == nil {
-		t.Error("bogus policy accepted")
-	}
-}
+import "testing"
 
 func TestParseSizes(t *testing.T) {
 	got, err := parseSizes("1024, 2048,4096", "unibw")

@@ -107,13 +107,13 @@ func run(w io.Writer, fig string, o bench.FigOpts) error {
 		"8": {"Figure 8", "paper: EPC best for Alltoall on 2x4, improvement even at medium sizes",
 			bench.Fig8},
 		"9": {"Figure 9 (NAS IS class A)", "paper: 13% / 8% faster at 2 / 4 procs with EPC",
-			func(o bench.FigOpts) (*stats.Table, error) { return bench.NASFig('I', 'A', o) }},
+			func(o bench.FigOpts) (*stats.Table, error) { return bench.NASFig("is", 'A', o) }},
 		"10": {"Figure 10 (NAS IS class B)", "paper: 9% / 7% faster at 2 / 4 procs",
-			func(o bench.FigOpts) (*stats.Table, error) { return bench.NASFig('I', 'B', o) }},
+			func(o bench.FigOpts) (*stats.Table, error) { return bench.NASFig("is", 'B', o) }},
 		"11": {"Figure 11 (NAS FT class A)", "paper: ~5-7% faster",
-			func(o bench.FigOpts) (*stats.Table, error) { return bench.NASFig('F', 'A', o) }},
+			func(o bench.FigOpts) (*stats.Table, error) { return bench.NASFig("ft", 'A', o) }},
 		"12": {"Figure 12 (NAS FT class B)", "paper: ~5-7% faster",
-			func(o bench.FigOpts) (*stats.Table, error) { return bench.NASFig('F', 'B', o) }},
+			func(o bench.FigOpts) (*stats.Table, error) { return bench.NASFig("ft", 'B', o) }},
 	}
 	order := []string{"3", "4", "5", "6", "7", "8", "9", "10", "11", "12"}
 

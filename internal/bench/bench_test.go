@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -201,42 +202,53 @@ func TestAlltoallEPCLeads(t *testing.T) {
 // ---- NAS shape ----
 
 func TestNASISImprovement(t *testing.T) {
-	orig, err := RunNAS('I', 'W', 2, 1, 1, core.Original)
+	orig, err := RunNAS(Setup{QPs: 1, Policy: core.Original}.Config(), "is", 'W', false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	epc, err := RunNAS('I', 'W', 2, 1, 4, core.EPC)
+	epc, err := RunNAS(Setup{QPs: 4, Policy: core.EPC}.Config(), "is", 'W', false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epc >= orig {
-		t.Errorf("IS-W: EPC %.3fs not faster than original %.3fs", epc, orig)
+	if epc.Elapsed >= orig.Elapsed {
+		t.Errorf("IS-W: EPC %.3fs not faster than original %.3fs", epc.Elapsed.Seconds(), orig.Elapsed.Seconds())
 	}
 }
 
 func TestNASFTImprovement(t *testing.T) {
-	orig, err := RunNAS('F', 'S', 2, 1, 1, core.Original)
+	orig, err := RunNAS(Setup{QPs: 1, Policy: core.Original}.Config(), "ft", 'S', false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	epc, err := RunNAS('F', 'S', 2, 1, 4, core.EPC)
+	epc, err := RunNAS(Setup{QPs: 4, Policy: core.EPC}.Config(), "ft", 'S', false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epc >= orig {
-		t.Errorf("FT-S: EPC %.3fs not faster than original %.3fs", epc, orig)
+	if epc.Elapsed >= orig.Elapsed {
+		t.Errorf("FT-S: EPC %.3fs not faster than original %.3fs", epc.Elapsed.Seconds(), orig.Elapsed.Seconds())
 	}
 }
 
+// TestRunNASErrors: a bad kernel, class or layout is an error before the
+// simulation starts, and only a layout error is ErrLayout.
 func TestRunNASErrors(t *testing.T) {
-	if _, err := RunNAS('X', 'S', 2, 1, 1, core.Original); err == nil {
-		t.Error("unknown kernel accepted")
-	}
-	if _, err := RunNAS('I', 'Q', 2, 1, 1, core.Original); err == nil {
-		t.Error("unknown class accepted")
-	}
-	if _, err := RunNAS('F', 'S', 3, 1, 1, core.Original); err == nil {
-		t.Error("indivisible FT layout accepted")
+	for _, c := range []struct {
+		what   string
+		kernel string
+		class  byte
+		nodes  int
+		layout bool
+	}{
+		{"unknown kernel", "xx", 'S', 2, false},
+		{"unknown class", "is", 'Q', 2, false},
+		{"indivisible FT layout", "ft", 'S', 3, true},
+		{"indivisible LU layout", "lu", 'S', 3, true},
+		{"indivisible MG layout", "mg", 'S', 3, true},
+	} {
+		_, err := RunNAS(Setup{QPs: 1, Policy: core.Original, Nodes: c.nodes}.Config(), c.kernel, c.class, false)
+		if err == nil || errors.Is(err, ErrLayout) != c.layout {
+			t.Errorf("%s accepted or misreported: %v", c.what, err)
+		}
 	}
 }
 
@@ -271,7 +283,7 @@ func TestFigureTablesComplete(t *testing.T) {
 }
 
 func TestNASFigTable(t *testing.T) {
-	tbl, err := NASFig('F', 'S', quick)
+	tbl, err := NASFig("ft", 'S', quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +303,7 @@ func TestNASFigTable(t *testing.T) {
 // TestNASFigSerialParallelIdentical pins determinism of the NAS figures'
 // fan-out: one worker and two give the same table, value for value.
 func TestNASFigSerialParallelIdentical(t *testing.T) {
-	for _, kernel := range []byte{'I', 'F'} {
+	for _, kernel := range []string{"is", "ft"} {
 		serial, err := nasFig(1, kernel, 'S', quick)
 		if err != nil {
 			t.Fatal(err)
@@ -301,7 +313,7 @@ func TestNASFigSerialParallelIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("%c: serial/parallel tables diverge:\n--- serial ---\n%s--- parallel ---\n%s", kernel, serial.Format(), parallel.Format())
+			t.Errorf("%s: serial/parallel tables diverge:\n--- serial ---\n%s--- parallel ---\n%s", kernel, serial.Format(), parallel.Format())
 		}
 	}
 }

@@ -438,13 +438,14 @@ func NoDegradationTable() (*stats.Table, error) {
 		XLabel: "Kernel", Unit: "s",
 	}
 	for i, k := range []struct {
-		kernel, class byte
-	}{{'E', 'S'}, {'C', 'S'}, {'C', 'A'}, {'M', 'A'}, {'L', 'W'}} {
-		orig, err := RunNAS(k.kernel, k.class, 2, 1, 1, core.Original)
+		kernel string
+		class  byte
+	}{{"ep", 'S'}, {"cg", 'S'}, {"cg", 'A'}, {"mg", 'A'}, {"lu", 'W'}} {
+		orig, err := nasSeconds(Setup{QPs: 1, Policy: core.Original}, k.kernel, k.class)
 		if err != nil {
 			return nil, err
 		}
-		epc, err := RunNAS(k.kernel, k.class, 2, 1, 4, core.EPC)
+		epc, err := nasSeconds(Setup{QPs: 4, Policy: core.EPC}, k.kernel, k.class)
 		if err != nil {
 			return nil, err
 		}

@@ -5,8 +5,6 @@ import (
 
 	"ib12x/internal/core"
 	"ib12x/internal/harness"
-	"ib12x/internal/mpi"
-	"ib12x/internal/nas"
 	"ib12x/internal/stats"
 )
 
@@ -174,151 +172,53 @@ func Fig8(o FigOpts) (*stats.Table, error) {
 
 // NASFig regenerates one NAS figure: execution time versus process count
 // (2, 4, 8 on two nodes, as 2×1, 2×2, 2×4) for the single-rail original and
-// 4-QP EPC. kernel is 'I' (IS) or 'F' (FT); class 'S'..'C'.
-func NASFig(kernel, class byte, o FigOpts) (*stats.Table, error) {
+// 4-QP EPC. kernel is "is" or "ft"; class 'S'..'C'.
+func NASFig(kernel string, class byte, o FigOpts) (*stats.Table, error) {
 	return nasFig(harness.Workers(), kernel, class, o)
-}
-
-// nasCell is one NASFig configuration: a setup at a processes-per-node.
-type nasCell struct {
-	s   Setup
-	ppn int
 }
 
 // nasFig is NASFig with an explicit worker count. Each cell is its own
 // simulation, so the six fan out over the harness pool; the determinism
 // suite pins serial/parallel bit-identity on it.
-func nasFig(workers int, kernel, class byte, o FigOpts) (*stats.Table, error) {
+func nasFig(workers int, kernel string, class byte, o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	title := map[byte]string{'I': "Integer Sort", 'F': "Fourier Transform"}[kernel]
+	title := map[string]string{"is": "Integer Sort", "ft": "Fourier Transform"}[kernel]
 	t := &stats.Table{
 		Title:  fmt.Sprintf("NAS %s, class %c", title, class),
 		XLabel: "Procs", Unit: "s",
 	}
-	var cells []nasCell
+	var cells []Setup
 	for _, s := range []Setup{
 		{QPs: 1, Policy: core.Original},
 		{QPs: 4, Policy: core.EPC},
 	} {
 		for _, ppn := range []int{1, 2, 4} {
-			cells = append(cells, nasCell{s, ppn})
+			s.PPN = ppn
+			cells = append(cells, s)
 		}
 	}
-	secs, err := harness.MapN(workers, cells, func(c nasCell) (float64, error) {
-		return RunNAS(kernel, class, 2, c.ppn, c.s.QPs, c.s.Policy)
+	secs, err := harness.MapN(workers, cells, func(s Setup) (float64, error) {
+		return nasSeconds(s, kernel, class)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range cells {
-		t.Add(c.s.Label(), 2*c.ppn, secs[i])
+	for i, s := range cells {
+		t.Add(s.Label(), 2*s.PPN, secs[i])
 	}
 	return t, nil
 }
 
-// RunNAS executes one NAS kernel configuration and returns the benchmark's
-// timed-region seconds. Kernels: 'I' (IS: real sort, synthetic payloads),
-// 'F' (FT: fully modeled), 'E' (EP: modeled generation), 'C' (CG: real
-// solver), 'M' (MG: fully modeled), 'L' (LU wavefront: real relaxation).
-// See DESIGN.md §5 and the nas docs.
-func RunNAS(kernel, class byte, nodes, ppn, qps int, policy core.Kind) (float64, error) {
-	cfg := mpi.Config{Nodes: nodes, ProcsPerNode: ppn, QPsPerPort: qps, Policy: policy}
-	var sec float64
-	var err error
-	switch kernel {
-	case 'I':
-		var cl nas.ISClass
-		cl, err = nas.ISClassByName(class)
-		if err != nil {
-			return 0, err
-		}
-		board := nas.NewISBoard(nodes * ppn)
-		_, err = mpi.Run(cfg, func(c *mpi.Comm) {
-			res := nas.RunIS(c, cl, true, board)
-			if c.Rank() == 0 {
-				if !res.Verified {
-					panic("nas: IS verification failed")
-				}
-				sec = res.Elapsed.Seconds()
-			}
-		})
-	case 'F':
-		var cl nas.FTClass
-		cl, err = nas.FTClassByName(class)
-		if err != nil {
-			return 0, err
-		}
-		if !cl.ValidFor(nodes * ppn) {
-			return 0, fmt.Errorf("bench: FT class %c invalid for %d ranks", class, nodes*ppn)
-		}
-		board := nas.NewFTBoard(nodes * ppn)
-		_, err = mpi.Run(cfg, func(c *mpi.Comm) {
-			res := nas.RunFT(c, cl, true, board)
-			if c.Rank() == 0 {
-				sec = res.Elapsed.Seconds()
-			}
-		})
-	case 'E':
-		var cl nas.EPClass
-		cl, err = nas.EPClassByName(class)
-		if err != nil {
-			return 0, err
-		}
-		_, err = mpi.Run(cfg, func(c *mpi.Comm) {
-			res := nas.RunEP(c, cl, true)
-			if c.Rank() == 0 {
-				sec = res.Elapsed.Seconds()
-			}
-		})
-	case 'C':
-		var cl nas.CGClass
-		cl, err = nas.CGClassByName(class)
-		if err != nil {
-			return 0, err
-		}
-		_, err = mpi.Run(cfg, func(c *mpi.Comm) {
-			res := nas.RunCG(c, cl)
-			if c.Rank() == 0 {
-				if !res.Verified {
-					panic("nas: CG verification failed")
-				}
-				sec = res.Elapsed.Seconds()
-			}
-		})
-	case 'M':
-		var cl nas.MGClass
-		cl, err = nas.MGClassByName(class)
-		if err != nil {
-			return 0, err
-		}
-		if cl.N%(nodes*ppn) != 0 {
-			return 0, fmt.Errorf("bench: MG class %c invalid for %d ranks", class, nodes*ppn)
-		}
-		_, err = mpi.Run(cfg, func(c *mpi.Comm) {
-			res := nas.RunMG(c, cl, true)
-			if c.Rank() == 0 {
-				sec = res.Elapsed.Seconds()
-			}
-		})
-	case 'L':
-		var cl nas.LUClass
-		cl, err = nas.LUClassByName(class)
-		if err != nil {
-			return 0, err
-		}
-		_, err = mpi.Run(cfg, func(c *mpi.Comm) {
-			res := nas.RunLU(c, cl)
-			if c.Rank() == 0 {
-				if !res.Verified {
-					panic("nas: LU verification failed")
-				}
-				sec = res.Elapsed.Seconds()
-			}
-		})
-	default:
-		return 0, fmt.Errorf("bench: unknown NAS kernel %q", string(kernel))
+// nasSeconds runs one synthetic NAS cell of a figure table and returns its
+// timed region in virtual seconds. A cell that fails verification is an
+// error: a table must not print a time for a wrong answer.
+func nasSeconds(s Setup, kernel string, class byte) (float64, error) {
+	cfg := s.Config()
+	res, err := RunNAS(cfg, kernel, class, false)
+	if err == nil && !res.Verified {
+		err = fmt.Errorf("bench: NAS %s class %c on %d ranks failed verification", kernel, class, cfg.Size())
 	}
-	return sec, err
+	return res.Elapsed.Seconds(), err
 }
 
 // Headline reports the paper's §1 summary numbers: the large-message

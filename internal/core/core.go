@@ -8,7 +8,10 @@
 // the stripe planner that divides rendezvous messages across rails.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Class is the communication pattern of a message, as determined by the
 // communication marker in the ADI layer (paper §3.3). EPC dispatches on it.
@@ -217,6 +220,29 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// ParseKind resolves a policy as the command lines spell it, in any case:
+// original (orig), binding (bind), rr (roundrobin, round-robin), striping
+// (stripe, even-striping), weighted, epc or adaptive.
+func ParseKind(s string) (Kind, error) {
+	switch strings.ToLower(s) {
+	case "original", "orig":
+		return Original, nil
+	case "binding", "bind":
+		return Binding, nil
+	case "rr", "roundrobin", "round-robin":
+		return RoundRobin, nil
+	case "striping", "stripe", "even-striping":
+		return EvenStriping, nil
+	case "weighted":
+		return WeightedStriping, nil
+	case "epc":
+		return EPC, nil
+	case "adaptive":
+		return Adaptive, nil
+	}
+	return 0, fmt.Errorf("unknown policy %q", s)
 }
 
 // New returns a policy instance of the given kind with the given minimum

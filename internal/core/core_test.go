@@ -5,6 +5,27 @@ import (
 	"testing/quick"
 )
 
+// TestParsePolicy covers every Kind and every alias ParseKind accepts.
+func TestParsePolicy(t *testing.T) {
+	cases := map[string]Kind{
+		"original": Original, "orig": Original,
+		"binding": Binding, "bind": Binding, "rr": RoundRobin,
+		"roundrobin": RoundRobin, "round-robin": RoundRobin,
+		"striping": EvenStriping, "stripe": EvenStriping, "even-striping": EvenStriping,
+		"weighted": WeightedStriping, "EPC": EPC, "epc": EPC,
+		"adaptive": Adaptive, "Adaptive": Adaptive,
+	}
+	for in, want := range cases {
+		got, err := ParseKind(in)
+		if err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v", in, got, err)
+		}
+	}
+	if _, err := ParseKind("bogus"); err == nil {
+		t.Error("bogus policy accepted")
+	}
+}
+
 func TestClassString(t *testing.T) {
 	if Blocking.String() != "blocking" || NonBlocking.String() != "non-blocking" || Collective.String() != "collective" {
 		t.Error("class strings wrong")

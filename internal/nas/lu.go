@@ -57,6 +57,16 @@ type LUResult struct {
 	Verified bool
 }
 
+// ValidFor reports whether the grid divides over luGrid's np-rank
+// processor grid in both x and y.
+func (c LUClass) ValidFor(np int) bool {
+	if np < 1 {
+		return false
+	}
+	px, py := luGrid(np)
+	return c.N%px == 0 && c.N%py == 0
+}
+
 // luGrid picks the 2-D processor grid: the most square px×py = p.
 func luGrid(p int) (px, py int) {
 	px = 1

@@ -47,12 +47,10 @@ func MGClassByName(name byte) (MGClass, error) {
 	return MGClass{}, fmt.Errorf("nas: unknown MG class %q", string(name))
 }
 
-// ValidFor reports whether np ranks can hold the slab hierarchy (every
-// rank needs at least one plane on the coarsest level we keep, which is
-// 8 planes).
-func (c MGClass) ValidFor(np int) bool {
-	return np > 0 && c.N%np == 0 && 8%np == 0 || np <= 8 && c.N%np == 0
-}
+// ValidFor reports whether the z-slab decomposition supports np ranks:
+// every rank holds the same number of planes of the finest grid. The
+// hierarchy stops halving at p planes, so coarse levels never run short.
+func (c MGClass) ValidFor(np int) bool { return np > 0 && c.N%np == 0 }
 
 // MGResult reports a finished MG run.
 type MGResult struct {
