@@ -1,46 +1,44 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"ib12x/internal/bench"
 )
 
-// TestFiguresSmoke runs figures 3–8 and the headline at the reduced
-// iteration counts of -quick and checks one known row of each, so the
-// figure pipeline from simulation to printed table stays pinned. Rows are
-// compared field by field, ignoring column padding.
-func TestFiguresSmoke(t *testing.T) {
-	rows := map[string]string{
-		"headline": "uni-dir peak, EPC (MB/s) 2745 2731",
-		"3":        "1 6.22 6.22 6.22",
-		"4":        "1M 668.48 426.45 668.48 426.45 668.48",
-		"5":        "8K 1203.30 1879.52 1879.52 1879.52",
-		"6":        "1M 1659.28 2730.83 2730.00",
-		"7":        "1M 3295.78 5405.91 5405.01",
-		"8":        "16K 392.84 392.84 286.41 286.41",
+// TestFiguresGolden runs figures 3–8, 11 and 12, the headline and the
+// supplementary tables at the reduced iteration counts of -quick and
+// compares each output byte for byte with testdata/, so the figure
+// pipeline from simulation to printed table stays pinned. Figures 9 and
+// 10 (NAS IS) stay out: they take seconds, not tenths. A figure's file is
+// the stdout of `reproduce -quick -fig N`; extra.txt is the stdout of
+// `reproduce -quick -fig headline -extra` without its first nine lines.
+func TestFiguresGolden(t *testing.T) {
+	o := bench.FigOpts{Quick: true}
+	cases := map[string]func(*strings.Builder) error{
+		"extra.txt": func(w *strings.Builder) error { return supplementary(w, o) },
 	}
-	for fig, row := range rows {
+	for _, fig := range []string{"3", "4", "5", "6", "7", "8", "11", "12", "headline"} {
+		fig := fig
+		cases["fig"+fig+".txt"] = func(w *strings.Builder) error { return run(w, fig, o) }
+	}
+	for golden, gen := range cases {
 		var out strings.Builder
-		if err := run(&out, fig, bench.FigOpts{Quick: true}); err != nil {
-			t.Fatalf("figure %s: %v", fig, err)
+		if err := gen(&out); err != nil {
+			t.Errorf("%s: %v", golden, err)
+			continue
 		}
-		if !hasRow(out.String(), row) {
-			t.Errorf("figure %s: no row %q in\n%s", fig, row, out.String())
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// hasRow reports whether some line of out has the fields of row.
-func hasRow(out, row string) bool {
-	want := strings.Join(strings.Fields(row), " ")
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Join(strings.Fields(line), " ") == want {
-			return true
+		if out.String() != string(want) {
+			t.Errorf("%s: got\n%s\nwant\n%s", golden, out.String(), want)
 		}
 	}
-	return false
 }
 
 func TestUnknownFigureIsAnError(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ib12x/internal/core"
@@ -200,51 +201,59 @@ func TestConnectOnFirstUse(t *testing.T) {
 
 // TestRailDownBeforeFirstUse: a rail failed at t=0, before any pair touching
 // the node has talked, reaches the connections used later: both QP halves
-// are down, the legacy mode also masks the rail on both endpoints (the
-// reliability layer must discover it), and the traffic completes on the
-// surviving rail.
+// are down, and the traffic completes on the surviving rail once the
+// reliability layer discovers the failure.
 func TestRailDownBeforeFirstUse(t *testing.T) {
 	spec := topo.Spec{Nodes: 3, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 2}
 	const n = 128 * 1024
-	for _, reliable := range []bool{false, true} {
-		eng := sim.NewEngine()
-		w := NewWorld(eng, model.Default(), spec, Options{Policy: core.EPC})
-		if reliable {
-			w.EnableReliability(ReliabilityConfig{})
-		} else {
-			w.EnableRailRecovery()
+	eng := sim.NewEngine()
+	w := NewWorld(eng, model.Default(), spec, Options{Policy: core.EPC})
+	w.EnableReliability(ReliabilityConfig{})
+	w.SetRail(0, 1, false) // t=0, before any rank runs
+	got := [][]byte{nil, make([]byte, n), make([]byte, n)}
+	w.Spawn("t", func(ep *Endpoint) {
+		if ep.Rank == 0 {
+			ep.Wait(ep.PostSend(1, 0, CtxPt2Pt, core.Blocking, fill(n, 1), n))
+			ep.Wait(ep.PostSend(2, 0, CtxPt2Pt, core.Blocking, fill(n, 2), n))
+			return
 		}
-		w.SetRail(0, 1, false) // t=0, before any rank runs
-		got := [][]byte{nil, make([]byte, n), make([]byte, n)}
-		w.Spawn("t", func(ep *Endpoint) {
-			if ep.Rank == 0 {
-				ep.Wait(ep.PostSend(1, 0, CtxPt2Pt, core.Blocking, fill(n, 1), n))
-				ep.Wait(ep.PostSend(2, 0, CtxPt2Pt, core.Blocking, fill(n, 2), n))
-				return
-			}
-			ep.Wait(ep.PostRecv(0, 0, CtxPt2Pt, got[ep.Rank], n))
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
+		ep.Wait(ep.PostRecv(0, 0, CtxPt2Pt, got[ep.Rank], n))
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c := w.Endpoints[1].conns[2]; c != nil {
+		t.Error("pair (1,2) never talked but is wired")
+	}
+	for peer := 1; peer <= 2; peer++ {
+		if !bytes.Equal(got[peer], fill(n, byte(peer))) {
+			t.Errorf("rank %d payload corrupted", peer)
 		}
-		if c := w.Endpoints[1].conns[2]; c != nil {
-			t.Errorf("reliable=%v: pair (1,2) never talked but is wired", reliable)
+		c0, cp := w.Endpoints[0].conns[peer], w.Endpoints[peer].conns[0]
+		if !c0.rails[1].IsDown() || !cp.rails[1].IsDown() {
+			t.Errorf("peer %d: rail 1 QPs up after SetRail(down)", peer)
 		}
-		for peer := 1; peer <= 2; peer++ {
-			if !bytes.Equal(got[peer], fill(n, byte(peer))) {
-				t.Errorf("reliable=%v: rank %d payload corrupted", reliable, peer)
-			}
-			c0, cp := w.Endpoints[0].conns[peer], w.Endpoints[peer].conns[0]
-			if !c0.rails[1].IsDown() || !cp.rails[1].IsDown() {
-				t.Errorf("reliable=%v peer %d: rail 1 QPs up after SetRail(down)", reliable, peer)
-			}
-			if c0.rails[0].IsDown() || cp.rails[0].IsDown() {
-				t.Errorf("reliable=%v peer %d: rail 0 went down", reliable, peer)
-			}
-			if !reliable && (!c0.sched.Dead.IsDown(1) || !cp.sched.Dead.IsDown(1)) {
-				t.Errorf("legacy peer %d: rail 1 not masked on both endpoints", peer)
-			}
+		if c0.rails[0].IsDown() || cp.rails[0].IsDown() {
+			t.Errorf("peer %d: rail 0 went down", peer)
 		}
+	}
+}
+
+// TestSetRailNeedsReliability: the reliability layer is the only code that
+// changes a rail's policy-visible health, so flipping a rail on a world
+// without it is a programming error, whichever way the rail goes.
+func TestSetRailNeedsReliability(t *testing.T) {
+	spec := topo.Spec{Nodes: 2, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 2}
+	for _, up := range []bool{false, true} {
+		w := NewWorld(sim.NewEngine(), model.Default(), spec, Options{Policy: core.EPC})
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "EnableReliability") {
+					t.Errorf("SetRail(up=%v) without the layer: recovered %v, want a panic naming EnableReliability", up, r)
+				}
+			}()
+			w.SetRail(0, 1, up)
+		}()
 	}
 }
 

@@ -135,17 +135,17 @@ type Endpoint struct {
 	nextCtx    int                     // next free matching-context id
 	tr         *trace.Recorder         // optional protocol event recorder
 
-	// Rail-failure recovery (armed by World.EnableRailRecovery; off in
-	// fault-free runs so the hot path never touches the map): every posted
-	// WR is remembered until its completion, and a flushed completion
-	// reroutes the WR onto a surviving rail of the same connection.
-	trackWR  bool
+	// In-flight WR tracking (armed by World.EnableReliability and by
+	// IntegrityVerify; off in fault-free runs so the hot path never touches
+	// the map): every posted WR is remembered until its completion, so a
+	// flushed completion can reroute the WR onto a surviving rail of the
+	// same connection and a NACK can name its rail.
 	inflight map[uint64]*inflightWR
 	flFree   []*inflightWR
 
 	// Rail reliability layer (armed by World.EnableReliability): health
 	// state machine config plus the outstanding probe WRs. nil/empty in
-	// legacy operator-driven runs.
+	// runs that never fail a rail.
 	rel    *ReliabilityConfig
 	probes map[uint64]probeRef
 
@@ -512,7 +512,7 @@ func (ep *Endpoint) progressOnce() bool {
 				// here, at the endpoint that owns the counter.
 				ep.corruptDelivered(-1, cqe.Bytes)
 			}
-			if ep.trackWR {
+			if ep.inflight != nil {
 				ep.putFl(cqe.WRID)
 			}
 			if req := ep.onAtomic[cqe.WRID]; req != nil {
@@ -751,7 +751,7 @@ func (ep *Endpoint) drainBacklog(qpn int) {
 		return
 	}
 	if qp.IsDown() {
-		return // railDown rerouted (or will reroute) this rail's backlog
+		return // quarantine rerouted (or will reroute) this rail's backlog
 	}
 	q := ep.backlog[qp]
 	for len(q) > 0 {
@@ -788,7 +788,7 @@ func (ep *Endpoint) post(conn *Conn, rail int, wr ib.SendWR, posted *Request) {
 			return
 		}
 	}
-	if ep.trackWR {
+	if ep.inflight != nil {
 		fl := ep.getFl()
 		fl.conn, fl.rail, fl.wr = conn, rail, wr
 		if ep.rel != nil {
@@ -835,66 +835,23 @@ func (ep *Endpoint) nextWRID(cb func()) uint64 {
 // retransmit reroutes a work request flushed by a rail failure onto a
 // surviving rail of the same connection (in-flight stripe recovery). The WR
 // keeps its identifier, so pending completion callbacks survive the retry.
-// Legacy (operator-driven) runs repost immediately; with the reliability
-// layer on, the flush is hard evidence against the rail — it is quarantined
-// on the spot — and the repost waits out a seed-jittered exponential
-// backoff, so a mass flush does not slam the survivors in one instant.
+// The flush is hard evidence against the rail — it is quarantined on the
+// spot — and the repost waits out a seed-jittered exponential backoff, so a
+// mass flush does not slam the survivors in one instant.
 func (ep *Endpoint) retransmit(wrid uint64) {
 	fl, ok := ep.inflight[wrid]
 	if !ok {
-		panic("adi: flushed WR was not tracked (rail recovery not armed?)")
+		panic("adi: flushed WR was not tracked (reliability layer not armed?)")
 	}
 	conn, rail, wr, attempt := fl.conn, fl.rail, fl.wr, fl.attempt
 	ep.putFl(wrid)
 	ep.stats.RailRetransmits++
 	ep.charge(ep.m.CPUPostWQE + ep.m.DoorbellTime)
 	ep.trace(trace.KindRetransmit, conn.peer, wr.N, rail)
-	if ep.rel == nil {
-		ep.post(conn, rail, wr, nil)
-		return
-	}
 	ep.railFailed(conn, rail)
 	delay := ep.backoffDelay(ep.rel.RetryBase, ep.rel.RetryMax, attempt, wrid)
 	attempt++
 	ep.eng.Post(ep.eng.Now()+delay, func() {
 		ep.repostAfterBackoff(conn, rail, wr, attempt)
 	})
-}
-
-// railDown marks the rail to peer dead on this endpoint: the policy mask
-// steers future traffic away, and WRs queued behind the dead QP are rerouted
-// onto survivors immediately (in-flight ones flush through the CQ).
-func (ep *Endpoint) railDown(peer, rail int) {
-	conn := ep.conns[peer]
-	if conn == nil || conn.sh != nil || rail < 0 || rail >= len(conn.rails) {
-		return
-	}
-	conn.sched.Dead.MarkDown(rail)
-	conn.ringDown()
-	qp := conn.rails[rail]
-	if q := ep.backlog[qp]; len(q) > 0 {
-		delete(ep.backlog, qp)
-		for _, d := range q {
-			ep.post(conn, rail, d.wr, d.posted)
-		}
-	}
-}
-
-// railUp marks the rail to peer healthy again and replays any work requests
-// that parked while every rail was dead.
-func (ep *Endpoint) railUp(peer, rail int) {
-	conn := ep.conns[peer]
-	if conn == nil || conn.sh != nil || rail < 0 || rail >= len(conn.rails) {
-		return
-	}
-	conn.sched.Dead.MarkUp(rail)
-	conn.ringArm()
-	if len(conn.railWait) > 0 {
-		q := conn.railWait
-		conn.railWait = nil
-		for _, d := range q {
-			ep.post(conn, rail, d.wr, d.posted)
-		}
-	}
-	ep.wake()
 }

@@ -44,7 +44,8 @@ const (
 	// for them or suppressing corrupt placements.
 	IntegrityAudit
 	// IntegrityVerify arms the receiving-HCA check, the charges, and the
-	// NACK-driven retransmission. Implies rail-recovery WR tracking.
+	// NACK-driven retransmission. Implies in-flight WR tracking, which
+	// names the connection and rail of each NACK.
 	IntegrityVerify
 )
 
@@ -168,7 +169,7 @@ func (ep *Endpoint) nackNoticed(cqe ib.CQE) {
 	ep.stats.IntegrityNacks++
 	fl, ok := ep.inflight[cqe.WRID]
 	if !ok {
-		// Untracked WR (recovery off): tally without connection identity.
+		// Untracked WR: tally without connection identity.
 		ep.trace(trace.KindIntegrityNack, -1, cqe.Bytes, -1)
 		return
 	}

@@ -1,10 +1,12 @@
 // Rail reliability layer: endogenous failure detection, backoff
 // retransmission, and probe-driven reintegration (DESIGN.md §12).
 //
-// With the layer enabled (World.EnableReliability) nothing outside the ADI
-// layer touches the policy-visible rail masks: the operator (or the chaos
-// plan) only flips QP hardware state, and every endpoint discovers sickness
-// on its own, from three signals it already owns:
+// The layer is the only code that changes a rail's policy-visible health,
+// and World.SetRail refuses to run without it (World.EnableReliability; a
+// chaos plan with rail events arms it with the default config). The
+// operator or the chaos plan only flips QP hardware state, and every
+// endpoint discovers sickness on its own, from three signals it already
+// owns:
 //
 //   - a posted WR completing with StatusFlushErr (hard evidence: the rail
 //     died with the WR in flight),

@@ -44,8 +44,8 @@ type Options struct {
 	RegCache *regcache.Config
 	// Integrity selects the end-to-end checksum mode (integrity.go;
 	// DESIGN.md §17). The zero value (IntegrityOff) preserves every
-	// historical digest. IntegrityVerify implies rail-recovery WR tracking
-	// (a NACKed payload must be retransmittable).
+	// historical digest. IntegrityVerify implies in-flight WR tracking (a
+	// NACK is traced and struck against the rail its WR was posted on).
 	Integrity IntegrityMode
 }
 
@@ -59,10 +59,9 @@ type World struct {
 	Realm     *ib.Realm
 	Endpoints []*Endpoint
 
-	opt          Options // BindRail defaulted; read by connect
-	bufs         *buf.Pool
-	railRecovery bool
-	rel          *ReliabilityConfig
+	opt  Options // BindRail defaulted; read by connect
+	bufs *buf.Pool
+	rel  *ReliabilityConfig
 }
 
 // Group reports nil. Like the one ignored field of mpi.Config it is kept
@@ -88,34 +87,32 @@ func (w *World) EnableBufAudit() {
 // allocation time ("" when nothing is outstanding or auditing is off).
 func (w *World) BufLiveReport() string { return w.bufs.LiveReport() }
 
-// EnableRailRecovery arms in-flight work-request tracking on every endpoint.
-// It must be called before the run starts (and before any SetRail) so a
-// flushed WR can always be rerouted; fault-free worlds skip the bookkeeping.
-func (w *World) EnableRailRecovery() {
-	if w.railRecovery {
-		return
-	}
-	w.railRecovery = true
+// trackWRs arms in-flight work-request tracking on every endpoint, so a
+// flushed WR can be rerouted and a NACKed one named in the trace; fault-free
+// worlds skip the bookkeeping. Idempotent.
+func (w *World) trackWRs() {
 	for _, ep := range w.Endpoints {
-		ep.trackWR = true
-		ep.inflight = make(map[uint64]*inflightWR)
+		if ep.inflight == nil {
+			ep.inflight = make(map[uint64]*inflightWR)
+		}
 	}
 }
 
 // EnableReliability arms the self-healing rail layer on every endpoint: the
 // per-rail health state machine, virtual-time completion deadlines, backoff
 // retransmission, and probe-driven reintegration (see reliability.go). It
-// implies EnableRailRecovery and must be called before the run starts. With
-// the layer armed, SetRail only flips QP hardware state — the endpoints
-// detect failures and recoveries on their own, with no operator-injected
-// mask updates.
+// arms in-flight WR tracking too and must be called before the run starts
+// and before any SetRail; a second call keeps the first config. The layer
+// is the only code that changes a rail's policy-visible health: SetRail
+// flips QP hardware state, and the endpoints detect failures and recoveries
+// on their own.
 func (w *World) EnableReliability(cfg ReliabilityConfig) {
 	if w.rel != nil {
 		return
 	}
 	rc := cfg.withDefaults()
 	w.rel = rc
-	w.EnableRailRecovery()
+	w.trackWRs()
 	for _, ep := range w.Endpoints {
 		ep.rel = rc
 		ep.probes = make(map[uint64]probeRef)
@@ -134,18 +131,16 @@ func (w *World) Reliability() *ReliabilityConfig { return w.rel }
 
 // SetRail fails (up=false) or recovers (up=true) rail index rail of every
 // inter-node connection touching the given node: both QP halves transition
-// together. In legacy (operator-driven) mode both endpoints also update
-// their policy-visible health masks directly; with EnableReliability armed
-// only the hardware state flips, and the endpoints must discover the change
-// themselves. Failing a rail requires EnableRailRecovery to have been
-// called.
+// together. Only the hardware state flips; the reliability layer, which
+// must be armed (EnableReliability), discovers the change on each endpoint
+// and updates the policy-visible health mask itself.
 //
 // Every pair touching the node is wired first, so a rail event reaches the
-// same QPs, masks and wakes as in a world wired up front, and a connection
-// built later never misses a failure.
+// same QPs as in a world wired up front, and a connection built later never
+// misses a failure.
 func (w *World) SetRail(node, rail int, up bool) {
-	if !up && !w.railRecovery {
-		panic("adi: SetRail(down) without EnableRailRecovery")
+	if w.rel == nil {
+		panic("adi: SetRail without EnableReliability")
 	}
 	for i, epi := range w.Endpoints {
 		if w.Cluster.NodeOf(i) != node {
@@ -171,17 +166,9 @@ func (w *World) SetRail(node, rail int, up bool) {
 			if up {
 				qpi.SetUp()
 				qpj.SetUp()
-				if w.rel == nil {
-					epi.railUp(j, rail)
-					epj.railUp(i, rail)
-				}
 			} else {
 				qpi.SetDown()
 				qpj.SetDown()
-				if w.rel == nil {
-					epi.railDown(j, rail)
-					epj.railDown(i, rail)
-				}
 			}
 		}
 	}
@@ -229,10 +216,10 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 	}
 
 	if opt.Integrity == IntegrityVerify {
-		// Arm the receiving-HCA check and the WR tracking the NACK-driven
-		// retransmission depends on.
+		// Arm the receiving-HCA check and the WR tracking that names each
+		// NACK's connection and rail.
 		realm.EnableIntegrity()
-		w.EnableRailRecovery()
+		w.trackWRs()
 	}
 	return w
 }

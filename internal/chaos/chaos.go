@@ -27,10 +27,13 @@ type EventKind int
 // Fault event kinds.
 const (
 	// RailDown kills rail index Rail on every inter-node connection
-	// touching Node: both QP halves drop, in-flight WRs flush, and the
-	// scheduling policies see the rail vanish from the health mask.
+	// touching Node: both QP halves drop and in-flight WRs flush. The
+	// reliability layer (armed by Plan.Arm) quarantines the rail on that
+	// evidence, and the scheduling policies see it vanish from the health
+	// mask.
 	RailDown EventKind = iota
-	// RailUp recovers a previously killed rail.
+	// RailUp recovers a previously killed rail in hardware; the layer's
+	// next successful probe reintegrates it.
 	RailUp
 	// LinkDegrade multiplies the port's TX/RX rate by Factor and adds Pad
 	// one-way latency per chunk (a flaky cable, not a dead one).
@@ -127,8 +130,8 @@ type Plan struct {
 	Events []Event
 }
 
-// hasRailEvents reports whether the plan can kill a rail, which requires
-// in-flight WR tracking on every endpoint.
+// hasRailEvents reports whether the plan can kill or revive a rail, which
+// requires the reliability layer on every endpoint.
 func (p *Plan) hasRailEvents() bool {
 	for _, ev := range p.Events {
 		if ev.Kind == RailDown || ev.Kind == RailUp {
@@ -141,14 +144,15 @@ func (p *Plan) hasRailEvents() bool {
 // Arm schedules the plan against a freshly built world. Events at or before
 // the current virtual time apply immediately (so t=0 faults precede every
 // rank's first instruction); later ones are posted on the engine and fire
-// off the virtual clock, which keeps replays bit-identical. Arm must run
-// before the engine does.
+// off the virtual clock, which keeps replays bit-identical. A plan with
+// rail events arms the reliability layer with the default config unless
+// the caller armed it first. Arm must run before the engine does.
 func (p *Plan) Arm(eng *sim.Engine, w *adi.World) {
 	if p == nil {
 		return
 	}
 	if p.hasRailEvents() {
-		w.EnableRailRecovery()
+		w.EnableReliability(adi.ReliabilityConfig{})
 	}
 	for _, ev := range p.Events {
 		if ev.At <= eng.Now() {

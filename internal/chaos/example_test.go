@@ -70,9 +70,10 @@ func ExampleLegacyEveryN() {
 }
 
 // A rail dies under a striped bulk transfer and comes back later, while a
-// port runs degraded: the scheduler reroutes in-flight stripes onto the
-// surviving rails, the policy re-plans around the hole, and every payload
-// still arrives intact.
+// port runs degraded. The plan's rail events arm the reliability layer with
+// its default config: the flushed stripe quarantines the rail and is
+// retransmitted onto a survivor, the policy re-plans around the hole, a
+// probe reintegrates the rail, and every payload still arrives intact.
 func ExampleRailFlap() {
 	const n = 1 << 20
 	payload := make([]byte, n)
@@ -118,5 +119,5 @@ func ExampleRailFlap() {
 		rep.Elapsed, railRetr)
 	// Output:
 	// rail flap under 8 MB of striped traffic (flap-under-load):
-	//   completed in 3.736ms, 1 stripes rerouted onto survivors, all payloads verified
+	//   completed in 3.744ms, 1 stripes rerouted onto survivors, all payloads verified
 }

@@ -25,8 +25,9 @@ type OracleConfig struct {
 	Policy     core.Kind
 	PolicyImpl core.Policy // overrides Policy when non-nil
 	Plan       *Plan       // nil = fault-free
-	// Reliability, when non-nil, arms the self-healing rail layer: the run
-	// must then survive rail chaos with no operator-driven mask updates.
+	// Reliability, when non-nil, arms the self-healing rail layer with this
+	// config for every plan; when nil, a plan with rail events arms it with
+	// the default config and other plans run without it.
 	Reliability *adi.ReliabilityConfig
 	// RegCache, when non-nil, arms the pin-down registration cache: the
 	// payload digest must stay byte-identical to cache-off runs (charges
@@ -123,7 +124,7 @@ type RunResult struct {
 	TornRepolls       int64
 
 	// Rail-health transitions of the reliability layer, summed over ranks
-	// (all zero when OracleConfig.Reliability is nil).
+	// (all zero when the layer is off: no Reliability and no rail events).
 	RailSuspects       int64
 	RailQuarantines    int64
 	RailProbes         int64

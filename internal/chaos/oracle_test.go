@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ib12x/internal/adi"
 	"ib12x/internal/core"
 	"ib12x/internal/harness"
 	"ib12x/internal/sim"
@@ -52,30 +53,64 @@ func faultPlans() []*Plan {
 }
 
 // TestDifferentialOracle runs the seeded workload under every policy x every
-// fault plan and requires a byte-identical user-visible digest everywhere,
-// with zero invariant violations. The cells of one plan run concurrently on
-// the harness pool — each conformance run owns a fresh engine and world, so
-// parallel execution must (and this test verifies it does) produce the same
-// digests a serial loop would.
+// fault plan with no Reliability in the config: a plan with rail events arms
+// the self-healing layer itself, with the default ReliabilityConfig. Every
+// cell must meet the oracleMatrix contract.
 func TestDifferentialOracle(t *testing.T) {
+	oracleMatrix(t, nil)
+}
+
+// oracleMatrix runs every policy x every fault plan with the given
+// reliability config and requires every cell to reproduce the fault-free
+// user-visible digest with zero invariant violations: self-healing may only
+// shrink the damage, never change the answer. Rail deaths must be
+// quarantined on the endpoints' own evidence (SetRail flips only QP state),
+// and the flap plan must see the revived rail reintegrated by a probe. The
+// cells of one plan run concurrently on the harness pool — each conformance
+// run owns a fresh engine and world, so parallel execution must (and this
+// verifies it does) produce the same digests a serial loop would.
+func oracleMatrix(t *testing.T, rel *adi.ReliabilityConfig) {
+	t.Helper()
+	base, err := RunConformance(OracleConfig{Seed: oracleSeed, Policy: allPolicies[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, plan := range faultPlans() {
 		plan := plan
 		t.Run(plan.Name, func(t *testing.T) {
 			// MapAll: a broken cell must not mask its siblings' failures.
 			results, err := harness.MapAll(allPolicies, func(kind core.Kind) (*RunResult, error) {
-				return RunConformance(OracleConfig{Seed: oracleSeed, Policy: kind, Plan: plan})
+				return RunConformance(OracleConfig{
+					Seed:        oracleSeed,
+					Policy:      kind,
+					Plan:        plan,
+					Reliability: rel,
+				})
 			})
 			if err != nil {
 				t.Fatalf("under %s: %v", plan.Name, err)
 			}
-			ref := results[0]
+			var quarantines, reintegrations int64
 			for i, res := range results {
 				for _, v := range res.Violations {
 					t.Errorf("%v under %s: %s", allPolicies[i], plan.Name, v)
 				}
-				if res.Digest != ref.Digest {
-					t.Errorf("digest split under %s: %s=%#x vs %s=%#x",
-						plan.Name, ref.Policy, ref.Digest, res.Policy, res.Digest)
+				if res.Digest != base.Digest {
+					t.Errorf("digest under %s: %s=%#x vs fault-free %#x",
+						plan.Name, res.Policy, res.Digest, base.Digest)
+				}
+				quarantines += res.RailQuarantines
+				reintegrations += res.RailReintegrations
+			}
+			switch plan.Name {
+			case "rail-death-n1-r2":
+				if quarantines == 0 {
+					t.Error("permanent rail death never quarantined by any endpoint")
+				}
+			case "rail-flap-n0-r1":
+				if quarantines == 0 || reintegrations == 0 {
+					t.Errorf("flap: quarantines=%d reintegrations=%d, want both > 0",
+						quarantines, reintegrations)
 				}
 			}
 		})

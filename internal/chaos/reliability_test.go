@@ -5,63 +5,17 @@ import (
 
 	"ib12x/internal/adi"
 	"ib12x/internal/core"
-	"ib12x/internal/harness"
 	"ib12x/internal/mpi"
 	"ib12x/internal/sim"
 	"ib12x/internal/trace"
 )
 
-// TestSelfHealingDifferentialOracle reruns the full policy x plan matrix with
-// the reliability layer armed. Self-healing may only shrink the damage, never
-// change the answer: every cell must reproduce the fault-free user-visible
-// digest with zero violations, rail deaths must be quarantined on the
-// endpoints' own evidence (SetRail no longer touches any mask), and the flap
-// plan must see the revived rail reintegrated by a probe — no operator
-// involvement anywhere.
+// TestSelfHealingDifferentialOracle reruns the oracleMatrix with the
+// reliability layer armed by the caller's own config (seeded probes and
+// backoff jitter) rather than the default the plan arms, so every plan —
+// the rail-free ones too — runs under the layer.
 func TestSelfHealingDifferentialOracle(t *testing.T) {
-	base, err := RunConformance(OracleConfig{Seed: oracleSeed, Policy: allPolicies[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, plan := range faultPlans() {
-		plan := plan
-		t.Run(plan.Name, func(t *testing.T) {
-			results, err := harness.MapAll(allPolicies, func(kind core.Kind) (*RunResult, error) {
-				return RunConformance(OracleConfig{
-					Seed:        oracleSeed,
-					Policy:      kind,
-					Plan:        plan,
-					Reliability: &adi.ReliabilityConfig{Seed: oracleSeed},
-				})
-			})
-			if err != nil {
-				t.Fatalf("under %s: %v", plan.Name, err)
-			}
-			var quarantines, reintegrations int64
-			for i, res := range results {
-				for _, v := range res.Violations {
-					t.Errorf("%v under %s: %s", allPolicies[i], plan.Name, v)
-				}
-				if res.Digest != base.Digest {
-					t.Errorf("self-healing changed the answer under %s: %s=%#x vs fault-free %#x",
-						plan.Name, res.Policy, res.Digest, base.Digest)
-				}
-				quarantines += res.RailQuarantines
-				reintegrations += res.RailReintegrations
-			}
-			switch plan.Name {
-			case "rail-death-n1-r2":
-				if quarantines == 0 {
-					t.Error("permanent rail death never quarantined by any endpoint")
-				}
-			case "rail-flap-n0-r1":
-				if quarantines == 0 || reintegrations == 0 {
-					t.Errorf("flap: quarantines=%d reintegrations=%d, want both > 0",
-						quarantines, reintegrations)
-				}
-			}
-		})
-	}
+	oracleMatrix(t, &adi.ReliabilityConfig{Seed: oracleSeed})
 }
 
 // healthTimeline runs a seeded ping-pong workload under a rail flap with the

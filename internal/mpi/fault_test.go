@@ -12,6 +12,7 @@ import (
 	"ib12x/internal/chaos"
 	"ib12x/internal/core"
 	"ib12x/internal/mpi"
+	"ib12x/internal/sim"
 )
 
 // faultCfg mirrors the in-package test helper: a two-level cluster with the
@@ -176,4 +177,44 @@ func TestRandomTrafficUnderFaults(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRailDeathArmsReliability: a chaos plan that kills a rail arms the
+// self-healing layer itself when the config leaves Reliability nil. The
+// endpoints quarantine the dead rail on their own evidence, every payload
+// arrives intact on the survivors, and no payload block leaks.
+func TestRailDeathArmsReliability(t *testing.T) {
+	const n, msgs = 256 * 1024, 8
+	payload := make([]byte, n)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	c := faultCfg(2, 1, 4, core.EvenStriping)
+	c.Chaos = chaos.RailDeath(20*sim.Microsecond, 1, 2)
+	rep := faultRun(t, c, func(cm *mpi.Comm) {
+		got := make([]byte, n)
+		for i := 0; i < msgs; i++ {
+			if cm.Rank() == 0 {
+				cm.Send(1, i, payload)
+				continue
+			}
+			cm.Recv(0, i, got)
+			if !bytes.Equal(got, payload) {
+				t.Errorf("message %d corrupted after the rail death", i)
+			}
+		}
+	})
+	if rep.World.Reliability() == nil {
+		t.Fatal("rail-death plan ran without the reliability layer")
+	}
+	var quarantines int64
+	for _, st := range rep.RankStats {
+		quarantines += st.RailQuarantines
+	}
+	if quarantines == 0 {
+		t.Error("dead rail never quarantined")
+	}
+	if live := rep.World.BufLive(); live != 0 {
+		t.Errorf("BufLive = %d after the run, want 0", live)
+	}
 }

@@ -75,10 +75,12 @@ type Config struct {
 	// the run starts (implemented by *chaos.Plan; the interface keeps the
 	// chaos package, whose oracle drives this one, out of mpi's imports).
 	Chaos ChaosPlan
-	// Reliability, when non-nil, arms the self-healing rail layer before
-	// the run starts: endogenous failure detection, backoff retransmit,
-	// probe-driven reintegration. With it armed, chaos rail events only
-	// flip QP hardware state — the endpoints discover the change.
+	// Reliability, when non-nil, arms the self-healing rail layer with this
+	// config before the run starts: endogenous failure detection, backoff
+	// retransmit, probe-driven reintegration. A Chaos plan with rail events
+	// arms the layer with the default config when this is nil; either way
+	// rail events only flip QP hardware state and the endpoints discover
+	// the change.
 	Reliability *adi.ReliabilityConfig
 	// RegCache, when non-nil, arms the pin-down registration cache on
 	// every endpoint: rendezvous and one-sided bulk transfers pay
@@ -196,11 +198,14 @@ func Run(cfg Config, body func(c *Comm)) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	eng := sim.NewEngine()
 	world := adi.NewWorld(eng, cfg.Model, spec, cfg.adiOptions())
 	rep := newReport(world, spec.Size())
-	// Reliability arms before the chaos plan so rail events scheduled at
-	// t=0 already find SetRail in self-healing (hardware-only) mode.
+	// Reliability arms before the chaos plan, so the plan's own default
+	// arming finds the caller's config already in place.
 	if cfg.Reliability != nil {
 		world.EnableReliability(*cfg.Reliability)
 	}
@@ -224,6 +229,26 @@ func Run(cfg Config, body func(c *Comm)) (*Report, error) {
 	}
 	rep.finish()
 	return rep, nil
+}
+
+// validate rejects the option values the layers below would otherwise
+// panic on, deadlock on, or silently read as a default.
+func (c Config) validate() error {
+	switch {
+	case c.PolicyImpl == nil && (c.Policy < core.Original || c.Policy > core.Adaptive):
+		return fmt.Errorf("mpi: Policy = %d, not a core.Kind", int(c.Policy))
+	case c.SQDepth < 0:
+		return fmt.Errorf("mpi: SQDepth = %d, need ≥ 0 (0 = the default depth)", c.SQDepth)
+	case c.EagerProto != adi.EagerSendRecv && c.EagerProto != adi.EagerRDMAWrite:
+		return fmt.Errorf("mpi: EagerProto = %d, not an adi.EagerProto", int(c.EagerProto))
+	case c.Rndv != adi.RndvWrite && c.Rndv != adi.RndvRead:
+		return fmt.Errorf("mpi: Rndv = %d, not an adi.RndvProto", int(c.Rndv))
+	case c.Integrity < adi.IntegrityOff || c.Integrity > adi.IntegrityVerify:
+		return fmt.Errorf("mpi: Integrity = %d, not an adi.IntegrityMode", int(c.Integrity))
+	case c.CollAlg < CollStriped || c.CollAlg > CollAuto:
+		return fmt.Errorf("mpi: CollAlg = %d, not an mpi.CollAlg", int(c.CollAlg))
+	}
+	return nil
 }
 
 // adiOptions maps the config onto world-construction options.

@@ -2,8 +2,10 @@ package mpi
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"ib12x/internal/adi"
 	"ib12x/internal/core"
 	"ib12x/internal/sim"
 )
@@ -45,9 +47,35 @@ func TestRunBasics(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadConfig: a shape or option value no layer below accepts
+// fails Run before any world is built, with an error naming the field,
+// instead of a panic inside the world build, a deadlock, or a silent
+// default.
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{Ports: 5}, func(*Comm) {}); err == nil {
-		t.Error("invalid config accepted")
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"PortsPerHCA", Config{Ports: 5}},
+		{"Policy", Config{Policy: core.Kind(99)}},
+		{"SQDepth", Config{SQDepth: -1}},
+		{"EagerProto", Config{EagerProto: adi.EagerProto(9)}},
+		{"Rndv", Config{Rndv: adi.RndvProto(9)}},
+		{"Integrity", Config{Integrity: adi.IntegrityMode(9)}},
+		{"CollAlg", Config{CollAlg: CollAlg(9)}},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Run panicked: %v", r)
+				}
+			}()
+			ran := false
+			_, err := Run(tc.cfg, func(*Comm) { ran = true })
+			if err == nil || !strings.Contains(err.Error(), tc.field) || ran {
+				t.Errorf("Run = %v (body ran: %v); want an error naming %s before any rank runs", err, ran, tc.field)
+			}
+		})
 	}
 }
 
