@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check race fuzz cover benchcheck soak bench simbench perf reproduce extra clean
+.PHONY: all build test vet check race fuzz cover benchcheck figs soak bench simbench perf reproduce extra clean
 
 all: vet test build
 
@@ -18,12 +18,12 @@ vet:
 
 # Full pre-merge gate: vet + the whole suite + the race detector over the
 # hot-path packages and the NAS kernels + the fuzz corpus + the statement-coverage floor + the
-# nested benchmark module.
-check: vet test race fuzz cover benchcheck
+# nested benchmark module + the NAS IS figures against their recorded output.
+check: vet test race fuzz cover benchcheck figs
 
 race:
 	$(GO) test -race ./internal/sim/... ./internal/adi/... ./internal/core/... ./internal/mpi/... ./internal/chaos/... ./internal/buf/... ./internal/harness/... ./internal/regcache/... ./internal/fabric/... ./internal/topo/... ./internal/hca/... ./internal/ib/... ./internal/trace/... ./internal/shmem/... ./internal/nas/...
-	$(GO) test -race -run 'TestLaneColl|TestEagerLatencyTable|TestNASFig' ./internal/bench/
+	$(GO) test -race -run 'TestLaneColl|TestEagerLatencyTable|TestNASFig|TestDegradedRailTable|TestHCAGenerationTable|TestOversubscriptionTableShape' ./internal/bench/
 
 # Self-healing soak: the full chaos conformance matrix with the rail
 # reliability layer armed, the health state machine and replay tests, and
@@ -69,6 +69,17 @@ cover:
 # compiles it; this is what catches an API break against it.
 benchcheck:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Figures 9 and 10 (NAS IS classes A and B, ~18 s together) at -quick,
+# diffed against cmd/reproduce/testdata; TestFiguresGolden pins the other
+# figures but these are too slow for the plain test suite.
+figs:
+	@out=$$(mktemp -t ib12x-figs-XXXXXX); \
+	trap 'rm -f $$out' EXIT; \
+	for f in 9 10; do \
+		$(GO) run ./cmd/reproduce -quick -fig $$f > $$out && \
+		diff -u cmd/reproduce/testdata/fig$$f.txt $$out || exit 1; \
+	done
 
 # One testing.B benchmark per paper figure, plus ablations.
 bench:

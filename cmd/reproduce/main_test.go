@@ -13,7 +13,8 @@ import (
 // supplementary tables at the reduced iteration counts of -quick and
 // compares each output byte for byte with testdata/, so the figure
 // pipeline from simulation to printed table stays pinned. Figures 9 and
-// 10 (NAS IS) stay out: they take seconds, not tenths. A figure's file is
+// 10 (NAS IS) stay out: they take seconds, not tenths, so `make figs`
+// diffs them against testdata/fig9.txt and fig10.txt. A figure's file is
 // the stdout of `reproduce -quick -fig N`; extra.txt is the stdout of
 // `reproduce -quick -fig headline -extra` without its first nine lines.
 func TestFiguresGolden(t *testing.T) {

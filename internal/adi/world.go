@@ -21,8 +21,6 @@ type Options struct {
 	Policy core.Kind
 	// PolicyImpl overrides the policy with a custom implementation.
 	PolicyImpl core.Policy
-	// MinStripe overrides the model's minimum stripe size (bytes).
-	MinStripe int
 	// BindRail, if set, chooses the bound rail per (rank, peer)
 	// connection — the knob behind the binding policy. Defaults to rail 0.
 	BindRail func(rank, peer int) int
@@ -183,11 +181,7 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 
 	policy := opt.PolicyImpl
 	if policy == nil {
-		minStripe := opt.MinStripe
-		if minStripe == 0 {
-			minStripe = m.MinStripe
-		}
-		policy = core.New(opt.Policy, minStripe)
+		policy = core.New(opt.Policy, m.MinStripe)
 	}
 
 	if opt.BindRail == nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ib12x/internal/core"
+	"ib12x/internal/stats"
 )
 
 var quick = FigOpts{Quick: true}
@@ -301,20 +302,28 @@ func TestNASFigTable(t *testing.T) {
 }
 
 // TestNASFigSerialParallelIdentical pins determinism of the NAS figures'
-// fan-out: one worker and two give the same table, value for value.
+// fan-out: one worker and several give the same table, value for value.
 func TestNASFigSerialParallelIdentical(t *testing.T) {
 	for _, kernel := range []string{"is", "ft"} {
-		serial, err := nasFig(1, kernel, 'S', quick)
+		serialParallelIdentical(t, func() (*stats.Table, error) { return NASFig(kernel, 'S', quick) })
+	}
+}
+
+// serialParallelIdentical builds a table with IB12X_WORKERS=1, the serial
+// loop, and with 4 workers; the two must be identical value for value.
+func serialParallelIdentical(t *testing.T, gen func() (*stats.Table, error)) {
+	t.Helper()
+	var tabs [2]*stats.Table
+	for i, workers := range []string{"1", "4"} {
+		t.Setenv("IB12X_WORKERS", workers)
+		tab, err := gen()
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := nasFig(2, kernel, 'S', quick)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("%s: serial/parallel tables diverge:\n--- serial ---\n%s--- parallel ---\n%s", kernel, serial.Format(), parallel.Format())
-		}
+		tabs[i] = tab
+	}
+	if !reflect.DeepEqual(tabs[0], tabs[1]) {
+		t.Errorf("serial/parallel tables diverge:\n--- serial ---\n%s--- parallel ---\n%s", tabs[0].Format(), tabs[1].Format())
 	}
 }
 

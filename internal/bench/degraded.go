@@ -4,7 +4,6 @@ import (
 	"ib12x/internal/adi"
 	"ib12x/internal/chaos"
 	"ib12x/internal/core"
-	"ib12x/internal/harness"
 	"ib12x/internal/stats"
 )
 
@@ -26,32 +25,16 @@ var degradedPolicies = []core.Kind{
 // sweep on the three survivors. One column per policy, so the supplementary
 // table shows how each planner sheds a quarter of its fabric.
 func DegradedRailTable(o FigOpts) (*stats.Table, error) {
-	return degradedRailTable(harness.Workers(), o)
-}
-
-// degradedRailTable is DegradedRailTable with an explicit worker count; the
-// determinism suite pins serial/parallel bit-identity on it.
-func degradedRailTable(workers int, o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	sizes := []int{16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1 << 20}
-	t := &stats.Table{
-		Title:  "Supplementary: uni-directional bandwidth, one rail dead (self-healing)",
-		XLabel: "Size", Unit: "MB/s",
-	}
-	results, err := harness.MapNAll(workers, degradedPolicies, func(kind core.Kind) ([]float64, error) {
-		s := Setup{
+	var cols []column
+	for _, kind := range degradedPolicies {
+		cols = append(cols, column{name: kind.String(), s: Setup{
 			QPs:         4,
 			Policy:      kind,
 			Chaos:       chaos.RailDeath(0, 0, 0),
 			Reliability: &adi.ReliabilityConfig{Seed: 1},
-		}
-		return UniBandwidth(s, sizes, o.Window, o.BWIters, o.BWWarmup)
-	})
-	if err != nil {
-		return nil, err
+		}})
 	}
-	for i, vals := range results {
-		addSweep(t, degradedPolicies[i].String(), sizes, vals)
-	}
-	return t, nil
+	return table("Supplementary: uni-directional bandwidth, one rail dead (self-healing)", "Size", "MB/s",
+		cols, largeSizes, o.bw().uniBW)
 }

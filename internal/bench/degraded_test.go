@@ -3,13 +3,15 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"ib12x/internal/stats"
 )
 
 // TestDegradedRailTable checks the one-rail-dead sweep produces a full
 // matrix: every policy column, every Figure 6 size, every cell a positive
 // bandwidth despite a quarter of the fabric being dead from t=0.
 func TestDegradedRailTable(t *testing.T) {
-	tab, err := degradedRailTable(1, FigOpts{Quick: true, Window: 8})
+	tab, err := DegradedRailTable(FigOpts{Quick: true, Window: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,16 +37,5 @@ func TestDegradedRailTable(t *testing.T) {
 // the supplementary table: the serial and parallel harness runs must render
 // bit-identically.
 func TestDegradedRailTableSerialParallelIdentical(t *testing.T) {
-	o := FigOpts{Quick: true, Window: 8}
-	serial, err := degradedRailTable(1, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := degradedRailTable(6, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, p := serial.Format(), parallel.Format(); s != p {
-		t.Errorf("serial/parallel tables diverge:\n--- serial ---\n%s--- parallel ---\n%s", s, p)
-	}
+	serialParallelIdentical(t, func() (*stats.Table, error) { return DegradedRailTable(FigOpts{Quick: true, Window: 8}) })
 }

@@ -5,7 +5,6 @@ import (
 
 	"ib12x/internal/adi"
 	"ib12x/internal/core"
-	"ib12x/internal/harness"
 	"ib12x/internal/stats"
 )
 
@@ -31,51 +30,28 @@ var eagerLatPolicies = []core.Kind{
 // threshold on both channels.
 var eagerLatSizes = []int{1, 16, 256, 1024, 4096, 8192}
 
-// eagerLatCase is one (policy, eager channel) row of the table.
-type eagerLatCase struct {
-	name string
-	s    Setup
-}
-
-func eagerLatCases() []eagerLatCase {
-	var cases []eagerLatCase
+// eagerLatCases is one column per (policy, eager channel), send/recv then
+// rdma-write under each policy.
+func eagerLatCases() []column {
+	var cols []column
 	for _, kind := range eagerLatPolicies {
 		for _, proto := range []struct {
 			name string
 			p    adi.EagerProto
 		}{{"send/recv", adi.EagerSendRecv}, {"rdma-write", adi.EagerRDMAWrite}} {
-			cases = append(cases, eagerLatCase{
+			cols = append(cols, column{
 				name: fmt.Sprintf("%s %s", kind, proto.name),
 				s:    Setup{QPs: 4, Policy: kind, EagerProto: proto.p},
 			})
 		}
 	}
-	return cases
+	return cols
 }
 
 // EagerLatencyTable sweeps the small-message latency floor over both eager
 // channels and all scheduling policies.
 func EagerLatencyTable(o FigOpts) (*stats.Table, error) {
-	return eagerLatencyTable(harness.Workers(), o)
-}
-
-// eagerLatencyTable is EagerLatencyTable with an explicit worker count; the
-// determinism suite pins serial/parallel bit-identity on it.
-func eagerLatencyTable(workers int, o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	t := &stats.Table{
-		Title:  "Supplementary: small-message latency floor, RDMA-write eager ring vs send/recv",
-		XLabel: "Size", Unit: "us",
-	}
-	cases := eagerLatCases()
-	results, err := harness.MapN(workers, cases, func(c eagerLatCase) ([]float64, error) {
-		return Latency(c.s, eagerLatSizes, o.LatIters, o.LatWarmup)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, vals := range results {
-		addSweep(t, cases[i].name, eagerLatSizes, vals)
-	}
-	return t, nil
+	return table("Supplementary: small-message latency floor, RDMA-write eager ring vs send/recv", "Size", "us",
+		eagerLatCases(), eagerLatSizes, o.lat().latency)
 }

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"ib12x/internal/stats"
 )
 
 // TestEagerLatencyTableStrictWin pins the PR's acceptance bar: under every
@@ -11,7 +13,7 @@ import (
 // constants, at every size in the sweep — the poll-cost saving is
 // per-message, not per-byte).
 func TestEagerLatencyTableStrictWin(t *testing.T) {
-	tab, err := eagerLatencyTable(1, FigOpts{Quick: true})
+	tab, err := EagerLatencyTable(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,16 +46,5 @@ func TestEagerLatencyTableStrictWin(t *testing.T) {
 // TestEagerLatencyTableSerialParallelIdentical pins determinism: the table
 // renders bit-identically from serial and parallel harness runs.
 func TestEagerLatencyTableSerialParallelIdentical(t *testing.T) {
-	o := FigOpts{Quick: true}
-	serial, err := eagerLatencyTable(1, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := eagerLatencyTable(6, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, p := serial.Format(), parallel.Format(); s != p {
-		t.Errorf("serial/parallel tables diverge:\n--- serial ---\n%s--- parallel ---\n%s", s, p)
-	}
+	serialParallelIdentical(t, func() (*stats.Table, error) { return EagerLatencyTable(quick) })
 }

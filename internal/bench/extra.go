@@ -17,8 +17,8 @@ import (
 // Supplementary experiments beyond the paper's figures: the rest of the
 // Pallas-style collective suite, the stencil pattern the conclusions name
 // as future work, node-count scaling, the RGET/RPUT rendezvous comparison
-// and the EP/CG "no degradation" check. cmd/reproduce prints these under
-// -extra.
+// and the "no degradation" check on five more NAS kernels. cmd/reproduce
+// prints these under -extra.
 
 // CollKind selects a collective for the sweep harness.
 type CollKind int
@@ -50,76 +50,54 @@ func (k CollKind) String() string {
 // each message size. Sizes are per-rank payload bytes (per-pair for
 // Alltoall, per-block for Allgather).
 func Collective(kind CollKind, s Setup, sizes []int, iters, warmup int) ([]float64, error) {
-	out := make([]float64, len(sizes))
-	for i, n := range sizes {
-		n := n
-		var worst sim.Time
-		_, err := mpi.Run(s.Config(), func(c *mpi.Comm) {
-			p := c.Size()
-			var run func()
-			switch kind {
-			case CollBcast:
-				run = func() { c.BcastN(0, nil, n) }
-			case CollAllgather:
-				recv := make([]byte, p*n)
-				run = func() { c.Allgather(recv[:n], n, recv) }
-			case CollAllreduce:
+	return perSize(s, sizes, loop{iters: iters, warmup: warmup}.collective(kind))
+}
+
+// collective is the per-cell measurement of one collective; an unknown kind
+// fails every cell before its simulation starts.
+func (l loop) collective(kind CollKind) func(Setup, int) (float64, error) {
+	return func(s Setup, n int) (float64, error) {
+		var op func(c *mpi.Comm) func()
+		switch kind {
+		case CollBcast:
+			op = func(c *mpi.Comm) func() { return func() { c.BcastN(0, nil, n) } }
+		case CollAllgather:
+			op = func(c *mpi.Comm) func() {
+				recv := make([]byte, c.Size()*n)
+				return func() { c.Allgather(recv[:n], n, recv) }
+			}
+		case CollAllreduce:
+			op = func(c *mpi.Comm) func() {
 				buf := make([]float64, (n+7)/8)
-				run = func() { c.AllreduceFloat64(buf, mpi.Sum) }
-			case CollAlltoall:
-				run = func() { c.Alltoall(nil, n, nil) }
+				return func() { c.AllreduceFloat64(buf, mpi.Sum) }
 			}
-			c.Barrier()
-			var t0 sim.Time
-			for it := 0; it < warmup+iters; it++ {
-				if it == warmup {
-					t0 = c.Time()
-				}
-				run()
-			}
-			el := []int64{int64(c.Time() - t0)}
-			c.AllreduceInt64(el, mpi.Max)
-			if c.Rank() == 0 {
-				worst = sim.Time(el[0])
-			}
-		})
-		if err != nil {
-			return nil, err
+		case CollAlltoall:
+			op = func(c *mpi.Comm) func() { return func() { c.Alltoall(nil, n, nil) } }
+		default:
+			return 0, fmt.Errorf("bench: unknown collective %v", kind)
 		}
-		out[i] = worst.Micros() / float64(iters)
+		el, err := l.perIter(s, op)
+		return el.Micros() / float64(l.iters), err
 	}
-	return out, nil
 }
 
 // CollectiveTable sweeps one collective across the scheduling policies on
 // the paper's 2×4 configuration.
 func CollectiveTable(kind CollKind, o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	sizes := []int{4 * 1024, 16 * 1024, 64 * 1024, 256 * 1024}
-	t := &stats.Table{
-		Title:  fmt.Sprintf("Supplementary: MPI_%s, 2x4 configuration", kind),
-		XLabel: "Size", Unit: "us",
-	}
-	for _, s := range []Setup{
-		{QPs: 1, Policy: core.Original, PPN: 4},
-		{QPs: 4, Policy: core.RoundRobin, PPN: 4},
-		{QPs: 4, Policy: core.EPC, PPN: 4},
-	} {
-		vals, err := Collective(kind, s, sizes, o.BWIters, o.BWWarmup)
-		if err != nil {
-			return nil, err
-		}
-		addSweep(t, s.Label(), sizes, vals)
-	}
-	return t, nil
+	return table(fmt.Sprintf("Supplementary: MPI_%s, 2x4 configuration", kind), "Size", "us",
+		labeled(
+			Setup{QPs: 1, Policy: core.Original, PPN: 4},
+			Setup{QPs: 4, Policy: core.RoundRobin, PPN: 4},
+			Setup{QPs: 4, Policy: core.EPC, PPN: 4},
+		),
+		[]int{4 * 1024, 16 * 1024, 64 * 1024, 256 * 1024}, o.bw().collective(kind))
 }
 
 // Stencil times a 2-D torus halo exchange (the paper's "future work"
 // pattern) and returns µs per iteration.
 func Stencil(s Setup, haloBytes, iters int) (float64, error) {
-	var worst sim.Time
-	cfg := s.Config()
-	_, err := mpi.Run(cfg, func(c *mpi.Comm) {
+	el, err := loop{iters: iters}.perIter(s, func(c *mpi.Comm) func() {
 		p := c.Size()
 		gx := 1
 		for gx*gx < p {
@@ -132,9 +110,7 @@ func Stencil(s Setup, haloBytes, iters int) (float64, error) {
 		right := py*gx + (px+1)%gx
 		up := ((py-1+gy)%gy)*gx + px
 		down := ((py+1)%gy)*gx + px
-		c.Barrier()
-		t0 := c.Time()
-		for it := 0; it < iters; it++ {
+		return func() {
 			c.SendrecvN(right, 1, nil, haloBytes, left, 1, nil, haloBytes)
 			c.SendrecvN(left, 2, nil, haloBytes, right, 2, nil, haloBytes)
 			if gy > 1 {
@@ -142,16 +118,8 @@ func Stencil(s Setup, haloBytes, iters int) (float64, error) {
 				c.SendrecvN(up, 4, nil, haloBytes, down, 4, nil, haloBytes)
 			}
 		}
-		el := []int64{int64(c.Time() - t0)}
-		c.AllreduceInt64(el, mpi.Max)
-		if rank == 0 {
-			worst = sim.Time(el[0])
-		}
 	})
-	if err != nil {
-		return 0, err
-	}
-	return worst.Micros() / float64(iters), nil
+	return el.Micros() / float64(iters), err
 }
 
 // StencilTable compares the policies on a 4-node stencil (one connection
@@ -159,123 +127,45 @@ func Stencil(s Setup, haloBytes, iters int) (float64, error) {
 // separate, per the paper's §3.2.1 analysis).
 func StencilTable(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	sizes := []int{64 * 1024, 256 * 1024, 1 << 20}
-	t := &stats.Table{
-		Title:  "Supplementary: 2-D stencil halo exchange, 4 nodes",
-		XLabel: "Size", Unit: "us/iter",
-	}
-	for _, s := range []Setup{
-		{QPs: 1, Policy: core.Original, Nodes: 4},
-		{QPs: 4, Policy: core.RoundRobin, Nodes: 4},
-		{QPs: 4, Policy: core.EPC, Nodes: 4},
-	} {
-		for _, n := range sizes {
-			v, err := Stencil(s, n, o.BWIters)
-			if err != nil {
-				return nil, err
-			}
-			t.Add(s.Label(), n, v)
-		}
-	}
-	return t, nil
+	return table("Supplementary: 2-D stencil halo exchange, 4 nodes", "Size", "us/iter",
+		labeled(
+			Setup{QPs: 1, Policy: core.Original, Nodes: 4},
+			Setup{QPs: 4, Policy: core.RoundRobin, Nodes: 4},
+			Setup{QPs: 4, Policy: core.EPC, Nodes: 4},
+		),
+		[]int{64 * 1024, 256 * 1024, 1 << 20}, func(s Setup, n int) (float64, error) {
+			return Stencil(s, n, o.BWIters)
+		})
 }
 
 // ScalingTable sweeps node counts (the conclusions' "scalability issues
 // for large scale clusters"): per-iteration time of a 1 MB ring exchange.
 func ScalingTable(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	t := &stats.Table{
-		Title:  "Supplementary: 1MB ring exchange vs node count",
-		XLabel: "Nodes", Unit: "us/iter",
-	}
-	for _, s := range []Setup{
-		{QPs: 1, Policy: core.Original},
-		{QPs: 4, Policy: core.EPC},
-	} {
-		for _, nodes := range []int{2, 4, 8, 16} {
-			s := s
+	return table("Supplementary: 1MB ring exchange vs node count", "Nodes", "us/iter",
+		labeled(Setup{QPs: 1, Policy: core.Original}, Setup{QPs: 4, Policy: core.EPC}),
+		[]int{2, 4, 8, 16}, func(s Setup, nodes int) (float64, error) {
 			s.Nodes = nodes
-			var worst sim.Time
-			_, err := mpi.Run(s.Config(), func(c *mpi.Comm) {
+			el, err := loop{iters: o.BWIters}.perIter(s, func(c *mpi.Comm) func() {
 				p := c.Size()
 				right := (c.Rank() + 1) % p
 				left := (c.Rank() - 1 + p) % p
-				c.Barrier()
-				t0 := c.Time()
-				for it := 0; it < o.BWIters; it++ {
-					c.SendrecvN(right, 0, nil, 1<<20, left, 0, nil, 1<<20)
-				}
-				el := []int64{int64(c.Time() - t0)}
-				c.AllreduceInt64(el, mpi.Max)
-				if c.Rank() == 0 {
-					worst = sim.Time(el[0])
-				}
+				return func() { c.SendrecvN(right, 0, nil, 1<<20, left, 0, nil, 1<<20) }
 			})
-			if err != nil {
-				return nil, err
-			}
-			t.Add(s.Label(), nodes, worst.Micros()/float64(o.BWIters))
-		}
-	}
-	return t, nil
+			return el.Micros() / float64(o.BWIters), err
+		})
 }
 
 // RendezvousTable compares the RPUT (paper) and RGET rendezvous engines on
 // uni-directional bandwidth.
 func RendezvousTable(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	sizes := []int{16 * 1024, 64 * 1024, 256 * 1024, 1 << 20}
-	t := &stats.Table{
-		Title:  "Supplementary: rendezvous protocol, uni-directional bandwidth (EPC 4QP)",
-		XLabel: "Size", Unit: "MB/s",
-	}
-	for _, r := range []struct {
-		name string
-		p    adi.RndvProto
-	}{
-		{"RPUT (sender writes)", adi.RndvWrite},
-		{"RGET (receiver reads)", adi.RndvRead},
-	} {
-		vals := make([]float64, len(sizes))
-		for i, n := range sizes {
-			n := n
-			var elapsed sim.Time
-			cfg := Setup{QPs: 4, Policy: core.EPC}.Config()
-			cfg.Rndv = r.p
-			_, err := mpi.Run(cfg, func(c *mpi.Comm) {
-				reqs := make([]*mpi.Request, o.Window)
-				switch c.Rank() {
-				case 0:
-					var t0 sim.Time
-					for it := 0; it < o.BWWarmup+o.BWIters; it++ {
-						if it == o.BWWarmup {
-							t0 = c.Time()
-						}
-						for w := range reqs {
-							reqs[w] = c.IsendN(1, 0, nil, n)
-						}
-						c.Waitall(reqs)
-						c.RecvN(1, 1, nil, 4)
-					}
-					elapsed = c.Time() - t0
-				case 1:
-					for it := 0; it < o.BWWarmup+o.BWIters; it++ {
-						for w := range reqs {
-							reqs[w] = c.IrecvN(0, 0, nil, n)
-						}
-						c.Waitall(reqs)
-						c.SendN(0, 1, nil, 4)
-					}
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = float64(o.BWIters) * float64(o.Window) * float64(n) / elapsed.Seconds() / 1e6
-		}
-		addSweep(t, r.name, sizes, vals)
-	}
-	return t, nil
+	return table("Supplementary: rendezvous protocol, uni-directional bandwidth (EPC 4QP)", "Size", "MB/s",
+		[]column{
+			{name: "RPUT (sender writes)", s: Setup{QPs: 4, Policy: core.EPC, Rndv: adi.RndvWrite}},
+			{name: "RGET (receiver reads)", s: Setup{QPs: 4, Policy: core.EPC, Rndv: adi.RndvRead}},
+		},
+		[]int{16 * 1024, 64 * 1024, 256 * 1024, 1 << 20}, o.bw().uniBW)
 }
 
 // OversubscriptionTable sweeps routed-fabric oversubscription on a
@@ -294,67 +184,39 @@ func OversubscriptionTable(o FigOpts) (*stats.Table, error) {
 		Title:  "Supplementary: routed-fabric oversubscription, 1MB shift exchange (EPC 4QP); rows 1/2/4: 16-node three-tier tree, row 8: 8-node dragonfly 2gx2r; degraded = plane 0 at 25% rate",
 		XLabel: "Oversub", Unit: "MB/s",
 	}
-	run := func(s Setup) (float64, error) {
-		var worst sim.Time
-		cfg := s.Config()
-		_, err := mpi.Run(cfg, func(c *mpi.Comm) {
-			p := c.Size()
-			peer := (c.Rank() + p/2) % p
-			c.Barrier()
-			t0 := c.Time()
-			for it := 0; it < o.BWIters; it++ {
-				c.SendrecvN(peer, 0, nil, 1<<20, peer, 0, nil, 1<<20)
-			}
-			el := []int64{int64(c.Time() - t0)}
-			c.AllreduceInt64(el, mpi.Max)
-			if c.Rank() == 0 {
-				worst = sim.Time(el[0])
-			}
+	shift := func(s Setup, _ int) (float64, error) {
+		el, err := loop{iters: o.BWIters}.perIter(s, func(c *mpi.Comm) func() {
+			peer := (c.Rank() + c.Size()/2) % c.Size()
+			return func() { c.SendrecvN(peer, 0, nil, 1<<20, peer, 0, nil, 1<<20) }
 		})
-		if err != nil {
-			return 0, err
-		}
+		cfg := s.Config()
 		sent := float64(o.BWIters) * float64(cfg.Nodes*cfg.ProcsPerNode) * float64(1<<20)
-		return sent / worst.Seconds() / 1e6, nil
+		return sent / el.Seconds() / 1e6, err
 	}
-	flat, err := run(Setup{QPs: 4, Policy: core.EPC, Nodes: 16})
-	if err != nil {
+	if err := sweep(t, []column{{name: "flat", s: Setup{QPs: 4, Policy: core.EPC, Nodes: 16}}}, []int{1}, shift); err != nil {
 		return nil, err
 	}
-	t.Add("flat", 1, flat)
+	var cols []column
+	for _, routing := range []fabric.Routing{fabric.RouteStatic, fabric.RouteAdaptive} {
+		cols = append(cols,
+			column{name: routing.String() + " clean", s: Setup{QPs: 4, Policy: core.EPC, Routing: routing}},
+			column{name: routing.String() + " degraded", s: Setup{QPs: 4, Policy: core.EPC, Routing: routing,
+				Chaos: chaos.DegradedTrunk(0, sim.Second, 0, 0.25)}})
+	}
 	link := model.Default().LinkRawRate
-	shapes := []struct {
-		x   int
-		set func(*Setup)
-	}{
-		{1, func(s *Setup) { s.Nodes, s.NodesPerSwitch, s.Tiers, s.SpinesPerPod = 16, 4, 3, 4 }},
-		{2, func(s *Setup) { s.Nodes, s.NodesPerSwitch, s.Tiers, s.SpinesPerPod = 16, 4, 3, 2 }},
-		{4, func(s *Setup) { s.Nodes, s.NodesPerSwitch, s.Tiers, s.SpinesPerPod = 16, 4, 3, 1 }},
-		{8, func(s *Setup) {
+	err := sweep(t, cols, []int{1, 2, 4, 8}, func(s Setup, x int) (float64, error) {
+		switch x {
+		case 8:
 			s.Nodes, s.NodesPerSwitch = 8, 2
 			s.Dragonfly = topo.Dragonfly{Groups: 2, RoutersPerGroup: 2, GlobalLinks: 2}
 			s.TrunkRate = link / 2
-		}},
-	}
-	for _, routing := range []fabric.Routing{fabric.RouteStatic, fabric.RouteAdaptive} {
-		for _, degraded := range []bool{false, true} {
-			name := routing.String() + " clean"
-			if degraded {
-				name = routing.String() + " degraded"
-			}
-			for _, sh := range shapes {
-				s := Setup{QPs: 4, Policy: core.EPC, Routing: routing}
-				sh.set(&s)
-				if degraded {
-					s.Chaos = chaos.DegradedTrunk(0, sim.Second, 0, 0.25)
-				}
-				v, err := run(s)
-				if err != nil {
-					return nil, err
-				}
-				t.Add(name, sh.x, v)
-			}
+		default: // a 1:x three-tier tree
+			s.Nodes, s.NodesPerSwitch, s.Tiers, s.SpinesPerPod = 16, 4, 3, 4/x
 		}
+		return shift(s, x)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -364,39 +226,18 @@ func OversubscriptionTable(o FigOpts) (*stats.Table, error) {
 // algorithm, and Bruck's log-step merge for small blocks.
 func AlltoallAlgTable(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	sizes := []int{64, 1024, 16 * 1024, 256 * 1024}
-	t := &stats.Table{
-		Title:  "Supplementary: Alltoall algorithm ablation, 2x4, EPC 4QP",
-		XLabel: "Size", Unit: "us",
-	}
+	var cols []column
 	for _, alg := range []mpi.A2AAlg{mpi.A2APairwise, mpi.A2ALinear, mpi.A2ABruck} {
-		vals := make([]float64, len(sizes))
-		for i, n := range sizes {
-			n := n
-			var worst sim.Time
-			_, err := mpi.Run(Setup{QPs: 4, Policy: core.EPC, PPN: 4}.Config(), func(c *mpi.Comm) {
-				c.Barrier()
-				var t0 sim.Time
-				for it := 0; it < o.BWWarmup+o.BWIters; it++ {
-					if it == o.BWWarmup {
-						t0 = c.Time()
-					}
-					c.AlltoallAlg(alg, nil, n, nil)
-				}
-				el := []int64{int64(c.Time() - t0)}
-				c.AllreduceInt64(el, mpi.Max)
-				if c.Rank() == 0 {
-					worst = sim.Time(el[0])
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = worst.Micros() / float64(o.BWIters)
-		}
-		addSweep(t, alg.String(), sizes, vals)
+		cols = append(cols, column{name: alg.String(), s: Setup{QPs: 4, Policy: core.EPC, PPN: 4},
+			at: func(s Setup, n int) (float64, error) {
+				el, err := o.bw().perIter(s, func(c *mpi.Comm) func() {
+					return func() { c.AlltoallAlg(alg, nil, n, nil) }
+				})
+				return el.Micros() / float64(o.BWIters), err
+			}})
 	}
-	return t, nil
+	return table("Supplementary: Alltoall algorithm ablation, 2x4, EPC 4QP", "Size", "us",
+		cols, []int{64, 1024, 16 * 1024, 256 * 1024}, nil)
 }
 
 // HCAGenerationTable compares the paper's IBM 12x/GX+ HCA with the
@@ -404,53 +245,36 @@ func AlltoallAlgTable(o FigOpts) (*stats.Table, error) {
 // their best configuration (EPC over all engines) and single-rail.
 func HCAGenerationTable(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	sizes := []int{16 * 1024, 256 * 1024, 1 << 20}
-	t := &stats.Table{
-		Title:  "Supplementary: HCA generations, uni-directional bandwidth",
-		XLabel: "Size", Unit: "MB/s",
-	}
-	type cfg struct {
-		name  string
-		setup Setup
-	}
 	m8 := model.PCIe8x()
-	cfgs := []cfg{
-		{"8x PCIe original", Setup{QPs: 1, Policy: core.Original, Model: m8}},
-		{"8x PCIe EPC 2QP", Setup{QPs: 2, Policy: core.EPC, Model: m8}},
-		{"12x GX+ original", Setup{QPs: 1, Policy: core.Original}},
-		{"12x GX+ EPC 4QP", Setup{QPs: 4, Policy: core.EPC}},
-	}
-	for _, c := range cfgs {
-		vals, err := UniBandwidth(c.setup, sizes, o.Window, o.BWIters, o.BWWarmup)
-		if err != nil {
-			return nil, err
-		}
-		addSweep(t, c.name, sizes, vals)
-	}
-	return t, nil
+	return table("Supplementary: HCA generations, uni-directional bandwidth", "Size", "MB/s",
+		[]column{
+			{name: "8x PCIe original", s: Setup{QPs: 1, Policy: core.Original, Model: m8}},
+			{name: "8x PCIe EPC 2QP", s: Setup{QPs: 2, Policy: core.EPC, Model: m8}},
+			{name: "12x GX+ original", s: Setup{QPs: 1, Policy: core.Original}},
+			{name: "12x GX+ EPC 4QP", s: Setup{QPs: 4, Policy: core.EPC}},
+		},
+		[]int{16 * 1024, 256 * 1024, 1 << 20}, o.bw().uniBW)
 }
 
-// NoDegradationTable runs EP and CG (the paper: "we have not seen
-// performance degradation using other NAS Parallel Benchmarks").
+// NoDegradationTable runs five more NAS kernels, EP, CG, MG and LU, on
+// 2 procs, single-rail original (1 QP/port) against EPC (4 QPs/port) — the
+// paper: "we have not seen performance degradation using other NAS
+// Parallel Benchmarks". One column per kernel and class.
 func NoDegradationTable() (*stats.Table, error) {
-	t := &stats.Table{
-		Title:  "Supplementary: other NAS kernels, original vs EPC (2 procs)",
-		XLabel: "Kernel", Unit: "s",
-	}
-	for i, k := range []struct {
+	var cols []column
+	for _, k := range []struct {
 		kernel string
 		class  byte
 	}{{"ep", 'S'}, {"cg", 'S'}, {"cg", 'A'}, {"mg", 'A'}, {"lu", 'W'}} {
-		orig, err := nasSeconds(Setup{QPs: 1, Policy: core.Original}, k.kernel, k.class)
-		if err != nil {
-			return nil, err
-		}
-		epc, err := nasSeconds(Setup{QPs: 4, Policy: core.EPC}, k.kernel, k.class)
-		if err != nil {
-			return nil, err
-		}
-		t.Add("original (1 QP/port)", i, orig)
-		t.Add("EPC 4QP", i, epc)
+		cols = append(cols, column{name: fmt.Sprintf("%s.%c", k.kernel, k.class),
+			at: func(s Setup, qps int) (float64, error) {
+				s.QPs, s.Policy = qps, core.EPC
+				if qps == 1 {
+					s.Policy = core.Original
+				}
+				return nasSeconds(s, k.kernel, k.class)
+			}})
 	}
-	return t, nil
+	return table("Supplementary: other NAS kernels, original (1 QP/port) vs EPC (4 QPs/port), 2 procs", "QPs/port", "s",
+		cols, []int{1, 4}, nil)
 }

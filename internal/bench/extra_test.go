@@ -30,6 +30,10 @@ func TestCollectiveSweepsRun(t *testing.T) {
 			t.Errorf("%v: times %v not positive/increasing", kind, v)
 		}
 	}
+	// An unknown kind is an error naming it, not a panic inside a rank.
+	if _, err := Collective(CollKind(9), Setup{QPs: 2, Policy: core.EPC, PPN: 2}, []int{4096}, 3, 1); err == nil || !strings.Contains(err.Error(), "CollKind(9)") {
+		t.Errorf("unknown collective: err = %v, want an error naming CollKind(9)", err)
+	}
 }
 
 func TestCollectiveTableComplete(t *testing.T) {
@@ -98,6 +102,20 @@ func TestRendezvousProtocolsComparable(t *testing.T) {
 	if d := (gv - pv) / pv; d > 0.15 || d < -0.15 {
 		t.Errorf("RGET %.0f vs RPUT %.0f MB/s at 1MB: should be within 15%%", gv, pv)
 	}
+	// RPUT is the default protocol, so its column is the same measurement
+	// as every other EPC 4QP uni-directional bandwidth cell.
+	hca, err := HCAGenerationTable(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epc := hca.Get("12x GX+ EPC 4QP")
+	for _, n := range []int{16 * 1024, 256 * 1024, 1 << 20} {
+		pv, ok1 := put.At(n)
+		ev, ok2 := epc.At(n)
+		if !ok1 || !ok2 || pv != ev {
+			t.Errorf("%d bytes: RPUT %.4f MB/s, 12x GX+ EPC 4QP %.4f MB/s: must be the same cell", n, pv, ev)
+		}
+	}
 }
 
 func TestNoDegradationTable(t *testing.T) {
@@ -105,16 +123,18 @@ func TestNoDegradationTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := tbl.Get("original (1 QP/port)")
-	epc := tbl.Get("EPC 4QP")
-	for i := 0; i < 3; i++ {
-		o, ok1 := orig.At(i)
-		e, ok2 := epc.At(i)
+	for _, kernel := range []string{"ep.S", "cg.S", "cg.A"} {
+		s := tbl.Get(kernel)
+		if s == nil {
+			t.Fatalf("missing column %q:\n%s", kernel, tbl.Format())
+		}
+		o, ok1 := s.At(1)
+		e, ok2 := s.At(4)
 		if !ok1 || !ok2 {
-			t.Fatalf("missing row %d", i)
+			t.Fatalf("%s: missing original or EPC row", kernel)
 		}
 		if e > 1.02*o {
-			t.Errorf("row %d: EPC %.4fs degrades over original %.4fs", i, e, o)
+			t.Errorf("%s: EPC %.4fs degrades over original %.4fs", kernel, e, o)
 		}
 	}
 }

@@ -40,173 +40,154 @@ func (o FigOpts) defaults() FigOpts {
 	return o
 }
 
-// addSweep runs fn for one setup and adds the points to the table.
-func addSweep(t *stats.Table, name string, sizes []int, vals []float64) {
-	for i, n := range sizes {
-		t.Add(name, n, vals[i])
+// bw and lat are the iteration plans of the figures' bandwidth and latency
+// cells.
+func (o FigOpts) bw() loop  { return loop{iters: o.BWIters, warmup: o.BWWarmup, window: o.Window} }
+func (o FigOpts) lat() loop { return loop{iters: o.LatIters, warmup: o.LatWarmup} }
+
+// column is one series of a table: its legend and the setup its cells run.
+// at, when set, measures the column's cells in place of the table's
+// measurement — for a column that varies more than its setup.
+type column struct {
+	name string
+	s    Setup
+	at   func(Setup, int) (float64, error)
+}
+
+// labeled makes one column per setup, legend Setup.Label.
+func labeled(setups ...Setup) []column {
+	cols := make([]column, len(setups))
+	for i, s := range setups {
+		cols[i] = column{name: s.Label(), s: s}
 	}
+	return cols
+}
+
+// sweep measures every (column, x) cell and adds it to t. Each cell is its
+// own simulation, so the cells fan out over the harness pool; t is filled
+// column by column, x by x, exactly as a serial loop would, and the lowest
+// failing cell's error is returned.
+func sweep(t *stats.Table, cols []column, xs []int, at func(Setup, int) (float64, error)) error {
+	type cell struct{ col, x int }
+	cells := make([]cell, 0, len(cols)*len(xs))
+	for c := range cols {
+		for _, x := range xs {
+			cells = append(cells, cell{c, x})
+		}
+	}
+	vals, err := harness.Map(cells, func(cl cell) (float64, error) {
+		col := cols[cl.col]
+		if col.at != nil {
+			return col.at(col.s, cl.x)
+		}
+		return at(col.s, cl.x)
+	})
+	if err != nil {
+		return err
+	}
+	for i, cl := range cells {
+		t.Add(cols[cl.col].name, cl.x, vals[i])
+	}
+	return nil
+}
+
+// table declares one figure: a titled table, its columns and x-values, and
+// the measurement of one cell.
+func table(title, xlabel, unit string, cols []column, xs []int, at func(Setup, int) (float64, error)) (*stats.Table, error) {
+	t := &stats.Table{Title: title, XLabel: xlabel, Unit: unit}
+	if err := sweep(t, cols, xs, at); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // Fig3 regenerates Figure 3: small-message latency — the enhanced design
 // adds no overhead over the original for latency-bound traffic.
 func Fig3(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	sizes := []int{1, 4, 16, 64, 256, 1024, 4096}
-	t := &stats.Table{Title: "Figure 3: MPI latency, small messages", XLabel: "Size", Unit: "us"}
-	for _, s := range []Setup{
-		{QPs: 1, Policy: core.Original},
-		{QPs: 2, Policy: core.EPC},
-		{QPs: 4, Policy: core.EPC},
-	} {
-		vals, err := Latency(s, sizes, o.LatIters, o.LatWarmup)
-		if err != nil {
-			return nil, err
-		}
-		addSweep(t, s.Label(), sizes, vals)
-	}
-	return t, nil
+	return table("Figure 3: MPI latency, small messages", "Size", "us",
+		labeled(Setup{QPs: 1, Policy: core.Original}, Setup{QPs: 2, Policy: core.EPC}, Setup{QPs: 4, Policy: core.EPC}),
+		[]int{1, 4, 16, 64, 256, 1024, 4096}, o.lat().latency)
 }
 
 // Fig4 regenerates Figure 4: large-message latency under each scheduling
 // policy; EPC and even striping lead, binding and round robin trail.
 func Fig4(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	sizes := []int{16 * 1024, 64 * 1024, 256 * 1024, 1 << 20}
-	t := &stats.Table{Title: "Figure 4: MPI latency, large messages", XLabel: "Size", Unit: "us"}
-	for _, s := range []Setup{
-		{QPs: 1, Policy: core.Original},
-		{QPs: 4, Policy: core.EPC},
-		{QPs: 4, Policy: core.Binding},
-		{QPs: 4, Policy: core.EvenStriping},
-		{QPs: 4, Policy: core.RoundRobin},
-	} {
-		vals, err := Latency(s, sizes, o.LatIters, o.LatWarmup)
-		if err != nil {
-			return nil, err
-		}
-		addSweep(t, s.Label(), sizes, vals)
-	}
-	return t, nil
+	return table("Figure 4: MPI latency, large messages", "Size", "us",
+		labeled(
+			Setup{QPs: 1, Policy: core.Original},
+			Setup{QPs: 4, Policy: core.EPC},
+			Setup{QPs: 4, Policy: core.Binding},
+			Setup{QPs: 4, Policy: core.EvenStriping},
+			Setup{QPs: 4, Policy: core.RoundRobin},
+		),
+		[]int{16 * 1024, 64 * 1024, 256 * 1024, 1 << 20}, o.lat().latency)
 }
 
 // Fig5 regenerates Figure 5: small/medium-message uni-directional
 // bandwidth; round robin (and hence EPC) engages multiple engines past 1KB.
 func Fig5(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	sizes := []int{64, 256, 1024, 2048, 4096, 8192}
-	t := &stats.Table{Title: "Figure 5: uni-directional bandwidth, small messages", XLabel: "Size", Unit: "MB/s"}
-	for _, s := range []Setup{
-		{QPs: 1, Policy: core.Original},
-		{QPs: 2, Policy: core.EPC},
-		{QPs: 4, Policy: core.EPC},
-		{QPs: 4, Policy: core.RoundRobin},
-	} {
-		vals, err := UniBandwidth(s, sizes, o.Window, o.BWIters, o.BWWarmup)
-		if err != nil {
-			return nil, err
-		}
-		addSweep(t, s.Label(), sizes, vals)
-	}
-	return t, nil
+	return table("Figure 5: uni-directional bandwidth, small messages", "Size", "MB/s",
+		labeled(
+			Setup{QPs: 1, Policy: core.Original},
+			Setup{QPs: 2, Policy: core.EPC},
+			Setup{QPs: 4, Policy: core.EPC},
+			Setup{QPs: 4, Policy: core.RoundRobin},
+		),
+		[]int{64, 256, 1024, 2048, 4096, 8192}, o.bw().uniBW)
+}
+
+// largeSizes are the message sizes of Figures 6 and 7 and the tables
+// built on them.
+var largeSizes = []int{16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1 << 20}
+
+// fig67Columns are the series of Figures 6 and 7.
+func fig67Columns() []column {
+	return labeled(Setup{QPs: 1, Policy: core.Original}, Setup{QPs: 4, Policy: core.EPC}, Setup{QPs: 4, Policy: core.EvenStriping})
 }
 
 // Fig6 regenerates Figure 6: large-message uni-directional bandwidth; the
 // peak comparison (2745 vs 1661 MB/s) plus even striping's medium-size dip.
 func Fig6(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	sizes := []int{16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1 << 20}
-	t := &stats.Table{Title: "Figure 6: uni-directional bandwidth, large messages", XLabel: "Size", Unit: "MB/s"}
-	for _, s := range []Setup{
-		{QPs: 1, Policy: core.Original},
-		{QPs: 4, Policy: core.EPC},
-		{QPs: 4, Policy: core.EvenStriping},
-	} {
-		vals, err := UniBandwidth(s, sizes, o.Window, o.BWIters, o.BWWarmup)
-		if err != nil {
-			return nil, err
-		}
-		addSweep(t, s.Label(), sizes, vals)
-	}
-	return t, nil
+	return table("Figure 6: uni-directional bandwidth, large messages", "Size", "MB/s",
+		fig67Columns(), largeSizes, o.bw().uniBW)
 }
 
 // Fig7 regenerates Figure 7: bi-directional bandwidth (5362 vs ~3 GB/s).
 func Fig7(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	sizes := []int{16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1 << 20}
-	t := &stats.Table{Title: "Figure 7: bi-directional bandwidth, large messages", XLabel: "Size", Unit: "MB/s"}
-	for _, s := range []Setup{
-		{QPs: 1, Policy: core.Original},
-		{QPs: 4, Policy: core.EPC},
-		{QPs: 4, Policy: core.EvenStriping},
-	} {
-		vals, err := BiBandwidth(s, sizes, o.Window, o.BWIters, o.BWWarmup)
-		if err != nil {
-			return nil, err
-		}
-		addSweep(t, s.Label(), sizes, vals)
-	}
-	return t, nil
+	return table("Figure 7: bi-directional bandwidth, large messages", "Size", "MB/s",
+		fig67Columns(), largeSizes, o.bw().biBW)
 }
 
 // Fig8 regenerates Figure 8: MPI_Alltoall (Pallas) on the 2×4
 // configuration; the collective marker (EPC) wins even at medium sizes.
 func Fig8(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	sizes := []int{16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024}
-	t := &stats.Table{Title: "Figure 8: Alltoall, 2x4 configuration", XLabel: "Size", Unit: "us"}
-	for _, s := range []Setup{
-		{QPs: 1, Policy: core.Original, PPN: 4},
-		{QPs: 4, Policy: core.RoundRobin, PPN: 4},
-		{QPs: 4, Policy: core.EvenStriping, PPN: 4},
-		{QPs: 4, Policy: core.EPC, PPN: 4},
-	} {
-		vals, err := Alltoall(s, sizes, o.BWIters, o.BWWarmup)
-		if err != nil {
-			return nil, err
-		}
-		addSweep(t, s.Label(), sizes, vals)
-	}
-	return t, nil
+	return table("Figure 8: Alltoall, 2x4 configuration", "Size", "us",
+		labeled(
+			Setup{QPs: 1, Policy: core.Original, PPN: 4},
+			Setup{QPs: 4, Policy: core.RoundRobin, PPN: 4},
+			Setup{QPs: 4, Policy: core.EvenStriping, PPN: 4},
+			Setup{QPs: 4, Policy: core.EPC, PPN: 4},
+		),
+		[]int{16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024}, o.bw().collective(CollAlltoall))
 }
 
 // NASFig regenerates one NAS figure: execution time versus process count
 // (2, 4, 8 on two nodes, as 2×1, 2×2, 2×4) for the single-rail original and
 // 4-QP EPC. kernel is "is" or "ft"; class 'S'..'C'.
 func NASFig(kernel string, class byte, o FigOpts) (*stats.Table, error) {
-	return nasFig(harness.Workers(), kernel, class, o)
-}
-
-// nasFig is NASFig with an explicit worker count. Each cell is its own
-// simulation, so the six fan out over the harness pool; the determinism
-// suite pins serial/parallel bit-identity on it.
-func nasFig(workers int, kernel string, class byte, o FigOpts) (*stats.Table, error) {
-	o = o.defaults()
 	title := map[string]string{"is": "Integer Sort", "ft": "Fourier Transform"}[kernel]
-	t := &stats.Table{
-		Title:  fmt.Sprintf("NAS %s, class %c", title, class),
-		XLabel: "Procs", Unit: "s",
-	}
-	var cells []Setup
-	for _, s := range []Setup{
-		{QPs: 1, Policy: core.Original},
-		{QPs: 4, Policy: core.EPC},
-	} {
-		for _, ppn := range []int{1, 2, 4} {
-			s.PPN = ppn
-			cells = append(cells, s)
-		}
-	}
-	secs, err := harness.MapN(workers, cells, func(s Setup) (float64, error) {
-		return nasSeconds(s, kernel, class)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range cells {
-		t.Add(s.Label(), 2*s.PPN, secs[i])
-	}
-	return t, nil
+	return table(fmt.Sprintf("NAS %s, class %c", title, class), "Procs", "s",
+		labeled(Setup{QPs: 1, Policy: core.Original}, Setup{QPs: 4, Policy: core.EPC}),
+		[]int{2, 4, 8}, func(s Setup, procs int) (float64, error) {
+			s.PPN = procs / 2
+			return nasSeconds(s, kernel, class)
+		})
 }
 
 // nasSeconds runs one synthetic NAS cell of a figure table and returns its
@@ -237,38 +218,19 @@ type Headline struct {
 // Measure computes the headline numbers at 1 MB.
 func (o FigOpts) Measure() (Headline, error) {
 	o = o.defaults()
-	sizes := []int{1 << 20}
 	var h Headline
-	origL, err := Latency(Setup{QPs: 1, Policy: core.Original}, sizes, o.LatIters, o.LatWarmup)
-	if err != nil {
-		return h, err
+	var v [3][2]float64 // latency, uni, bi × original, EPC
+	for i, at := range []func(Setup, int) (float64, error){o.lat().latency, o.bw().uniBW, o.bw().biBW} {
+		t := new(stats.Table)
+		if err := sweep(t, labeled(Setup{QPs: 1, Policy: core.Original}, Setup{QPs: 4, Policy: core.EPC}), []int{1 << 20}, at); err != nil {
+			return h, err
+		}
+		v[i] = [2]float64{t.Series[0].Points[0].Value, t.Series[1].Points[0].Value}
 	}
-	epcL, err := Latency(Setup{QPs: 4, Policy: core.EPC}, sizes, o.LatIters, o.LatWarmup)
-	if err != nil {
-		return h, err
-	}
-	h.LatencyImprovePct = stats.Improvement(origL[0], epcL[0])
-
-	origU, err := UniBandwidth(Setup{QPs: 1, Policy: core.Original}, sizes, o.Window, o.BWIters, o.BWWarmup)
-	if err != nil {
-		return h, err
-	}
-	epcU, err := UniBandwidth(Setup{QPs: 4, Policy: core.EPC}, sizes, o.Window, o.BWIters, o.BWWarmup)
-	if err != nil {
-		return h, err
-	}
-	h.UniPeakOrig, h.UniPeakEPC = origU[0], epcU[0]
-	h.UniGainPct = stats.Gain(origU[0], epcU[0])
-
-	origB, err := BiBandwidth(Setup{QPs: 1, Policy: core.Original}, sizes, o.Window, o.BWIters, o.BWWarmup)
-	if err != nil {
-		return h, err
-	}
-	epcB, err := BiBandwidth(Setup{QPs: 4, Policy: core.EPC}, sizes, o.Window, o.BWIters, o.BWWarmup)
-	if err != nil {
-		return h, err
-	}
-	h.BiPeakOrig, h.BiPeakEPC = origB[0], epcB[0]
-	h.BiGainPct = stats.Gain(origB[0], epcB[0])
+	h.LatencyImprovePct = stats.Improvement(v[0][0], v[0][1])
+	h.UniPeakOrig, h.UniPeakEPC = v[1][0], v[1][1]
+	h.UniGainPct = stats.Gain(v[1][0], v[1][1])
+	h.BiPeakOrig, h.BiPeakEPC = v[2][0], v[2][1]
+	h.BiGainPct = stats.Gain(v[2][0], v[2][1])
 	return h, nil
 }

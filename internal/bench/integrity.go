@@ -17,35 +17,30 @@ import (
 func IntegrityOverheadTable(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
 	sizes := []int{1024, 16 * 1024, 256 * 1024, 1 << 20}
-	t := &stats.Table{
-		Title:  "Supplementary: end-to-end integrity overhead, uni-directional bandwidth",
-		XLabel: "Size", Unit: "MB/s",
-	}
+	var cols []column
 	for _, s := range []Setup{
 		{QPs: 1, Policy: core.Original},
 		{QPs: 4, Policy: core.RoundRobin},
 		{QPs: 4, Policy: core.EPC},
 	} {
-		var off []float64
 		for _, m := range []adi.IntegrityMode{adi.IntegrityOff, adi.IntegrityAudit, adi.IntegrityVerify} {
-			s := s
 			s.Integrity = m
-			vals, err := UniBandwidth(s, sizes, o.Window, o.BWIters, o.BWWarmup)
-			if err != nil {
-				return nil, err
+			cols = append(cols, column{name: s.Label() + " " + m.String(), s: s})
+		}
+	}
+	t, err := table("Supplementary: end-to-end integrity overhead, uni-directional bandwidth", "Size", "MB/s",
+		cols, sizes, o.bw().uniBW)
+	if err != nil {
+		return nil, err
+	}
+	// Columns run off, audit, verify per setup.
+	for i := 0; i < len(t.Series); i += 3 {
+		off, audit := t.Series[i], t.Series[i+1]
+		for j, p := range audit.Points {
+			if p.Value != off.Points[j].Value {
+				return nil, fmt.Errorf("integrity: audit mode moved %s at %d bytes (%.6f vs %.6f MB/s)",
+					cols[i].s.Label(), p.X, p.Value, off.Points[j].Value)
 			}
-			switch m {
-			case adi.IntegrityOff:
-				off = vals
-			case adi.IntegrityAudit:
-				for i := range vals {
-					if vals[i] != off[i] {
-						return nil, fmt.Errorf("integrity: audit mode moved %s at %d bytes (%.6f vs %.6f MB/s)",
-							s.Label(), sizes[i], vals[i], off[i])
-					}
-				}
-			}
-			addSweep(t, s.Label()+" "+m.String(), sizes, vals)
 		}
 	}
 	return t, nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ib12x/internal/core"
-	"ib12x/internal/harness"
 	"ib12x/internal/model"
 	"ib12x/internal/mpi"
 	"ib12x/internal/stats"
@@ -25,20 +24,13 @@ import (
 // the sweep: trunk contention is where the lane schedule's fewer, larger,
 // rail-disjoint transfers should separate from striping every hop.
 
-// laneCollCase is one (topology, collective, algorithm) row of the table.
-type laneCollCase struct {
-	topo string
-	kind CollKind
-	alg  string
-	s    Setup
-}
-
-func laneCollCases() []laneCollCase {
+// laneCollCases is one column per (topology, collective, algorithm).
+func laneCollCases(l loop) []column {
 	flat := Setup{QPs: 4, Nodes: 2, PPN: 2}
 	// 8 leaf nodes under 2 switches, trunks at 2:1 oversubscription.
 	tree := Setup{QPs: 4, Nodes: 8, PPN: 1, NodesPerSwitch: 4,
 		TrunkRate: model.Default().LinkRawRate * 4 / 2}
-	var cases []laneCollCase
+	var cols []column
 	for _, topo := range []struct {
 		name string
 		base Setup
@@ -56,11 +48,11 @@ func laneCollCases() []laneCollCase {
 				s := topo.base
 				s.Policy = alg.policy
 				s.CollAlg = alg.collAlg
-				cases = append(cases, laneCollCase{topo.name, kind, alg.name, s})
+				cols = append(cols, column{fmt.Sprintf("%s %s %s", topo.name, kind, alg.name), s, l.collective(kind)})
 			}
 		}
 	}
-	return cases
+	return cols
 }
 
 // laneCollSizes spans the CollAuto dispatch threshold: 16K sits below it
@@ -70,27 +62,7 @@ var laneCollSizes = []int{16 * 1024, 64 * 1024, 256 * 1024}
 // LaneCollTable sweeps the lane/striped/EPC ablation over collectives,
 // sizes, and fabrics (printed by cmd/reproduce -extra).
 func LaneCollTable(o FigOpts) (*stats.Table, error) {
-	return laneCollTable(harness.Workers(), o)
-}
-
-// laneCollTable is LaneCollTable with an explicit worker count; the
-// determinism suite pins serial/parallel bit-identity on it.
-func laneCollTable(workers int, o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	t := &stats.Table{
-		Title:  "Supplementary: lane-decomposed collectives vs transport striping",
-		XLabel: "Size", Unit: "us",
-	}
-	cases := laneCollCases()
-	results, err := harness.MapN(workers, cases, func(c laneCollCase) ([]float64, error) {
-		return Collective(c.kind, c.s, laneCollSizes, o.BWIters, o.BWWarmup)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, vals := range results {
-		c := cases[i]
-		addSweep(t, fmt.Sprintf("%s %s %s", c.topo, c.kind, c.alg), laneCollSizes, vals)
-	}
-	return t, nil
+	return table("Supplementary: lane-decomposed collectives vs transport striping", "Size", "us",
+		laneCollCases(o.bw()), laneCollSizes, nil)
 }

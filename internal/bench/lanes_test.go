@@ -3,17 +3,19 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"ib12x/internal/stats"
 )
 
 // TestLaneCollTable checks the ablation produces the full matrix — every
 // (topology, collective, algorithm) series with every size a positive
 // per-operation time.
 func TestLaneCollTable(t *testing.T) {
-	tab, err := laneCollTable(1, FigOpts{Quick: true, Window: 8})
+	tab, err := LaneCollTable(FigOpts{Quick: true, Window: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(laneCollCases()); len(tab.Series) != want {
+	if want := len(laneCollCases(loop{})); len(tab.Series) != want {
 		t.Fatalf("%d series, want %d", len(tab.Series), want)
 	}
 	for _, s := range tab.Series {
@@ -34,16 +36,5 @@ func TestLaneCollTable(t *testing.T) {
 // TestLaneCollTableSerialParallelIdentical pins the acceptance bar: the
 // serial and parallel harness runs of the ablation render bit-identically.
 func TestLaneCollTableSerialParallelIdentical(t *testing.T) {
-	o := FigOpts{Quick: true, Window: 8}
-	serial, err := laneCollTable(1, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := laneCollTable(6, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, p := serial.Format(), parallel.Format(); s != p {
-		t.Errorf("serial/parallel tables diverge:\n--- serial ---\n%s--- parallel ---\n%s", s, p)
-	}
+	serialParallelIdentical(t, func() (*stats.Table, error) { return LaneCollTable(FigOpts{Quick: true, Window: 8}) })
 }

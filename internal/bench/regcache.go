@@ -2,10 +2,7 @@ package bench
 
 import (
 	"ib12x/internal/core"
-	"ib12x/internal/harness"
-	"ib12x/internal/mpi"
 	"ib12x/internal/regcache"
-	"ib12x/internal/sim"
 	"ib12x/internal/stats"
 )
 
@@ -40,99 +37,26 @@ var regModes = []regMode{
 // buffer sets through a cache sized for one (steady state all misses, every
 // iteration re-paying the per-page pin cost and syscall latency).
 func RegCacheTable(o FigOpts) (*stats.Table, error) {
-	return regCacheTable(harness.Workers(), o)
-}
-
-// regCacheTable is RegCacheTable with an explicit worker count; the
-// determinism suite pins serial/parallel bit-identity on it.
-func regCacheTable(workers int, o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
-	sizes := []int{16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1 << 20}
-	t := &stats.Table{
-		Title:  "Supplementary: uni-directional bandwidth vs registration cache state (EPC 4QP)",
-		XLabel: "Size", Unit: "MB/s",
+	var cols []column
+	for _, mode := range regModes {
+		cols = append(cols, column{name: mode.name, s: Setup{QPs: 4, Policy: core.EPC},
+			at: func(s Setup, n int) (float64, error) {
+				if mode.cached {
+					// Capacity = exactly one window's worth of page-rounded
+					// buffers: the warm set fits whole; the cold rotation evicts.
+					s.RegCache = &regcache.Config{CapacityBytes: regWindow * pageRound(n)}
+				}
+				// Real payloads: the registration model ignores synthetic ones.
+				return loop{iters: o.BWIters, warmup: o.BWWarmup, window: regWindow, sets: mode.rotate}.uniBW(s, n)
+			}})
 	}
-	// Every (mode, size) cell is an independent simulation; flatten the
-	// matrix so the whole sweep fans out across the harness pool.
-	type cell struct{ mode, size int }
-	cells := make([]cell, 0, len(regModes)*len(sizes))
-	for m := range regModes {
-		for s := range sizes {
-			cells = append(cells, cell{m, s})
-		}
-	}
-	vals, err := harness.MapNAll(workers, cells, func(cl cell) (float64, error) {
-		mode, n := regModes[cl.mode], sizes[cl.size]
-		s := Setup{QPs: 4, Policy: core.EPC}
-		if mode.cached {
-			// Capacity = exactly one window's worth of page-rounded
-			// buffers: the warm set fits whole; the cold rotation evicts.
-			s.RegCache = &regcache.Config{CapacityBytes: regWindow * pageRound(n)}
-		}
-		return regBandwidth(s, n, regWindow, o.BWIters, o.BWWarmup, mode.rotate)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, cl := range cells {
-		t.Add(regModes[cl.mode].name, sizes[cl.size], vals[i])
-	}
-	return t, nil
+	return table("Supplementary: uni-directional bandwidth vs registration cache state (EPC 4QP)", "Size", "MB/s",
+		cols, largeSizes, nil)
 }
 
 // pageRound rounds n up to the cache's default 4 KB pin granularity.
 func pageRound(n int) int64 {
 	const pg = 4096
 	return int64((n + pg - 1) / pg * pg)
-}
-
-// regBandwidth is the window-based ping-ping bandwidth test with real
-// payload buffers (UniBandwidth uses synthetic nil payloads, which the
-// registration model rightly ignores). Each iteration posts one window of
-// sends from the set it%rotate and waits for the receiver's ack, so the
-// pipeline drains every iteration and the cache state at the measurement
-// start is the steady state.
-func regBandwidth(s Setup, n, window, iters, warmup, rotate int) (float64, error) {
-	var elapsed sim.Time
-	_, err := mpi.Run(s.Config(), func(c *mpi.Comm) {
-		sets := make([][][]byte, rotate)
-		for k := range sets {
-			sets[k] = make([][]byte, window)
-			for w := range sets[k] {
-				sets[k][w] = make([]byte, n)
-			}
-		}
-		reqs := make([]*mpi.Request, window)
-		switch c.Rank() {
-		case 0:
-			ack := make([]byte, 4)
-			var t0 sim.Time
-			for it := 0; it < warmup+iters; it++ {
-				if it == warmup {
-					t0 = c.Time()
-				}
-				bufs := sets[it%rotate]
-				for w := 0; w < window; w++ {
-					reqs[w] = c.Isend(1, 0, bufs[w])
-				}
-				c.Waitall(reqs)
-				c.Recv(1, ackTag, ack)
-			}
-			elapsed = c.Time() - t0
-		case 1:
-			for it := 0; it < warmup+iters; it++ {
-				bufs := sets[it%rotate]
-				for w := 0; w < window; w++ {
-					reqs[w] = c.Irecv(0, 0, bufs[w])
-				}
-				c.Waitall(reqs)
-				c.Send(0, ackTag, make([]byte, 4))
-			}
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	bytes := float64(iters) * float64(window) * float64(n)
-	return bytes / elapsed.Seconds() / 1e6, nil
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"ib12x/internal/stats"
 )
 
 // TestRegCacheTable pins the physics of the cold/warm split: a full matrix,
@@ -12,7 +14,7 @@ import (
 // equal to the registration-free baseline within tolerance (steady-state
 // hits are free, so the warm pipeline is the baseline pipeline).
 func TestRegCacheTable(t *testing.T) {
-	tab, err := regCacheTable(1, FigOpts{Quick: true})
+	tab, err := RegCacheTable(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,16 +59,5 @@ func TestRegCacheTable(t *testing.T) {
 // supplementary table: serial and parallel harness runs must render
 // bit-identically.
 func TestRegCacheTableSerialParallelIdentical(t *testing.T) {
-	o := FigOpts{Quick: true}
-	serial, err := regCacheTable(1, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := regCacheTable(6, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, p := serial.Format(), parallel.Format(); s != p {
-		t.Errorf("serial/parallel tables diverge:\n--- serial ---\n%s--- parallel ---\n%s", s, p)
-	}
+	serialParallelIdentical(t, func() (*stats.Table, error) { return RegCacheTable(quick) })
 }

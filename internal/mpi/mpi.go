@@ -55,12 +55,6 @@ type Config struct {
 	// weighted striping or experimental schedulers).
 	PolicyImpl core.Policy
 
-	// MinStripe overrides the minimum stripe size; 0 uses the model's.
-	MinStripe int
-	// BindRail chooses the bound rail per (rank, peer); nil binds rail 0.
-	BindRail func(rank, peer int) int
-	// SQDepth overrides the per-QP send queue depth.
-	SQDepth int
 	// Rndv selects the rendezvous protocol: adi.RndvWrite (default, the
 	// paper's sender-writes RPUT) or adi.RndvRead (receiver-reads RGET).
 	Rndv adi.RndvProto
@@ -237,8 +231,6 @@ func (c Config) validate() error {
 	switch {
 	case c.PolicyImpl == nil && (c.Policy < core.Original || c.Policy > core.Adaptive):
 		return fmt.Errorf("mpi: Policy = %d, not a core.Kind", int(c.Policy))
-	case c.SQDepth < 0:
-		return fmt.Errorf("mpi: SQDepth = %d, need ≥ 0 (0 = the default depth)", c.SQDepth)
 	case c.EagerProto != adi.EagerSendRecv && c.EagerProto != adi.EagerRDMAWrite:
 		return fmt.Errorf("mpi: EagerProto = %d, not an adi.EagerProto", int(c.EagerProto))
 	case c.Rndv != adi.RndvWrite && c.Rndv != adi.RndvRead:
@@ -256,9 +248,6 @@ func (c Config) adiOptions() adi.Options {
 	return adi.Options{
 		Policy:     c.Policy,
 		PolicyImpl: c.PolicyImpl,
-		MinStripe:  c.MinStripe,
-		BindRail:   c.BindRail,
-		SQDepth:    c.SQDepth,
 		Rndv:       c.Rndv,
 		EagerProto: c.EagerProto,
 		Trace:      c.Trace,

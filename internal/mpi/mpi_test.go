@@ -58,7 +58,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}{
 		{"PortsPerHCA", Config{Ports: 5}},
 		{"Policy", Config{Policy: core.Kind(99)}},
-		{"SQDepth", Config{SQDepth: -1}},
 		{"EagerProto", Config{EagerProto: adi.EagerProto(9)}},
 		{"Rndv", Config{Rndv: adi.RndvProto(9)}},
 		{"Integrity", Config{Integrity: adi.IntegrityMode(9)}},
