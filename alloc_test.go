@@ -1,11 +1,14 @@
 package ib12x
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"ib12x/internal/adi"
 	"ib12x/internal/bench"
+	"ib12x/internal/core"
 	"ib12x/internal/fabric"
+	"ib12x/internal/mpi"
 	"ib12x/internal/sim"
 )
 
@@ -20,7 +23,9 @@ import (
 // exceed its base by 10 % plus a fixed headroom for that state, so garbage
 // per message or per chunk trips it. (The ping-pong body sends 220 messages
 // and 10 % of its base is 40 allocations, so the ring's headroom must stay
-// well under 180 for one allocation per message to show.)
+// well under 180 for one allocation per message to show.) A flat parity row
+// runs twice its base's traffic in the same world shape and may exceed it by
+// its headroom only, so any garbage per message shows.
 func TestAllocationInvariants(t *testing.T) {
 	rows := []struct {
 		name     string
@@ -28,12 +33,13 @@ func TestAllocationInvariants(t *testing.T) {
 		recorded int64  // ceiling row: allocs/op when the ceiling was set
 		base     string // parity row: the earlier row it must stay level with
 		headroom int64
+		flat     bool   // parity without the 10 % allowance
 		leak     string // what a parity failure means
 	}{
-		{name: "Fig04", body: fig04, recorded: 2148},
-		{name: "Fig06", body: fig06(bench.Setup{}), recorded: 25401},
-		{name: "Fig07", body: fig07, recorded: 16127},
-		{name: "Fig08", body: fig08, recorded: 4681},
+		{name: "Fig04", body: fig04, recorded: 1268},
+		{name: "Fig06", body: fig06(bench.Setup{}), recorded: 11104},
+		{name: "Fig07", body: fig07, recorded: 6613},
+		{name: "Fig08", body: fig08, recorded: 2595},
 		{name: "Fig06/integrity", body: fig06(bench.Setup{Integrity: adi.IntegrityVerify}),
 			base: "Fig06", headroom: 512, leak: "checksum capture or verify allocates per payload"},
 		{name: "Fig06/three-tier", body: fig06(bench.Setup{NodesPerSwitch: 1, Tiers: 3, SpinesPerPod: 2, Routing: fabric.RouteAdaptive}),
@@ -41,6 +47,9 @@ func TestAllocationInvariants(t *testing.T) {
 		{name: "SmallMsg/sendrecv", body: smallMsg(adi.EagerSendRecv)},
 		{name: "SmallMsg/ring", body: smallMsg(adi.EagerRDMAWrite),
 			base: "SmallMsg/sendrecv", headroom: 128, leak: "the ring fast path allocates per message"},
+		{name: "Stripes/N", body: stripeTraffic(16)},
+		{name: "Stripes/2N", body: stripeTraffic(32), base: "Stripes/N", headroom: 32, flat: true,
+			leak: "a rendezvous or PutBulk stripe allocates per message"},
 	}
 	got := map[string]int64{}
 	for _, r := range rows {
@@ -53,8 +62,12 @@ func TestAllocationInvariants(t *testing.T) {
 		switch {
 		case r.base != "":
 			b := got[r.base]
-			if budget := b + b/10 + r.headroom; n > budget {
-				t.Errorf("%s: %d allocs/op, budget %d (%s %d + 10%% + %d): %s", r.name, n, budget, r.base, b, r.headroom, r.leak)
+			budget, rule := b+b/10+r.headroom, "10% + "
+			if r.flat {
+				budget, rule = b+r.headroom, ""
+			}
+			if n > budget {
+				t.Errorf("%s: %d allocs/op, budget %d (%s %d + %s%d): %s", r.name, n, budget, r.base, b, rule, r.headroom, r.leak)
 			}
 		case r.recorded > 0:
 			if budget := r.recorded * 3 / 2; n > budget {
@@ -62,6 +75,47 @@ func TestAllocationInvariants(t *testing.T) {
 			}
 		}
 		t.Logf("%-18s %6d allocs/op", r.name, n)
+	}
+}
+
+// stripeTraffic is n striped 1 MB rendezvous round trips followed by n
+// 1 MB PutBulk transfers, each waited and released, between two nodes over
+// four QPs per port under EPC — every stripe kind of the write path, in one
+// world.
+func stripeTraffic(n int) figBody {
+	return func() ([]float64, error) {
+		cfg := mpi.Config{Nodes: 2, ProcsPerNode: 1, QPsPerPort: 4, Policy: core.EPC}
+		_, err := mpi.Run(cfg, func(c *mpi.Comm) {
+			const size, win = 1 << 20, 7
+			msg, key := make([]byte, size), make([]byte, 4)
+			ep, peer := c.Endpoint(), 1-c.Rank()
+			for i := 0; i < n; i++ {
+				if c.Rank() == 0 {
+					c.Send(peer, 0, msg)
+					c.Recv(peer, 0, msg)
+				} else {
+					c.Recv(peer, 0, msg)
+					c.Send(peer, 0, msg)
+				}
+			}
+			if c.Rank() == 1 {
+				binary.LittleEndian.PutUint32(key, ep.RegisterWindow(win, make([]byte, size), size))
+				c.Send(0, 1, key)
+			} else {
+				c.Recv(1, 1, key)
+				rkey := binary.LittleEndian.Uint32(key)
+				for i := 0; i < n; i++ {
+					req, _ := ep.PutBulk(1, win, rkey, 0, msg, size, core.Blocking)
+					ep.Wait(req)
+					req.Release()
+				}
+			}
+			c.Barrier()
+			if c.Rank() == 1 {
+				ep.UnregisterWindow(win)
+			}
+		})
+		return nil, err
 	}
 }
 

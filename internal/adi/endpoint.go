@@ -35,7 +35,7 @@ type Conn struct {
 	// explicit envCredit message (itself credit-exempt).
 	credits     int
 	owed        int // credits to return to the peer
-	creditQueue []pendingEnvelope
+	creditQueue sim.Ring[pendingEnvelope]
 
 	// RDMA-write eager ring state (Options.EagerProto = EagerRDMAWrite;
 	// nil otherwise): the sender-side ring view toward this peer, the
@@ -128,8 +128,7 @@ type Endpoint struct {
 	reqFree []*Request // recycled requests of this endpoint
 
 	wrID       uint64
-	onComplete map[uint64]func()
-	onAtomic   map[uint64]*Request     // atomic WRs awaiting their old value
+	onComplete map[uint64]stripe       // completion records of bulk stripes and atomics, by WRID
 	backlog    map[*ib.QP][]deferredWR // WRs deferred on ErrSQFull, per rail
 	windows    map[int]*winInfo        // exposed RMA windows
 	nextCtx    int                     // next free matching-context id
@@ -217,16 +216,13 @@ func newEndpoint(rank int, eng *sim.Engine, m *model.Params, realm *ib.Realm, po
 		srq:        realm.NewSRQ(),
 		conns:      make([]*Conn, nranks),
 		qpIdx:      make(map[int]*ib.QP),
-		onComplete: make(map[uint64]func()),
-		onAtomic:   make(map[uint64]*Request),
+		onComplete: make(map[uint64]stripe),
 		backlog:    make(map[*ib.QP][]deferredWR),
 		pool:       pool,
 		bufs:       bufs,
 	}
 	ep.cq.SetNotify(func() { ep.wake() })
-	for i := 0; i < srqPrepost; i++ {
-		ep.srq.PostRecv(ib.RecvWR{})
-	}
+	ep.srq.PostRecvN(ib.RecvWR{}, srqPrepost)
 	return ep
 }
 
@@ -515,13 +511,9 @@ func (ep *Endpoint) progressOnce() bool {
 			if ep.inflight != nil {
 				ep.putFl(cqe.WRID)
 			}
-			if req := ep.onAtomic[cqe.WRID]; req != nil {
-				delete(ep.onAtomic, cqe.WRID)
-				req.atomicOld = cqe.AtomicOld
-				req.done = true
-			} else if cb := ep.onComplete[cqe.WRID]; cb != nil {
+			if st, ok := ep.onComplete[cqe.WRID]; ok {
 				delete(ep.onComplete, cqe.WRID)
-				cb()
+				ep.stripeDone(st, cqe.AtomicOld)
 			}
 			ep.drainBacklog(cqe.QPN)
 		}
@@ -639,7 +631,7 @@ func (ep *Endpoint) inbound(env *envelope) {
 func (ep *Endpoint) sendEnvelope(conn *Conn, rail int, env *envelope, wireN int, posted *Request) {
 	if conn.credits <= 0 {
 		ep.stats.CreditStalls++
-		conn.creditQueue = append(conn.creditQueue, pendingEnvelope{rail, env, wireN, posted})
+		conn.creditQueue.Push(pendingEnvelope{rail, env, wireN, posted})
 		return
 	}
 	conn.credits--
@@ -648,7 +640,7 @@ func (ep *Endpoint) sendEnvelope(conn *Conn, rail int, env *envelope, wireN int,
 	env.ringCredits += conn.ringOwed
 	conn.ringOwed = 0
 	wr := ib.SendWR{
-		WRID: ep.nextWRID(nil), Op: ib.OpSend,
+		WRID: ep.nextWRID(), Op: ib.OpSend,
 		Data: env.pay.Bytes(), N: wireN,
 		Signaled: true, Ctx: env,
 	}
@@ -668,10 +660,8 @@ func (ep *Endpoint) creditArrived(conn *Conn, n int) {
 		return
 	}
 	conn.credits += n
-	for len(conn.creditQueue) > 0 && conn.credits > 0 {
-		pe := conn.creditQueue[0]
-		conn.creditQueue[0] = pendingEnvelope{} // unpin the shifted-out entry
-		conn.creditQueue = conn.creditQueue[1:]
+	for conn.creditQueue.Len() > 0 && conn.credits > 0 {
+		pe := conn.creditQueue.Pop()
 		ep.sendEnvelope(conn, pe.rail, pe.env, pe.wireN, pe.posted)
 	}
 }
@@ -691,7 +681,7 @@ func (ep *Endpoint) consumedRecv(conn *Conn) {
 	// Credit messages are exempt from flow control: the receiver reserves
 	// prepost slack for them (srqPrepost exceeds the credit pool).
 	ep.post(conn, conn.ctrlRail(), ib.SendWR{
-		WRID: ep.nextWRID(nil), Op: ib.OpSend,
+		WRID: ep.nextWRID(), Op: ib.OpSend,
 		N: ep.m.CtrlMsgBytes, Signaled: true, Ctx: env,
 	}, nil)
 	ep.stats.CreditUpdates++
@@ -820,14 +810,71 @@ func (ep *Endpoint) post(conn *Conn, rail int, wr ib.SendWR, posted *Request) {
 	}
 }
 
-// nextWRID allocates a work-request identifier with an optional completion
-// callback.
-func (ep *Endpoint) nextWRID(cb func()) uint64 {
+// nextWRID allocates a work-request identifier.
+func (ep *Endpoint) nextWRID() uint64 {
 	ep.wrID++
-	if cb != nil {
-		ep.onComplete[ep.wrID] = cb
-	}
 	return ep.wrID
+}
+
+// stripeKind names what a completion record finishes.
+type stripeKind uint8
+
+const (
+	stripeRndvWrite stripeKind = iota // handleCTS: a rendezvous RDMA-write stripe
+	stripeRndvRead                    // startRead: an RGET RDMA-read stripe
+	stripePut                         // PutBulk: a one-sided RDMA-write stripe
+	stripeGet                         // GetBulk: a one-sided RDMA-read stripe
+	stripeAtomic                      // FetchAtomic: the CQE carries the old value
+)
+
+// stripe is the completion context of one bulk stripe or atomic WR, found
+// by WRID in onComplete when its CQE is reaped, the way verbs software
+// finds a completion's context from its wr_id. Records are stored by value:
+// at 64 bytes they sit inline in the map's slots, so the map's storage is
+// the record pool and a striped transfer allocates nothing per stripe.
+type stripe struct {
+	kind stripeKind
+	req  *Request // counted request (writesLeft), or the atomic's request
+	peer *Request // rendezvous: the peer-side request named in FIN or DONE
+	conn *Conn
+	sv   buf.View // retained source sub-view of a write stripe
+}
+
+// newStripe records the completion context of the next WR and returns
+// that WR's identifier.
+func (ep *Endpoint) newStripe(st stripe) uint64 {
+	wrid := ep.nextWRID()
+	ep.onComplete[wrid] = st
+	return wrid
+}
+
+// stripeDone completes a WR through its record, which the caller has
+// already removed from onComplete: the source sub-view is released, the
+// request's stripe count drops, and the last stripe runs the transfer's
+// finish step.
+func (ep *Endpoint) stripeDone(st stripe, atomicOld uint64) {
+	req := st.req
+	if st.kind == stripeAtomic {
+		req.atomicOld = atomicOld
+		req.done = true
+		return
+	}
+	st.sv.Release()
+	if req.writesLeft--; req.writesLeft > 0 {
+		return
+	}
+	switch st.kind {
+	case stripeRndvWrite:
+		ep.finishRendezvous(st.conn, req, st.peer)
+	case stripeRndvRead:
+		ep.finishRead(st.conn, req, st.peer)
+	case stripePut:
+		req.owner.Release()
+		req.owner = buf.View{}
+		req.done = true
+	case stripeGet:
+		req.done = true
+	}
 }
 
 // ---- rail-failure recovery ----

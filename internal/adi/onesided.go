@@ -125,15 +125,7 @@ func (ep *Endpoint) PutBulk(peer, winID int, rkey uint32, off int, data []byte, 
 			chunk = sv.Bytes()
 		}
 		ep.charge(ep.m.CPUPostWQE + ep.m.DoorbellTime)
-		wrid := ep.nextWRID(func() {
-			sv.Release()
-			req.writesLeft--
-			if req.writesLeft == 0 {
-				req.owner.Release()
-				req.owner = buf.View{}
-				req.done = true
-			}
-		})
+		wrid := ep.newStripe(stripe{kind: stripePut, req: req, sv: sv})
 		ep.post(conn, s.Rail, ib.SendWR{
 			WRID: wrid, Op: ib.OpRDMAWrite,
 			Data: chunk, N: s.N, RKey: rkey, RemoteOff: off + s.Off,
@@ -177,12 +169,7 @@ func (ep *Endpoint) GetBulk(peer, winID int, rkey uint32, off int, buf []byte, n
 			chunk = buf[s.Off : s.Off+s.N]
 		}
 		ep.charge(ep.m.CPUPostWQE + ep.m.DoorbellTime)
-		wrid := ep.nextWRID(func() {
-			req.writesLeft--
-			if req.writesLeft == 0 {
-				req.done = true
-			}
-		})
+		wrid := ep.newStripe(stripe{kind: stripeGet, req: req})
 		ep.post(conn, s.Rail, ib.SendWR{
 			WRID: wrid, Op: ib.OpRDMARead,
 			Data: chunk, N: s.N, RKey: rkey, RemoteOff: off + s.Off,
@@ -236,7 +223,7 @@ func (ep *Endpoint) FetchAtomic(peer, winID int, rkey uint32, off int, cas bool,
 		op = ib.OpAtomicCAS
 	}
 	ep.charge(ep.m.CPUPostWQE + ep.m.DoorbellTime)
-	wrid := ep.nextWRIDAtomic(req)
+	wrid := ep.newStripe(stripe{kind: stripeAtomic, req: req})
 	ep.post(conn, conn.ctrlRail(), ib.SendWR{
 		WRID: wrid, Op: op, N: 8,
 		RKey: rkey, RemoteOff: off,
@@ -244,14 +231,6 @@ func (ep *Endpoint) FetchAtomic(peer, winID int, rkey uint32, off int, cas bool,
 		Signaled: true,
 	}, nil)
 	return req
-}
-
-// nextWRIDAtomic registers a completion callback that captures the atomic
-// result from the CQE (callbacks registered with nextWRID do not see it).
-func (ep *Endpoint) nextWRIDAtomic(req *Request) uint64 {
-	ep.wrID++
-	ep.onAtomic[ep.wrID] = req
-	return ep.wrID
 }
 
 // applyAtomic executes the read-modify-write on a local window.

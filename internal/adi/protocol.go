@@ -181,12 +181,7 @@ func (ep *Endpoint) startRead(req *Request, env *envelope) {
 			chunk = req.data[s.Off : s.Off+s.N]
 		}
 		ep.charge(ep.m.CPUPostWQE + ep.m.DoorbellTime)
-		wrid := ep.nextWRID(func() {
-			req.writesLeft--
-			if req.writesLeft == 0 {
-				ep.finishRead(conn, req, sreq)
-			}
-		})
+		wrid := ep.newStripe(stripe{kind: stripeRndvRead, req: req, peer: sreq, conn: conn})
 		ep.post(conn, s.Rail, ib.SendWR{
 			WRID: wrid, Op: ib.OpRDMARead,
 			Data: chunk, N: s.N, RKey: env.rkey, RemoteOff: s.Off,
@@ -285,13 +280,7 @@ func (ep *Endpoint) handleCTS(env *envelope) {
 			chunk = sv.Bytes()
 		}
 		ep.charge(ep.m.CPUPostWQE + ep.m.DoorbellTime)
-		wrid := ep.nextWRID(func() {
-			sv.Release()
-			sreq.writesLeft--
-			if sreq.writesLeft == 0 {
-				ep.finishRendezvous(conn, sreq, rreq)
-			}
-		})
+		wrid := ep.newStripe(stripe{kind: stripeRndvWrite, req: sreq, peer: rreq, conn: conn, sv: sv})
 		ep.post(conn, s.Rail, ib.SendWR{
 			WRID: wrid, Op: ib.OpRDMAWrite,
 			Data: chunk, N: s.N, RKey: rkey, RemoteOff: s.Off,

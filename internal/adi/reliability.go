@@ -309,7 +309,7 @@ func (ep *Endpoint) probeTick(conn *Conn, rail int) {
 	qp := conn.rails[rail]
 	env := ep.pool.get()
 	env.kind, env.src = envProbe, ep.Rank
-	wrid := ep.nextWRID(nil)
+	wrid := ep.nextWRID()
 	err := qp.PostSend(ib.SendWR{
 		WRID: wrid, Op: ib.OpSend,
 		N: ep.m.CtrlMsgBytes, Signaled: true, Ctx: env,

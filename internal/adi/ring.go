@@ -120,7 +120,7 @@ func (ep *Endpoint) sendEagerRing(conn *Conn, req *Request) bool {
 	// payload WRs and the torn-write candidates: doorbell and payload land
 	// through separate writes, so a chaos plan can deliver them inconsistent.
 	ep.post(conn, rail, ib.SendWR{
-		WRID: ep.nextWRID(nil), Op: ib.OpRDMAWrite,
+		WRID: ep.nextWRID(), Op: ib.OpRDMAWrite,
 		Data: env.pay.Bytes(), N: req.n + hdr,
 		RKey: ring.rkey, RemoteOff: slot * ring.slotBytes,
 		Imm: uint64(slot), HasImm: true,
@@ -185,7 +185,7 @@ func (ep *Endpoint) ringConsumed(conn *Conn) {
 	// Like channel credit returns, ring credit returns are control-plane
 	// traffic: credit-exempt, unsequenced, consumed at the peer's poll.
 	ep.post(conn, conn.ctrlRail(), ib.SendWR{
-		WRID: ep.nextWRID(nil), Op: ib.OpSend,
+		WRID: ep.nextWRID(), Op: ib.OpSend,
 		N: ep.m.CtrlMsgBytes, Signaled: true, Ctx: env,
 	}, nil)
 	ep.stats.CreditUpdates++

@@ -22,6 +22,11 @@ const (
 	// the requester must retransmit — the NAK of the integrity layer. Only
 	// the chaos harness's corruption plans can produce it.
 	StatusIntegrityErr
+	// StatusRemoteAccessErr reports an RDMA write, read or atomic whose
+	// rkey no longer resolved when the responder came to place it: the
+	// region was deregistered while the WR was in flight, so nothing was
+	// placed (a responder HCA's remote-access NAK).
+	StatusRemoteAccessErr
 )
 
 // CQE is a completion queue entry.

@@ -61,13 +61,14 @@ func (o Opcode) String() string {
 
 // Realm owns the identifier spaces of one simulation.
 type Realm struct {
-	Eng   *sim.Engine
-	M     *model.Params
-	qpn   int
-	rkey  uint32
-	mrs   map[uint32]*MR
-	ops   []*wrOp // free list of recycled work-request descriptors
-	stats RealmStats
+	Eng    *sim.Engine
+	M      *model.Params
+	qpn    int
+	rkey   uint32
+	mrs    map[uint32]*MR
+	mrFree []*MR   // deregistered MR structs, reused by RegisterMR
+	ops    []*wrOp // free list of recycled work-request descriptors
+	stats  RealmStats
 
 	// integrity arms the receiving-HCA ICRC check: tainted payload
 	// placements are suppressed and the sender is NACKed with

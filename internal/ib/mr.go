@@ -10,21 +10,40 @@ type MR struct {
 }
 
 // RegisterMR registers a region of n bytes, optionally backed by buf.
-// If buf is non-nil it must be at least n bytes long.
+// If buf is non-nil it must be at least n bytes long. The MR struct comes
+// from the realm's free list when one was deregistered, so a steady stream
+// of rendezvous registrations allocates nothing; every registration still
+// gets a fresh rkey.
 func (r *Realm) RegisterMR(buf []byte, n int) *MR {
 	if buf != nil && len(buf) < n {
 		panic("ib: RegisterMR buffer shorter than declared length")
 	}
+	var mr *MR
+	if k := len(r.mrFree); k > 0 {
+		mr = r.mrFree[k-1]
+		r.mrFree[k-1] = nil
+		r.mrFree = r.mrFree[:k-1]
+	} else {
+		mr = new(MR)
+	}
 	r.rkey++
-	mr := &MR{RKey: r.rkey, Buf: buf, N: n}
+	*mr = MR{RKey: r.rkey, Buf: buf, N: n}
 	r.mrs[mr.RKey] = mr
 	return mr
 }
 
-// DeregisterMR removes the region from the realm; later RDMA to its rkey
-// fails with ErrBadRKey.
+// DeregisterMR removes the region from the realm and recycles its struct:
+// the caller must not use mr afterwards. Later RDMA to its rkey fails with
+// ErrBadRKey at post, and a WR already in flight toward it places nothing
+// (placement resolves the rkey, so it can never land in a region that
+// reused the struct). Deregistering a region twice is a no-op.
 func (r *Realm) DeregisterMR(mr *MR) {
+	if r.mrs[mr.RKey] != mr {
+		return
+	}
 	delete(r.mrs, mr.RKey)
+	*mr = MR{}
+	r.mrFree = append(r.mrFree, mr)
 }
 
 // LookupMR resolves an rkey.

@@ -78,27 +78,60 @@ type message struct {
 	tornAt   sim.Time
 }
 
+// recvRun is n consecutive posts of one receive WR.
+type recvRun struct {
+	wr RecvWR
+	n  int
+}
+
+// blank reports whether wr is the zero RecvWR: no identifier, no buffer, no
+// length — the header-only prepost a bounce-buffered eager channel keeps.
+func (wr *RecvWR) blank() bool { return wr.WRID == 0 && wr.Buf == nil && wr.N == 0 }
+
 // recvPool is the receive-buffer pool behind a QP or an SRQ: posted WRs plus
-// messages that arrived before a buffer was available.
+// messages that arrived before a buffer was available. Posted WRs are kept
+// as runs in post order, and a blank WR posted behind a blank run joins it,
+// so a pool of k blank preposts replenished one by one is one entry, not k.
 type recvPool struct {
-	wrs     sim.Ring[RecvWR]
+	runs    sim.Ring[recvRun]
+	posted  int // receive WRs across all runs
 	pending sim.Ring[message]
 }
 
-func (rp *recvPool) post(wr RecvWR) {
-	rp.wrs.Push(wr)
+// post appends n copies of wr.
+func (rp *recvPool) post(wr RecvWR, n int) {
+	if n <= 0 {
+		return
+	}
+	if rp.runs.Len() > 0 && wr.blank() && rp.runs.Back().wr.blank() {
+		rp.runs.Back().n += n
+	} else {
+		rp.runs.Push(recvRun{wr, n})
+	}
+	rp.posted += n
 	rp.drain()
 }
 
+// take consumes the oldest posted WR; the pool must not be empty.
+func (rp *recvPool) take() RecvWR {
+	head := rp.runs.Front()
+	wr := head.wr
+	if head.n--; head.n == 0 {
+		rp.runs.Pop()
+	}
+	rp.posted--
+	return wr
+}
+
 func (rp *recvPool) drain() {
-	for rp.pending.Len() > 0 && rp.wrs.Len() > 0 {
-		deliver(rp.pending.Pop(), rp.wrs.Pop())
+	for rp.pending.Len() > 0 && rp.posted > 0 {
+		deliver(rp.pending.Pop(), rp.take())
 	}
 }
 
 func (rp *recvPool) arrive(msg message) {
-	if rp.wrs.Len() > 0 {
-		deliver(msg, rp.wrs.Pop())
+	if rp.posted > 0 {
+		deliver(msg, rp.take())
 		return
 	}
 	msg.qp.Port.RnrWaits++
@@ -139,13 +172,17 @@ type SRQ struct {
 func (r *Realm) NewSRQ() *SRQ { return &SRQ{realm: r} }
 
 // PostRecv adds a receive buffer to the shared pool.
-func (s *SRQ) PostRecv(wr RecvWR) {
-	s.realm.stats.RecvsPosted++
-	s.pool.post(wr)
+func (s *SRQ) PostRecv(wr RecvWR) { s.PostRecvN(wr, 1) }
+
+// PostRecvN adds n copies of wr to the shared pool in one call, the way an
+// endpoint preposts its pool of header-only receives.
+func (s *SRQ) PostRecvN(wr RecvWR, n int) {
+	s.realm.stats.RecvsPosted += int64(max(n, 0))
+	s.pool.post(wr, n)
 }
 
 // Posted reports the number of unconsumed receive WRs in the pool.
-func (s *SRQ) Posted() int { return s.pool.wrs.Len() }
+func (s *SRQ) Posted() int { return s.pool.posted }
 
 // QPConfig configures queue pair creation.
 type QPConfig struct {
@@ -271,12 +308,12 @@ func (q *QP) PostRecv(wr RecvWR) error {
 		return ErrBadWR
 	}
 	q.realm.stats.RecvsPosted++
-	q.pool.post(wr)
+	q.pool.post(wr, 1)
 	return nil
 }
 
 // PostedRecvs reports unconsumed receive WRs on the QP's own queue.
-func (q *QP) PostedRecvs() int { return q.pool.wrs.Len() }
+func (q *QP) PostedRecvs() int { return q.pool.posted }
 
 // PostSend posts a send-side descriptor. The simulated hardware books the
 // full transfer pipeline immediately (reservations are monotonic, so
@@ -299,13 +336,11 @@ func (q *QP) PostSend(wr SendWR) error {
 		return ErrBadWR
 	}
 
-	var mr *MR
 	switch wr.Op {
 	case OpSend:
 		q.realm.stats.SendsPosted++
 	case OpRDMAWrite, OpRDMARead:
-		var ok bool
-		mr, ok = q.realm.LookupMR(wr.RKey)
+		mr, ok := q.realm.LookupMR(wr.RKey)
 		if !ok {
 			return ErrBadRKey
 		}
@@ -316,21 +351,21 @@ func (q *QP) PostSend(wr SendWR) error {
 			q.realm.stats.ReadsPosted++
 			q.realm.stats.BytesRead += int64(wr.N)
 			q.outstanding++
-			q.postRead(wr, mr)
+			q.postRead(wr)
 			return nil
 		}
 		q.realm.stats.WritesPosted++
 	case OpAtomicFAdd, OpAtomicCAS:
-		mr2, ok := q.realm.LookupMR(wr.RKey)
+		mr, ok := q.realm.LookupMR(wr.RKey)
 		if !ok {
 			return ErrBadRKey
 		}
-		if wr.RemoteOff < 0 || wr.RemoteOff%8 != 0 || wr.RemoteOff+8 > mr2.N {
+		if wr.RemoteOff < 0 || wr.RemoteOff%8 != 0 || wr.RemoteOff+8 > mr.N {
 			return ErrMRBounds
 		}
 		q.realm.stats.AtomicsPosted++
 		q.outstanding++
-		q.postAtomic(wr, mr2)
+		q.postAtomic(wr)
 		return nil
 	default:
 		return ErrBadWR
@@ -342,7 +377,7 @@ func (q *QP) PostSend(wr SendWR) error {
 	o.q, o.epoch, o.op = q, q.epoch, wr.Op
 	o.data, o.n, o.off = wr.Data, wr.N, wr.RemoteOff
 	o.imm, o.hasImm, o.ctx = wr.Imm, wr.HasImm, wr.Ctx
-	o.mr = mr
+	o.rkey = wr.RKey
 	o.wrid, o.signaled = wr.WRID, wr.Signaled
 	if wr.Payload && !wr.NoCorrupt {
 		o.stampCorrupt(q.Port.CorruptNext(wr.Ring, wr.Ctx != nil))
@@ -378,7 +413,13 @@ type wrOp struct {
 	imm    uint64
 	hasImm bool
 	ctx    any
-	mr     *MR
+
+	// rkey names the remote region of an RDMA write, read or atomic. It is
+	// resolved at placement (region), not at post, so a WR in flight when
+	// its region is deregistered places nothing (accessErr) rather than
+	// landing in whatever region reuses the MR struct.
+	rkey      uint32
+	accessErr bool
 
 	wrid     uint64
 	signaled bool
@@ -455,14 +496,14 @@ func (o *wrOp) verifyTaint() {
 // checksum (the responder's HCA computes it over the region as it streams),
 // so the self-check only proves the flip would have changed the source
 // bytes' checksum.
-func (o *wrOp) verifyRead() {
+func (o *wrOp) verifyRead(mr *MR) {
 	var src []byte
-	if o.mr.Buf != nil {
+	if mr.Buf != nil {
 		k := o.n
-		if len(o.mr.Buf)-o.off < k {
-			k = len(o.mr.Buf) - o.off
+		if len(mr.Buf)-o.off < k {
+			k = len(mr.Buf) - o.off
 		}
-		src = o.mr.Buf[o.off : o.off+k]
+		src = mr.Buf[o.off : o.off+k]
 	}
 	if len(src) == 0 || o.flipMask == 0 {
 		return
@@ -475,6 +516,10 @@ func (o *wrOp) verifyRead() {
 		panic("ib: injected read flip is invisible to the checksum")
 	}
 }
+
+// region resolves the op's rkey at placement, as a responder HCA does: nil
+// when the region was deregistered while the WR was in flight.
+func (o *wrOp) region() *MR { return o.q.realm.mrs[o.rkey] }
 
 func (r *Realm) getOp() *wrOp {
 	if n := len(r.ops); n > 0 {
@@ -527,16 +572,21 @@ func opDelivered(a any, t hca.Timing) {
 		remote.arrive(message{qp: remote, data: o.data, n: o.n, imm: o.imm, hasImm: o.hasImm, ctx: o.ctx,
 			flipOff: flipOff, flipMask: flipMask, hdr: hdr})
 	case OpRDMAWrite:
-		if o.mr.Buf != nil && o.data != nil {
+		mr := o.region()
+		if mr == nil {
+			o.accessErr = true // region deregistered under the write
+			return
+		}
+		if mr.Buf != nil && o.data != nil {
 			k := o.n
 			if len(o.data) < k {
 				k = len(o.data)
 			}
-			copy(o.mr.Buf[o.off:o.off+k], o.data[:k])
+			copy(mr.Buf[o.off:o.off+k], o.data[:k])
 			if flipMask != 0 && flipOff < k {
 				// Disarmed flip (or stale torn tail) materializes in the
 				// receiver's memory only — sender-owned views stay intact.
-				o.mr.Buf[o.off+flipOff] ^= flipMask
+				mr.Buf[o.off+flipOff] ^= flipMask
 			}
 		}
 		if o.hasImm {
@@ -572,6 +622,8 @@ func opAcked(a any, _ hca.Timing) {
 	st := StatusSuccess
 	if q.lost(o.epoch) && !o.effected {
 		st = StatusFlushErr
+	} else if o.accessErr {
+		st = StatusRemoteAccessErr
 	}
 	if o.signaled {
 		e := CQE{QPN: q.QPN, WRID: o.wrid, Op: o.op, Status: st, Bytes: o.n}
@@ -591,11 +643,11 @@ func opAcked(a any, _ hca.Timing) {
 // resources. The completion fires when the data lands in local memory
 // (read responses carry their own completion semantics; the trailing
 // response-path acknowledgment is a negligible modeling artifact).
-func (q *QP) postRead(wr SendWR, mr *MR) {
+func (q *QP) postRead(wr SendWR) {
 	o := q.realm.getOp()
 	o.q, o.epoch, o.op = q, q.epoch, OpRDMARead
 	o.data, o.n, o.off = wr.Data, wr.N, wr.RemoteOff
-	o.mr = mr
+	o.rkey = wr.RKey
 	o.wrid, o.signaled = wr.WRID, wr.Signaled
 	if wr.Payload && !wr.NoCorrupt {
 		o.stampCorrupt(q.Port.CorruptNext(false, false))
@@ -603,12 +655,13 @@ func (q *QP) postRead(wr SendWR, mr *MR) {
 	q.flow.SendCtx(0, o, readReqDelivered, nil)
 }
 
-// flushRead completes a read flushed by a failure and recycles its op.
-func (o *wrOp) flushRead() {
+// failRead completes a read that placed nothing — flushed by a failure, or
+// its region deregistered in flight — and recycles its op.
+func (o *wrOp) failRead(st Status) {
 	q := o.q
 	q.outstanding--
 	if o.signaled {
-		q.CQ.push(CQE{QPN: q.QPN, WRID: o.wrid, Op: OpRDMARead, Status: StatusFlushErr, Bytes: o.n})
+		q.CQ.push(CQE{QPN: q.QPN, WRID: o.wrid, Op: OpRDMARead, Status: st, Bytes: o.n})
 	}
 	q.realm.putOp(o)
 }
@@ -618,7 +671,7 @@ func (o *wrOp) flushRead() {
 func readReqDelivered(a any, _ hca.Timing) {
 	o := a.(*wrOp)
 	if o.q.lost(o.epoch) {
-		o.flushRead() // request lost before reaching the responder
+		o.failRead(StatusFlushErr) // request lost before reaching the responder
 		return
 	}
 	o.q.RespFlow().SendCtx(o.n, o, readRespDelivered, nil)
@@ -629,7 +682,12 @@ func readRespDelivered(a any, _ hca.Timing) {
 	o := a.(*wrOp)
 	q := o.q
 	if q.lost(o.epoch) {
-		o.flushRead() // response lost in flight; no local memory was touched
+		o.failRead(StatusFlushErr) // response lost in flight; no local memory was touched
+		return
+	}
+	mr := o.region()
+	if mr == nil {
+		o.failRead(StatusRemoteAccessErr) // region deregistered under the read
 		return
 	}
 	if q.realm.integrity && o.flipMask != 0 {
@@ -638,7 +696,7 @@ func readRespDelivered(a any, _ hca.Timing) {
 		// autonomously, exempt from further corruption. One informational
 		// StatusIntegrityErr CQE per rejection lets software tally it; the
 		// op itself stays in flight until the clean response lands.
-		o.verifyRead()
+		o.verifyRead(mr)
 		if o.signaled {
 			q.CQ.push(CQE{QPN: q.QPN, WRID: o.wrid, Op: OpRDMARead, Status: StatusIntegrityErr, Bytes: o.n})
 		}
@@ -646,12 +704,12 @@ func readRespDelivered(a any, _ hca.Timing) {
 		q.flow.SendCtx(0, o, readReqDelivered, nil)
 		return
 	}
-	if o.data != nil && o.mr.Buf != nil {
+	if o.data != nil && mr.Buf != nil {
 		k := o.n
 		if len(o.data) < k {
 			k = len(o.data)
 		}
-		copy(o.data[:k], o.mr.Buf[o.off:o.off+k])
+		copy(o.data[:k], mr.Buf[o.off:o.off+k])
 	}
 	if o.flipMask != 0 && o.data != nil {
 		off := o.flipOff
@@ -679,10 +737,10 @@ func readRespDelivered(a any, _ hca.Timing) {
 // whose HCA performs the 8-byte read-modify-write in arrival order (the
 // simulation's event serialization provides the atomicity guarantee the
 // hardware does) and streams the original value back.
-func (q *QP) postAtomic(wr SendWR, mr *MR) {
+func (q *QP) postAtomic(wr SendWR) {
 	o := q.realm.getOp()
 	o.q, o.epoch, o.op = q, q.epoch, wr.Op
-	o.off, o.mr = wr.RemoteOff, mr
+	o.off, o.rkey = wr.RemoteOff, wr.RKey
 	o.operand, o.swap = wr.CompareAdd, wr.Swap
 	o.wrid, o.signaled = wr.WRID, wr.Signaled
 	q.flow.SendCtx(8, o, atomicReqDelivered, nil)
@@ -705,8 +763,11 @@ func atomicReqDelivered(a any, _ hca.Timing) {
 		q.realm.putOp(o)
 		return
 	}
-	if o.mr.Buf != nil {
-		b := o.mr.Buf[o.off : o.off+8]
+	mr := o.region()
+	if mr == nil {
+		o.accessErr = true // region deregistered under the atomic
+	} else if mr.Buf != nil {
+		b := mr.Buf[o.off : o.off+8]
 		var old uint64
 		for i := 0; i < 8; i++ {
 			old |= uint64(b[i]) << (8 * i)
@@ -738,7 +799,11 @@ func atomicRespDelivered(a any, _ hca.Timing) {
 	q := o.q
 	q.outstanding--
 	if o.signaled {
-		q.CQ.push(CQE{QPN: q.QPN, WRID: o.wrid, Op: o.op, Status: StatusSuccess, Bytes: 8, AtomicOld: o.old})
+		st := StatusSuccess
+		if o.accessErr {
+			st = StatusRemoteAccessErr
+		}
+		q.CQ.push(CQE{QPN: q.QPN, WRID: o.wrid, Op: o.op, Status: st, Bytes: 8, AtomicOld: o.old})
 	}
 	q.realm.putOp(o)
 }

@@ -96,9 +96,8 @@ func (c *Comm) Allgatherv(send []byte, recv []byte, counts, displs []int) {
 func (c *Comm) ScanInt64(buf []int64, op Op) {
 	tag := c.nextCollTag()
 	rank := c.Rank()
-	b := int64sToBytes(buf)
+	b, tmp := c.int64Scratch(buf)
 	if rank > 0 {
-		tmp := make([]byte, len(b))
 		c.cwait(c.crecv(rank-1, tag, tmp, len(tmp)))
 		combinerInt64(op)(b, tmp)
 	}
@@ -113,20 +112,20 @@ func (c *Comm) ScanInt64(buf []int64, op Op) {
 func (c *Comm) ExscanInt64(buf []int64, op Op) {
 	tag := c.nextCollTag()
 	rank := c.Rank()
-	mine := int64sToBytes(buf)
+	mine, prefix := c.int64Scratch(buf)
 	if rank == 0 {
 		if c.size > 1 {
 			c.cwait(c.csend(1, tag, mine, len(mine)))
 		}
 		return
 	}
-	prefix := make([]byte, len(mine))
 	c.cwait(c.crecv(rank-1, tag, prefix, len(prefix)))
 	if rank+1 < c.size {
-		// Forward prefix ⊕ mine to the right.
-		next := append([]byte(nil), prefix...)
-		combinerInt64(op)(next, mine)
-		c.cwait(c.csend(rank+1, tag, next, len(next)))
+		// Forward prefix ⊕ mine to the right, combined in mine's buffer:
+		// every Op is commutative over int64, so mine ⊕ prefix is the
+		// same value.
+		combinerInt64(op)(mine, prefix)
+		c.cwait(c.csend(rank+1, tag, mine, len(mine)))
 	}
 	bytesToInt64s(prefix, buf)
 }
@@ -135,9 +134,8 @@ func (c *Comm) ExscanInt64(buf []int64, op Op) {
 func (c *Comm) ScanFloat64(buf []float64, op Op) {
 	tag := c.nextCollTag()
 	rank := c.Rank()
-	b := float64sToBytes(buf)
+	b, tmp := c.float64Scratch(buf)
 	if rank > 0 {
-		tmp := make([]byte, len(b))
 		c.cwait(c.crecv(rank-1, tag, tmp, len(tmp)))
 		combinerFloat64(op)(b, tmp)
 	}

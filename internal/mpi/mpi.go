@@ -307,6 +307,9 @@ type Comm struct {
 	// worlds, which keeps every collective on the reference path).
 	collAlg CollAlg
 	lanes   int
+
+	// red is the typed reductions' grow-only scratch pair (scratch).
+	red [2][]byte
 }
 
 // newWorld builds the MPI_COMM_WORLD communicator for an endpoint.

@@ -64,10 +64,14 @@ func combinerFloat64(op Op) func(dst, src []byte) {
 
 func int64sToBytes(v []int64) []byte {
 	b := make([]byte, 8*len(v))
+	putInt64s(b, v)
+	return b
+}
+
+func putInt64s(b []byte, v []int64) {
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
 	}
-	return b
 }
 
 func bytesToInt64s(b []byte, v []int64) {
@@ -76,12 +80,37 @@ func bytesToInt64s(b []byte, v []int64) {
 	}
 }
 
-func float64sToBytes(v []float64) []byte {
-	b := make([]byte, 8*len(v))
+func putFloat64s(b []byte, v []float64) {
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
-	return b
+}
+
+// scratch returns the communicator's two reduction buffers, each n bytes
+// long. They grow and are never shrunk or shared, so a typed reduction
+// allocates nothing once the communicator has seen its largest vector. A
+// reduction blocks until every message it sent or received has completed,
+// and no payload view outlives that (a rendezvous send drops its wrap of
+// the buffer at FIN), so the next call may reuse them.
+func (c *Comm) scratch(n int) (b, tmp []byte) {
+	if cap(c.red[0]) < n {
+		c.red[0], c.red[1] = make([]byte, n), make([]byte, n)
+	}
+	return c.red[0][:n], c.red[1][:n]
+}
+
+// int64Scratch is scratch with the first buffer holding v's bytes.
+func (c *Comm) int64Scratch(v []int64) (b, tmp []byte) {
+	b, tmp = c.scratch(8 * len(v))
+	putInt64s(b, v)
+	return b, tmp
+}
+
+// float64Scratch is scratch with the first buffer holding v's bytes.
+func (c *Comm) float64Scratch(v []float64) (b, tmp []byte) {
+	b, tmp = c.scratch(8 * len(v))
+	putFloat64s(b, v)
+	return b, tmp
 }
 
 func bytesToFloat64s(b []byte, v []float64) {
@@ -113,16 +142,14 @@ func (c *Comm) reduceDispatch(root int, b, tmp []byte, combine func(dst, src []b
 
 // AllreduceInt64 reduces buf element-wise across all ranks, in place.
 func (c *Comm) AllreduceInt64(buf []int64, op Op) {
-	b := int64sToBytes(buf)
-	tmp := make([]byte, len(b))
+	b, tmp := c.int64Scratch(buf)
 	c.allreduceDispatch(b, tmp, combinerInt64(op))
 	bytesToInt64s(b, buf)
 }
 
 // AllreduceFloat64 reduces buf element-wise across all ranks, in place.
 func (c *Comm) AllreduceFloat64(buf []float64, op Op) {
-	b := float64sToBytes(buf)
-	tmp := make([]byte, len(b))
+	b, tmp := c.float64Scratch(buf)
 	c.allreduceDispatch(b, tmp, combinerFloat64(op))
 	bytesToFloat64s(b, buf)
 }
@@ -131,8 +158,7 @@ func (c *Comm) AllreduceFloat64(buf []float64, op Op) {
 // at root (other ranks' buffers are clobbered with partial results, as in
 // MPI where the send buffer is input-only).
 func (c *Comm) ReduceInt64(root int, buf []int64, op Op) {
-	b := int64sToBytes(buf)
-	tmp := make([]byte, len(b))
+	b, tmp := c.int64Scratch(buf)
 	c.reduceDispatch(root, b, tmp, combinerInt64(op))
 	if c.Rank() == root {
 		bytesToInt64s(b, buf)
@@ -141,8 +167,7 @@ func (c *Comm) ReduceInt64(root int, buf []int64, op Op) {
 
 // ReduceFloat64 reduces buf element-wise to root (result valid at root).
 func (c *Comm) ReduceFloat64(root int, buf []float64, op Op) {
-	b := float64sToBytes(buf)
-	tmp := make([]byte, len(b))
+	b, tmp := c.float64Scratch(buf)
 	c.reduceDispatch(root, b, tmp, combinerFloat64(op))
 	if c.Rank() == root {
 		bytesToFloat64s(b, buf)

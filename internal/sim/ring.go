@@ -50,6 +50,24 @@ func (r *Ring[T]) Peek() T {
 	return r.buf[r.head]
 }
 
+// Front returns a pointer to the front element, valid until the next Push
+// or Pop; it panics on an empty ring.
+func (r *Ring[T]) Front() *T {
+	if r.n == 0 {
+		panic("sim: Front of empty Ring")
+	}
+	return &r.buf[r.head]
+}
+
+// Back returns a pointer to the back element, valid until the next Push or
+// Pop; it panics on an empty ring.
+func (r *Ring[T]) Back() *T {
+	if r.n == 0 {
+		panic("sim: Back of empty Ring")
+	}
+	return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)]
+}
+
 func (r *Ring[T]) grow() {
 	c := len(r.buf) * 2
 	if c == 0 {

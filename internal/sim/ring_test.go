@@ -81,3 +81,36 @@ func TestRingPeek(t *testing.T) {
 		t.Fatal("peek after pop broken")
 	}
 }
+
+func TestRingFrontBack(t *testing.T) {
+	var r Ring[int]
+	for i := 0; i < 20; i++ { // wraps the 8- and 16-slot buffers
+		r.Push(i)
+		if i >= 3 {
+			r.Pop()
+		}
+		*r.Back() += 100
+		if got, want := *r.Back(), i+100; got != want {
+			t.Fatalf("step %d: back %d, want %d", i, got, want)
+		}
+	}
+	if got := *r.Front(); got != 117 {
+		t.Errorf("front %d, want 117", got)
+	}
+	*r.Front() = -1
+	if got := r.Pop(); got != -1 {
+		t.Errorf("pop after writing through Front: %d", got)
+	}
+	r.Pop()
+	r.Pop()
+	for _, f := range []func(){func() { r.Front() }, func() { r.Back() }} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("empty ring accessor did not panic")
+				}
+			}()
+			f()
+		}()
+	}
+}
