@@ -25,11 +25,12 @@ race:
 	$(GO) test -race ./internal/sim/... ./internal/adi/... ./internal/core/... ./internal/mpi/... ./internal/chaos/... ./internal/buf/... ./internal/harness/... ./internal/regcache/... ./internal/fabric/... ./internal/topo/... ./internal/hca/... ./internal/ib/... ./internal/trace/... ./internal/shmem/... ./internal/nas/...
 	$(GO) test -race -run 'TestLaneColl|TestEagerLatencyTable|TestNASFig|TestDegradedRailTable|TestHCAGenerationTable|TestOversubscriptionTableShape' ./internal/bench/
 
-# Self-healing soak: the full chaos conformance matrix with the rail
-# reliability layer armed, the health state machine and replay tests, and
-# the epoch exactly-once audit — all under the race detector.
+# Self-healing soak: the whole generated chaos oracle array (its coverage
+# proof, every legacy filter and the serial/parallel twins), the health
+# state machine and replay tests, and the epoch exactly-once audit — all
+# under the race detector.
 soak:
-	$(GO) test -race -run 'TestSelfHealing|TestDifferentialOracle|TestGeneratedPlansConverge|TestHealthTimelineReplay|TestFalseSuspectRecovers|TestChaosReproducible|TestReliability|TestHealthStateMachine|TestBackoff|TestEpochCycle|TestDegradedRailTable' ./internal/chaos/ ./internal/adi/ ./internal/ib/ ./internal/bench/
+	$(GO) test -race -run 'TestOracleArray|TestSelfHealing|TestDifferentialOracle|GeneratedPlansConverge|(Conformance|RDMAEager|LaneColl|Routing|Integrity)SerialParallelIdentical|TestHealthTimelineReplay|TestFalseSuspectRecovers|TestChaosReproducible|TestReliability|TestHealthStateMachine|TestBackoff|TestEpochCycle|TestDegradedRailTable' ./internal/chaos/ ./internal/adi/ ./internal/ib/ ./internal/bench/
 
 # Each fuzz target gets a bounded live run on top of its checked-in corpus:
 # the stripe planners against their coverage invariants, the lane partition

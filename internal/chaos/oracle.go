@@ -13,7 +13,6 @@ import (
 	"ib12x/internal/mpi"
 	"ib12x/internal/regcache"
 	"ib12x/internal/sim"
-	"ib12x/internal/stats"
 	"ib12x/internal/topo"
 	"ib12x/internal/trace"
 )
@@ -129,15 +128,11 @@ type RunResult struct {
 	RailQuarantines    int64
 	RailProbes         int64
 	RailReintegrations int64
-	// Health renders the transition tallies as an ordered counter block.
-	Health *stats.Counters
 
 	// Pin-down registration cache activity summed over ranks (peak is the
-	// worst rank); all zero when OracleConfig.RegCache is nil. RegCacheStats
-	// renders the tallies as an ordered counter block.
+	// worst rank); all zero when OracleConfig.RegCache is nil.
 	RegHits, RegMisses, RegEvictions int64
 	RegPinnedPeak                    int64
-	RegCacheStats                    *stats.Counters
 }
 
 // ---- seeded workload script ----
@@ -332,32 +327,16 @@ func RunConformance(cfg OracleConfig) (*RunResult, error) {
 		res.IntegrityNacks += st.IntegrityNacks
 		res.CorruptDeliveries += st.CorruptDeliveries
 		res.TornRepolls += st.TornRepolls
-	}
-	for _, st := range rep.RankStats {
 		res.RailRetransmits += st.RailRetransmits
 		res.RailSuspects += st.RailSuspects
 		res.RailQuarantines += st.RailQuarantines
 		res.RailProbes += st.RailProbes
 		res.RailReintegrations += st.RailReintegrations
-	}
-	res.Health = &stats.Counters{Title: "rail health transitions"}
-	res.Health.Add("suspects", res.RailSuspects)
-	res.Health.Add("quarantines", res.RailQuarantines)
-	res.Health.Add("probes", res.RailProbes)
-	res.Health.Add("reintegrations", res.RailReintegrations)
-	for _, st := range rep.RankStats {
 		res.RegHits += st.RegHits
 		res.RegMisses += st.RegMisses
 		res.RegEvictions += st.RegEvictions
-		if st.RegPinnedPeak > res.RegPinnedPeak {
-			res.RegPinnedPeak = st.RegPinnedPeak
-		}
+		res.RegPinnedPeak = max(res.RegPinnedPeak, st.RegPinnedPeak)
 	}
-	res.RegCacheStats = &stats.Counters{Title: "pin-down registration cache"}
-	res.RegCacheStats.Add("hits", res.RegHits)
-	res.RegCacheStats.Add("misses", res.RegMisses)
-	res.RegCacheStats.Add("evictions", res.RegEvictions)
-	res.RegCacheStats.Add("pinned bytes high-water", res.RegPinnedPeak)
 	for _, node := range rep.World.Cluster.Nodes {
 		for _, port := range node.Ports() {
 			res.ChunkRetransmits += port.Retransmits

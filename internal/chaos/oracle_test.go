@@ -1,12 +1,11 @@
 package chaos
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
-	"ib12x/internal/adi"
 	"ib12x/internal/core"
-	"ib12x/internal/harness"
 	"ib12x/internal/sim"
 )
 
@@ -23,123 +22,32 @@ var allPolicies = []core.Kind{
 	core.Adaptive,
 }
 
-// faultPlans returns the plan set the matrix runs under. Times are aimed at
-// the fault-free phase map (streams to ~600us, wildcards to ~630us,
-// collectives to ~850us, one-sided to ~1.1ms); faulty runs stretch, which
-// only moves the faults deeper into the workload.
-func faultPlans() []*Plan {
-	return []*Plan{
-		NoFaults(),
+// faultPlans returns the plans every feature of the oracle array runs
+// under. Times are aimed at the fault-free phase map (streams to ~600us,
+// wildcards to ~630us, collectives to ~850us, one-sided to ~1.1ms); faulty
+// runs stretch, which only moves the faults deeper into the workload.
+func faultPlans() []oraclePlan {
+	return []oraclePlan{
+		{Plan: NoFaults()},
 		// A rail dies permanently while the p2p streams are in full flight:
 		// in-flight stripes flush and retransmit on survivors.
-		RailDeath(100*sim.Microsecond, 1, 2),
+		{Plan: RailDeath(100*sim.Microsecond, 1, 2), want: wantQuarantine},
 		// The whole send engine of node 0's port freezes for 200us: a QP
 		// stall with no loss.
-		StalledEngine(150*sim.Microsecond, 200*sim.Microsecond, 0, 0),
+		{Plan: StalledEngine(150*sim.Microsecond, 200*sim.Microsecond, 0, 0)},
 		// Node 1's link runs at 35% rate with 2us extra latency for most of
 		// the run.
-		DegradedLink(50*sim.Microsecond, 500*sim.Microsecond, 1, 0, 0.35, 2*sim.Microsecond),
+		{Plan: DegradedLink(50*sim.Microsecond, 500*sim.Microsecond, 1, 0, 0.35, 2*sim.Microsecond)},
 		// A rail dies during the streams and comes back mid-collective:
 		// rebinding in both directions.
-		RailFlap(500*sim.Microsecond, 700*sim.Microsecond, 0, 1),
+		{Plan: RailFlap(500*sim.Microsecond, 700*sim.Microsecond, 0, 1), want: wantReintegrate},
 		// Everything at once: background chunk loss, a rail flap, and a
 		// window of delayed completions.
-		Merge("kitchen-sink",
+		{Plan: Merge("kitchen-sink",
 			LegacyEveryN(97),
 			RailFlap(120*sim.Microsecond, 300*sim.Microsecond, 1, 3),
 			DelayedCompletions(200*sim.Microsecond, 400*sim.Microsecond, 0, 0, 3*sim.Microsecond),
-		),
-	}
-}
-
-// TestDifferentialOracle runs the seeded workload under every policy x every
-// fault plan with no Reliability in the config: a plan with rail events arms
-// the self-healing layer itself, with the default ReliabilityConfig. Every
-// cell must meet the oracleMatrix contract.
-func TestDifferentialOracle(t *testing.T) {
-	oracleMatrix(t, nil)
-}
-
-// oracleMatrix runs every policy x every fault plan with the given
-// reliability config and requires every cell to reproduce the fault-free
-// user-visible digest with zero invariant violations: self-healing may only
-// shrink the damage, never change the answer. Rail deaths must be
-// quarantined on the endpoints' own evidence (SetRail flips only QP state),
-// and the flap plan must see the revived rail reintegrated by a probe. The
-// cells of one plan run concurrently on the harness pool — each conformance
-// run owns a fresh engine and world, so parallel execution must (and this
-// verifies it does) produce the same digests a serial loop would.
-func oracleMatrix(t *testing.T, rel *adi.ReliabilityConfig) {
-	t.Helper()
-	base, err := RunConformance(OracleConfig{Seed: oracleSeed, Policy: allPolicies[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, plan := range faultPlans() {
-		plan := plan
-		t.Run(plan.Name, func(t *testing.T) {
-			// MapAll: a broken cell must not mask its siblings' failures.
-			results, err := harness.MapAll(allPolicies, func(kind core.Kind) (*RunResult, error) {
-				return RunConformance(OracleConfig{
-					Seed:        oracleSeed,
-					Policy:      kind,
-					Plan:        plan,
-					Reliability: rel,
-				})
-			})
-			if err != nil {
-				t.Fatalf("under %s: %v", plan.Name, err)
-			}
-			var quarantines, reintegrations int64
-			for i, res := range results {
-				for _, v := range res.Violations {
-					t.Errorf("%v under %s: %s", allPolicies[i], plan.Name, v)
-				}
-				if res.Digest != base.Digest {
-					t.Errorf("digest under %s: %s=%#x vs fault-free %#x",
-						plan.Name, res.Policy, res.Digest, base.Digest)
-				}
-				quarantines += res.RailQuarantines
-				reintegrations += res.RailReintegrations
-			}
-			switch plan.Name {
-			case "rail-death-n1-r2":
-				if quarantines == 0 {
-					t.Error("permanent rail death never quarantined by any endpoint")
-				}
-			case "rail-flap-n0-r1":
-				if quarantines == 0 || reintegrations == 0 {
-					t.Errorf("flap: quarantines=%d reintegrations=%d, want both > 0",
-						quarantines, reintegrations)
-				}
-			}
-		})
-	}
-}
-
-// TestConformanceSerialParallelIdentical pins the harness contract directly:
-// the same matrix row run on one worker and on many workers must yield
-// bit-identical digests, trace digests, and elapsed virtual times cell by
-// cell.
-func TestConformanceSerialParallelIdentical(t *testing.T) {
-	plan := faultPlans()[5] // kitchen sink: the most event-heavy plan
-	run := func(workers int) []*RunResult {
-		res, err := harness.MapN(workers, allPolicies, func(kind core.Kind) (*RunResult, error) {
-			return RunConformance(OracleConfig{Seed: oracleSeed, Policy: kind, Plan: plan})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(1)
-	parallel := run(8)
-	for i := range serial {
-		s, p := serial[i], parallel[i]
-		if s.Digest != p.Digest || s.TraceDigest != p.TraceDigest || s.Elapsed != p.Elapsed {
-			t.Errorf("%s: serial/parallel diverge: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-				s.Policy, s.Digest, p.Digest, s.TraceDigest, p.TraceDigest, s.Elapsed, p.Elapsed)
-		}
+		)},
 	}
 }
 
@@ -148,39 +56,43 @@ func TestConformanceSerialParallelIdentical(t *testing.T) {
 // policies, chunk loss forces wire-level retransmits, and every fault plan
 // shifts the protocol timeline away from the fault-free one.
 func TestFaultPlansBite(t *testing.T) {
-	base, err := RunConformance(OracleConfig{Seed: oracleSeed, Policy: core.EvenStriping})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, plan := range faultPlans()[1:] {
-		res, err := RunConformance(OracleConfig{Seed: oracleSeed, Policy: core.EvenStriping, Plan: plan})
-		if err != nil {
-			t.Fatalf("%s: %v", plan.Name, err)
-		}
+	base := conform(t, OracleConfig{Seed: oracleSeed, Policy: core.EvenStriping})
+	for _, op := range faultPlans()[1:] {
+		res := conform(t, OracleConfig{Seed: oracleSeed, Policy: core.EvenStriping, Plan: op.Plan})
 		if res.TraceDigest == base.TraceDigest {
-			t.Errorf("%s: trace digest identical to fault-free run; plan did not bite", plan.Name)
+			t.Errorf("%s: trace digest identical to fault-free run; plan did not bite", op.Name)
 		}
 		if res.Elapsed <= base.Elapsed {
-			t.Logf("%s: elapsed %v <= fault-free %v (allowed, but unusual)", plan.Name, res.Elapsed, base.Elapsed)
+			t.Logf("%s: elapsed %v <= fault-free %v (allowed, but unusual)", op.Name, res.Elapsed, base.Elapsed)
+		}
+		if op.want == wantQuarantine && res.RailRetransmits == 0 {
+			t.Error("rail death: no WR retransmissions recorded; recovery path untested")
 		}
 	}
 
-	death, err := RunConformance(OracleConfig{Seed: oracleSeed, Policy: core.EvenStriping,
-		Plan: RailDeath(100*sim.Microsecond, 1, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if death.RailRetransmits == 0 {
-		t.Error("rail death: no WR retransmissions recorded; recovery path untested")
-	}
-
-	lossy, err := RunConformance(OracleConfig{Seed: oracleSeed, Policy: core.EvenStriping, Plan: LegacyEveryN(97)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lossy := conform(t, OracleConfig{Seed: oracleSeed, Policy: core.EvenStriping, Plan: LegacyEveryN(97)})
 	if lossy.ChunkRetransmits == 0 {
 		t.Error("legacy-every-97: no chunk retransmits recorded; loss knob did not arm")
 	}
+}
+
+// conform runs one oracle config, failing the test on a run error.
+func conform(t *testing.T, cfg OracleConfig) *RunResult {
+	t.Helper()
+	res, err := RunConformance(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// conformant is conform plus the contract every cell of the oracle array
+// meets.
+func conformant(t *testing.T, cfg OracleConfig) *RunResult {
+	t.Helper()
+	res := conform(t, cfg)
+	contract(t, res.Plan, cfg, res, conform(t, OracleConfig{Seed: cfg.Seed, Policy: cfg.Policy}).Digest)
+	return res
 }
 
 // truncatingPolicy is the deliberately broken policy of the negative test:
@@ -205,13 +117,10 @@ func (p truncatingPolicy) PlanBulk(c core.Class, size, rails int, st *core.ConnS
 // TestOracleCatchesBrokenPolicy proves the oracle has teeth: a policy that
 // under-covers its bulk plans must produce payload violations, not a pass.
 func TestOracleCatchesBrokenPolicy(t *testing.T) {
-	res, err := RunConformance(OracleConfig{
+	res := conform(t, OracleConfig{
 		Seed:       oracleSeed,
 		PolicyImpl: truncatingPolicy{inner: core.New(core.EvenStriping, 4096)},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(res.Violations) == 0 {
 		t.Fatal("truncating policy produced zero violations; the oracle is blind")
 	}
@@ -227,28 +136,14 @@ func TestOracleCatchesBrokenPolicy(t *testing.T) {
 	}
 }
 
-// TestChaosReproducible replays the same (seed, policy, plan) cell twice
-// and requires bit-identical digests — the chaos harness must be as
-// deterministic as the fault-free simulator.
+// TestChaosReproducible replays a seeded random plan the array does not
+// run and requires a bit-identical result — the chaos harness must be as
+// deterministic as the fault-free simulator. (The serial/parallel twins
+// replay the array's kitchen-sink and corrupt-sink rows the same way.)
 func TestChaosReproducible(t *testing.T) {
-	plans := []*Plan{
-		faultPlans()[5], // kitchen sink
-		Generate(7, sim.Millisecond, 2, 4, 1),
-	}
-	for _, plan := range plans {
-		cfg := OracleConfig{Seed: oracleSeed, Policy: core.Adaptive, Plan: plan}
-		a, err := RunConformance(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", plan.Name, err)
-		}
-		b, err := RunConformance(cfg)
-		if err != nil {
-			t.Fatalf("%s replay: %v", plan.Name, err)
-		}
-		if a.Digest != b.Digest || a.TraceDigest != b.TraceDigest || a.Elapsed != b.Elapsed {
-			t.Errorf("%s: replay diverged: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-				plan.Name, a.Digest, b.Digest, a.TraceDigest, b.TraceDigest, a.Elapsed, b.Elapsed)
-		}
+	cfg := OracleConfig{Seed: oracleSeed, Policy: core.Adaptive, Plan: Generate(7, sim.Millisecond, 2, 4, 1)}
+	if a, b := conform(t, cfg), conform(t, cfg); !reflect.DeepEqual(a, b) {
+		t.Errorf("replay diverged:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -283,38 +178,5 @@ func TestWatchdogFires(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "watchdog") {
 		t.Fatalf("expected a watchdog error, got: %v", err)
-	}
-}
-
-// TestGeneratedPlansConverge sweeps seeded random plans across the policy
-// matrix: whatever Generate throws at the fabric, every policy must still
-// deliver the same answer.
-func TestGeneratedPlansConverge(t *testing.T) {
-	type cell struct {
-		kind core.Kind
-		plan *Plan
-	}
-	var cells []cell
-	for seed := int64(1); seed <= 3; seed++ {
-		plan := Generate(seed, 900*sim.Microsecond, 2, 4, 1)
-		for _, kind := range allPolicies {
-			cells = append(cells, cell{kind, plan})
-		}
-	}
-	results, err := harness.Map(cells, func(c cell) (*RunResult, error) {
-		return RunConformance(OracleConfig{Seed: oracleSeed, Policy: c.kind, Plan: c.plan})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		for _, v := range res.Violations {
-			t.Errorf("%v under %s: %s", cells[i].kind, cells[i].plan.Name, v)
-		}
-		ref := results[i-i%len(allPolicies)] // first cell of this plan's row
-		if res.Digest != ref.Digest {
-			t.Errorf("digest split under %s: %s=%#x vs %s=%#x",
-				cells[i].plan.Name, ref.Policy, ref.Digest, res.Policy, res.Digest)
-		}
 	}
 }

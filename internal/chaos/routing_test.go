@@ -5,7 +5,6 @@ import (
 
 	"ib12x/internal/core"
 	"ib12x/internal/fabric"
-	"ib12x/internal/harness"
 	"ib12x/internal/model"
 	"ib12x/internal/mpi"
 	"ib12x/internal/sim"
@@ -42,103 +41,15 @@ func routedShapes() []routedShape {
 	}
 }
 
-var bothRoutings = []fabric.Routing{fabric.RouteStatic, fabric.RouteAdaptive}
-
-// routedPlans is the chaos matrix for routing cells: the standard fault
-// plans plus the trunk-plane degrade that only trunked fabrics can feel.
-func routedPlans() []*Plan {
-	return append(faultPlans(),
-		DegradedTrunk(50*sim.Microsecond, 500*sim.Microsecond, 0, 0.25))
-}
-
-// TestDifferentialOracleRouting runs the seeded workload over the full
-// 6-policy × fault-plan chaos matrix on a two-level 4:1 tree, a three-tier
-// 2:1 tree and a dragonfly group, under both static and adaptive routing
-// (the same thing under the two-level tree's single spine), and requires
-// every cell's payload digest to be byte-identical to the flat-fabric
-// baseline of the same plan. Routing moves bytes in time — extra hops,
-// contention, re-selected lanes — never in content or matching order, so
-// the user-visible bytes must not change even while trunks degrade and
-// rails die mid-run. Zero violations also pins World.BufLive()==0.
-func TestDifferentialOracleRouting(t *testing.T) {
-	type cell struct {
-		shape   routedShape
-		routing fabric.Routing
-		policy  core.Kind
+// routedPlans are the plans the array also runs on the trunked fabrics:
+// the standard fault plans plus the trunk-plane degrade that only trunked
+// fabrics can feel.
+func routedPlans() []oraclePlan {
+	ps := append(faultPlans(), oraclePlan{Plan: DegradedTrunk(50*sim.Microsecond, 500*sim.Microsecond, 0, 0.25), trunk: true})
+	for i := range ps {
+		ps[i].routed = true
 	}
-	var cells []cell
-	for _, shape := range routedShapes() {
-		for _, routing := range bothRoutings {
-			for _, kind := range allPolicies {
-				cells = append(cells, cell{shape, routing, kind})
-			}
-		}
-	}
-	for _, plan := range routedPlans() {
-		plan := plan
-		t.Run(plan.Name, func(t *testing.T) {
-			ref, err := RunConformance(OracleConfig{
-				Seed: oracleSeed, Policy: core.EvenStriping, Plan: plan,
-				Nodes: 4, ProcsPerNode: 1,
-			})
-			if err != nil {
-				t.Fatalf("flat baseline under %s: %v", plan.Name, err)
-			}
-			results, err := harness.Map(cells, func(c cell) (*RunResult, error) {
-				cfg := OracleConfig{
-					Seed: oracleSeed, Policy: c.policy, Plan: plan,
-					Nodes: 4, ProcsPerNode: 1, Routing: c.routing,
-				}
-				c.shape.set(&cfg)
-				return RunConformance(cfg)
-			})
-			if err != nil {
-				t.Fatalf("routing matrix under %s: %v", plan.Name, err)
-			}
-			for i, res := range results {
-				c := cells[i]
-				for _, v := range res.Violations {
-					t.Errorf("%s/%v %v under %s: %s", c.shape.name, c.routing, c.policy, plan.Name, v)
-				}
-				if res.Digest != ref.Digest {
-					t.Errorf("digest split under %s: flat=%#x vs %s/%v %v=%#x",
-						plan.Name, ref.Digest, c.shape.name, c.routing, c.policy, res.Digest)
-				}
-			}
-		})
-	}
-}
-
-// TestRoutingSerialParallelIdentical pins the harness contract on routed
-// fabrics: the adaptive three-tier matrix row run on one worker and on
-// many must yield bit-identical digests, trace digests, and elapsed
-// virtual times cell by cell.
-func TestRoutingSerialParallelIdentical(t *testing.T) {
-	plan := routedPlans()[5] // kitchen sink: the most event-heavy plan
-	shape := routedShapes()[0]
-	run := func(workers int) []*RunResult {
-		res, err := harness.MapN(workers, allPolicies, func(kind core.Kind) (*RunResult, error) {
-			cfg := OracleConfig{
-				Seed: oracleSeed, Policy: kind, Plan: plan,
-				Nodes: 4, ProcsPerNode: 1, Routing: fabric.RouteAdaptive,
-			}
-			shape.set(&cfg)
-			return RunConformance(cfg)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(1)
-	parallel := run(8)
-	for i := range serial {
-		s, p := serial[i], parallel[i]
-		if s.Digest != p.Digest || s.TraceDigest != p.TraceDigest || s.Elapsed != p.Elapsed {
-			t.Errorf("%s: serial/parallel diverge: digest %#x/%#x trace %#x/%#x elapsed %v/%v",
-				s.Policy, s.Digest, p.Digest, s.TraceDigest, p.TraceDigest, s.Elapsed, p.Elapsed)
-		}
-	}
+	return ps
 }
 
 // TestAdaptiveBeatsStaticUnderTrunkDegrade is the system-level SetRate ×

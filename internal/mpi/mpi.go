@@ -239,6 +239,38 @@ func (c Config) validate() error {
 		return fmt.Errorf("mpi: Integrity = %d, not an adi.IntegrityMode", int(c.Integrity))
 	case c.CollAlg < CollStriped || c.CollAlg > CollAuto:
 		return fmt.Errorf("mpi: CollAlg = %d, not an mpi.CollAlg", int(c.CollAlg))
+	case c.Deadline < 0:
+		return fmt.Errorf("mpi: Deadline = %v, need ≥ 0 (0 = no watchdog)", c.Deadline)
+	}
+	// Zero selects a layer's default, so only a negative (or NaN) value is
+	// wrong; the layers below would panic on it or quietly run with it. An
+	// unarmed layer reads as all defaults.
+	var r adi.ReliabilityConfig
+	if c.Reliability != nil {
+		r = *c.Reliability
+	}
+	var rc regcache.Config
+	if c.RegCache != nil {
+		rc = *c.RegCache
+	}
+	if !(r.DeadlineScale >= 0) {
+		return fmt.Errorf("mpi: Reliability.DeadlineScale = %g, need ≥ 0 (0 = the default)", r.DeadlineScale)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"Reliability.Deadline", int64(r.Deadline)}, {"Reliability.CheckInterval", int64(r.CheckInterval)},
+		{"Reliability.SuspectAfter", int64(r.SuspectAfter)},
+		{"Reliability.RetryBase", int64(r.RetryBase)}, {"Reliability.RetryMax", int64(r.RetryMax)},
+		{"Reliability.ProbeBase", int64(r.ProbeBase)}, {"Reliability.ProbeMax", int64(r.ProbeMax)},
+		{"RegCache.CapacityBytes", rc.CapacityBytes}, {"RegCache.CapacityEntries", int64(rc.CapacityEntries)},
+		{"RegCache.PageBytes", int64(rc.PageBytes)},
+		{"RegCache.PinPerPage", int64(rc.PinPerPage)}, {"RegCache.PinSyscall", int64(rc.PinSyscall)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("mpi: %s = %d, need ≥ 0 (0 = the default)", f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -2,12 +2,16 @@ package mpi
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
 	"ib12x/internal/adi"
 	"ib12x/internal/core"
+	"ib12x/internal/fabric"
+	"ib12x/internal/regcache"
 	"ib12x/internal/sim"
+	"ib12x/internal/topo"
 )
 
 // cfg builds a config with qps rails and a policy over nodes×ppn ranks.
@@ -62,6 +66,25 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"Rndv", Config{Rndv: adi.RndvProto(9)}},
 		{"Integrity", Config{Integrity: adi.IntegrityMode(9)}},
 		{"CollAlg", Config{CollAlg: CollAlg(9)}},
+		{"Routing", Config{Routing: fabric.Routing(7)}},
+		{"Routing", Config{Routing: fabric.Routing(-1)}},
+		{"NodesPerSwitch", Config{NodesPerSwitch: -1}},
+		{"Dragonfly.Groups", Config{Dragonfly: topo.Dragonfly{Groups: -1}}},
+		{"Deadline", Config{Deadline: -1}},
+		{"Reliability.CheckInterval", Config{Reliability: &adi.ReliabilityConfig{CheckInterval: -1}}},
+		{"Reliability.ProbeBase", Config{Reliability: &adi.ReliabilityConfig{ProbeBase: -1}}},
+		{"Reliability.ProbeMax", Config{Reliability: &adi.ReliabilityConfig{ProbeMax: -1}}},
+		{"Reliability.Deadline", Config{Reliability: &adi.ReliabilityConfig{Deadline: -1}}},
+		{"Reliability.DeadlineScale", Config{Reliability: &adi.ReliabilityConfig{DeadlineScale: -1}}},
+		{"Reliability.DeadlineScale", Config{Reliability: &adi.ReliabilityConfig{DeadlineScale: math.NaN()}}},
+		{"Reliability.SuspectAfter", Config{Reliability: &adi.ReliabilityConfig{SuspectAfter: -1}}},
+		{"Reliability.RetryBase", Config{Reliability: &adi.ReliabilityConfig{RetryBase: -1}}},
+		{"Reliability.RetryMax", Config{Reliability: &adi.ReliabilityConfig{RetryMax: -1}}},
+		{"RegCache.CapacityBytes", Config{RegCache: &regcache.Config{CapacityBytes: -1}}},
+		{"RegCache.CapacityEntries", Config{RegCache: &regcache.Config{CapacityEntries: -1}}},
+		{"RegCache.PageBytes", Config{RegCache: &regcache.Config{PageBytes: -1}}},
+		{"RegCache.PinPerPage", Config{RegCache: &regcache.Config{PinPerPage: -1}}},
+		{"RegCache.PinSyscall", Config{RegCache: &regcache.Config{PinSyscall: -1}}},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
 			defer func() {

@@ -92,8 +92,15 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("topo: %d HCAs × %d ports × %d QPs = %d rails, the rail health mask tracks at most %d",
 			s.HCAsPerNode, s.PortsPerHCA, s.QPsPerPort, s.Rails(), core.MaxRails)
 	}
-	if s.Tiers != 0 && s.Tiers != 2 && s.Tiers != 3 {
+	switch {
+	case s.Tiers != 0 && s.Tiers != 2 && s.Tiers != 3:
 		return fmt.Errorf("topo: Tiers = %d, need 0, 2, or 3", s.Tiers)
+	case s.NodesPerSwitch < 0:
+		return fmt.Errorf("topo: NodesPerSwitch = %d, need ≥ 0 (0 = one switch)", s.NodesPerSwitch)
+	case s.Dragonfly.Groups < 0:
+		return fmt.Errorf("topo: Dragonfly.Groups = %d, need ≥ 0 (0 = no dragonfly)", s.Dragonfly.Groups)
+	case s.Routing != fabric.RouteStatic && s.Routing != fabric.RouteAdaptive:
+		return fmt.Errorf("topo: Routing = %d, not a fabric.Routing", int(s.Routing))
 	}
 	if s.TrunkRate < 0 || math.IsNaN(s.TrunkRate) || math.IsInf(s.TrunkRate, 0) {
 		return fmt.Errorf("topo: TrunkRate = %g, need a finite rate ≥ 0 (0 = the link rate)", s.TrunkRate)
