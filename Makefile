@@ -63,7 +63,7 @@ fuzz:
 cover:
 	@prof=$$(mktemp -t ib12x-cover-XXXXXX.out); \
 	trap 'rm -f $$prof' EXIT; \
-	$(GO) test -coverprofile=$$prof ./internal/core ./internal/adi ./internal/sim ./internal/chaos ./internal/buf ./internal/harness ./internal/regcache ./internal/fabric ./internal/topo ./internal/hca ./internal/ib ./internal/mpi ./internal/shmem ./internal/nas && \
+	$(GO) test -coverprofile=$$prof ./internal/core ./internal/adi ./internal/sim ./internal/chaos ./internal/buf ./internal/harness ./internal/regcache ./internal/fabric ./internal/topo ./internal/hca ./internal/ib ./internal/trace ./internal/mpi ./internal/shmem ./internal/nas && \
 	$(GO) run ./cmd/covergate -profile $$prof -floor COVERAGE.txt
 
 # benchmark/ is its own Go module, so `go test ./...` at the root never

@@ -2,14 +2,18 @@ package ib12x
 
 import (
 	"encoding/binary"
+	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"ib12x/internal/adi"
 	"ib12x/internal/bench"
 	"ib12x/internal/core"
 	"ib12x/internal/fabric"
+	"ib12x/internal/model"
 	"ib12x/internal/mpi"
 	"ib12x/internal/sim"
+	"ib12x/internal/topo"
 )
 
 // TestAllocationInvariants counts what one iteration of the figure benchmarks
@@ -25,7 +29,10 @@ import (
 // and 10 % of its base is 40 allocations, so the ring's headroom must stay
 // well under 180 for one allocation per message to show.) A flat parity row
 // runs twice its base's traffic in the same world shape and may exceed it by
-// its headroom only, so any garbage per message shows.
+// its headroom only, so any garbage per message shows. The Conns pair wires
+// twice as many rank pairs across 16 rails and may cost three allocations
+// per extra pair (the wired pair's Conn record, QP block and rail array),
+// so one allocation per rail shows sixteen times over.
 func TestAllocationInvariants(t *testing.T) {
 	rows := []struct {
 		name     string
@@ -50,7 +57,16 @@ func TestAllocationInvariants(t *testing.T) {
 		{name: "Stripes/N", body: stripeTraffic(16)},
 		{name: "Stripes/2N", body: stripeTraffic(32), base: "Stripes/N", headroom: 32, flat: true,
 			leak: "a rendezvous or PutBulk stripe allocates per message"},
+		{name: "Conns/N", body: wirePairs(wiredPairs)},
+		{name: "Conns/2N", body: wirePairs(2 * wiredPairs), base: "Conns/N", headroom: 3 * wiredPairs, flat: true,
+			leak: "wiring a rank pair allocates per rail"},
 	}
+	// The collector stays off while counting. A cycle empties every
+	// sync.Pool (fmt's printer cache among them), so the next Sprintf
+	// allocates afresh: a couple of allocations that land in whichever row
+	// a cycle happens to fall in, enough to tip an exact flat budget. The
+	// rows allocate about 60 MB in all.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	got := map[string]int64{}
 	for _, r := range rows {
 		n := int64(testing.AllocsPerRun(1, func() {
@@ -116,6 +132,27 @@ func stripeTraffic(n int) figBody {
 			}
 		})
 		return nil, err
+	}
+}
+
+// wiredPairs is the Conns/N row's pair count.
+const wiredPairs = 16
+
+// wirePairs builds a two-node world of 2 HCAs × 2 ports × 4 QPs per port
+// (16 rails) with 2·wiredPairs ranks per node and wires n disjoint
+// inter-node rank pairs through Endpoint.Conn. Both rows build the same
+// world, so only the wiring differs.
+func wirePairs(n int) figBody {
+	return func() ([]float64, error) {
+		const ppn = 2 * wiredPairs
+		spec := topo.Spec{Nodes: 2, ProcsPerNode: ppn, HCAsPerNode: 2, PortsPerHCA: 2, QPsPerPort: 4}
+		w := adi.NewWorld(sim.NewEngine(), model.Default(), spec, adi.Options{Policy: core.EPC})
+		for k := 0; k < n; k++ {
+			if c := w.Endpoints[k].Conn(ppn + k); c.Rails() != 16 {
+				return nil, fmt.Errorf("pair (%d, %d) wired %d rails, want 16", k, ppn+k, c.Rails())
+			}
+		}
+		return nil, nil
 	}
 }
 

@@ -1,7 +1,9 @@
 package adi
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ib12x/internal/buf"
 	"ib12x/internal/core"
@@ -109,10 +111,17 @@ type Endpoint struct {
 	rndv       RndvProto
 	eagerProto EagerProto
 
-	cq    *ib.CQ
-	srq   *ib.SRQ
-	conns []*Conn
-	qpIdx map[int]*ib.QP // QPN -> rail QP (for backlog retry on completion)
+	cq  *ib.CQ
+	srq *ib.SRQ
+
+	// conns is the peer table: the connections this rank has wired, by
+	// peer rank, so a rank's per-peer state follows the peers it talks to,
+	// not the world's size. wired holds the same connections sorted by
+	// peer, the order the health scan and rail events visit them in; its
+	// first eight slots are wiredBuf, part of the endpoint.
+	conns    map[int]*Conn
+	wired    []*Conn
+	wiredBuf [8]*Conn
 
 	proc    *sim.Proc
 	idle    sim.Waiter
@@ -128,11 +137,11 @@ type Endpoint struct {
 	reqFree []*Request // recycled requests of this endpoint
 
 	wrID       uint64
-	onComplete map[uint64]stripe       // completion records of bulk stripes and atomics, by WRID
-	backlog    map[*ib.QP][]deferredWR // WRs deferred on ErrSQFull, per rail
-	windows    map[int]*winInfo        // exposed RMA windows
-	nextCtx    int                     // next free matching-context id
-	tr         *trace.Recorder         // optional protocol event recorder
+	onComplete map[uint64]stripe   // completion records of bulk stripes and atomics, by WRID
+	backlog    map[int]railBacklog // WRs deferred on ErrSQFull, by rail QPN
+	windows    map[int]*winInfo    // exposed RMA windows
+	nextCtx    int                 // next free matching-context id
+	tr         *trace.Recorder     // optional protocol event recorder
 
 	// In-flight WR tracking (armed by World.EnableReliability and by
 	// IntegrityVerify; off in fault-free runs so the hot path never touches
@@ -204,23 +213,26 @@ func (ep *Endpoint) putFl(wrid uint64) {
 
 // newEndpoint wires the passive state; connections are added by the World
 // on first use.
-func newEndpoint(rank int, eng *sim.Engine, m *model.Params, realm *ib.Realm, policy core.Policy, rndv RndvProto, nranks int, pool *envPool, bufs *buf.Pool) *Endpoint {
+func newEndpoint(rank int, eng *sim.Engine, m *model.Params, realm *ib.Realm, policy core.Policy, rndv RndvProto, pool *envPool, bufs *buf.Pool) *Endpoint {
 	ep := &Endpoint{
-		Rank:       rank,
-		eng:        eng,
-		m:          m,
-		realm:      realm,
-		policy:     policy,
-		rndv:       rndv,
-		cq:         realm.NewCQ(),
-		srq:        realm.NewSRQ(),
-		conns:      make([]*Conn, nranks),
-		qpIdx:      make(map[int]*ib.QP),
+		Rank:   rank,
+		eng:    eng,
+		m:      m,
+		realm:  realm,
+		policy: policy,
+		rndv:   rndv,
+		cq:     realm.NewCQ(),
+		srq:    realm.NewSRQ(),
+		// The rank's own entry (no connection to self) makes the table's
+		// first slot group here, so wiring a rank's first seven peers
+		// allocates neither in the table nor (wiredBuf) in wired.
+		conns:      map[int]*Conn{rank: nil},
 		onComplete: make(map[uint64]stripe),
-		backlog:    make(map[*ib.QP][]deferredWR),
+		backlog:    make(map[int]railBacklog),
 		pool:       pool,
 		bufs:       bufs,
 	}
+	ep.wired = ep.wiredBuf[:0]
 	ep.cq.SetNotify(func() { ep.wake() })
 	ep.srq.PostRecvN(ib.RecvWR{}, srqPrepost)
 	return ep
@@ -270,8 +282,24 @@ func (ep *Endpoint) conn(peer int) *Conn {
 	if c := ep.conns[peer]; c != nil {
 		return c
 	}
+	ep.checkPeer("Conn", peer)
 	ep.w.connect(min(ep.Rank, peer), max(ep.Rank, peer))
 	return ep.conns[peer]
+}
+
+// checkPeer panics unless peer is a rank of the world.
+func (ep *Endpoint) checkPeer(op string, peer int) {
+	if peer < 0 || peer >= len(ep.w.Endpoints) {
+		panic(fmt.Sprintf("adi: rank %d %s to invalid peer %d", ep.Rank, op, peer))
+	}
+}
+
+// addConn enters a freshly wired connection into the peer table and into
+// wired at its place in peer order.
+func (ep *Endpoint) addConn(c *Conn) {
+	ep.conns[c.peer] = c
+	i, _ := slices.BinarySearchFunc(ep.wired, c.peer, func(x *Conn, peer int) int { return cmp.Compare(x.peer, peer) })
+	ep.wired = slices.Insert(ep.wired, i, c)
 }
 
 // wake readies the rank if it is parked waiting for progress.
@@ -314,9 +342,7 @@ func (ep *Endpoint) PostSendLane(peer, tag, ctxID int, class core.Class, data []
 }
 
 func (ep *Endpoint) postSend(peer, tag, ctxID int, class core.Class, data []byte, n, lane int) *Request {
-	if peer < 0 || peer >= len(ep.conns) {
-		panic(fmt.Sprintf("adi: rank %d PostSend to invalid peer %d", ep.Rank, peer))
-	}
+	ep.checkPeer("PostSend", peer)
 	if !classIsValid(class) {
 		panic("adi: invalid communication class")
 	}
@@ -733,17 +759,27 @@ type deferredWR struct {
 	posted *Request
 }
 
+// railBacklog is one rail's WRs deferred on a full send queue, in post
+// order, with the QP they wait for.
+type railBacklog struct {
+	qp *ib.QP
+	q  []deferredWR
+}
+
 // drainBacklog retries WRs deferred on a full send queue, preserving their
-// per-rail FIFO order.
+// per-rail FIFO order. Nearly every send completion finds nothing deferred.
 func (ep *Endpoint) drainBacklog(qpn int) {
-	qp, ok := ep.qpIdx[qpn]
+	if len(ep.backlog) == 0 {
+		return
+	}
+	b, ok := ep.backlog[qpn]
 	if !ok {
 		return
 	}
+	qp, q := b.qp, b.q
 	if qp.IsDown() {
 		return // quarantine rerouted (or will reroute) this rail's backlog
 	}
-	q := ep.backlog[qp]
 	for len(q) > 0 {
 		if err := qp.PostSend(q[0].wr); err == ib.ErrSQFull {
 			break
@@ -757,9 +793,9 @@ func (ep *Endpoint) drainBacklog(qpn int) {
 		q = q[1:]
 	}
 	if len(q) == 0 {
-		delete(ep.backlog, qp)
+		delete(ep.backlog, qpn)
 	} else {
-		ep.backlog[qp] = q
+		ep.backlog[qpn] = railBacklog{qp, q}
 	}
 }
 
@@ -787,12 +823,12 @@ func (ep *Endpoint) post(conn *Conn, rail int, wr ib.SendWR, posted *Request) {
 		ep.inflight[wr.WRID] = fl
 	}
 	qp := conn.rails[rail]
-	if q := ep.backlog[qp]; len(q) > 0 {
-		ep.backlog[qp] = append(q, deferredWR{wr, posted})
+	if b, ok := ep.backlog[qp.QPN]; ok {
+		ep.backlog[qp.QPN] = railBacklog{qp, append(b.q, deferredWR{wr, posted})}
 		return
 	}
 	if err := qp.PostSend(wr); err == ib.ErrSQFull {
-		ep.backlog[qp] = append(ep.backlog[qp], deferredWR{wr, posted})
+		ep.backlog[qp.QPN] = railBacklog{qp, []deferredWR{{wr, posted}}}
 		return
 	} else if err == ib.ErrQPDown && ep.rel != nil {
 		// Hard evidence the rail is dead, discovered at post time: the

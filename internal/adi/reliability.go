@@ -224,8 +224,8 @@ func (ep *Endpoint) healthScan() {
 			fl.conn.health[fl.rail].expired = true
 		}
 	}
-	for _, conn := range ep.conns {
-		if conn == nil || conn.health == nil {
+	for _, conn := range ep.wired {
+		if conn.health == nil {
 			continue
 		}
 		for rail := range conn.health {
@@ -275,9 +275,9 @@ func (ep *Endpoint) quarantine(conn *Conn, rail int) {
 	conn.sched.Dead.MarkDown(rail)
 	conn.ringDown()
 	qp := conn.rails[rail]
-	if q := ep.backlog[qp]; len(q) > 0 {
-		delete(ep.backlog, qp)
-		for _, d := range q {
+	if b, ok := ep.backlog[qp.QPN]; ok {
+		delete(ep.backlog, qp.QPN)
+		for _, d := range b.q {
 			ep.post(conn, rail, d.wr, d.posted)
 		}
 	}

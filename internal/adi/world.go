@@ -114,8 +114,8 @@ func (w *World) EnableReliability(cfg ReliabilityConfig) {
 	for _, ep := range w.Endpoints {
 		ep.rel = rc
 		ep.probes = make(map[uint64]probeRef)
-		for _, conn := range ep.conns { // wired before arming; connect covers the rest
-			if conn != nil && conn.sh == nil && len(conn.rails) > 0 {
+		for _, conn := range ep.wired { // wired before arming; connect covers the rest
+			if conn.sh == nil && len(conn.rails) > 0 {
 				conn.health = make([]railHealth, len(conn.rails))
 			}
 		}
@@ -154,13 +154,12 @@ func (w *World) SetRail(node, rail int, up bool) {
 		if w.Cluster.NodeOf(i) != node {
 			continue
 		}
-		for j, epj := range w.Endpoints {
-			conn := epi.conns[j]
-			if conn == nil || conn.sh != nil || rail < 0 || rail >= len(conn.rails) {
+		for _, conn := range epi.wired {
+			if conn.sh != nil || rail < 0 || rail >= len(conn.rails) {
 				continue
 			}
 			qpi := conn.rails[rail]
-			qpj := epj.conns[i].rails[rail]
+			qpj := qpi.Remote()
 			if up {
 				qpi.SetUp()
 				qpj.SetUp()
@@ -195,7 +194,7 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 	pool := &envPool{}
 	w.bufs = &buf.Pool{}
 	for r := 0; r < n; r++ {
-		ep := newEndpoint(r, eng, m, realm, policy, opt.Rndv, n, pool, w.bufs)
+		ep := newEndpoint(r, eng, m, realm, policy, opt.Rndv, pool, w.bufs)
 		ep.w = w
 		ep.eagerProto = opt.EagerProto
 		ep.integrity = opt.Integrity
@@ -223,6 +222,11 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 // eager ring and header cache each way under EagerRDMAWrite, and the rail
 // health arrays once the reliability layer is armed).
 //
+// An inter-node pair costs three allocations whatever its rail count: one
+// record holding both Conns, one block of 2·Rails() QPs (each carrying its
+// transmit flow by value), and one array backing both halves' rail slices.
+// The block's QPs take QPNs in the order separate NewQP calls gave them.
+//
 // A rail's flows take their route keys from pairsBefore, not from the
 // ports' creation counters, so every key is the one the all-pairs build
 // (pairs (i, j) in lexicographic order, rails in order, ib.Connect each)
@@ -231,8 +235,11 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 func (w *World) connect(i, j int) {
 	epi, epj := w.Endpoints[i], w.Endpoints[j]
 	m, opt, cl := w.M, &w.opt, w.Cluster
-	ci := &Conn{peer: j, sched: core.ConnState{Bound: opt.BindRail(i, j)}, credits: m.EagerCredits}
-	cj := &Conn{peer: i, sched: core.ConnState{Bound: opt.BindRail(j, i)}, credits: m.EagerCredits}
+	pair := &[2]Conn{
+		{peer: j, sched: core.ConnState{Bound: opt.BindRail(i, j)}, credits: m.EagerCredits},
+		{peer: i, sched: core.ConnState{Bound: opt.BindRail(j, i)}, credits: m.EagerCredits},
+	}
+	ci, cj := &pair[0], &pair[1]
 	if cl.SameNode(i, j) {
 		ci.sh = shmem.New(w.Eng, m)
 		cj.sh = shmem.New(w.Eng, m)
@@ -246,17 +253,18 @@ func (w *World) connect(i, j int) {
 		baseI := 2 * q * w.pairsBefore(cl.NodeOf(i), i, j)
 		baseJ := 2 * q * w.pairsBefore(cl.NodeOf(j), i, j)
 		portsI, portsJ := cl.PortsOf(i), cl.PortsOf(j)
-		for r := 0; r < cl.Spec.Rails(); r++ {
+		nr := cl.Spec.Rails()
+		qps, rails := make([]ib.QP, 2*nr), make([]*ib.QP, 2*nr)
+		ci.rails, cj.rails = rails[:nr:nr], rails[nr:]
+		for r := range nr {
 			pidx, k := r/q, r%q
-			qpi := w.Realm.NewQP(ib.QPConfig{Port: portsI[pidx], CQ: epi.cq, SRQ: epi.srq, SQDepth: opt.SQDepth})
-			qpj := w.Realm.NewQP(ib.QPConfig{Port: portsJ[pidx], CQ: epj.cq, SRQ: epj.srq, SQDepth: opt.SQDepth})
+			qpi, qpj := &qps[r], &qps[nr+r]
+			w.Realm.InitQP(qpi, ib.QPConfig{Port: portsI[pidx], CQ: epi.cq, SRQ: epi.srq, SQDepth: opt.SQDepth})
+			w.Realm.InitQP(qpj, ib.QPConfig{Port: portsJ[pidx], CQ: epj.cq, SRQ: epj.srq, SQDepth: opt.SQDepth})
 			if err := ib.ConnectAt(qpi, qpj, uint64(baseI+2*k+1), uint64(baseJ+2*k+1)); err != nil {
 				panic(err)
 			}
-			ci.rails = append(ci.rails, qpi)
-			cj.rails = append(cj.rails, qpj)
-			epi.qpIdx[qpi.QPN] = qpi
-			epj.qpIdx[qpj.QPN] = qpj
+			ci.rails[r], cj.rails[r] = qpi, qpj
 		}
 		if opt.EagerProto == EagerRDMAWrite {
 			// Connect-time ring negotiation: each direction gets its own
@@ -267,12 +275,12 @@ func (w *World) connect(i, j int) {
 			cj.hdr = newHdrCache(m.HdrCacheSlots)
 		}
 		if w.rel != nil {
-			ci.health = make([]railHealth, len(ci.rails))
-			cj.health = make([]railHealth, len(cj.rails))
+			h := make([]railHealth, 2*nr)
+			ci.health, cj.health = h[:nr:nr], h[nr:]
 		}
 	}
-	epi.conns[j] = ci
-	epj.conns[i] = cj
+	epi.addConn(ci)
+	epj.addConn(cj)
 }
 
 // pairsBefore counts the inter-node rank pairs x < y that touch node a and

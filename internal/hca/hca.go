@@ -281,7 +281,16 @@ func (p *Port) ReserveFlows(n int) uint64 {
 // alone: a caller that builds flows out of order derives each ordinal
 // itself, so the key is the one an in-order build would have given.
 func (p *Port) NewFlowAt(eng *sim.Engine, dst *Port, seq uint64) *Flow {
-	return &Flow{eng: eng, src: p, dst: dst,
+	f := new(Flow)
+	p.InitFlowAt(f, eng, dst, seq)
+	return f
+}
+
+// InitFlowAt is NewFlowAt in place: it makes *f the flow NewFlowAt would
+// have built, so a caller that holds flows by value (ib.QP) allocates
+// nothing per flow.
+func (p *Port) InitFlowAt(f *Flow, eng *sim.Engine, dst *Port, seq uint64) {
+	*f = Flow{eng: eng, src: p, dst: dst,
 		routeKey: corruptMix(uint64(p.Node)<<40 ^ uint64(dst.Node)<<20 ^ seq)}
 }
 

@@ -202,20 +202,24 @@ type QP struct {
 	CQ   *CQ
 	SRQ  *SRQ
 
-	realm       *Realm
-	remote      *QP
-	flow        *hca.Flow // staged transmit pipeline toward the peer
-	respFlow    *hca.Flow // responder resources for RDMA-read responses (RespFlow)
-	respSeq     uint64    // respFlow's ordinal on the peer's port
-	sqDepth     int
-	outstanding int
+	realm    *Realm
+	remote   *QP
+	flow     hca.Flow  // staged transmit pipeline toward the peer (Connect)
+	respFlow *hca.Flow // responder resources for RDMA-read responses (RespFlow)
+	respSeq  uint64    // respFlow's ordinal on the peer's port
+
+	// outstanding, sqDepth and epoch are 32-bit: adi wires a pair's QPs as
+	// one block, and at 280 bytes a 4-rail pair's eight QPs fit the
+	// 2 304-byte size class rather than 2 688.
+	outstanding int32
+	sqDepth     int32 // max outstanding send WRs
 	pool        recvPool
 
 	// Fault-injection state: down rejects new posts, and epoch stamps every
 	// in-flight descriptor so a failure can flush exactly the descriptors
 	// that were in the air when it struck.
 	down  bool
-	epoch uint64
+	epoch uint32
 }
 
 // SetDown transitions the QP into the error state: new posts fail with
@@ -239,10 +243,20 @@ func (q *QP) IsDown() bool { return q.down }
 
 // lost reports whether a descriptor stamped with epoch e was caught by a
 // failure: the QP is still down, or a down/up cycle happened since.
-func (q *QP) lost(e uint64) bool { return q.down || q.epoch != e }
+func (q *QP) lost(e uint32) bool { return q.down || q.epoch != e }
 
 // NewQP creates a queue pair.
 func (r *Realm) NewQP(cfg QPConfig) *QP {
+	q := new(QP)
+	r.InitQP(q, cfg)
+	return q
+}
+
+// InitQP is NewQP in place: it makes *q a fresh queue pair under the
+// realm's next QPN, so a caller wiring many QPs at once can hold them in
+// one block. The QP must not move afterwards (its peer and its flow's
+// in-flight work point at it).
+func (r *Realm) InitQP(q *QP, cfg QPConfig) {
 	if cfg.Port == nil || cfg.CQ == nil {
 		panic("ib: NewQP requires a Port and a CQ")
 	}
@@ -251,7 +265,7 @@ func (r *Realm) NewQP(cfg QPConfig) *QP {
 		depth = 128
 	}
 	r.qpn++
-	return &QP{QPN: r.qpn, Port: cfg.Port, CQ: cfg.CQ, SRQ: cfg.SRQ, realm: r, sqDepth: depth}
+	*q = QP{QPN: r.qpn, Port: cfg.Port, CQ: cfg.CQ, SRQ: cfg.SRQ, realm: r, sqDepth: int32(depth)}
 }
 
 // Connect pairs two QPs into a reliable connection. Both must be idle. Each
@@ -271,15 +285,20 @@ func ConnectAt(a, b *QP, seqA, seqB uint64) error {
 	}
 	a.remote = b
 	b.remote = a
-	a.flow = a.Port.NewFlowAt(a.realm.Eng, b.Port, seqA)
-	b.flow = b.Port.NewFlowAt(b.realm.Eng, a.Port, seqB)
+	a.Port.InitFlowAt(&a.flow, a.realm.Eng, b.Port, seqA)
+	b.Port.InitFlowAt(&b.flow, b.realm.Eng, a.Port, seqB)
 	a.respSeq = seqB + 1
 	b.respSeq = seqA + 1
 	return nil
 }
 
 // Flow returns the QP's transmit flow (nil before Connect).
-func (q *QP) Flow() *hca.Flow { return q.flow }
+func (q *QP) Flow() *hca.Flow {
+	if q.remote == nil {
+		return nil
+	}
+	return &q.flow
+}
 
 // RespFlow returns the flow that carries this QP's RDMA-read and atomic
 // responses from the peer's port, building it on first use. RDMA-read
@@ -299,7 +318,7 @@ func (q *QP) Connected() bool { return q.remote != nil }
 func (q *QP) Remote() *QP { return q.remote }
 
 // Outstanding reports send WRs posted but not yet completed (acked).
-func (q *QP) Outstanding() int { return q.outstanding }
+func (q *QP) Outstanding() int { return int(q.outstanding) }
 
 // PostRecv posts a receive buffer on the QP's own receive queue. QPs bound
 // to an SRQ must post through the SRQ instead.
@@ -398,7 +417,7 @@ func (q *QP) PostSend(wr SendWR) error {
 // of the benchmark figures.
 type wrOp struct {
 	q        *QP
-	epoch    uint64
+	epoch    uint32
 	effected bool // remote effect happened before any failure
 	op       Opcode
 

@@ -8,10 +8,11 @@ import (
 	"ib12x/internal/sim"
 )
 
-// scaleHeapCeiling bounds the live heap of the 1024-node ring below. With
-// connections wired on first use it holds about 40 MB; wiring every pair up
-// front needed about 3 GB.
-const scaleHeapCeiling = 96 << 20
+// scaleHeapCeiling bounds the live heap of the 1024-node ring below at about
+// 1.5× its reading. With connections wired on first use and a sparse peer
+// table it holds 21.4 MB; a dense per-rank table added 8 MB, and wiring
+// every pair up front needed about 3 GB.
+const scaleHeapCeiling = 32 << 20
 
 // TestScaleRing1024: a 1024-node three-tier fat tree runs one 64 KB
 // Sendrecv round (each rank to its right neighbour) plus the drain barrier,
