@@ -37,10 +37,13 @@ soak:
 # against its tiling/steering invariants, the bucketed matcher against the
 # naive linear reference, the eager-ring header cache against its flat
 # MRU-scan reference, the pin-down registration cache against its
-# flat-scan LRU reference, and the engine's radix event queue (reserved-
+# flat-scan LRU reference, the engine's radix event queue (reserved-
 # ordinal blocks posted lazily, ties, keys 2^62 apart and cancel-heavy
 # compaction included) against a stable sort by (fire time, post ordinal),
-# and the NAS FT's planned FFT against the unplanned recurrence, bit for bit.
+# the NAS FT's planned FFT against the unplanned recurrence, bit for bit,
+# and mpi.Run on small decoded jobs against Config.Validate and the fault
+# plan's Arm (no panic; an error before any rank runs exactly when either
+# gate rejects; an accepted job finishes a ring exchange).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEvenStripes -fuzztime=$(FUZZTIME) ./internal/core
@@ -53,6 +56,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzChunkChecksum -fuzztime=$(FUZZTIME) ./internal/buf
 	$(GO) test -run='^$$' -fuzz=FuzzRouteTable -fuzztime=$(FUZZTIME) ./internal/fabric
 	$(GO) test -run='^$$' -fuzz=FuzzFFT -fuzztime=$(FUZZTIME) ./internal/nas
+	$(GO) test -run='^$$' -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) ./internal/mpi
 
 # Statement-coverage floor over the deterministic-simulation core and the
 # NAS kernels. The gate

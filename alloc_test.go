@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ib12x/internal/adi"
-	"ib12x/internal/bench"
 	"ib12x/internal/core"
 	"ib12x/internal/fabric"
 	"ib12x/internal/model"
@@ -44,12 +43,12 @@ func TestAllocationInvariants(t *testing.T) {
 		leak     string // what a parity failure means
 	}{
 		{name: "Fig04", body: fig04, recorded: 1268},
-		{name: "Fig06", body: fig06(bench.Setup{}), recorded: 11104},
+		{name: "Fig06", body: fig06(mpi.Config{}), recorded: 11104},
 		{name: "Fig07", body: fig07, recorded: 6613},
 		{name: "Fig08", body: fig08, recorded: 2595},
-		{name: "Fig06/integrity", body: fig06(bench.Setup{Integrity: adi.IntegrityVerify}),
+		{name: "Fig06/integrity", body: fig06(mpi.Config{Integrity: adi.IntegrityVerify}),
 			base: "Fig06", headroom: 512, leak: "checksum capture or verify allocates per payload"},
-		{name: "Fig06/three-tier", body: fig06(bench.Setup{NodesPerSwitch: 1, Tiers: 3, SpinesPerPod: 2, Routing: fabric.RouteAdaptive}),
+		{name: "Fig06/three-tier", body: fig06(mpi.Config{NodesPerSwitch: 1, Tiers: 3, SpinesPerPod: 2, Routing: fabric.RouteAdaptive}),
 			base: "Fig06", headroom: 512, leak: "the route walk allocates per chunk"},
 		{name: "SmallMsg/sendrecv", body: smallMsg(adi.EagerSendRecv)},
 		{name: "SmallMsg/ring", body: smallMsg(adi.EagerRDMAWrite),
@@ -161,7 +160,10 @@ func wirePairs(n int) figBody {
 // read after it returns.
 type engineTap []*sim.Engine
 
-func (tap *engineTap) Arm(eng *sim.Engine, _ *adi.World) { *tap = append(*tap, eng) }
+func (tap *engineTap) Arm(eng *sim.Engine, _ *adi.World) error {
+	*tap = append(*tap, eng)
+	return nil
+}
 
 // TestFig06QueueHighWater bounds the event queue's depth over the Figure 6
 // sweeps. Each chunk stream keeps one event pending — the next chunk a send
@@ -171,7 +173,7 @@ func (tap *engineTap) Arm(eng *sim.Engine, _ *adi.World) { *tap = append(*tap, e
 // the wire peaked at 2521 here; the lazy pipeline peaks at 66.
 func TestFig06QueueHighWater(t *testing.T) {
 	var tap engineTap
-	if _, err := fig06(bench.Setup{Chaos: &tap})(); err != nil {
+	if _, err := fig06(mpi.Config{Chaos: &tap})(); err != nil {
 		t.Fatal(err)
 	}
 	hw := 0

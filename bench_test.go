@@ -121,20 +121,18 @@ func BenchmarkFig05SmallUniBW(b *testing.B) {
 
 // ---- Figure 6: large-message uni-directional bandwidth ----
 
-// fig06 is the three Figure 6 sweeps on the given setup: the zero Setup is
-// the paper's flat switch; the allocation test also runs the integrity and
+// fig06 is the three Figure 6 sweeps on the given job: the zero job is the
+// paper's flat switch; the allocation test also runs the integrity and
 // three-tier variants.
-func fig06(on bench.Setup) figBody {
+func fig06(job mpi.Config) figBody {
 	return func() ([]float64, error) {
 		sizes := []int{16 * 1024, 1 << 20}
 		var bw [3][]float64
-		for i, v := range []bench.Setup{
-			{QPs: 1, Policy: core.Original},
-			{QPs: 4, Policy: core.EPC},
-			{QPs: 4, Policy: core.EvenStriping},
+		for i, s := range []bench.Setup{
+			{QPs: 1, Policy: core.Original, Job: job},
+			{QPs: 4, Policy: core.EPC, Job: job},
+			{QPs: 4, Policy: core.EvenStriping, Job: job},
 		} {
-			s := on
-			s.QPs, s.Policy = v.QPs, v.Policy
 			var err error
 			if bw[i], err = bench.UniBandwidth(s, sizes, window, bwIters, bwWarm); err != nil {
 				return nil, err
@@ -146,7 +144,7 @@ func fig06(on bench.Setup) figBody {
 }
 
 func BenchmarkFig06UniBW(b *testing.B) {
-	runFig(b, fig06(bench.Setup{}), "MBps_virtual", "orig_peak", "epc_peak", "striping_16K", "epc_16K")
+	runFig(b, fig06(mpi.Config{}), "MBps_virtual", "orig_peak", "epc_peak", "striping_16K", "epc_16K")
 }
 
 // ---- Figure 7: bi-directional bandwidth ----
@@ -172,11 +170,11 @@ func BenchmarkFig07BiBW(b *testing.B) {
 
 func fig08() ([]float64, error) {
 	sizes := []int{16 * 1024}
-	orig, err := bench.Alltoall(bench.Setup{QPs: 1, Policy: core.Original, PPN: 4}, sizes, bwIters, bwWarm)
+	orig, err := bench.Alltoall(bench.Setup{QPs: 1, Policy: core.Original, Job: mpi.Config{ProcsPerNode: 4}}, sizes, bwIters, bwWarm)
 	if err != nil {
 		return nil, err
 	}
-	epc, err := bench.Alltoall(bench.Setup{QPs: 4, Policy: core.EPC, PPN: 4}, sizes, bwIters, bwWarm)
+	epc, err := bench.Alltoall(bench.Setup{QPs: 4, Policy: core.EPC, Job: mpi.Config{ProcsPerNode: 4}}, sizes, bwIters, bwWarm)
 	if err != nil {
 		return nil, err
 	}
@@ -193,11 +191,11 @@ func benchNAS(b *testing.B, kernel string, class byte, ppn int) {
 	b.Helper()
 	var orig, epc float64
 	for i := 0; i < b.N; i++ {
-		o, err := bench.RunNAS(bench.Setup{QPs: 1, Policy: core.Original, PPN: ppn}.Config(), kernel, class, false)
+		o, err := bench.RunNAS(mpi.Config{ProcsPerNode: ppn, QPsPerPort: 1, Policy: core.Original}, kernel, class, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		e, err := bench.RunNAS(bench.Setup{QPs: 4, Policy: core.EPC, PPN: ppn}.Config(), kernel, class, false)
+		e, err := bench.RunNAS(mpi.Config{ProcsPerNode: ppn, QPsPerPort: 4, Policy: core.EPC}, kernel, class, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,7 +223,7 @@ func BenchmarkAblA1RendezvousThreshold(b *testing.B) {
 		for _, thr := range []int{4 << 10, 16 << 10, 64 << 10} {
 			m := model.Default()
 			m.RendezvousThreshold = thr
-			v, err := bench.UniBandwidth(bench.Setup{QPs: 4, Policy: core.EPC, Model: m}, sizes, window, bwIters, bwWarm)
+			v, err := bench.UniBandwidth(bench.Setup{QPs: 4, Policy: core.EPC, Job: mpi.Config{Model: m}}, sizes, window, bwIters, bwWarm)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -247,7 +245,7 @@ func BenchmarkAblA2EnginesPerPort(b *testing.B) {
 			m := model.Default()
 			m.SendEnginesPerPort = eng
 			m.RecvEnginesPerPort = eng
-			v, err := bench.UniBandwidth(bench.Setup{QPs: eng, Policy: core.EPC, Model: m}, sizes, window, bwIters, bwWarm)
+			v, err := bench.UniBandwidth(bench.Setup{QPs: eng, Policy: core.EPC, Job: mpi.Config{Model: m}}, sizes, window, bwIters, bwWarm)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -269,8 +267,8 @@ func BenchmarkAblA3RailAxes(b *testing.B) {
 	}
 	axes := []axis{
 		{"qps4", bench.Setup{QPs: 4, Policy: core.EPC}},
-		{"ports2", bench.Setup{QPs: 4, Ports: 2, Policy: core.EPC}},
-		{"hcas2", bench.Setup{QPs: 4, Ports: 2, HCAs: 2, Policy: core.EPC}},
+		{"ports2", bench.Setup{QPs: 4, Policy: core.EPC, Job: mpi.Config{Ports: 2}}},
+		{"hcas2", bench.Setup{QPs: 4, Policy: core.EPC, Job: mpi.Config{Ports: 2, HCAs: 2}}},
 	}
 	vals := map[string]float64{}
 	for i := 0; i < b.N; i++ {
@@ -296,7 +294,7 @@ func BenchmarkAblA4MinStripe(b *testing.B) {
 		for _, ms := range []int{1 << 10, 4 << 10, 16 << 10} {
 			m := model.Default()
 			m.MinStripe = ms
-			v, err := bench.Latency(bench.Setup{QPs: 4, Policy: core.EvenStriping, Model: m}, sizes, 20, 2)
+			v, err := bench.Latency(bench.Setup{QPs: 4, Policy: core.EvenStriping, Job: mpi.Config{Model: m}}, sizes, 20, 2)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -314,7 +312,7 @@ func BenchmarkAblA4MinStripe(b *testing.B) {
 // the given eager channel.
 func smallMsg(proto adi.EagerProto) figBody {
 	return func() ([]float64, error) {
-		return bench.Latency(bench.Setup{QPs: 4, Policy: core.EPC, EagerProto: proto}, []int{1, 1024}, latIters, latWarm)
+		return bench.Latency(bench.Setup{QPs: 4, Policy: core.EPC, Job: mpi.Config{EagerProto: proto}}, []int{1, 1024}, latIters, latWarm)
 	}
 }
 
@@ -358,7 +356,7 @@ func BenchmarkExtRGETRendezvous(b *testing.B) {
 			b.Fatal(err)
 		}
 		put = v[0]
-		v, err = bench.UniBandwidth(bench.Setup{QPs: 4, Policy: core.EPC, Rndv: adi.RndvRead}, sizes, window, bwIters, bwWarm)
+		v, err = bench.UniBandwidth(bench.Setup{QPs: 4, Policy: core.EPC, Job: mpi.Config{Rndv: adi.RndvRead}}, sizes, window, bwIters, bwWarm)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -372,9 +370,9 @@ func BenchmarkExtRGETRendezvous(b *testing.B) {
 func BenchmarkExtOversubscription(b *testing.B) {
 	m := model.Default()
 	run := func(trunk float64) float64 {
-		s := bench.Setup{QPs: 4, Policy: core.EPC, Nodes: 8, NodesPerSwitch: 4, TrunkRate: trunk}
+		cfg := mpi.Config{Nodes: 8, NodesPerSwitch: 4, TrunkRate: trunk, QPsPerPort: 4, Policy: core.EPC}
 		var worst float64
-		_, err := mpi.Run(s.Config(), func(c *mpi.Comm) {
+		_, err := mpi.Run(cfg, func(c *mpi.Comm) {
 			p := c.Size()
 			peer := (c.Rank() + p/2) % p
 			c.Barrier()
@@ -405,7 +403,7 @@ func BenchmarkExtOversubscription(b *testing.B) {
 // loss rate.
 func BenchmarkExtFaultyFabric(b *testing.B) {
 	run := func(fault int64) float64 {
-		cfg := bench.Setup{QPs: 4, Policy: core.EPC}.Config()
+		cfg := mpi.Config{QPsPerPort: 4, Policy: core.EPC}
 		if fault > 0 {
 			cfg.Chaos = chaos.LegacyEveryN(fault)
 		}
@@ -443,7 +441,7 @@ func BenchmarkExtLUWavefront(b *testing.B) { benchNAS(b, "lu", 'W', 2) }
 func BenchmarkExtOneSided(b *testing.B) {
 	var bw float64
 	for i := 0; i < b.N; i++ {
-		cfg := bench.Setup{QPs: 4, Policy: core.EPC}.Config()
+		cfg := mpi.Config{QPsPerPort: 4, Policy: core.EPC}
 		_, err := mpi.Run(cfg, func(c *mpi.Comm) {
 			w := c.WinCreate(nil, 1<<20)
 			c.Barrier()

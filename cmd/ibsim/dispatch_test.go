@@ -24,7 +24,7 @@ func TestDispatchAllTests(t *testing.T) {
 	for _, c := range cases {
 		setup := s
 		if c.test == "alltoall" || c.test == "bcast" || c.test == "allgather" || c.test == "allreduce" {
-			setup.PPN = 2
+			setup.Job.ProcsPerNode = 2
 		}
 		vals, unit, err := dispatch(c.test, setup, []int{4096}, 16, 3, 1)
 		if err != nil {

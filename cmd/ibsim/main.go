@@ -51,28 +51,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ibsim:", err)
 		os.Exit(2)
 	}
-	setup := bench.Setup{
-		QPs: *qps, Policy: kind,
-		Nodes: *nodes, PPN: *ppn, Ports: *ports, HCAs: *hcas,
-	}
+	job := mpi.Config{Nodes: *nodes, ProcsPerNode: *ppn, Ports: *ports, HCAs: *hcas}
 	if !(*oversub > 0) {
 		fmt.Fprintf(os.Stderr, "ibsim: -oversub %g, need > 0\n", *oversub)
 		os.Exit(2)
 	}
 	if *perLeaf > 0 {
-		setup.NodesPerSwitch = *perLeaf
-		setup.TrunkRate = model.Default().LinkRawRate * float64(*perLeaf) / *oversub
+		job.NodesPerSwitch = *perLeaf
+		job.TrunkRate = model.Default().LinkRawRate * float64(*perLeaf) / *oversub
 	}
 	switch strings.ToLower(*rndv) {
 	case "put", "rput", "write":
-		setup.Rndv = adi.RndvWrite
+		job.Rndv = adi.RndvWrite
 	case "get", "rget", "read":
-		setup.Rndv = adi.RndvRead
+		job.Rndv = adi.RndvRead
 	default:
 		fmt.Fprintf(os.Stderr, "ibsim: unknown rendezvous protocol %q\n", *rndv)
 		os.Exit(2)
 	}
 
+	setup := bench.Setup{QPs: *qps, Policy: kind, Job: job}
 	sizes, err := parseSizes(*sizesArg, *test)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ibsim:", err)
@@ -104,7 +102,10 @@ func main() {
 // requested introspection.
 func inspect(test string, s bench.Setup, size, window int, report bool, traceN int) error {
 	rec := trace.NewRecorder(0)
-	cfg := s.Config()
+	cfg, err := s.Config()
+	if err != nil {
+		return err
+	}
 	cfg.Trace = rec
 	var end sim.Time
 	rep, err := mpi.Run(cfg, func(c *mpi.Comm) {

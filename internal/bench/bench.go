@@ -8,89 +8,46 @@
 package bench
 
 import (
+	"fmt"
 	"strconv"
 
-	"ib12x/internal/adi"
 	"ib12x/internal/core"
-	"ib12x/internal/fabric"
-	"ib12x/internal/model"
 	"ib12x/internal/mpi"
-	"ib12x/internal/regcache"
 	"ib12x/internal/sim"
-	"ib12x/internal/topo"
 )
 
-// Setup selects the configuration under test.
+// Setup is one column of a figure: the two things the paper varies per
+// curve, QPs per port and the scheduling policy (the legend), over a job
+// that stays fixed.
 type Setup struct {
 	QPs    int       // QPs per port (rails)
 	Policy core.Kind // scheduling policy
-	Nodes  int       // default 2
-	PPN    int       // procs per node, default 1
-	HCAs   int       // default 1
-	Ports  int       // default 1
-	Model  *model.Params
-	Rndv   adi.RndvProto // rendezvous protocol (default RPUT)
 
-	// EagerProto selects the eager channel (default send/recv; the
-	// RDMA-write ring is the EagerLatencyTable ablation).
-	EagerProto adi.EagerProto
-
-	// NodesPerSwitch/TrunkRate select a fat-tree fabric (0 = the paper's
-	// single switch / trunks at the link rate): two levels under
-	// SpinesPerPod spines by default, three with Tiers = 3. Dragonfly
-	// selects the dragonfly fabric instead, and Routing picks static
-	// D-mod-K vs adaptive path selection (OversubscriptionTable).
-	NodesPerSwitch int
-	TrunkRate      float64
-	Tiers          int
-	SpinesPerPod   int
-	Dragonfly      topo.Dragonfly
-	Routing        fabric.Routing
-
-	// Chaos, when non-nil, arms a fault plan against every run of the
-	// setup; Reliability arms the self-healing rail layer. Together they
-	// drive the degraded-mode figures.
-	Chaos       mpi.ChaosPlan
-	Reliability *adi.ReliabilityConfig
-
-	// RegCache, when non-nil, arms the pin-down registration cache (the
-	// cold/warm bandwidth split of the supplementary RegCacheTable).
-	RegCache *regcache.Config
-
-	// CollAlg selects the collective-algorithm family (zero value keeps
-	// the striped reference algorithms; CollLane runs the lane-decomposed
-	// ones of the LaneCollTable ablation).
-	CollAlg mpi.CollAlg
-
-	// Integrity arms the end-to-end payload checksum model (zero value =
-	// off, the historical transport; the IntegrityOverheadTable sweeps it).
-	Integrity adi.IntegrityMode
+	// Job is the rest of the run: cluster shape, fabric, model, protocols,
+	// faults. Its zero value is mpi.Config's 2-node, 1-proc-per-node
+	// single-switch cluster. QPsPerPort and Policy belong to the legend, so
+	// a Job that sets either is an error.
+	Job mpi.Config
 }
 
-// Config builds the mpi.Config this setup describes.
-func (s Setup) Config() mpi.Config {
-	return mpi.Config{
-		Nodes:          max(s.Nodes, 2),
-		ProcsPerNode:   max(s.PPN, 1),
-		HCAs:           max(s.HCAs, 1),
-		Ports:          max(s.Ports, 1),
-		QPsPerPort:     max(s.QPs, 1),
-		Policy:         s.Policy,
-		Model:          s.Model,
-		Rndv:           s.Rndv,
-		EagerProto:     s.EagerProto,
-		NodesPerSwitch: s.NodesPerSwitch,
-		TrunkRate:      s.TrunkRate,
-		Tiers:          s.Tiers,
-		SpinesPerPod:   s.SpinesPerPod,
-		Dragonfly:      s.Dragonfly,
-		Routing:        s.Routing,
-		Chaos:          s.Chaos,
-		Reliability:    s.Reliability,
-		RegCache:       s.RegCache,
-		CollAlg:        s.CollAlg,
-		Integrity:      s.Integrity,
+// Config writes the legend into the job. mpi.Run validates the rest.
+func (s Setup) Config() (mpi.Config, error) {
+	cfg := s.Job
+	if cfg.QPsPerPort != 0 || cfg.Policy != core.Original {
+		return cfg, fmt.Errorf("bench: Setup.Job sets QPsPerPort = %d, Policy = %v; set Setup.QPs and Setup.Policy instead",
+			cfg.QPsPerPort, cfg.Policy)
 	}
+	cfg.QPsPerPort, cfg.Policy = s.QPs, s.Policy
+	return cfg, nil
+}
+
+// run executes body on every rank of the setup's job.
+func (s Setup) run(body func(c *mpi.Comm)) error {
+	cfg, err := s.Config()
+	if err == nil {
+		_, err = mpi.Run(cfg, body)
+	}
+	return err
 }
 
 // Label names the setup the way the paper's figure legends do.
@@ -132,7 +89,7 @@ func Latency(s Setup, sizes []int, iters, warmup int) ([]float64, error) {
 // latency is one ping-pong cell at n bytes.
 func (l loop) latency(s Setup, n int) (float64, error) {
 	var elapsed sim.Time
-	_, err := mpi.Run(s.Config(), func(c *mpi.Comm) {
+	err := s.run(func(c *mpi.Comm) {
 		buf := make([]byte, n)
 		switch c.Rank() {
 		case 0:
@@ -172,7 +129,7 @@ func UniBandwidth(s Setup, sizes []int, window, iters, warmup int) ([]float64, e
 // state of that rotation.
 func (l loop) uniBW(s Setup, n int) (float64, error) {
 	var elapsed sim.Time
-	_, err := mpi.Run(s.Config(), func(c *mpi.Comm) {
+	err := s.run(func(c *mpi.Comm) {
 		sets := make([][][]byte, max(l.sets, 1))
 		for k := range sets {
 			sets[k] = make([][]byte, l.window)
@@ -222,7 +179,7 @@ func BiBandwidth(s Setup, sizes []int, window, iters, warmup int) ([]float64, er
 // biBW is one bi-directional bandwidth cell at n bytes.
 func (l loop) biBW(s Setup, n int) (float64, error) {
 	var elapsed sim.Time
-	_, err := mpi.Run(s.Config(), func(c *mpi.Comm) {
+	err := s.run(func(c *mpi.Comm) {
 		peer := 1 - c.Rank()
 		rreqs := make([]*mpi.Request, l.window)
 		sreqs := make([]*mpi.Request, l.window)
@@ -261,7 +218,7 @@ func Alltoall(s Setup, sizes []int, iters, warmup int) ([]float64, error) {
 // the timed calls is returned.
 func (l loop) perIter(s Setup, op func(c *mpi.Comm) func()) (sim.Time, error) {
 	var worst sim.Time
-	_, err := mpi.Run(s.Config(), func(c *mpi.Comm) {
+	err := s.run(func(c *mpi.Comm) {
 		run := op(c)
 		c.Barrier()
 		var t0 sim.Time
@@ -284,7 +241,7 @@ func (l loop) perIter(s Setup, op func(c *mpi.Comm) func()) (sim.Time, error) {
 // non-blocking sends, reported in million messages per second.
 func MessageRate(s Setup, window, iters, warmup int) (float64, error) {
 	var elapsed sim.Time
-	_, err := mpi.Run(s.Config(), func(c *mpi.Comm) {
+	err := s.run(func(c *mpi.Comm) {
 		reqs := make([]*mpi.Request, window)
 		switch c.Rank() {
 		case 0:

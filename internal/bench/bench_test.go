@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ib12x/internal/core"
+	"ib12x/internal/mpi"
 	"ib12x/internal/stats"
 )
 
@@ -170,7 +171,7 @@ func TestStripingMediumSizeDip(t *testing.T) {
 func TestAlltoallEPCLeads(t *testing.T) {
 	sizes := []int{16 * 1024, 64 * 1024, 256 * 1024}
 	run := func(s Setup) []float64 {
-		s.PPN = 4
+		s.Job.ProcsPerNode = 4
 		v, err := Alltoall(s, sizes, 5, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -203,11 +204,11 @@ func TestAlltoallEPCLeads(t *testing.T) {
 // ---- NAS shape ----
 
 func TestNASISImprovement(t *testing.T) {
-	orig, err := RunNAS(Setup{QPs: 1, Policy: core.Original}.Config(), "is", 'W', false)
+	orig, err := RunNAS(mpi.Config{QPsPerPort: 1, Policy: core.Original}, "is", 'W', false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	epc, err := RunNAS(Setup{QPs: 4, Policy: core.EPC}.Config(), "is", 'W', false)
+	epc, err := RunNAS(mpi.Config{QPsPerPort: 4, Policy: core.EPC}, "is", 'W', false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +218,11 @@ func TestNASISImprovement(t *testing.T) {
 }
 
 func TestNASFTImprovement(t *testing.T) {
-	orig, err := RunNAS(Setup{QPs: 1, Policy: core.Original}.Config(), "ft", 'S', false)
+	orig, err := RunNAS(mpi.Config{QPsPerPort: 1, Policy: core.Original}, "ft", 'S', false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	epc, err := RunNAS(Setup{QPs: 4, Policy: core.EPC}.Config(), "ft", 'S', false)
+	epc, err := RunNAS(mpi.Config{QPsPerPort: 4, Policy: core.EPC}, "ft", 'S', false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +231,8 @@ func TestNASFTImprovement(t *testing.T) {
 	}
 }
 
-// TestRunNASErrors: a bad kernel, class or layout is an error before the
-// simulation starts, and only a layout error is ErrLayout.
+// TestRunNASErrors: a bad kernel, class, layout or world shape is an error
+// before the simulation starts, and only a layout error is ErrLayout.
 func TestRunNASErrors(t *testing.T) {
 	for _, c := range []struct {
 		what   string
@@ -245,8 +246,9 @@ func TestRunNASErrors(t *testing.T) {
 		{"indivisible FT layout", "ft", 'S', 3, true},
 		{"indivisible LU layout", "lu", 'S', 3, true},
 		{"indivisible MG layout", "mg", 'S', 3, true},
+		{"negative node count", "is", 'S', -1, false},
 	} {
-		_, err := RunNAS(Setup{QPs: 1, Policy: core.Original, Nodes: c.nodes}.Config(), c.kernel, c.class, false)
+		_, err := RunNAS(mpi.Config{Nodes: c.nodes, QPsPerPort: 1, Policy: core.Original}, c.kernel, c.class, false)
 		if err == nil || errors.Is(err, ErrLayout) != c.layout {
 			t.Errorf("%s accepted or misreported: %v", c.what, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"ib12x/internal/adi"
 	"ib12x/internal/chaos"
 	"ib12x/internal/core"
+	"ib12x/internal/mpi"
 	"ib12x/internal/stats"
 )
 
@@ -28,12 +29,10 @@ func DegradedRailTable(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
 	var cols []column
 	for _, kind := range degradedPolicies {
-		cols = append(cols, column{name: kind.String(), s: Setup{
-			QPs:         4,
-			Policy:      kind,
+		cols = append(cols, column{name: kind.String(), s: Setup{QPs: 4, Policy: kind, Job: mpi.Config{
 			Chaos:       chaos.RailDeath(0, 0, 0),
 			Reliability: &adi.ReliabilityConfig{Seed: 1},
-		}})
+		}}})
 	}
 	return table("Supplementary: uni-directional bandwidth, one rail dead (self-healing)", "Size", "MB/s",
 		cols, largeSizes, o.bw().uniBW)

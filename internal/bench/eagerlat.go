@@ -5,6 +5,7 @@ import (
 
 	"ib12x/internal/adi"
 	"ib12x/internal/core"
+	"ib12x/internal/mpi"
 	"ib12x/internal/stats"
 )
 
@@ -41,7 +42,7 @@ func eagerLatCases() []column {
 		}{{"send/recv", adi.EagerSendRecv}, {"rdma-write", adi.EagerRDMAWrite}} {
 			cols = append(cols, column{
 				name: fmt.Sprintf("%s %s", kind, proto.name),
-				s:    Setup{QPs: 4, Policy: kind, EagerProto: proto.p},
+				s:    Setup{QPs: 4, Policy: kind, Job: mpi.Config{EagerProto: proto.p}},
 			})
 		}
 	}

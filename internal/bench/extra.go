@@ -87,9 +87,9 @@ func CollectiveTable(kind CollKind, o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
 	return table(fmt.Sprintf("Supplementary: MPI_%s, 2x4 configuration", kind), "Size", "us",
 		labeled(
-			Setup{QPs: 1, Policy: core.Original, PPN: 4},
-			Setup{QPs: 4, Policy: core.RoundRobin, PPN: 4},
-			Setup{QPs: 4, Policy: core.EPC, PPN: 4},
+			Setup{QPs: 1, Policy: core.Original, Job: x24},
+			Setup{QPs: 4, Policy: core.RoundRobin, Job: x24},
+			Setup{QPs: 4, Policy: core.EPC, Job: x24},
 		),
 		[]int{4 * 1024, 16 * 1024, 64 * 1024, 256 * 1024}, o.bw().collective(kind))
 }
@@ -127,11 +127,12 @@ func Stencil(s Setup, haloBytes, iters int) (float64, error) {
 // separate, per the paper's §3.2.1 analysis).
 func StencilTable(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
+	nodes4 := mpi.Config{Nodes: 4}
 	return table("Supplementary: 2-D stencil halo exchange, 4 nodes", "Size", "us/iter",
 		labeled(
-			Setup{QPs: 1, Policy: core.Original, Nodes: 4},
-			Setup{QPs: 4, Policy: core.RoundRobin, Nodes: 4},
-			Setup{QPs: 4, Policy: core.EPC, Nodes: 4},
+			Setup{QPs: 1, Policy: core.Original, Job: nodes4},
+			Setup{QPs: 4, Policy: core.RoundRobin, Job: nodes4},
+			Setup{QPs: 4, Policy: core.EPC, Job: nodes4},
 		),
 		[]int{64 * 1024, 256 * 1024, 1 << 20}, func(s Setup, n int) (float64, error) {
 			return Stencil(s, n, o.BWIters)
@@ -145,7 +146,7 @@ func ScalingTable(o FigOpts) (*stats.Table, error) {
 	return table("Supplementary: 1MB ring exchange vs node count", "Nodes", "us/iter",
 		labeled(Setup{QPs: 1, Policy: core.Original}, Setup{QPs: 4, Policy: core.EPC}),
 		[]int{2, 4, 8, 16}, func(s Setup, nodes int) (float64, error) {
-			s.Nodes = nodes
+			s.Job.Nodes = nodes
 			el, err := loop{iters: o.BWIters}.perIter(s, func(c *mpi.Comm) func() {
 				p := c.Size()
 				right := (c.Rank() + 1) % p
@@ -162,8 +163,8 @@ func RendezvousTable(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
 	return table("Supplementary: rendezvous protocol, uni-directional bandwidth (EPC 4QP)", "Size", "MB/s",
 		[]column{
-			{name: "RPUT (sender writes)", s: Setup{QPs: 4, Policy: core.EPC, Rndv: adi.RndvWrite}},
-			{name: "RGET (receiver reads)", s: Setup{QPs: 4, Policy: core.EPC, Rndv: adi.RndvRead}},
+			{name: "RPUT (sender writes)", s: Setup{QPs: 4, Policy: core.EPC, Job: mpi.Config{Rndv: adi.RndvWrite}}},
+			{name: "RGET (receiver reads)", s: Setup{QPs: 4, Policy: core.EPC, Job: mpi.Config{Rndv: adi.RndvRead}}},
 		},
 		[]int{16 * 1024, 64 * 1024, 256 * 1024, 1 << 20}, o.bw().uniBW)
 }
@@ -189,29 +190,29 @@ func OversubscriptionTable(o FigOpts) (*stats.Table, error) {
 			peer := (c.Rank() + c.Size()/2) % c.Size()
 			return func() { c.SendrecvN(peer, 0, nil, 1<<20, peer, 0, nil, 1<<20) }
 		})
-		cfg := s.Config()
-		sent := float64(o.BWIters) * float64(cfg.Nodes*cfg.ProcsPerNode) * float64(1<<20)
+		sent := float64(o.BWIters) * float64(s.Job.Size()) * float64(1<<20)
 		return sent / el.Seconds() / 1e6, err
 	}
-	if err := sweep(t, []column{{name: "flat", s: Setup{QPs: 4, Policy: core.EPC, Nodes: 16}}}, []int{1}, shift); err != nil {
+	if err := sweep(t, []column{{name: "flat", s: Setup{QPs: 4, Policy: core.EPC, Job: mpi.Config{Nodes: 16}}}}, []int{1}, shift); err != nil {
 		return nil, err
 	}
 	var cols []column
 	for _, routing := range []fabric.Routing{fabric.RouteStatic, fabric.RouteAdaptive} {
 		cols = append(cols,
-			column{name: routing.String() + " clean", s: Setup{QPs: 4, Policy: core.EPC, Routing: routing}},
-			column{name: routing.String() + " degraded", s: Setup{QPs: 4, Policy: core.EPC, Routing: routing,
-				Chaos: chaos.DegradedTrunk(0, sim.Second, 0, 0.25)}})
+			column{name: routing.String() + " clean", s: Setup{QPs: 4, Policy: core.EPC, Job: mpi.Config{Routing: routing}}},
+			column{name: routing.String() + " degraded", s: Setup{QPs: 4, Policy: core.EPC, Job: mpi.Config{Routing: routing,
+				Chaos: chaos.DegradedTrunk(0, sim.Second, 0, 0.25)}}})
 	}
 	link := model.Default().LinkRawRate
 	err := sweep(t, cols, []int{1, 2, 4, 8}, func(s Setup, x int) (float64, error) {
+		j := &s.Job
 		switch x {
 		case 8:
-			s.Nodes, s.NodesPerSwitch = 8, 2
-			s.Dragonfly = topo.Dragonfly{Groups: 2, RoutersPerGroup: 2, GlobalLinks: 2}
-			s.TrunkRate = link / 2
+			j.Nodes, j.NodesPerSwitch = 8, 2
+			j.Dragonfly = topo.Dragonfly{Groups: 2, RoutersPerGroup: 2, GlobalLinks: 2}
+			j.TrunkRate = link / 2
 		default: // a 1:x three-tier tree
-			s.Nodes, s.NodesPerSwitch, s.Tiers, s.SpinesPerPod = 16, 4, 3, 4/x
+			j.Nodes, j.NodesPerSwitch, j.Tiers, j.SpinesPerPod = 16, 4, 3, 4/x
 		}
 		return shift(s, x)
 	})
@@ -228,7 +229,7 @@ func AlltoallAlgTable(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
 	var cols []column
 	for _, alg := range []mpi.A2AAlg{mpi.A2APairwise, mpi.A2ALinear, mpi.A2ABruck} {
-		cols = append(cols, column{name: alg.String(), s: Setup{QPs: 4, Policy: core.EPC, PPN: 4},
+		cols = append(cols, column{name: alg.String(), s: Setup{QPs: 4, Policy: core.EPC, Job: x24},
 			at: func(s Setup, n int) (float64, error) {
 				el, err := o.bw().perIter(s, func(c *mpi.Comm) func() {
 					return func() { c.AlltoallAlg(alg, nil, n, nil) }
@@ -248,8 +249,8 @@ func HCAGenerationTable(o FigOpts) (*stats.Table, error) {
 	m8 := model.PCIe8x()
 	return table("Supplementary: HCA generations, uni-directional bandwidth", "Size", "MB/s",
 		[]column{
-			{name: "8x PCIe original", s: Setup{QPs: 1, Policy: core.Original, Model: m8}},
-			{name: "8x PCIe EPC 2QP", s: Setup{QPs: 2, Policy: core.EPC, Model: m8}},
+			{name: "8x PCIe original", s: Setup{QPs: 1, Policy: core.Original, Job: mpi.Config{Model: m8}}},
+			{name: "8x PCIe EPC 2QP", s: Setup{QPs: 2, Policy: core.EPC, Job: mpi.Config{Model: m8}}},
 			{name: "12x GX+ original", s: Setup{QPs: 1, Policy: core.Original}},
 			{name: "12x GX+ EPC 4QP", s: Setup{QPs: 4, Policy: core.EPC}},
 		},

@@ -6,6 +6,7 @@ import (
 
 	"ib12x/internal/core"
 	"ib12x/internal/fabric"
+	"ib12x/internal/mpi"
 )
 
 func TestCollectiveKindString(t *testing.T) {
@@ -22,7 +23,7 @@ func TestCollectiveKindString(t *testing.T) {
 
 func TestCollectiveSweepsRun(t *testing.T) {
 	for _, kind := range []CollKind{CollBcast, CollAllgather, CollAllreduce, CollAlltoall} {
-		v, err := Collective(kind, Setup{QPs: 2, Policy: core.EPC, PPN: 2}, []int{4096, 65536}, 3, 1)
+		v, err := Collective(kind, Setup{QPs: 2, Policy: core.EPC, Job: mpi.Config{ProcsPerNode: 2}}, []int{4096, 65536}, 3, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -31,8 +32,18 @@ func TestCollectiveSweepsRun(t *testing.T) {
 		}
 	}
 	// An unknown kind is an error naming it, not a panic inside a rank.
-	if _, err := Collective(CollKind(9), Setup{QPs: 2, Policy: core.EPC, PPN: 2}, []int{4096}, 3, 1); err == nil || !strings.Contains(err.Error(), "CollKind(9)") {
+	if _, err := Collective(CollKind(9), Setup{QPs: 2, Policy: core.EPC, Job: mpi.Config{ProcsPerNode: 2}}, []int{4096}, 3, 1); err == nil || !strings.Contains(err.Error(), "CollKind(9)") {
 		t.Errorf("unknown collective: err = %v, want an error naming CollKind(9)", err)
+	}
+	// A world no layer accepts is mpi.Run's error, not a clamped default
+	// world; a Job that sets the legend's QPsPerPort is an error too.
+	for field, s := range map[string]Setup{
+		"Nodes":      {QPs: -1, Policy: core.EPC, Job: mpi.Config{Nodes: -3, ProcsPerNode: -1}},
+		"QPsPerPort": {QPs: 2, Policy: core.EPC, Job: mpi.Config{QPsPerPort: 4}},
+	} {
+		if _, err := Collective(CollBcast, s, []int{4096}, 3, 1); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%+v: err = %v, want an error naming %s", s, err, field)
+		}
 	}
 }
 
@@ -50,11 +61,11 @@ func TestCollectiveTableComplete(t *testing.T) {
 func TestStencilPolicySeparation(t *testing.T) {
 	// On a 4-node torus with one active connection per link, blocking
 	// halo exchanges separate the striping policies from the rest.
-	orig, err := Stencil(Setup{QPs: 1, Policy: core.Original, Nodes: 4}, 512<<10, 5)
+	orig, err := Stencil(Setup{QPs: 1, Policy: core.Original, Job: mpi.Config{Nodes: 4}}, 512<<10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	epc, err := Stencil(Setup{QPs: 4, Policy: core.EPC, Nodes: 4}, 512<<10, 5)
+	epc, err := Stencil(Setup{QPs: 4, Policy: core.EPC, Job: mpi.Config{Nodes: 4}}, 512<<10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +218,7 @@ func TestThreeTierFig06WithinNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	treeSetup := base
-	treeSetup.NodesPerSwitch = 1
-	treeSetup.Tiers = 3
-	treeSetup.SpinesPerPod = 2
-	treeSetup.Routing = fabric.RouteAdaptive
+	treeSetup.Job = mpi.Config{NodesPerSwitch: 1, Tiers: 3, SpinesPerPod: 2, Routing: fabric.RouteAdaptive}
 	tree, err := UniBandwidth(treeSetup, sizes, quick.Window, quick.BWIters, quick.BWWarmup)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"ib12x/internal/core"
 	"ib12x/internal/harness"
+	"ib12x/internal/mpi"
 	"ib12x/internal/stats"
 )
 
@@ -163,16 +164,19 @@ func Fig7(o FigOpts) (*stats.Table, error) {
 		fig67Columns(), largeSizes, o.bw().biBW)
 }
 
+// x24 is the paper's 2×4 configuration: 2 nodes of 4 processes.
+var x24 = mpi.Config{ProcsPerNode: 4}
+
 // Fig8 regenerates Figure 8: MPI_Alltoall (Pallas) on the 2×4
 // configuration; the collective marker (EPC) wins even at medium sizes.
 func Fig8(o FigOpts) (*stats.Table, error) {
 	o = o.defaults()
 	return table("Figure 8: Alltoall, 2x4 configuration", "Size", "us",
 		labeled(
-			Setup{QPs: 1, Policy: core.Original, PPN: 4},
-			Setup{QPs: 4, Policy: core.RoundRobin, PPN: 4},
-			Setup{QPs: 4, Policy: core.EvenStriping, PPN: 4},
-			Setup{QPs: 4, Policy: core.EPC, PPN: 4},
+			Setup{QPs: 1, Policy: core.Original, Job: x24},
+			Setup{QPs: 4, Policy: core.RoundRobin, Job: x24},
+			Setup{QPs: 4, Policy: core.EvenStriping, Job: x24},
+			Setup{QPs: 4, Policy: core.EPC, Job: x24},
 		),
 		[]int{16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024}, o.bw().collective(CollAlltoall))
 }
@@ -185,7 +189,7 @@ func NASFig(kernel string, class byte, o FigOpts) (*stats.Table, error) {
 	return table(fmt.Sprintf("NAS %s, class %c", title, class), "Procs", "s",
 		labeled(Setup{QPs: 1, Policy: core.Original}, Setup{QPs: 4, Policy: core.EPC}),
 		[]int{2, 4, 8}, func(s Setup, procs int) (float64, error) {
-			s.PPN = procs / 2
+			s.Job.ProcsPerNode = procs / 2
 			return nasSeconds(s, kernel, class)
 		})
 }
@@ -194,7 +198,10 @@ func NASFig(kernel string, class byte, o FigOpts) (*stats.Table, error) {
 // timed region in virtual seconds. A cell that fails verification is an
 // error: a table must not print a time for a wrong answer.
 func nasSeconds(s Setup, kernel string, class byte) (float64, error) {
-	cfg := s.Config()
+	cfg, err := s.Config()
+	if err != nil {
+		return 0, err
+	}
 	res, err := RunNAS(cfg, kernel, class, false)
 	if err == nil && !res.Verified {
 		err = fmt.Errorf("bench: NAS %s class %c on %d ranks failed verification", kernel, class, cfg.Size())

@@ -24,7 +24,7 @@ func IntegrityOverheadTable(o FigOpts) (*stats.Table, error) {
 		{QPs: 4, Policy: core.EPC},
 	} {
 		for _, m := range []adi.IntegrityMode{adi.IntegrityOff, adi.IntegrityAudit, adi.IntegrityVerify} {
-			s.Integrity = m
+			s.Job.Integrity = m
 			cols = append(cols, column{name: s.Label() + " " + m.String(), s: s})
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"ib12x/internal/adi"
 	"ib12x/internal/core"
+	"ib12x/internal/mpi"
 )
 
 // TestIntegrityOverheadTable runs the generator at quick scale; the
@@ -33,7 +34,7 @@ func TestIntegrityVerifyCostsBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := UniBandwidth(Setup{QPs: 4, Policy: core.EPC, Integrity: adi.IntegrityVerify}, sizes, 4, 4, 1)
+	on, err := UniBandwidth(Setup{QPs: 4, Policy: core.EPC, Job: mpi.Config{Integrity: adi.IntegrityVerify}}, sizes, 4, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

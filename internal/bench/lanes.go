@@ -26,10 +26,10 @@ import (
 
 // laneCollCases is one column per (topology, collective, algorithm).
 func laneCollCases(l loop) []column {
-	flat := Setup{QPs: 4, Nodes: 2, PPN: 2}
+	flat := Setup{QPs: 4, Job: mpi.Config{Nodes: 2, ProcsPerNode: 2}}
 	// 8 leaf nodes under 2 switches, trunks at 2:1 oversubscription.
-	tree := Setup{QPs: 4, Nodes: 8, PPN: 1, NodesPerSwitch: 4,
-		TrunkRate: model.Default().LinkRawRate * 4 / 2}
+	tree := Setup{QPs: 4, Job: mpi.Config{Nodes: 8, ProcsPerNode: 1, NodesPerSwitch: 4,
+		TrunkRate: model.Default().LinkRawRate * 4 / 2}}
 	var cols []column
 	for _, topo := range []struct {
 		name string
@@ -47,7 +47,7 @@ func laneCollCases(l loop) []column {
 			} {
 				s := topo.base
 				s.Policy = alg.policy
-				s.CollAlg = alg.collAlg
+				s.Job.CollAlg = alg.collAlg
 				cols = append(cols, column{fmt.Sprintf("%s %s %s", topo.name, kind, alg.name), s, l.collective(kind)})
 			}
 		}

@@ -29,11 +29,15 @@ var ErrLayout = errors.New("grid does not divide over")
 // RunNAS runs one NAS kernel, "is", "ft", "ep", "cg", "mg" or "lu", at a
 // problem class ('S'..'C') on cfg's ranks. realMode moves real payloads
 // (IS) or runs the real numerics (FT, EP, MG); CG and LU always run their
-// real algorithms. An unknown kernel or class, or a class whose grid does
-// not divide over the ranks, is an error before the simulation starts. A
-// failed verification is not an error: the caller reads Verified.
+// real algorithms. A config mpi.Config.Validate rejects, an unknown kernel
+// or class, or a class whose grid does not divide over the ranks, is an
+// error before the simulation starts. A failed verification is not an
+// error: the caller reads Verified.
 // See DESIGN.md §5 and the nas docs.
 func RunNAS(cfg mpi.Config, kernel string, class byte, realMode bool) (NASResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return NASResult{}, err
+	}
 	np := cfg.Size()
 	valid := true
 	var run func(c *mpi.Comm) NASResult

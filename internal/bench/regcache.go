@@ -45,7 +45,7 @@ func RegCacheTable(o FigOpts) (*stats.Table, error) {
 				if mode.cached {
 					// Capacity = exactly one window's worth of page-rounded
 					// buffers: the warm set fits whole; the cold rotation evicts.
-					s.RegCache = &regcache.Config{CapacityBytes: regWindow * pageRound(n)}
+					s.Job.RegCache = &regcache.Config{CapacityBytes: regWindow * pageRound(n)}
 				}
 				// Real payloads: the registration model ignores synthetic ones.
 				return loop{iters: o.BWIters, warmup: o.BWWarmup, window: regWindow, sets: mode.rotate}.uniBW(s, n)

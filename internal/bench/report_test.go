@@ -11,7 +11,7 @@ import (
 
 func TestReportFormatsUtilization(t *testing.T) {
 	var end sim.Time
-	rep, err := mpi.Run(Setup{QPs: 4, Policy: core.EPC}.Config(), func(c *mpi.Comm) {
+	rep, err := mpi.Run(mpi.Config{QPsPerPort: 4, Policy: core.EPC}, func(c *mpi.Comm) {
 		if c.Rank() == 0 {
 			c.SendN(1, 0, nil, 256*1024)
 			end = c.Time()

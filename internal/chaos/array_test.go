@@ -139,9 +139,9 @@ func (c cell) String() string {
 	return strings.Join(append(parts, fab.shape.name+"/"+fab.routing.String()), " ")
 }
 
-func (c cell) config() OracleConfig {
+func (c cell) config() mpi.Config {
 	fab := fabrics[c.f[axFabric]]
-	cfg := OracleConfig{Seed: oracleSeed, Policy: c.policy, Plan: oraclePlans[c.plan].Plan,
+	cfg := mpi.Config{Policy: c.policy, Chaos: oraclePlans[c.plan].Plan,
 		CollAlg: []mpi.CollAlg{mpi.CollStriped, mpi.CollLane}[c.f[axColl]], Routing: fab.routing}
 	if c.f[axEager] == 1 {
 		cfg.EagerProto = adi.EagerRDMAWrite
@@ -299,14 +299,18 @@ func required() map[tuple]bool {
 }
 
 // TestOracleArrayCovers is the array's coverage proof: every generated cell
-// is valid and inside some legacy slice (so a filter checks it), and the
-// cells cover every required tuple.
+// is valid, its job passes mpi.Config.Validate, and it lies inside some
+// legacy slice (so a filter checks it), and the cells cover every required
+// tuple.
 func TestOracleArrayCovers(t *testing.T) {
 	cells, legacy := generate(), legacySlices()
 	covered := map[tuple]bool{}
 	for _, c := range cells {
 		if !valid(c) || !slices.ContainsFunc(legacy, func(s legacySlice) bool { return s.holds(c) }) {
 			t.Errorf("%v: invalid, or in no legacy slice", c)
+		}
+		if err := c.config().Validate(); err != nil {
+			t.Errorf("%v: %v", c, err)
 		}
 		for _, tp := range c.tuples() {
 			covered[tp] = true
@@ -336,14 +340,14 @@ var (
 func runOracle(t *testing.T) {
 	oracleOnce.Do(func() {
 		o := &oracle
-		o.base, o.err = RunConformance(OracleConfig{Seed: oracleSeed, Policy: allPolicies[0]})
+		o.base, o.err = Conform(oracleSeed, mpi.Config{Policy: allPolicies[0]})
 		if o.err != nil {
 			return
 		}
 		o.cells = generate()
 		// MapAll: a broken cell must not mask its siblings' failures.
 		o.res, o.err = harness.MapAll(o.cells, func(c cell) (*RunResult, error) {
-			res, err := RunConformance(c.config())
+			res, err := Conform(oracleSeed, c.config())
 			if err != nil {
 				err = fmt.Errorf("%v: %w", c, err)
 			}
@@ -355,7 +359,7 @@ func runOracle(t *testing.T) {
 				idx = append(idx, i)
 			}
 		}
-		rerun, err := harness.MapN(1, idx, func(i int) (*RunResult, error) { return RunConformance(o.cells[i].config()) })
+		rerun, err := harness.MapN(1, idx, func(i int) (*RunResult, error) { return Conform(oracleSeed, o.cells[i].config()) })
 		o.err = errors.Join(o.err, err)
 		o.serial = map[int]*RunResult{}
 		for k, i := range idx {
@@ -423,7 +427,7 @@ func checkLegacy(t *testing.T) {
 // digest, under verify no corrupt delivery and no NACK without faults, and a
 // cache that both hits and misses under the striped collectives (the lane
 // ones move the oracle's bcast as eager pieces, which never register).
-func contract(t *testing.T, name string, cfg OracleConfig, res *RunResult, base uint64) {
+func contract(t *testing.T, name string, cfg mpi.Config, res *RunResult, base uint64) {
 	t.Helper()
 	for _, v := range res.Violations {
 		t.Errorf("%s: %s", name, v)
@@ -431,7 +435,8 @@ func contract(t *testing.T, name string, cfg OracleConfig, res *RunResult, base 
 	if res.Digest != base {
 		t.Errorf("%s: digest %#x, fault-free %#x", name, res.Digest, base)
 	}
-	faultFree := cfg.Plan == nil || len(cfg.Plan.Events) == 0
+	plan, _ := cfg.Chaos.(*Plan)
+	faultFree := plan == nil || len(plan.Events) == 0
 	if cfg.Integrity == adi.IntegrityVerify && (res.CorruptDeliveries != 0 || faultFree && res.IntegrityNacks != 0) {
 		t.Errorf("%s: verify delivered %d corrupt payloads, NACKed %d", name, res.CorruptDeliveries, res.IntegrityNacks)
 	}

@@ -70,7 +70,7 @@ const (
 	// a fat tree, global-link index of a dragonfly; Port carries the plane
 	// index) to Factor × its built rate. Booked backlog keeps its
 	// departure times; adaptive routing sees the new rate at the next
-	// selection. No-op under a single switch, which has no planes.
+	// selection. A single switch has no planes, so Arm rejects it there.
 	TrunkDegrade
 	// TrunkRestore returns the plane to its built rate.
 	TrunkRestore
@@ -146,10 +146,18 @@ func (p *Plan) hasRailEvents() bool {
 // rank's first instruction); later ones are posted on the engine and fire
 // off the virtual clock, which keeps replays bit-identical. A plan with
 // rail events arms the reliability layer with the default config unless
-// the caller armed it first. Arm must run before the engine does.
-func (p *Plan) Arm(eng *sim.Engine, w *adi.World) {
+// the caller armed it first. Arm must run before the engine does. An event
+// aimed at something the world does not have (a node, rail, port or fabric
+// plane out of range, or an unknown kind) is an error, and then nothing is
+// armed: a plan must not pass by injecting nothing.
+func (p *Plan) Arm(eng *sim.Engine, w *adi.World) error {
 	if p == nil {
-		return
+		return nil
+	}
+	for i, ev := range p.Events {
+		if err := ev.check(w); err != nil {
+			return fmt.Errorf("chaos: plan %q event %d (%v at %v): %w", p.Name, i, ev.Kind, ev.At, err)
+		}
 	}
 	if p.hasRailEvents() {
 		w.EnableReliability(adi.ReliabilityConfig{})
@@ -162,6 +170,36 @@ func (p *Plan) Arm(eng *sim.Engine, w *adi.World) {
 		ev := ev
 		eng.Post(ev.At, func() { p.apply(eng, w, ev) })
 	}
+	return nil
+}
+
+// check reports a target of the event that the built world lacks. Node and
+// Port take -1 for "all"; a rail event needs a rail index, a trunk event a
+// fault plane (in Port) of the fabric.
+func (ev Event) check(w *adi.World) error {
+	c := w.Cluster
+	if ev.Kind < RailDown || ev.Kind > TrunkRestore {
+		return fmt.Errorf("unknown event kind")
+	}
+	if ev.Kind == TrunkDegrade || ev.Kind == TrunkRestore {
+		if planes := c.Net.Planes(); ev.Port < 0 || ev.Port >= planes {
+			return fmt.Errorf("plane (Port) = %d, the fabric has %d fault planes", ev.Port, planes)
+		}
+		return nil
+	}
+	if ev.Node < -1 || ev.Node >= len(c.Nodes) {
+		return fmt.Errorf("Node = %d, the world has %d nodes (-1 = all)", ev.Node, len(c.Nodes))
+	}
+	if ev.Kind == RailDown || ev.Kind == RailUp {
+		if rails := c.Spec.Rails(); ev.Rail < 0 || ev.Rail >= rails {
+			return fmt.Errorf("Rail = %d, the world has %d rails", ev.Rail, rails)
+		}
+		return nil
+	}
+	if ports := len(c.Nodes[max(ev.Node, 0)].Ports()); ev.Port < -1 || ev.Port >= ports {
+		return fmt.Errorf("Port = %d, the node has %d ports (-1 = all)", ev.Port, ports)
+	}
+	return nil
 }
 
 // apply executes one fault event against the world.
@@ -201,8 +239,6 @@ func (p *Plan) apply(eng *sim.Engine, w *adi.World, ev Event) {
 		w.Cluster.Net.DegradePlane(ev.Port, ev.Factor)
 	case TrunkRestore:
 		w.Cluster.Net.RestorePlane(ev.Port)
-	default:
-		panic(fmt.Sprintf("chaos: unknown event kind %v", ev.Kind))
 	}
 }
 
@@ -280,8 +316,8 @@ func DegradedLink(from, until sim.Time, node, port int, factor float64, pad sim.
 
 // DegradedTrunk throttles one fault plane of the fabric (spine plane /
 // global-link index) to factor of its built rate between from and until.
-// A two-level tree has SpinesPerPod planes; under a single switch, which
-// has none, the plan arms but changes nothing.
+// A two-level tree has SpinesPerPod planes; a single switch has none, so
+// Arm rejects the plan there.
 func DegradedTrunk(from, until sim.Time, plane int, factor float64) *Plan {
 	return &Plan{
 		Name: fmt.Sprintf("degraded-trunk-plane%d", plane),

@@ -5,6 +5,7 @@ import (
 
 	"ib12x/internal/adi"
 	"ib12x/internal/core"
+	"ib12x/internal/mpi"
 	"ib12x/internal/sim"
 )
 
@@ -42,8 +43,8 @@ func TestIntegrityAuditSeesCorruption(t *testing.T) {
 	for _, tc := range corruptionCases() {
 		t.Run(tc.Name, func(t *testing.T) {
 			for _, mode := range []adi.IntegrityMode{adi.IntegrityOff, adi.IntegrityAudit} {
-				res := conform(t, OracleConfig{
-					Seed: oracleSeed, Policy: core.EvenStriping, Plan: tc.Plan,
+				res := conform(t, mpi.Config{
+					Policy: core.EvenStriping, Chaos: tc.Plan,
 					EagerProto: tc.eager,
 					Integrity:  mode,
 				})
@@ -67,8 +68,8 @@ func TestIntegrityAuditSeesCorruption(t *testing.T) {
 func TestIntegrityAuditTimingMatchesOff(t *testing.T) {
 	tc := corruptionCases()[0]
 	runMode := func(mode adi.IntegrityMode) *RunResult {
-		return conform(t, OracleConfig{
-			Seed: oracleSeed, Policy: core.RoundRobin, Plan: tc.Plan,
+		return conform(t, mpi.Config{
+			Policy: core.RoundRobin, Chaos: tc.Plan,
 			EagerProto: tc.eager, Integrity: mode,
 		})
 	}
@@ -97,8 +98,8 @@ func TestIntegrityCorruptionStrikes(t *testing.T) {
 		BitFlipPlan(20*sim.Microsecond, -1, 5, 0xFACE),
 		&Plan{Events: []Event{{At: 400 * sim.Microsecond, Kind: BitFlipEveryN, Node: -1, Port: -1, N: 0}}},
 	)
-	res := conformant(t, OracleConfig{
-		Seed: oracleSeed, Policy: core.EvenStriping, Plan: plan,
+	res := conformant(t, mpi.Config{
+		Policy: core.EvenStriping, Chaos: plan,
 		Integrity: adi.IntegrityVerify,
 		Reliability: &adi.ReliabilityConfig{
 			Seed:         oracleSeed,

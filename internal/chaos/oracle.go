@@ -13,81 +13,26 @@ import (
 	"ib12x/internal/mpi"
 	"ib12x/internal/regcache"
 	"ib12x/internal/sim"
-	"ib12x/internal/topo"
 	"ib12x/internal/trace"
 )
 
-// OracleConfig selects one cell of the differential matrix: a seeded
-// workload run under one scheduling policy and one fault plan.
+// OracleConfig is one oracle run spelled field by field, kept only because
+// the benchmark/ module names these fields: each is the mpi.Config field of
+// the same name (Plan is Chaos), and RunConformance hands them to Conform.
 type OracleConfig struct {
-	Seed       int64
-	Policy     core.Kind
-	PolicyImpl core.Policy // overrides Policy when non-nil
-	Plan       *Plan       // nil = fault-free
-	// Reliability, when non-nil, arms the self-healing rail layer with this
-	// config for every plan; when nil, a plan with rail events arms it with
-	// the default config and other plans run without it.
-	Reliability *adi.ReliabilityConfig
-	// RegCache, when non-nil, arms the pin-down registration cache: the
-	// payload digest must stay byte-identical to cache-off runs (charges
-	// shift time, never bytes), and the timeline must still replay.
-	RegCache *regcache.Config
-
-	// EagerProto selects the eager channel (mpi.Config.EagerProto). The
-	// RDMA-write ring moves every small message onto a different transport
-	// path, yet the payload digest must stay byte-identical to the
-	// send/recv baseline's: both channels share the per-connection
-	// sequence space, so matching order is protocol-invariant.
-	EagerProto adi.EagerProto
-
-	Nodes        int // default 2
-	ProcsPerNode int // default 2
-	QPsPerPort   int // default 4 rails
-	Deadline     sim.Time
-
-	// Fabric shape beyond the single-switch default (mpi.Config fields of
-	// the same names): a two-level fat tree (NodesPerSwitch, optionally
-	// SpinesPerPod), a three-tier tree (Tiers = 3 with SpinesPerPod) or a
-	// dragonfly (Dragonfly.Groups > 0), with Routing picking static vs
-	// adaptive path selection. The workload's payload digest is topology-
-	// and routing-invariant — routes move bytes in time, never in content
-	// or matching order — so every cell must still match the flat baseline.
+	Seed           int64
+	Policy         core.Kind
+	Plan           *Plan // nil = fault-free
+	Reliability    *adi.ReliabilityConfig
+	RegCache       *regcache.Config
+	Integrity      adi.IntegrityMode
+	Nodes          int
+	ProcsPerNode   int
+	QPsPerPort     int
 	NodesPerSwitch int
-	TrunkRate      float64
 	Tiers          int
 	SpinesPerPod   int
-	Dragonfly      topo.Dragonfly
 	Routing        fabric.Routing
-
-	// CollAlg selects the collective-algorithm family (mpi.Config.CollAlg).
-	// The workload's collective phase only uses exact operators, so the
-	// payload digest must be byte-identical to the striped baseline's even
-	// under mpi.CollLane's ring-ordered reductions.
-	CollAlg mpi.CollAlg
-
-	// Integrity selects the end-to-end checksum mode (mpi.Config.Integrity).
-	// Under IntegrityVerify every corrupted chunk is caught at the receiver
-	// and NACK-retransmitted, so the payload digest must be byte-identical to
-	// the fault-free baseline's even under corruption plans. IntegrityAudit
-	// delivers the corruption (tallied) and IntegrityOff is the historical
-	// zero value.
-	Integrity adi.IntegrityMode
-}
-
-func (c OracleConfig) withDefaults() OracleConfig {
-	if c.Nodes == 0 {
-		c.Nodes = 2
-	}
-	if c.ProcsPerNode == 0 {
-		c.ProcsPerNode = 2
-	}
-	if c.QPsPerPort == 0 {
-		c.QPsPerPort = 4
-	}
-	if c.Deadline == 0 {
-		c.Deadline = sim.Second
-	}
-	return c
 }
 
 // RunResult is one cell's outcome.
@@ -113,7 +58,7 @@ type RunResult struct {
 	ChunkRetransmits int64 // chunks lost on the wire and resent
 
 	// Integrity-layer activity summed over ranks (all zero when
-	// OracleConfig.Integrity is IntegrityOff and the plan injects no
+	// the config's Integrity is IntegrityOff and the plan injects no
 	// corruption). NACKs count receiver-detected checksum failures that
 	// forced a retransmit; corrupt deliveries count payloads that landed
 	// tainted with verification disarmed; torn repolls count eager-ring
@@ -130,7 +75,7 @@ type RunResult struct {
 	RailReintegrations int64
 
 	// Pin-down registration cache activity summed over ranks (peak is the
-	// worst rank); all zero when OracleConfig.RegCache is nil.
+	// worst rank); all zero when the config's RegCache is nil.
 	RegHits, RegMisses, RegEvictions int64
 	RegPinnedPeak                    int64
 }
@@ -202,46 +147,53 @@ func hashBytes(b []byte) uint64 {
 
 // ---- the conformance run ----
 
-// RunConformance executes the seeded workload under the configured policy
-// and fault plan. Protocol errors surface as Violations; a hang surfaces as
-// the watchdog error from the virtual-time deadline.
-func RunConformance(cfg OracleConfig) (*RunResult, error) {
-	cfg = cfg.withDefaults()
-	size := cfg.Nodes * cfg.ProcsPerNode
-	sc := buildScript(cfg.Seed, size)
+// RunConformance maps the spelled-out config onto an mpi.Config and runs
+// Conform on it.
+func RunConformance(c OracleConfig) (*RunResult, error) {
+	cfg := mpi.Config{
+		Nodes: c.Nodes, ProcsPerNode: c.ProcsPerNode, QPsPerPort: c.QPsPerPort, Policy: c.Policy,
+		Reliability: c.Reliability, RegCache: c.RegCache, Integrity: c.Integrity,
+		NodesPerSwitch: c.NodesPerSwitch, Tiers: c.Tiers, SpinesPerPod: c.SpinesPerPod, Routing: c.Routing,
+	}
+	if c.Plan != nil {
+		cfg.Chaos = c.Plan
+	}
+	return Conform(c.Seed, cfg)
+}
+
+// Conform executes the seeded workload on cfg's job: its policy, its fault
+// plan (cfg.Chaos), its protocols and fabric. The oracle's own defaults
+// apply to zero fields first: 2 procs per node, 4 QPs per port and a 1 s
+// virtual deadline; the run always records its trace and audits payload
+// buffers, so cfg.Trace and cfg.BufAudit are overridden. A config
+// Config.Validate rejects is an error before anything is built. Protocol
+// errors surface as Violations; a hang surfaces as the watchdog error from
+// the virtual-time deadline. The Digest must match the fault-free
+// baseline's whatever the policy, plan, eager channel, cache, collective
+// family or fabric, and under IntegrityVerify whatever the corruption:
+// each moves bytes in time, never in content or matching order.
+func Conform(seed int64, cfg mpi.Config) (*RunResult, error) {
+	if cfg.ProcsPerNode == 0 {
+		cfg.ProcsPerNode = 2
+	}
+	if cfg.QPsPerPort == 0 {
+		cfg.QPsPerPort = 4
+	}
+	if cfg.Deadline == 0 {
+		cfg.Deadline = sim.Second
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	size := cfg.Size()
+	sc := buildScript(seed, size)
 
 	rec := trace.NewRecorder(1 << 20)
 	recs := make([][]uint64, size)
 	viols := make([][]string, size)
+	cfg.Trace, cfg.BufAudit = rec, true
 
-	mcfg := mpi.Config{
-		Nodes:          cfg.Nodes,
-		ProcsPerNode:   cfg.ProcsPerNode,
-		QPsPerPort:     cfg.QPsPerPort,
-		Policy:         cfg.Policy,
-		PolicyImpl:     cfg.PolicyImpl,
-		EagerProto:     cfg.EagerProto,
-		Trace:          rec,
-		Deadline:       cfg.Deadline,
-		CollAlg:        cfg.CollAlg,
-		Integrity:      cfg.Integrity,
-		NodesPerSwitch: cfg.NodesPerSwitch,
-		TrunkRate:      cfg.TrunkRate,
-		Tiers:          cfg.Tiers,
-		SpinesPerPod:   cfg.SpinesPerPod,
-		Dragonfly:      cfg.Dragonfly,
-		Routing:        cfg.Routing,
-	}
-	if cfg.Plan != nil {
-		mcfg.Chaos = cfg.Plan
-	}
-	if cfg.Reliability != nil {
-		mcfg.Reliability = cfg.Reliability
-	}
-	mcfg.RegCache = cfg.RegCache
-	mcfg.BufAudit = true
-
-	rep, err := mpi.Run(mcfg, func(c *mpi.Comm) {
+	rep, err := mpi.Run(cfg, func(c *mpi.Comm) {
 		r := c.Rank()
 		push := func(vs ...uint64) { recs[r] = append(recs[r], vs...) }
 		// Each rank writes only its own stream slots; flattening in rank
@@ -283,8 +235,8 @@ func RunConformance(cfg OracleConfig) (*RunResult, error) {
 		Plan:    "no-faults",
 		Elapsed: rep.Elapsed,
 	}
-	if cfg.Plan != nil {
-		res.Plan = cfg.Plan.Name
+	if p, ok := cfg.Chaos.(*Plan); ok && p != nil {
+		res.Plan = p.Name
 	}
 	if cfg.PolicyImpl != nil {
 		res.Policy = cfg.PolicyImpl.Name()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ib12x/internal/core"
+	"ib12x/internal/mpi"
 	"ib12x/internal/sim"
 )
 
@@ -56,9 +57,9 @@ func faultPlans() []oraclePlan {
 // policies, chunk loss forces wire-level retransmits, and every fault plan
 // shifts the protocol timeline away from the fault-free one.
 func TestFaultPlansBite(t *testing.T) {
-	base := conform(t, OracleConfig{Seed: oracleSeed, Policy: core.EvenStriping})
+	base := conform(t, mpi.Config{Policy: core.EvenStriping})
 	for _, op := range faultPlans()[1:] {
-		res := conform(t, OracleConfig{Seed: oracleSeed, Policy: core.EvenStriping, Plan: op.Plan})
+		res := conform(t, mpi.Config{Policy: core.EvenStriping, Chaos: op.Plan})
 		if res.TraceDigest == base.TraceDigest {
 			t.Errorf("%s: trace digest identical to fault-free run; plan did not bite", op.Name)
 		}
@@ -70,16 +71,17 @@ func TestFaultPlansBite(t *testing.T) {
 		}
 	}
 
-	lossy := conform(t, OracleConfig{Seed: oracleSeed, Policy: core.EvenStriping, Plan: LegacyEveryN(97)})
+	lossy := conform(t, mpi.Config{Policy: core.EvenStriping, Chaos: LegacyEveryN(97)})
 	if lossy.ChunkRetransmits == 0 {
 		t.Error("legacy-every-97: no chunk retransmits recorded; loss knob did not arm")
 	}
 }
 
-// conform runs one oracle config, failing the test on a run error.
-func conform(t *testing.T, cfg OracleConfig) *RunResult {
+// conform runs the oracle at oracleSeed on one config, failing the test on
+// a run error.
+func conform(t *testing.T, cfg mpi.Config) *RunResult {
 	t.Helper()
-	res, err := RunConformance(cfg)
+	res, err := Conform(oracleSeed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +90,10 @@ func conform(t *testing.T, cfg OracleConfig) *RunResult {
 
 // conformant is conform plus the contract every cell of the oracle array
 // meets.
-func conformant(t *testing.T, cfg OracleConfig) *RunResult {
+func conformant(t *testing.T, cfg mpi.Config) *RunResult {
 	t.Helper()
 	res := conform(t, cfg)
-	contract(t, res.Plan, cfg, res, conform(t, OracleConfig{Seed: cfg.Seed, Policy: cfg.Policy}).Digest)
+	contract(t, res.Plan, cfg, res, conform(t, mpi.Config{Policy: cfg.Policy}).Digest)
 	return res
 }
 
@@ -117,8 +119,7 @@ func (p truncatingPolicy) PlanBulk(c core.Class, size, rails int, st *core.ConnS
 // TestOracleCatchesBrokenPolicy proves the oracle has teeth: a policy that
 // under-covers its bulk plans must produce payload violations, not a pass.
 func TestOracleCatchesBrokenPolicy(t *testing.T) {
-	res := conform(t, OracleConfig{
-		Seed:       oracleSeed,
+	res := conform(t, mpi.Config{
 		PolicyImpl: truncatingPolicy{inner: core.New(core.EvenStriping, 4096)},
 	})
 	if len(res.Violations) == 0 {
@@ -141,7 +142,7 @@ func TestOracleCatchesBrokenPolicy(t *testing.T) {
 // deterministic as the fault-free simulator. (The serial/parallel twins
 // replay the array's kitchen-sink and corrupt-sink rows the same way.)
 func TestChaosReproducible(t *testing.T) {
-	cfg := OracleConfig{Seed: oracleSeed, Policy: core.Adaptive, Plan: Generate(7, sim.Millisecond, 2, 4, 1)}
+	cfg := mpi.Config{Policy: core.Adaptive, Chaos: Generate(7, sim.Millisecond, 2, 4, 1)}
 	if a, b := conform(t, cfg), conform(t, cfg); !reflect.DeepEqual(a, b) {
 		t.Errorf("replay diverged:\n%+v\n%+v", a, b)
 	}
@@ -166,17 +167,24 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestWatchdogFires bounds a healthy run with an impossible deadline and
 // expects the virtual-time watchdog to report the stuck ranks instead of
-// simulating forever.
+// simulating forever. A world shape no layer accepts fails the same way, as
+// an error naming the field, before the oracle sizes its script from it.
 func TestWatchdogFires(t *testing.T) {
-	_, err := RunConformance(OracleConfig{
-		Seed:     oracleSeed,
-		Policy:   core.EvenStriping,
-		Deadline: 20 * sim.Microsecond,
-	})
-	if err == nil {
-		t.Fatal("expected a watchdog error at a 20us deadline")
-	}
-	if !strings.Contains(err.Error(), "watchdog") {
-		t.Fatalf("expected a watchdog error, got: %v", err)
+	for _, tc := range []struct {
+		want string
+		run  func() (*RunResult, error)
+	}{
+		{"watchdog", func() (*RunResult, error) {
+			return Conform(oracleSeed, mpi.Config{Policy: core.EvenStriping, Deadline: 20 * sim.Microsecond})
+		}},
+		{"Nodes", func() (*RunResult, error) { return RunConformance(OracleConfig{Seed: oracleSeed, Nodes: -1}) }},
+		{"ProcsPerNode", func() (*RunResult, error) { return RunConformance(OracleConfig{Seed: oracleSeed, ProcsPerNode: -2}) }},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			_, err := tc.run()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error naming %s", err, tc.want)
+			}
+		})
 	}
 }

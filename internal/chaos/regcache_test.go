@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ib12x/internal/core"
+	"ib12x/internal/mpi"
 	"ib12x/internal/regcache"
 )
 
@@ -19,9 +20,9 @@ func regCacheConfig() *regcache.Config {
 // evictions (otherwise the oracle array only tests the warm path) and that
 // the registration charge moves the virtual clock.
 func TestRegCacheOracleEvicts(t *testing.T) {
-	base := conform(t, OracleConfig{Seed: oracleSeed, Policy: core.EvenStriping, Plan: NoFaults()})
-	res := conform(t, OracleConfig{
-		Seed: oracleSeed, Policy: core.EvenStriping, Plan: NoFaults(), RegCache: regCacheConfig(),
+	base := conform(t, mpi.Config{Policy: core.EvenStriping, Chaos: NoFaults()})
+	res := conform(t, mpi.Config{
+		Policy: core.EvenStriping, Chaos: NoFaults(), RegCache: regCacheConfig(),
 	})
 	if res.RegEvictions == 0 {
 		t.Errorf("no evictions under the 256KB/8-entry budget (misses=%d): array is warm-only", res.RegMisses)

@@ -94,10 +94,9 @@ func TestHealthTimelineReplay(t *testing.T) {
 // probe completes once the stall lifts), must not retransmit anything (no WR
 // ever flushed), and must leave the user-visible answer untouched.
 func TestFalseSuspectRecovers(t *testing.T) {
-	res := conformant(t, OracleConfig{
-		Seed:   oracleSeed,
+	res := conformant(t, mpi.Config{
 		Policy: core.EvenStriping,
-		Plan:   StalledEngine(150*sim.Microsecond, 200*sim.Microsecond, 0, 0),
+		Chaos:  StalledEngine(150*sim.Microsecond, 200*sim.Microsecond, 0, 0),
 		Reliability: &adi.ReliabilityConfig{
 			Seed:          oracleSeed,
 			Deadline:      30 * sim.Microsecond,
@@ -129,8 +128,8 @@ func TestCorruptionFalseSuspectRecovers(t *testing.T) {
 	transient := Merge("transient-flipper",
 		BitFlipPlan(20*sim.Microsecond, -1, 3, 0x5EED),
 		&Plan{Events: []Event{{At: 500 * sim.Microsecond, Kind: BitFlipEveryN, Node: -1, Port: -1, N: 0}}})
-	res := conformant(t, OracleConfig{
-		Seed: oracleSeed, Policy: core.RoundRobin, Plan: transient,
+	res := conformant(t, mpi.Config{
+		Policy: core.RoundRobin, Chaos: transient,
 		Integrity: adi.IntegrityVerify,
 		// One strike quarantines: the arc under test is a single flip driving
 		// suspect -> quarantine -> probe -> reintegrate end to end.
@@ -156,9 +155,9 @@ func TestCorruptionFalseSuspectRecovers(t *testing.T) {
 // still matches the fault-free baseline — integrity turns a corrupting
 // fabric into a slow fabric, never a wrong one.
 func TestPersistentFlipperQuarantined(t *testing.T) {
-	res := conformant(t, OracleConfig{
-		Seed: oracleSeed, Policy: core.EvenStriping,
-		Plan:        BitFlipPlan(10*sim.Microsecond, -1, 3, 0xBADF),
+	res := conformant(t, mpi.Config{
+		Policy:      core.EvenStriping,
+		Chaos:       BitFlipPlan(10*sim.Microsecond, -1, 3, 0xBADF),
 		Integrity:   adi.IntegrityVerify,
 		Reliability: &adi.ReliabilityConfig{Seed: oracleSeed, SuspectAfter: 2},
 	})

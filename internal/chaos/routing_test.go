@@ -18,23 +18,23 @@ import (
 // single spine and 1·link : 2·(link/4) = 2:1 under two.
 type routedShape struct {
 	name string
-	set  func(*OracleConfig)
+	set  func(*mpi.Config)
 }
 
 func routedShapes() []routedShape {
 	link := model.Default().LinkRawRate
 	return []routedShape{
-		{"tree3-2to1", func(c *OracleConfig) {
+		{"tree3-2to1", func(c *mpi.Config) {
 			c.NodesPerSwitch = 1
 			c.Tiers = 3
 			c.SpinesPerPod = 2
 			c.TrunkRate = link / 4
 		}},
-		{"dragonfly", func(c *OracleConfig) {
+		{"dragonfly", func(c *mpi.Config) {
 			c.Dragonfly = topo.Dragonfly{Groups: 2, RoutersPerGroup: 2, GlobalLinks: 2}
 			c.TrunkRate = link / 2
 		}},
-		{"two-level-4to1", func(c *OracleConfig) {
+		{"two-level-4to1", func(c *mpi.Config) {
 			c.NodesPerSwitch = 1
 			c.TrunkRate = link / 4
 		}},

@@ -41,7 +41,11 @@ const (
 	AnyTag    = adi.AnyTag
 )
 
-// Config describes the simulated job: cluster shape, rail count, policy.
+// Config is the one description of a simulated job: cluster shape, rails,
+// policy, protocols, fabric and faults. Run builds the two internal views of
+// it, topo.Spec (the hardware) and adi.Options (the endpoints); the bench
+// figures and the chaos oracle carry a Config rather than mirroring its
+// fields. Zero fields select the defaults; Validate rejects the rest.
 type Config struct {
 	Nodes        int // number of nodes (default 2)
 	ProcsPerNode int // ranks per node (default 1)
@@ -68,6 +72,8 @@ type Config struct {
 	// Chaos, when non-nil, is a fault plan armed against the world before
 	// the run starts (implemented by *chaos.Plan; the interface keeps the
 	// chaos package, whose oracle drives this one, out of mpi's imports).
+	// A plan aimed at a node, rail, port or fabric plane the world does not
+	// have fails Run before any rank runs.
 	Chaos ChaosPlan
 	// Reliability, when non-nil, arms the self-healing rail layer with this
 	// config before the run starts: endogenous failure detection, backoff
@@ -142,20 +148,21 @@ func (c Config) withDefaults() Config {
 	if c.QPsPerPort == 0 {
 		c.QPsPerPort = 1
 	}
-	if c.Model == nil {
-		c.Model = model.Default()
-	}
 	return c
 }
 
 // Size reports the world size the config produces.
-func (c Config) Size() int { return c.withDefaults().Nodes * c.withDefaults().ProcsPerNode }
+func (c Config) Size() int {
+	c = c.withDefaults()
+	return c.Nodes * c.ProcsPerNode
+}
 
 // ChaosPlan is a scheduled fault plan injectable into a run (see
 // internal/chaos). Arm schedules the plan's events on the engine against the
-// freshly built world, before any rank starts.
+// freshly built world, before any rank starts. It returns an error, and
+// arms nothing, when an event targets something the world does not have.
 type ChaosPlan interface {
-	Arm(eng *sim.Engine, w *adi.World)
+	Arm(eng *sim.Engine, w *adi.World) error
 }
 
 // Report summarises a finished run.
@@ -173,31 +180,16 @@ type Report struct {
 
 // Run executes body on every rank of a simulated cluster and returns when
 // the virtual job completes. A drain barrier runs after the body so all
-// in-flight traffic settles before the simulation ends.
+// in-flight traffic settles before the simulation ends. A config Validate
+// rejects, or a Chaos plan whose Arm rejects the built world, is an error
+// before any rank runs.
 func Run(cfg Config, body func(c *Comm)) (*Report, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
-	spec := topo.Spec{
-		Nodes:          cfg.Nodes,
-		ProcsPerNode:   cfg.ProcsPerNode,
-		HCAsPerNode:    cfg.HCAs,
-		PortsPerHCA:    cfg.Ports,
-		QPsPerPort:     cfg.QPsPerPort,
-		NodesPerSwitch: cfg.NodesPerSwitch,
-		TrunkRate:      cfg.TrunkRate,
-		Tiers:          cfg.Tiers,
-		SpinesPerPod:   cfg.SpinesPerPod,
-		Dragonfly:      cfg.Dragonfly,
-		Routing:        cfg.Routing,
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	eng := sim.NewEngine()
-	world := adi.NewWorld(eng, cfg.Model, spec, cfg.adiOptions())
-	rep := newReport(world, spec.Size())
+	eng, world := cfg.build()
+	rep := newReport(world, cfg.Size())
 	// Reliability arms before the chaos plan, so the plan's own default
 	// arming finds the caller's config already in place.
 	if cfg.Reliability != nil {
@@ -207,9 +199,11 @@ func Run(cfg Config, body func(c *Comm)) (*Report, error) {
 		world.EnableBufAudit()
 	}
 	if cfg.Chaos != nil {
-		cfg.Chaos.Arm(eng, world)
+		if err := cfg.Chaos.Arm(eng, world); err != nil {
+			return nil, err
+		}
 	}
-	spawnRanks(world, spec.Size(), rep, cfg.CollAlg, body)
+	spawnRanks(world, cfg.Size(), rep, cfg.CollAlg, body)
 	if cfg.Deadline > 0 {
 		if err := eng.RunUntil(cfg.Deadline); err != nil {
 			return nil, fmt.Errorf("mpi: %w", err)
@@ -225,9 +219,30 @@ func Run(cfg Config, body func(c *Comm)) (*Report, error) {
 	return rep, nil
 }
 
-// validate rejects the option values the layers below would otherwise
-// panic on, deadlock on, or silently read as a default.
-func (c Config) validate() error {
+// build makes the engine and the world of a defaulted, valid config. The
+// default model is built here, not in withDefaults, so that Validate and
+// Size allocate nothing.
+func (c Config) build() (*sim.Engine, *adi.World) {
+	m := c.Model
+	if m == nil {
+		m = model.Default()
+	}
+	eng := sim.NewEngine()
+	return eng, adi.NewWorld(eng, m, c.spec(), c.adiOptions())
+}
+
+// Validate reports the first value of the job that no layer below accepts,
+// naming its field: a cluster shape or fabric topo.Spec.Validate rejects, an
+// enum out of range, or a negative Deadline, Reliability or RegCache
+// setting — values the layers would otherwise panic on, deadlock on, or
+// silently read as a default. Zero fields select the defaults. Run calls it
+// before building anything; a caller that sizes its own state from the
+// config calls it first.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	if err := c.spec().Validate(); err != nil {
+		return err
+	}
 	switch {
 	case c.PolicyImpl == nil && (c.Policy < core.Original || c.Policy > core.Adaptive):
 		return fmt.Errorf("mpi: Policy = %d, not a core.Kind", int(c.Policy))
@@ -273,6 +288,23 @@ func (c Config) validate() error {
 		}
 	}
 	return nil
+}
+
+// spec maps the config's cluster shape and fabric onto the topology.
+func (c Config) spec() topo.Spec {
+	return topo.Spec{
+		Nodes:          c.Nodes,
+		ProcsPerNode:   c.ProcsPerNode,
+		HCAsPerNode:    c.HCAs,
+		PortsPerHCA:    c.Ports,
+		QPsPerPort:     c.QPsPerPort,
+		NodesPerSwitch: c.NodesPerSwitch,
+		TrunkRate:      c.TrunkRate,
+		Tiers:          c.Tiers,
+		SpinesPerPod:   c.SpinesPerPod,
+		Dragonfly:      c.Dragonfly,
+		Routing:        c.Routing,
+	}
 }
 
 // adiOptions maps the config onto world-construction options.

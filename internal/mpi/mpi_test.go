@@ -2,16 +2,10 @@ package mpi
 
 import (
 	"bytes"
-	"math"
-	"strings"
 	"testing"
 
-	"ib12x/internal/adi"
 	"ib12x/internal/core"
-	"ib12x/internal/fabric"
-	"ib12x/internal/regcache"
 	"ib12x/internal/sim"
-	"ib12x/internal/topo"
 )
 
 // cfg builds a config with qps rails and a policy over nodes×ppn ranks.
@@ -48,56 +42,6 @@ func TestRunBasics(t *testing.T) {
 	}
 	if len(rep.RankStats) != 4 || len(rep.BodyEnd) != 4 {
 		t.Error("report shape wrong")
-	}
-}
-
-// TestRunRejectsBadConfig: a shape or option value no layer below accepts
-// fails Run before any world is built, with an error naming the field,
-// instead of a panic inside the world build, a deadlock, or a silent
-// default.
-func TestRunRejectsBadConfig(t *testing.T) {
-	for _, tc := range []struct {
-		field string
-		cfg   Config
-	}{
-		{"PortsPerHCA", Config{Ports: 5}},
-		{"Policy", Config{Policy: core.Kind(99)}},
-		{"EagerProto", Config{EagerProto: adi.EagerProto(9)}},
-		{"Rndv", Config{Rndv: adi.RndvProto(9)}},
-		{"Integrity", Config{Integrity: adi.IntegrityMode(9)}},
-		{"CollAlg", Config{CollAlg: CollAlg(9)}},
-		{"Routing", Config{Routing: fabric.Routing(7)}},
-		{"Routing", Config{Routing: fabric.Routing(-1)}},
-		{"NodesPerSwitch", Config{NodesPerSwitch: -1}},
-		{"Dragonfly.Groups", Config{Dragonfly: topo.Dragonfly{Groups: -1}}},
-		{"Deadline", Config{Deadline: -1}},
-		{"Reliability.CheckInterval", Config{Reliability: &adi.ReliabilityConfig{CheckInterval: -1}}},
-		{"Reliability.ProbeBase", Config{Reliability: &adi.ReliabilityConfig{ProbeBase: -1}}},
-		{"Reliability.ProbeMax", Config{Reliability: &adi.ReliabilityConfig{ProbeMax: -1}}},
-		{"Reliability.Deadline", Config{Reliability: &adi.ReliabilityConfig{Deadline: -1}}},
-		{"Reliability.DeadlineScale", Config{Reliability: &adi.ReliabilityConfig{DeadlineScale: -1}}},
-		{"Reliability.DeadlineScale", Config{Reliability: &adi.ReliabilityConfig{DeadlineScale: math.NaN()}}},
-		{"Reliability.SuspectAfter", Config{Reliability: &adi.ReliabilityConfig{SuspectAfter: -1}}},
-		{"Reliability.RetryBase", Config{Reliability: &adi.ReliabilityConfig{RetryBase: -1}}},
-		{"Reliability.RetryMax", Config{Reliability: &adi.ReliabilityConfig{RetryMax: -1}}},
-		{"RegCache.CapacityBytes", Config{RegCache: &regcache.Config{CapacityBytes: -1}}},
-		{"RegCache.CapacityEntries", Config{RegCache: &regcache.Config{CapacityEntries: -1}}},
-		{"RegCache.PageBytes", Config{RegCache: &regcache.Config{PageBytes: -1}}},
-		{"RegCache.PinPerPage", Config{RegCache: &regcache.Config{PinPerPage: -1}}},
-		{"RegCache.PinSyscall", Config{RegCache: &regcache.Config{PinSyscall: -1}}},
-	} {
-		t.Run(tc.field, func(t *testing.T) {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("Run panicked: %v", r)
-				}
-			}()
-			ran := false
-			_, err := Run(tc.cfg, func(*Comm) { ran = true })
-			if err == nil || !strings.Contains(err.Error(), tc.field) || ran {
-				t.Errorf("Run = %v (body ran: %v); want an error naming %s before any rank runs", err, ran, tc.field)
-			}
-		})
 	}
 }
 
