@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check race fuzz cover benchcheck figs soak bench simbench perf reproduce extra clean
+.PHONY: all build test vet check race fuzz cover benchcheck figs scale soak bench simbench perf reproduce extra clean
 
 all: vet test build
 
@@ -18,8 +18,9 @@ vet:
 
 # Full pre-merge gate: vet + the whole suite + the race detector over the
 # hot-path packages and the NAS kernels + the fuzz corpus + the statement-coverage floor + the
-# nested benchmark module + the NAS IS figures against their recorded output.
-check: vet test race fuzz cover benchcheck figs
+# nested benchmark module + the NAS IS figures against their recorded output
+# + the 16 384-node ring under its 1 GiB peak RSS.
+check: vet test race fuzz cover benchcheck figs scale
 
 race:
 	$(GO) test -race ./internal/sim/... ./internal/adi/... ./internal/core/... ./internal/mpi/... ./internal/chaos/... ./internal/buf/... ./internal/harness/... ./internal/regcache/... ./internal/fabric/... ./internal/topo/... ./internal/hca/... ./internal/ib/... ./internal/trace/... ./internal/shmem/... ./internal/nas/...
@@ -85,6 +86,12 @@ figs:
 		$(GO) run ./cmd/reproduce -quick -fig $$f > $$out && \
 		diff -u cmd/reproduce/testdata/fig$$f.txt $$out || exit 1; \
 	done
+
+# A 16 384-node three-tier ring (one Sendrecv round plus the drain barrier)
+# in a test process of its own, which must peak under 1 GiB resident
+# (VmHWM). About 10 s and about 0.6 GB, so it is not part of `go test ./...`.
+scale:
+	$(GO) test -count=1 -tags scale -run '^TestScaleRing16384$$' -v ./internal/mpi
 
 # One testing.B benchmark per paper figure, plus ablations.
 bench:

@@ -31,7 +31,12 @@ import (
 // its headroom only, so any garbage per message shows. The Conns pair wires
 // twice as many rank pairs across 16 rails and may cost three allocations
 // per extra pair (the wired pair's Conn record, QP block and rail array),
-// so one allocation per rail shows sixteen times over.
+// so one allocation per rail shows sixteen times over. The Posts pair has
+// twice as many 16-rail pairs exchange one 0-byte message each and may cost
+// postHeadroom allocations per extra pair, so a flow that keeps its
+// pipeline state after its WQE, or a rail build that allocates per rail,
+// shows. (internal/adi's TestRailsOnFirstPost checks which rails such a
+// pair builds.)
 func TestAllocationInvariants(t *testing.T) {
 	rows := []struct {
 		name     string
@@ -42,10 +47,10 @@ func TestAllocationInvariants(t *testing.T) {
 		flat     bool   // parity without the 10 % allowance
 		leak     string // what a parity failure means
 	}{
-		{name: "Fig04", body: fig04, recorded: 1268},
+		{name: "Fig04", body: fig04, recorded: 1020},
 		{name: "Fig06", body: fig06(mpi.Config{}), recorded: 11104},
 		{name: "Fig07", body: fig07, recorded: 6613},
-		{name: "Fig08", body: fig08, recorded: 2595},
+		{name: "Fig08", body: fig08, recorded: 1643},
 		{name: "Fig06/integrity", body: fig06(mpi.Config{Integrity: adi.IntegrityVerify}),
 			base: "Fig06", headroom: 512, leak: "checksum capture or verify allocates per payload"},
 		{name: "Fig06/three-tier", body: fig06(mpi.Config{NodesPerSwitch: 1, Tiers: 3, SpinesPerPod: 2, Routing: fabric.RouteAdaptive}),
@@ -59,6 +64,9 @@ func TestAllocationInvariants(t *testing.T) {
 		{name: "Conns/N", body: wirePairs(wiredPairs)},
 		{name: "Conns/2N", body: wirePairs(2 * wiredPairs), base: "Conns/N", headroom: 3 * wiredPairs, flat: true,
 			leak: "wiring a rank pair allocates per rail"},
+		{name: "Posts/N", body: postPairs(wiredPairs)},
+		{name: "Posts/2N", body: postPairs(2 * wiredPairs), base: "Posts/N", headroom: postHeadroom * wiredPairs, flat: true,
+			leak: "a pair that carried one eager message holds per-rail or per-flow state"},
 	}
 	// The collector stays off while counting. A cycle empties every
 	// sync.Pool (fmt's printer cache among them), so the next Sprintf
@@ -152,6 +160,39 @@ func wirePairs(n int) figBody {
 			}
 		}
 		return nil, nil
+	}
+}
+
+// postHeadroom is what the Posts/2N row may cost per extra pair, 12.5 of
+// which it needs: the Conn record, the rail array and the one rail's QP
+// block its message builds (3), and the first message of two fresh
+// endpoints (a request each, each CQ's ring, the receive index's buckets,
+// timer and queue slots). With a flow's pipeline state kept per flow it
+// needed 15.5: a ring, an xfer and a pool slice more.
+const postHeadroom = 13
+
+// postPairs builds wirePairs' 16-rail world and has n disjoint inter-node
+// rank pairs exchange one 0-byte eager message each, the traffic a drain
+// barrier puts on most of its pairs. Every rank is spawned in both rows.
+// The pairs send 50 µs apart, one message in flight at a time, so what the
+// pools of in-flight state (timer nodes, WR records, pipeline states) hold
+// does not grow with the pair count and each pair's own state shows.
+func postPairs(n int) figBody {
+	return func() ([]float64, error) {
+		const ppn = 2 * wiredPairs
+		spec := topo.Spec{Nodes: 2, ProcsPerNode: ppn, HCAsPerNode: 2, PortsPerHCA: 2, QPsPerPort: 4}
+		eng := sim.NewEngine()
+		w := adi.NewWorld(eng, model.Default(), spec, adi.Options{Policy: core.EPC})
+		w.Spawn("p", func(ep *adi.Endpoint) {
+			switch k := ep.Rank; {
+			case k < n:
+				ep.Compute(sim.Time(k) * 50 * sim.Microsecond)
+				ep.Wait(ep.PostSend(ppn+k, 0, adi.CtxPt2Pt, core.Collective, nil, 0))
+			case k >= ppn && k < ppn+n:
+				ep.Wait(ep.PostRecv(k-ppn, 0, adi.CtxPt2Pt, nil, 0))
+			}
+		})
+		return nil, eng.Run()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"ib12x/internal/buf"
 	"ib12x/internal/core"
+	"ib12x/internal/hca"
 	"ib12x/internal/ib"
 	"ib12x/internal/model"
 	"ib12x/internal/regcache"
@@ -22,7 +23,8 @@ const srqPrepost = 128
 // rails (QPs spread over ports and HCAs) or a shared-memory link.
 type Conn struct {
 	peer  int
-	rails []*ib.QP    // inter-node rails; nil for intra-node peers
+	rails []*ib.QP    // inter-node rails, each nil until first posted on (railQP); nil for intra-node peers
+	qpn   int         // first of the pair's 2·len(rails) reserved QPNs (buildRails)
 	sh    *shmem.Link // outbound shared-memory link; nil for inter-node
 	sched core.ConnState
 
@@ -84,8 +86,26 @@ func (c *Conn) ctrlRail() int {
 	return r
 }
 
-// Rails reports the number of rails of this connection (0 for shmem).
+// Rails reports the number of rails of this connection (0 for shmem),
+// built or not.
 func (c *Conn) Rails() int { return len(c.rails) }
+
+// railQP returns the QP of rail r of an inter-node connection, building
+// the rail (both halves) the first time something posts on it.
+func (ep *Endpoint) railQP(c *Conn, r int) *ib.QP {
+	if qp := c.rails[r]; qp != nil {
+		return qp
+	}
+	ep.w.buildRails(ep.Rank, c, r)
+	return c.rails[r]
+}
+
+// railPort reports the local port that rail r of every inter-node
+// connection of the rank runs on, whether or not the rail is built.
+func (ep *Endpoint) railPort(r int) *hca.Port {
+	cl := ep.w.Cluster
+	return cl.PortsOf(ep.Rank)[r/cl.Spec.QPsPerPort]
+}
 
 // InterRails reports the rail count of this endpoint's inter-node
 // connections — the lane width available to lane-decomposed collectives —
@@ -265,13 +285,18 @@ func (ep *Endpoint) ChargeCopy(n int) {
 	ep.charge(sim.TransferTime(int64(n), ep.m.EagerCopyRate))
 }
 
-// Conn returns the connection to a peer (nil for self), wiring the pair if
-// it has not talked yet.
+// Conn returns the connection to a peer (nil for self), wiring the pair and
+// building all its rails if it has not talked yet: the connection an
+// up-front build would have given.
 func (ep *Endpoint) Conn(peer int) *Conn {
 	if peer == ep.Rank {
 		return nil
 	}
-	return ep.conn(peer)
+	c := ep.conn(peer)
+	if slices.Contains(c.rails, nil) {
+		ep.w.buildRails(ep.Rank, c, -1)
+	}
+	return c
 }
 
 // conn returns the connection to peer, wiring the pair on first use. Paths
@@ -818,11 +843,11 @@ func (ep *Endpoint) post(conn *Conn, rail int, wr ib.SendWR, posted *Request) {
 		fl := ep.getFl()
 		fl.conn, fl.rail, fl.wr = conn, rail, wr
 		if ep.rel != nil {
-			fl.deadline = ep.wrDeadline(conn, rail, wr.N)
+			fl.deadline = ep.wrDeadline(rail, wr.N)
 		}
 		ep.inflight[wr.WRID] = fl
 	}
-	qp := conn.rails[rail]
+	qp := ep.railQP(conn, rail)
 	if b, ok := ep.backlog[qp.QPN]; ok {
 		ep.backlog[qp.QPN] = railBacklog{qp, append(b.q, deferredWR{wr, posted})}
 		return

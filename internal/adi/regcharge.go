@@ -48,8 +48,8 @@ func (ep *Endpoint) refreshRailRates(conn *Conn) {
 	}
 	raw := ep.m.LinkRawRate
 	uniform := true
-	for _, qp := range conn.rails {
-		if qp.Port.EffectiveRate() != raw {
+	for i := range conn.rails {
+		if ep.railPort(i).EffectiveRate() != raw {
 			uniform = false
 			break
 		}
@@ -61,8 +61,8 @@ func (ep *Endpoint) refreshRailRates(conn *Conn) {
 	if conn.rateScratch == nil {
 		conn.rateScratch = make([]float64, len(conn.rails))
 	}
-	for i, qp := range conn.rails {
-		conn.rateScratch[i] = qp.Port.EffectiveRate() / raw
+	for i := range conn.rails {
+		conn.rateScratch[i] = ep.railPort(i).EffectiveRate() / raw
 	}
 	conn.sched.Rates = conn.rateScratch
 }

@@ -179,10 +179,10 @@ func (ep *Endpoint) backoffDelay(base, max sim.Time, attempt int, key uint64) si
 // hardware reserves the pipeline at post time, so FreeAt is an accurate
 // congestion signal), a scaled transfer estimate at the port's effective —
 // possibly chaos-degraded — link rate, and the base margin.
-func (ep *Endpoint) wrDeadline(conn *Conn, rail, n int) sim.Time {
+func (ep *Endpoint) wrDeadline(rail, n int) sim.Time {
 	r := ep.rel
 	now := ep.eng.Now()
-	port := conn.rails[rail].Port
+	port := ep.railPort(rail)
 	d := now + r.Deadline + sim.Time(r.DeadlineScale*float64(sim.TransferTime(int64(n), port.EffectiveRate())))
 	if free := port.TX.FreeAt(); free > now {
 		d += free - now
@@ -274,11 +274,12 @@ func (ep *Endpoint) quarantine(conn *Conn, rail int) {
 	ep.trace(trace.KindRailQuarantine, conn.peer, 0, rail)
 	conn.sched.Dead.MarkDown(rail)
 	conn.ringDown()
-	qp := conn.rails[rail]
-	if b, ok := ep.backlog[qp.QPN]; ok {
-		delete(ep.backlog, qp.QPN)
-		for _, d := range b.q {
-			ep.post(conn, rail, d.wr, d.posted)
+	if qp := conn.rails[rail]; qp != nil { // an unbuilt rail has nothing deferred
+		if b, ok := ep.backlog[qp.QPN]; ok {
+			delete(ep.backlog, qp.QPN)
+			for _, d := range b.q {
+				ep.post(conn, rail, d.wr, d.posted)
+			}
 		}
 	}
 	ep.scheduleProbe(conn, rail)
@@ -306,7 +307,7 @@ func (ep *Endpoint) probeTick(conn *Conn, rail int) {
 	if h.state != railQuarantined {
 		return // reintegrated (or probing) since this timer was set
 	}
-	qp := conn.rails[rail]
+	qp := ep.railQP(conn, rail)
 	env := ep.pool.get()
 	env.kind, env.src = envProbe, ep.Rank
 	wrid := ep.nextWRID()

@@ -133,9 +133,9 @@ func (w *World) Reliability() *ReliabilityConfig { return w.rel }
 // must be armed (EnableReliability), discovers the change on each endpoint
 // and updates the policy-visible health mask itself.
 //
-// Every pair touching the node is wired first, so a rail event reaches the
-// same QPs as in a world wired up front, and a connection built later never
-// misses a failure.
+// Every pair touching the node is wired first, with all its rails built,
+// so a rail event reaches the same QPs as in a world wired up front, and
+// neither a connection nor a rail built later misses a failure.
 func (w *World) SetRail(node, rail int, up bool) {
 	if w.rel == nil {
 		panic("adi: SetRail without EnableReliability")
@@ -145,9 +145,7 @@ func (w *World) SetRail(node, rail int, up bool) {
 			continue
 		}
 		for j := range w.Endpoints {
-			if j != i {
-				epi.conn(j)
-			}
+			epi.Conn(j)
 		}
 	}
 	for i, epi := range w.Endpoints {
@@ -218,20 +216,16 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 }
 
 // connect wires the rank pair i < j, both halves at once: a shared-memory
-// link each way within a node, or `Rails()` QP pairs between nodes (plus the
-// eager ring and header cache each way under EagerRDMAWrite, and the rail
-// health arrays once the reliability layer is armed).
+// link each way within a node, or the slots of `Rails()` QP pairs between
+// nodes (plus the eager ring and header cache each way under
+// EagerRDMAWrite, and the rail health arrays once the reliability layer is
+// armed). A rail's QP pair is built when something first posts on it
+// (buildRails).
 //
-// An inter-node pair costs three allocations whatever its rail count: one
-// record holding both Conns, one block of 2·Rails() QPs (each carrying its
-// transmit flow by value), and one array backing both halves' rail slices.
-// The block's QPs take QPNs in the order separate NewQP calls gave them.
-//
-// A rail's flows take their route keys from pairsBefore, not from the
-// ports' creation counters, so every key is the one the all-pairs build
-// (pairs (i, j) in lexicographic order, rails in order, ib.Connect each)
-// gave, whichever pair talks first. QPNs and ring rkeys do come from the
-// realm's counters in first-use order: they are opaque lookup keys.
+// An inter-node pair costs two allocations here whatever its rail count:
+// one record holding both Conns and one array backing both halves' rail
+// slices. It reserves the 2·Rails() QPNs an up-front build would have
+// given its QPs, so a rail built later gets the same numbers.
 func (w *World) connect(i, j int) {
 	epi, epj := w.Endpoints[i], w.Endpoints[j]
 	m, opt, cl := w.M, &w.opt, w.Cluster
@@ -246,26 +240,11 @@ func (w *World) connect(i, j int) {
 		ci.sh.SetDeliver(shmemSink(epj))
 		cj.sh.SetDeliver(shmemSink(epi))
 	} else {
-		// Every inter-node pair puts QPsPerPort rails on each port of
-		// both nodes, and each rail takes two flow ordinals per port: its
-		// own transmit flow and the peer's responder flow.
-		q := cl.Spec.QPsPerPort
-		baseI := 2 * q * w.pairsBefore(cl.NodeOf(i), i, j)
-		baseJ := 2 * q * w.pairsBefore(cl.NodeOf(j), i, j)
-		portsI, portsJ := cl.PortsOf(i), cl.PortsOf(j)
 		nr := cl.Spec.Rails()
-		qps, rails := make([]ib.QP, 2*nr), make([]*ib.QP, 2*nr)
+		rails := make([]*ib.QP, 2*nr)
 		ci.rails, cj.rails = rails[:nr:nr], rails[nr:]
-		for r := range nr {
-			pidx, k := r/q, r%q
-			qpi, qpj := &qps[r], &qps[nr+r]
-			w.Realm.InitQP(qpi, ib.QPConfig{Port: portsI[pidx], CQ: epi.cq, SRQ: epi.srq, SQDepth: opt.SQDepth})
-			w.Realm.InitQP(qpj, ib.QPConfig{Port: portsJ[pidx], CQ: epj.cq, SRQ: epj.srq, SQDepth: opt.SQDepth})
-			if err := ib.ConnectAt(qpi, qpj, uint64(baseI+2*k+1), uint64(baseJ+2*k+1)); err != nil {
-				panic(err)
-			}
-			ci.rails[r], cj.rails[r] = qpi, qpj
-		}
+		ci.qpn = w.Realm.ReserveQPNs(2 * nr)
+		cj.qpn = ci.qpn
 		if opt.EagerProto == EagerRDMAWrite {
 			// Connect-time ring negotiation: each direction gets its own
 			// slot array at the receiver and header cache at the sender.
@@ -281,6 +260,59 @@ func (w *World) connect(i, j int) {
 	}
 	epi.addConn(ci)
 	epj.addConn(cj)
+}
+
+// buildRails builds rail r of the inter-node pair between rank and c's
+// peer, both QP halves at once; r < 0 builds every rail still missing.
+// The pair's first rail is built alone, in a block of two QPs: a pair that
+// carries one eager message (a drain barrier's) needs no more. Its next
+// build makes every remaining rail in one block, so a pair costs at most
+// two QP blocks.
+//
+// Each QP takes the QPN connect reserved for it (rail r's halves get
+// qpn+2r and qpn+2r+1, the order the up-front build numbered them in), and
+// each flow its route key from pairsBefore, not from the ports' creation
+// counters, so every key is the one the all-pairs build (pairs (i, j) in
+// lexicographic order, rails in order, ib.Connect each) gave, whichever
+// pair and rail are used first.
+func (w *World) buildRails(rank int, c *Conn, r int) {
+	i, j := min(rank, c.peer), max(rank, c.peer)
+	epi, epj := w.Endpoints[i], w.Endpoints[j]
+	ci, cj := epi.conns[j], epj.conns[i]
+	nr, missing := len(ci.rails), 0
+	for _, qp := range ci.rails {
+		if qp == nil {
+			missing++
+		}
+	}
+	if r >= 0 && missing == nr {
+		missing = 1 // the pair's first rail: build it alone
+	} else {
+		r = -1 // build every rail still missing
+	}
+	qps := make([]ib.QP, 2*missing)
+	// Every inter-node pair puts QPsPerPort rails on each port of both
+	// nodes, and each rail takes two flow ordinals per port: its own
+	// transmit flow and the peer's responder flow.
+	cl, opt := w.Cluster, &w.opt
+	q := cl.Spec.QPsPerPort
+	baseI := 2 * q * w.pairsBefore(cl.NodeOf(i), i, j)
+	baseJ := 2 * q * w.pairsBefore(cl.NodeOf(j), i, j)
+	portsI, portsJ := cl.PortsOf(i), cl.PortsOf(j)
+	for x := range nr {
+		if ci.rails[x] != nil || (r >= 0 && x != r) {
+			continue
+		}
+		pidx, k := x/q, x%q
+		qpi, qpj := &qps[0], &qps[1]
+		qps = qps[2:]
+		w.Realm.InitQPAt(qpi, ib.QPConfig{Port: portsI[pidx], CQ: epi.cq, SRQ: epi.srq, SQDepth: opt.SQDepth}, ci.qpn+2*x)
+		w.Realm.InitQPAt(qpj, ib.QPConfig{Port: portsJ[pidx], CQ: epj.cq, SRQ: epj.srq, SQDepth: opt.SQDepth}, ci.qpn+2*x+1)
+		if err := ib.ConnectAt(qpi, qpj, uint64(baseI+2*k+1), uint64(baseJ+2*k+1)); err != nil {
+			panic(err)
+		}
+		ci.rails[x], cj.rails[x] = qpi, qpj
+	}
 }
 
 // pairsBefore counts the inter-node rank pairs x < y that touch node a and

@@ -25,7 +25,7 @@
 package hca
 
 import (
-	"fmt"
+	"strconv"
 
 	"ib12x/internal/fabric"
 	"ib12x/internal/gx"
@@ -42,9 +42,9 @@ type HCA struct {
 
 // New creates an HCA with nports ports attached to the given GX+ bus.
 func New(name string, nports int, bus *gx.Bus, m *model.Params, net *fabric.Net) *HCA {
-	h := &HCA{Name: name, Bus: bus}
-	for i := 0; i < nports; i++ {
-		h.Ports = append(h.Ports, newPort(fmt.Sprintf("%s.p%d", name, i), bus, m, net))
+	h := &HCA{Name: name, Bus: bus, Ports: make([]*Port, nports)}
+	for i := range h.Ports {
+		h.Ports[i] = newPort(name+".p"+strconv.Itoa(i), bus, m, net)
 	}
 	return h
 }
@@ -117,6 +117,12 @@ type Port struct {
 	wire       sim.Ring[wireChunk] // chunks in flight, in arrival order (launch)
 	wireTail   sim.Time            // arrival of the FIFO's last chunk
 	wireBypass int64               // chunks that overtook the FIFO tail
+
+	// free holds the recycled per-WQE pipeline states of every flow out of
+	// this port, linked through xfer.next. A WQE takes one at post and
+	// gives it back when its ack returns, so the pool is bounded by the
+	// port's peak in-flight WQEs and an idle flow holds none.
+	free *xfer
 }
 
 // Corrupt describes the integrity fault the port's corruption plan assigns
@@ -174,12 +180,12 @@ func newPort(name string, bus *gx.Bus, m *model.Params, net *fabric.Net) *Port {
 		TX:    fabric.Lane{Rate: m.LinkRawRate},
 		RX:    fabric.Lane{Rate: m.LinkRawRate},
 	}
-	for i := 0; i < m.SendEnginesPerPort; i++ {
-		p.SendEngines = append(p.SendEngines, sim.Server{Rate: m.EngineRate, PerItem: m.EnginePerWQE})
+	s := m.SendEnginesPerPort
+	engines := make([]sim.Server, s+m.RecvEnginesPerPort)
+	for i := range engines {
+		engines[i] = sim.Server{Rate: m.EngineRate, PerItem: m.EnginePerWQE}
 	}
-	for i := 0; i < m.RecvEnginesPerPort; i++ {
-		p.RecvEngines = append(p.RecvEngines, sim.Server{Rate: m.EngineRate, PerItem: m.EnginePerWQE})
-	}
+	p.SendEngines, p.RecvEngines = engines[:s:s], engines[s:]
 	return p
 }
 
@@ -222,10 +228,12 @@ type Flow struct {
 	src *Port
 	dst *Port
 
-	prevEngEnd sim.Time           // engine-phase end of the last WQE to enter the pool
-	busy       bool               // a WQE is waiting for / holding the engine stage
-	pending    sim.Ring[flowItem] // WQEs queued behind the in-order rule
-	xpool      []*xfer            // recycled per-WQE pipeline states
+	prevEngEnd sim.Time // engine-phase end of the last WQE to enter the pool
+	busy       bool     // a WQE is waiting for / holding the engine stage
+
+	// head and tail are the WQEs queued behind the in-order rule, oldest
+	// first, linked through xfer.next. A drained flow holds nothing.
+	head, tail *xfer
 
 	// routeKey identifies this flow to the fabric's path selection:
 	// the D-mod-K hash input (static) and the tie-break salt (adaptive).
@@ -319,7 +327,14 @@ func (f *Flow) SendCtx(n int, ctx any, delivered, acked func(any, Timing)) {
 	// The doorbell rings at post time; the HW scheduler arbitration is a
 	// short serial booking at (or just after) the current instant.
 	_, schedEnd := f.src.Sched.Reserve(now, 0)
-	f.pending.Push(flowItem{n: n, posted: now, schedEnd: schedEnd, ctx: ctx, delivered: delivered, acked: acked})
+	x := f.src.getXfer(f)
+	x.it = flowItem{n: n, posted: now, schedEnd: schedEnd, ctx: ctx, delivered: delivered, acked: acked}
+	if f.tail == nil {
+		f.head = x
+	} else {
+		f.tail.next = x
+	}
+	f.tail = x
 	f.src.WQEs++
 	f.src.TxBytes += int64(n)
 	f.kick()
@@ -328,11 +343,16 @@ func (f *Flow) SendCtx(n int, ctx any, delivered, acked func(any, Timing)) {
 // kick starts the next pending WQE's engine stage once the previous one's
 // engine phase has ended (the RC in-order rule).
 func (f *Flow) kick() {
-	if f.busy || f.pending.Len() == 0 {
+	if f.busy || f.head == nil {
 		return
 	}
 	f.busy = true
-	it := f.pending.Pop()
+	x := f.head
+	if f.head = x.next; f.head == nil {
+		f.tail = nil
+	}
+	x.next = nil
+	it := &x.it
 	at := f.eng.Now()
 	if it.schedEnd > at {
 		at = it.schedEnd
@@ -340,22 +360,21 @@ func (f *Flow) kick() {
 	if f.prevEngEnd > at {
 		at = f.prevEngEnd
 	}
-	x := f.getXfer()
-	x.it = it
 	x.t = Timing{Posted: it.posted, SchedEnd: it.schedEnd}
-	x.recvEng = -1
 	f.eng.PostCall(at, stageEngine, x, 0, 0, 0)
 }
 
-// xfer is the per-WQE state shared by its lane chunks. Instances are pooled
-// per Flow: the ack event is provably the last pipeline reference (all chunks
-// received, completeStage fired), so stageAck recycles them.
+// xfer is the per-WQE state shared by its lane chunks, from post to ack.
+// Instances are pooled per source Port: the ack event is provably the last
+// pipeline reference (all chunks received, completeStage fired), so
+// stageAck recycles them.
 type xfer struct {
 	f         *Flow
+	next      *xfer // the flow's next queued WQE, or the port's next free xfer
 	it        flowItem
 	t         Timing
-	chunksOut int // chunks not yet fully received
-	recvEng   int // receive engine assigned at first chunk (-1 before)
+	chunksOut int  // chunks not yet fully received
+	setupPaid bool // the receive side has charged the per-WQE engine setup
 
 	// Lazy chunk release (engineStage, releaseChunk).
 	chunk   int      // lane chunk size
@@ -365,19 +384,21 @@ type xfer struct {
 	nextSeq uint64   // post ordinal of the next chunk to release
 }
 
-func (f *Flow) getXfer() *xfer {
-	if n := len(f.xpool); n > 0 {
-		x := f.xpool[n-1]
-		f.xpool[n-1] = nil
-		f.xpool = f.xpool[:n-1]
-		return x
+// getXfer takes a pipeline state for one WQE of f from the port's pool.
+func (p *Port) getXfer(f *Flow) *xfer {
+	x := p.free
+	if x == nil {
+		return &xfer{f: f}
 	}
-	return &xfer{f: f}
+	p.free = x.next
+	x.next, x.f = nil, f
+	return x
 }
 
-func (f *Flow) putXfer(x *xfer) {
-	*x = xfer{f: f}
-	f.xpool = append(f.xpool, x)
+// putXfer returns a finished WQE's pipeline state to the port's pool.
+func (p *Port) putXfer(x *xfer) {
+	*x = xfer{next: p.free}
+	p.free = x
 }
 
 // stageHook, when non-nil, sees every pipeline stage event as it fires:
@@ -448,7 +469,7 @@ func stageAck(a any, _, _, _ int64) {
 	if x.it.acked != nil {
 		x.it.acked(x.it.ctx, x.t)
 	}
-	f.putXfer(x)
+	f.src.putXfer(x)
 }
 
 // engineStage books a send engine and the GX+ payload fetch, then releases
@@ -594,8 +615,8 @@ func (f *Flow) recvChunk(x *xfer, n int) {
 	now := f.eng.Now()
 	f.dst.RxBytes += int64(n)
 	var dur sim.Time
-	if x.recvEng < 0 {
-		x.recvEng = 1 // marker: setup cost paid
+	if !x.setupPaid {
+		x.setupPaid = true
 		dur = m.EnginePerWQE
 	}
 	ri := pickEngine(f.dst.RecvEngines, now)

@@ -1,6 +1,7 @@
 package hca
 
 import (
+	"runtime"
 	"testing"
 
 	"ib12x/internal/fabric"
@@ -280,6 +281,57 @@ func TestFlowAccessors(t *testing.T) {
 		t.Error("flow endpoints wrong")
 	}
 }
+
+// TestDrainedFlowHoldsNothing pins a flow's cost at zero once its WQEs
+// complete. One WQE, posted with a pointer ctx and package-level callbacks,
+// runs to completion on each of drainFlows fresh flows of one port in turn.
+// Its pipeline state comes from the port's pool and goes back there at the
+// ack, so the whole sequence allocates O(1) and leaves one pooled xfer and
+// no queued WQE on any flow. With the state pooled per flow, each flow paid
+// three allocations: its queue's ring, its xfer and its pool's slice (200
+// in all here). A warm-up WQE on flow 0 grows the port's wire FIFO first;
+// the 8 allocations left (budget 12) are the event queue's radix buckets,
+// each allocated the first time the clock crosses its power of two.
+func TestDrainedFlowHoldsNothing(t *testing.T) {
+	const drainFlows, budget = 64, 12
+	r := newRig(model.Default())
+	flows := make([]Flow, drainFlows+1)
+	for i := range flows {
+		r.src.InitFlowAt(&flows[i], r.eng, r.dst, uint64(i+1))
+	}
+	acks := new(int)
+	flows[0].SendCtx(4096, acks, nil, countAck)
+	r.run(t)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 1; i <= drainFlows; i++ {
+		flows[i].SendCtx(4096, acks, nil, countAck)
+		if err := r.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if *acks != drainFlows+1 {
+		t.Fatalf("%d of %d WQEs acked", *acks, drainFlows+1)
+	}
+	if n := m1.Mallocs - m0.Mallocs; n > budget {
+		t.Errorf("%d allocations for one WQE on each of %d flows, budget %d in all", n, drainFlows, budget)
+	}
+	pooled := 0
+	for x := r.src.free; x != nil; x = x.next {
+		pooled++
+	}
+	if pooled != 1 {
+		t.Errorf("port pool holds %d xfers after one WQE at a time, want 1", pooled)
+	}
+	for i := range flows {
+		if flows[i].head != nil || flows[i].tail != nil {
+			t.Fatalf("flow %d still queues a WQE after draining", i)
+		}
+	}
+}
+
+func countAck(a any, _ Timing) { *a.(*int)++ }
 
 func TestErrorInjectionRetransmits(t *testing.T) {
 	m := model.Default()

@@ -168,8 +168,14 @@ type SRQ struct {
 	pool  recvPool
 }
 
-// NewSRQ creates a shared receive queue.
-func (r *Realm) NewSRQ() *SRQ { return &SRQ{realm: r} }
+// NewSRQ creates a shared receive queue. Its pool starts with room for one
+// run: blank receives posted back to back merge into one counted run
+// (recvPool.post), so a pool of header-only preposts never needs more.
+func (r *Realm) NewSRQ() *SRQ {
+	s := &SRQ{realm: r}
+	s.pool.runs.Reserve(1)
+	return s
+}
 
 // PostRecv adds a receive buffer to the shared pool.
 func (s *SRQ) PostRecv(wr RecvWR) { s.PostRecvN(wr, 1) }
@@ -208,12 +214,14 @@ type QP struct {
 	respFlow *hca.Flow // responder resources for RDMA-read responses (RespFlow)
 	respSeq  uint64    // respFlow's ordinal on the peer's port
 
-	// outstanding, sqDepth and epoch are 32-bit: adi wires a pair's QPs as
-	// one block, and at 280 bytes a 4-rail pair's eight QPs fit the
-	// 2 304-byte size class rather than 2 688.
+	// outstanding, sqDepth and epoch are 32-bit, and the receive queue
+	// that only a QP without an SRQ uses is out of line: adi builds a
+	// pair's QPs in blocks, and at 152 bytes (TestQPSize) a rail's two QPs
+	// fit the 320-byte size class and a 4-rail pair's eight QPs plus the
+	// 8-byte malloc header the 1 280-byte class.
 	outstanding int32
-	sqDepth     int32 // max outstanding send WRs
-	pool        recvPool
+	sqDepth     int32     // max outstanding send WRs
+	rq          *recvPool // own receive queue, built on first use; a QP bound to an SRQ has none
 
 	// Fault-injection state: down rejects new posts, and epoch stamps every
 	// in-flight descriptor so a failure can flush exactly the descriptors
@@ -256,7 +264,18 @@ func (r *Realm) NewQP(cfg QPConfig) *QP {
 // realm's next QPN, so a caller wiring many QPs at once can hold them in
 // one block. The QP must not move afterwards (its peer and its flow's
 // in-flight work point at it).
-func (r *Realm) InitQP(q *QP, cfg QPConfig) {
+func (r *Realm) InitQP(q *QP, cfg QPConfig) { r.InitQPAt(q, cfg, r.ReserveQPNs(1)) }
+
+// ReserveQPNs sets aside n consecutive QPNs of the realm's counter and
+// returns the first, so a caller that builds the QPs later, or out of
+// order, gives each the number an in-order build would have.
+func (r *Realm) ReserveQPNs(n int) int {
+	r.qpn += n
+	return r.qpn - n + 1
+}
+
+// InitQPAt is InitQP under a QPN the caller reserved with ReserveQPNs.
+func (r *Realm) InitQPAt(q *QP, cfg QPConfig, qpn int) {
 	if cfg.Port == nil || cfg.CQ == nil {
 		panic("ib: NewQP requires a Port and a CQ")
 	}
@@ -264,8 +283,7 @@ func (r *Realm) InitQP(q *QP, cfg QPConfig) {
 	if depth == 0 {
 		depth = 128
 	}
-	r.qpn++
-	*q = QP{QPN: r.qpn, Port: cfg.Port, CQ: cfg.CQ, SRQ: cfg.SRQ, realm: r, sqDepth: int32(depth)}
+	*q = QP{QPN: qpn, Port: cfg.Port, CQ: cfg.CQ, SRQ: cfg.SRQ, realm: r, sqDepth: int32(depth)}
 }
 
 // Connect pairs two QPs into a reliable connection. Both must be idle. Each
@@ -327,12 +345,25 @@ func (q *QP) PostRecv(wr RecvWR) error {
 		return ErrBadWR
 	}
 	q.realm.stats.RecvsPosted++
-	q.pool.post(wr, 1)
+	q.recvQueue().post(wr, 1)
 	return nil
 }
 
 // PostedRecvs reports unconsumed receive WRs on the QP's own queue.
-func (q *QP) PostedRecvs() int { return q.pool.posted }
+func (q *QP) PostedRecvs() int {
+	if q.rq == nil {
+		return 0
+	}
+	return q.rq.posted
+}
+
+// recvQueue returns the QP's own receive queue, building it on first use.
+func (q *QP) recvQueue() *recvPool {
+	if q.rq == nil {
+		q.rq = new(recvPool)
+	}
+	return q.rq
+}
 
 // PostSend posts a send-side descriptor. The simulated hardware books the
 // full transfer pipeline immediately (reservations are monotonic, so
@@ -833,5 +864,5 @@ func (q *QP) arrive(msg message) {
 		q.SRQ.pool.arrive(msg)
 		return
 	}
-	q.pool.arrive(msg)
+	q.recvQueue().arrive(msg)
 }

@@ -169,7 +169,7 @@ func TestRecvPoolBlankRuns(t *testing.T) {
 		t.Errorf("PostedRecvs = %d, want 3", r.qb.PostedRecvs())
 	}
 	for _, want := range []uint64{0, 4, 0} {
-		if got := r.qb.pool.take(); got.WRID != want {
+		if got := r.qb.rq.take(); got.WRID != want {
 			t.Errorf("QP pool took WRID %d, want %d", got.WRID, want)
 		}
 	}

@@ -68,6 +68,21 @@ func (r *Ring[T]) Back() *T {
 	return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)]
 }
 
+// Reserve gives an empty ring storage for n elements (rounded up to a
+// power of two), for a queue known to stay shorter than the eight slots
+// its first Push would allocate. It does nothing once the ring has
+// storage.
+func (r *Ring[T]) Reserve(n int) {
+	if r.buf != nil || n <= 0 {
+		return
+	}
+	c := 1
+	for c < n {
+		c <<= 1
+	}
+	r.buf = make([]T, c)
+}
+
 func (r *Ring[T]) grow() {
 	c := len(r.buf) * 2
 	if c == 0 {

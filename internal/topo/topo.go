@@ -10,6 +10,7 @@ package topo
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"ib12x/internal/core"
 	"ib12x/internal/fabric"
@@ -182,18 +183,19 @@ func Build(spec Spec, m *model.Params) *Cluster {
 		net = fabric.NewTwoLevel(m.WireLatency, spec.Nodes, spec.NodesPerSwitch,
 			max(spec.SpinesPerPod, 1), trunk, spec.Routing, routeSeed)
 	}
-	c := &Cluster{Spec: spec, Model: m, Net: net}
-	for i := 0; i < spec.Nodes; i++ {
-		n := &Node{ID: i, Bus: gx.New(m.GXRate)}
-		for h := 0; h < spec.HCAsPerNode; h++ {
-			hc := hca.New(fmt.Sprintf("n%d.hca%d", i, h), spec.PortsPerHCA, n.Bus, m, c.Net)
+	c := &Cluster{Spec: spec, Model: m, Net: net, Nodes: make([]*Node, spec.Nodes)}
+	for i := range c.Nodes {
+		n := &Node{ID: i, Bus: gx.New(m.GXRate), HCAs: make([]*hca.HCA, spec.HCAsPerNode)}
+		n.ports = make([]*hca.Port, 0, spec.HCAsPerNode*spec.PortsPerHCA)
+		for h := range n.HCAs {
+			hc := hca.New("n"+strconv.Itoa(i)+".hca"+strconv.Itoa(h), spec.PortsPerHCA, n.Bus, m, c.Net)
 			for _, port := range hc.Ports {
 				port.Node = i
 			}
-			n.HCAs = append(n.HCAs, hc)
+			n.HCAs[h] = hc
 			n.ports = append(n.ports, hc.Ports...)
 		}
-		c.Nodes = append(c.Nodes, n)
+		c.Nodes[i] = n
 	}
 	return c
 }
