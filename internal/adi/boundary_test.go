@@ -2,6 +2,7 @@ package adi
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"ib12x/internal/core"
@@ -61,19 +62,29 @@ func TestZeroByteMessageCompletes(t *testing.T) {
 func TestPostSendValidationPanics(t *testing.T) {
 	run(t, spec2x1(1), Options{Policy: core.Original},
 		func(ep *Endpoint) {
-			mustPanic(t, "bad peer", func() { ep.PostSend(99, 0, CtxPt2Pt, core.Blocking, nil, 1) })
-			mustPanic(t, "short buffer", func() { ep.PostSend(1, 0, CtxPt2Pt, core.Blocking, []byte{1}, 2) })
-			mustPanic(t, "bad class", func() { ep.PostSend(1, 0, CtxPt2Pt, core.Class(9), nil, 1) })
-			mustPanic(t, "short recv buffer", func() { ep.PostRecv(1, 0, CtxPt2Pt, []byte{1}, 2) })
+			mustPanic(t, "bad peer", "invalid peer", func() { ep.PostSend(99, 0, CtxPt2Pt, core.Blocking, nil, 1) })
+			mustPanic(t, "short buffer", "shorter than count", func() { ep.PostSend(1, 0, CtxPt2Pt, core.Blocking, []byte{1}, 2) })
+			mustPanic(t, "bad class", "invalid communication class", func() { ep.PostSend(1, 0, CtxPt2Pt, core.Class(9), nil, 1) })
+			mustPanic(t, "short recv buffer", "shorter than count", func() { ep.PostRecv(1, 0, CtxPt2Pt, []byte{1}, 2) })
+			mustPanic(t, "negative count", "negative count", func() { ep.PostSend(1, 0, CtxPt2Pt, core.Blocking, nil, -1) })
+			mustPanic(t, "negative count with buffer", "negative count", func() { ep.PostSend(1, 0, CtxPt2Pt, core.Blocking, []byte{1, 2}, -5) })
+			mustPanic(t, "negative recv count", "negative count", func() { ep.PostRecv(1, 0, CtxPt2Pt, nil, -1) })
+			mustPanic(t, "negative put count", "negative count", func() { ep.PutBulk(1, 0, 0, 0, nil, -1, core.Blocking) })
+			mustPanic(t, "negative get count", "negative count", func() { ep.GetBulk(1, 0, 0, 0, nil, -1, core.Blocking) })
+			mustPanic(t, "negative accumulate count", "negative count", func() { ep.AccumulateSend(1, 0, 0, nil, -1, AccSum) })
 		},
 		func(ep *Endpoint) {})
 }
 
-func mustPanic(t *testing.T, name string, f func()) {
+// mustPanic fails unless f panics with the package's own "adi: " message
+// naming want: a runtime error, or a malformed request rejected deeper
+// down, does not count as the entry point's validation.
+func mustPanic(t *testing.T, name, want string, f func()) {
 	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Errorf("%s: expected panic", name)
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "adi: ") || !strings.Contains(msg, want) {
+			t.Errorf("%s: want an adi: panic naming %q, got %q", name, want, msg)
 		}
 	}()
 	f()

@@ -19,51 +19,85 @@ import (
 // srqPrepost is the number of receive WRs kept posted on an endpoint's SRQ.
 const srqPrepost = 128
 
-// Conn is the per-peer connection state of an endpoint: either a set of
-// rails (QPs spread over ports and HCAs) or a shared-memory link.
+// Conn is one rank's half of a wired rank pair: the sequencing every
+// channel shares plus exactly one channel. An intra-node peer's channel is
+// the outbound shared-memory link sh; an inter-node peer's is the embedded
+// rcChannel over the pair's rails (zero for an intra-node peer). Eager and
+// RTS envelopes take sendSeq on either channel and are dispatched in
+// recvSeqNext order, so MPI's non-overtaking rule holds across rails and
+// across the eager ring and the send/recv window (DESIGN.md §21).
 type Conn struct {
-	peer  int
-	rails []*ib.QP    // inter-node rails, each nil until first posted on (railQP); nil for intra-node peers
-	qpn   int         // first of the pair's 2·len(rails) reserved QPNs (buildRails)
-	sh    *shmem.Link // outbound shared-memory link; nil for inter-node
-	sched core.ConnState
-
+	peer        int
 	sendSeq     uint64
 	recvSeqNext uint64
 	ooo         map[uint64]*envelope // sequenced envelopes arrived early
-	ctrlRR      int                  // round-robin cursor for control messages
 
-	// Credit-based flow control (inter-node conns only): every channel
-	// message consumes one of the peer's preposted receives; the peer
-	// returns credits piggybacked or, when half the pool is owed, via an
-	// explicit envCredit message (itself credit-exempt).
-	credits     int
-	owed        int // credits to return to the peer
-	creditQueue sim.Ring[pendingEnvelope]
-
-	// RDMA-write eager ring state (Options.EagerProto = EagerRDMAWrite;
-	// nil otherwise): the sender-side ring view toward this peer, the
-	// header cache of its envelope signatures, and the freed slots of the
-	// peer's reverse ring owed back (the mirror of owed).
-	ring     *eagerRing
-	hdr      *hdrCache
-	ringOwed int
-
-	// railWait parks work requests while every rail of the connection is
-	// dead; a rail recovery drains it in order.
-	railWait []deferredWR
-
-	// health is the per-rail reliability state machine, allocated only when
-	// World.EnableReliability arms the self-healing layer (nil otherwise).
-	health []railHealth
-
-	// rateScratch backs sched.Rates, the per-rail link-rate scale fed to
-	// the weighted planner while any rail runs degraded (nil when uniform,
-	// which keeps fault-free planning on the memoized plan cache).
-	rateScratch []float64
+	sh *shmem.Link // intra-node channel; nil for inter-node peers
+	rcChannel
 }
 
-// pendingEnvelope is a channel message stalled on an empty credit pool.
+// rcChannel is the inter-node channel of a connection: the pair's RC rails
+// and everything that rides them. The rail policy sees only rails and
+// sched, through pickRail and planBulk.
+type rcChannel struct {
+	rails  []*ib.QP // each nil until first posted on (railQP)
+	qpn    int      // first of the pair's 2·len(rails) reserved QPNs (buildRails)
+	sched  core.ConnState
+	ctrlRR int // round-robin cursor for control messages
+
+	// credit is the send/recv window: every channel message consumes one
+	// of the peer's preposted receives. A message that finds it empty
+	// waits in queue until credits return.
+	credit window
+	queue  sim.Ring[pendingEnvelope]
+
+	ring *eagerRing // RDMA-write eager ring toward the peer (ring.go); nil unless negotiated
+	rel  *connRel   // reliability-layer state (relOf); nil until the armed layer first needs it
+}
+
+// window is one flow-control domain of an RC channel: the send/recv
+// credits or the eager ring's slots. The sender takes one credit per
+// message; the receiver owes one back per message it consumes and returns
+// them piggybacked on any reverse message (give) or, once half the window
+// is owed, in an explicit envCredit message of their own (consumed).
+type window struct {
+	avail int // credits this side may spend
+	owed  int // credits owed back to the peer
+	half  int // owed count that triggers an explicit return
+}
+
+// newWindow returns a full window of n credits.
+func newWindow(n int) window { return window{avail: n, half: max(1, n/2)} }
+
+// take spends one credit, reporting false when none is left.
+func (w *window) take() bool {
+	if w.avail <= 0 {
+		return false
+	}
+	w.avail--
+	return true
+}
+
+// give moves the owed credits into *n, an envelope's return field: every
+// outgoing message piggybacks both windows' owed credits. A nil window (no
+// ring) owes nothing.
+func (w *window) give(n *int) {
+	if w != nil {
+		*n += w.owed
+		w.owed = 0
+	}
+}
+
+// window returns the window a message travels under: the ring's slots for
+// a ring write (nil without a ring), the send/recv credits otherwise.
+func (c *rcChannel) window(ring bool) *window {
+	if ring {
+		return c.ring.window()
+	}
+	return &c.credit
+}
+
+// pendingEnvelope is a channel message stalled on an empty credit window.
 type pendingEnvelope struct {
 	rail   int
 	env    *envelope
@@ -75,7 +109,7 @@ type pendingEnvelope struct {
 // latency-critical: cycling them across rails keeps them from queueing
 // behind bulk RDMA writes on any one QP (head-of-line blocking would stall
 // the peer's rendezvous pipeline).
-func (c *Conn) ctrlRail() int {
+func (c *rcChannel) ctrlRail() int {
 	r := c.ctrlRR % len(c.rails)
 	c.ctrlRR = (r + 1) % len(c.rails)
 	if d := c.sched.Dead; d != 0 {
@@ -84,6 +118,30 @@ func (c *Conn) ctrlRail() int {
 		}
 	}
 	return r
+}
+
+// pickRail returns the rail of an eager message: its lane's rail (stepped
+// off dead rails) when it carries a lane hint, else the policy's pick.
+func (ep *Endpoint) pickRail(c *rcChannel, class core.Class, n, lane int) int {
+	if lane != NoLane {
+		return core.LaneRail(lane, len(c.rails), c.sched.Dead)
+	}
+	return ep.policy.PickEager(class, n, len(c.rails), &c.sched)
+}
+
+// planBulk stripes an n-byte bulk transfer over the channel's rails: one
+// stripe pinned to the lane's rail (steered off dead rails against this
+// endpoint's own mask) when the transfer carries a lane hint, else the
+// policy's plan at the rails' current link rates.
+func (ep *Endpoint) planBulk(conn *Conn, class core.Class, n, lane int) []core.Stripe {
+	c := &conn.rcChannel
+	if lane != NoLane {
+		plan := c.sched.LanePlan(lane, len(c.rails), n)
+		ep.trace(trace.KindLanePin, conn.peer, n, plan[0].Rail)
+		return plan
+	}
+	ep.refreshRailRates(c)
+	return ep.policy.PlanBulk(class, n, len(c.rails), &c.sched)
 }
 
 // Rails reports the number of rails of this connection (0 for shmem),
@@ -124,12 +182,11 @@ type Endpoint struct {
 	Rank int
 	w    *World // wires connections on first use (conn)
 
-	eng        *sim.Engine
-	m          *model.Params
-	realm      *ib.Realm
-	policy     core.Policy
-	rndv       RndvProto
-	eagerProto EagerProto
+	eng    *sim.Engine
+	m      *model.Params
+	realm  *ib.Realm
+	policy core.Policy
+	rndv   RndvProto
 
 	cq  *ib.CQ
 	srq *ib.SRQ
@@ -371,6 +428,7 @@ func (ep *Endpoint) postSend(peer, tag, ctxID int, class core.Class, data []byte
 	if !classIsValid(class) {
 		panic("adi: invalid communication class")
 	}
+	checkCount(n)
 	if data != nil && len(data) < n {
 		panic("adi: send buffer shorter than count")
 	}
@@ -398,6 +456,7 @@ func (ep *Endpoint) postSend(peer, tag, ctxID int, class core.Class, data []byte
 // PostRecv posts a receive of up to n bytes from src (AnySource allowed)
 // with the given tag (AnyTag allowed) and context.
 func (ep *Endpoint) PostRecv(src, tag, ctxID int, buf []byte, n int) *Request {
+	checkCount(n)
 	if buf != nil && len(buf) < n {
 		panic("adi: receive buffer shorter than count")
 	}
@@ -406,7 +465,7 @@ func (ep *Endpoint) PostRecv(src, tag, ctxID int, buf []byte, n int) *Request {
 	// Unexpected queue first, in arrival order (MPI matching rule).
 	if env := ep.unexIx.takeFor(req); env != nil {
 		ep.stats.UnexpectedHits++
-		ep.consumeUnexpected(req, env)
+		ep.matched(req, env)
 		ep.pool.put(env)
 		return req
 	}
@@ -414,6 +473,15 @@ func (ep *Endpoint) PostRecv(src, tag, ctxID int, buf []byte, n int) *Request {
 	ep.postSeq++
 	ep.recvIx.add(req)
 	return req
+}
+
+// checkCount panics on a negative byte count, which would otherwise
+// complete a receive with a negative Status.Count or slice out of range
+// deep in a send path.
+func checkCount(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("adi: negative count %d", n))
+	}
 }
 
 // capture copies the first n bytes of data into a pooled payload view — the
@@ -446,9 +514,9 @@ func (ep *Endpoint) sendSelf(req *Request) {
 	ep.handleMatchable(env)
 }
 
-// consumeUnexpected completes or advances a receive matched from the
-// unexpected queue.
-func (ep *Endpoint) consumeUnexpected(req *Request, env *envelope) {
+// matched completes or advances a receive matched with an eager or RTS
+// envelope, posted first or found on the unexpected queue.
+func (ep *Endpoint) matched(req *Request, env *envelope) {
 	switch env.kind {
 	case envEager:
 		ep.deliverEager(req, env)
@@ -478,11 +546,7 @@ func (ep *Endpoint) progressOnce() bool {
 		// A parked torn ring slot has settled: re-poll it (second pass over
 		// the slot array) and run the consume path it was diverted from.
 		ep.charge(ep.m.RingPollCost)
-		conn := ep.conns[env.src]
-		ep.creditArrived(conn, env.credits)
-		ep.ringCreditArrived(conn, env.ringCredits)
-		ep.ringConsumed(conn)
-		ep.inbound(env)
+		ep.received(env)
 		return true
 	}
 	if cqe, ok := ep.cq.Poll(); ok {
@@ -501,31 +565,14 @@ func (ep *Endpoint) progressOnce() bool {
 				// the per-peer slot arrays, not by reaping a completion:
 				// charge the (cheaper) poll cost.
 				ep.charge(ep.m.RingPollCost)
-				if ep.ringTornGuard(env) {
-					ep.srq.PostRecv(ib.RecvWR{})
-					return true
-				}
 			} else {
 				ep.charge(ep.m.CPUCompletion)
 			}
+			parked := ep.tornGuard(env)
 			ep.srq.PostRecv(ib.RecvWR{}) // replenish the prepost pool
-			conn := ep.conns[env.src]
-			if conn != nil && conn.sh == nil {
-				ep.creditArrived(conn, env.credits)
-				ep.ringCreditArrived(conn, env.ringCredits)
-				if env.kind == envCredit || env.kind == envProbe {
-					// Credit returns and health probes are control-plane
-					// traffic: credit-exempt, unsequenced, consumed here.
-					ep.pool.put(env)
-					return true
-				}
-				if env.ring {
-					ep.ringConsumed(conn)
-				} else {
-					ep.consumedRecv(conn)
-				}
+			if !parked {
+				ep.received(env)
 			}
-			ep.inbound(env)
 		} else {
 			ep.charge(ep.m.CPUCompletion)
 			if pr, ok := ep.probes[cqe.WRID]; ok {
@@ -673,28 +720,38 @@ func (ep *Endpoint) inbound(env *envelope) {
 	}
 }
 
-// sendEnvelope transmits a channel message (anything carried by an OpSend:
-// eager data, RTS/CTS/FIN/DONE, message-based RMA), consuming one credit
-// and piggybacking any owed credits. With the pool empty the message waits
-// in the connection's credit queue. The WR borrows the envelope's payload
-// view; the envelope outlives the WR (it is freed by the receiver after
-// delivery), so no extra reference is needed even across retransmissions.
-func (ep *Endpoint) sendEnvelope(conn *Conn, rail int, env *envelope, wireN int, posted *Request) {
-	if conn.credits <= 0 {
-		ep.stats.CreditStalls++
-		conn.creditQueue.Push(pendingEnvelope{rail, env, wireN, posted})
+// received runs the consume path of an inbound channel message: the
+// credits it returns are booked, and it owes the peer one credit of the
+// window it travelled under. Credit returns and health probes are
+// control-plane traffic: credit-exempt, unsequenced, consumed here.
+func (ep *Endpoint) received(env *envelope) {
+	conn := ep.conns[env.src]
+	ep.creditsArrived(conn, env)
+	if env.kind == envCredit || env.kind == envProbe {
+		ep.pool.put(env)
 		return
 	}
-	conn.credits--
-	env.credits += conn.owed
-	conn.owed = 0
-	env.ringCredits += conn.ringOwed
-	conn.ringOwed = 0
-	wr := ib.SendWR{
-		WRID: ep.nextWRID(), Op: ib.OpSend,
-		Data: env.pay.Bytes(), N: wireN,
-		Signaled: true, Ctx: env,
+	ep.consumed(conn, env)
+	ep.inbound(env)
+}
+
+// sendEnvelope transmits a channel message (anything carried by an OpSend:
+// eager data, RTS/CTS/FIN/DONE, message-based RMA; or an eager ring write,
+// whose slot wr already names), taking one credit of the window it travels
+// under and piggybacking every owed credit. With the send/recv window empty
+// the message waits in the channel's queue; the ring admits a message only
+// with a free slot. The WR borrows the envelope's payload view; the
+// envelope outlives the WR (it is freed by the receiver after delivery), so
+// no extra reference is needed even across retransmissions.
+func (ep *Endpoint) sendEnvelope(conn *Conn, rail int, env *envelope, wr *ib.SendWR, posted *Request) {
+	if !conn.window(env.ring).take() {
+		ep.stats.CreditStalls++
+		conn.queue.Push(pendingEnvelope{rail, env, wr.N, posted})
+		return
 	}
+	conn.credit.give(&env.credits)
+	conn.window(true).give(&env.ringCredits)
+	wr.WRID, wr.Data, wr.Signaled, wr.Ctx = ep.nextWRID(), env.pay.Bytes(), true, env
 	if env.kind == envEager {
 		// Eager data is payload: it consults the port's corruption plan.
 		// Control envelopes (RTS/CTS/FIN, credits, probes, message-based
@@ -702,38 +759,52 @@ func (ep *Endpoint) sendEnvelope(conn *Conn, rail int, env *envelope, wireN int,
 		// can always reintegrate.
 		wr.Payload, wr.NoCorrupt = true, env.noCorrupt
 	}
-	ep.post(conn, rail, wr, posted)
+	ep.post(conn, rail, *wr, posted)
 }
 
-// creditArrived books returned credits and drains any stalled messages.
-func (ep *Endpoint) creditArrived(conn *Conn, n int) {
-	if n <= 0 {
-		return
+// sendCtrl sends a rendezvous control message on the next control rail.
+func (ep *Endpoint) sendCtrl(conn *Conn, env *envelope) {
+	ep.sendEnvelope(conn, conn.ctrlRail(), env, &ib.SendWR{N: ep.m.CtrlMsgBytes}, nil)
+	ep.stats.CtrlMsgs++
+}
+
+// creditsArrived books the credits an inbound message returns and sends
+// the messages that stalled on the send/recv window. Nothing stalls on the
+// ring — a full ring falls back to the send/recv window instead.
+func (ep *Endpoint) creditsArrived(conn *Conn, env *envelope) {
+	if env.credits > 0 {
+		conn.credit.avail += env.credits
+		for conn.queue.Len() > 0 && conn.credit.avail > 0 {
+			pe := conn.queue.Pop()
+			ep.sendEnvelope(conn, pe.rail, pe.env, &ib.SendWR{N: pe.wireN}, pe.posted)
+		}
 	}
-	conn.credits += n
-	for conn.creditQueue.Len() > 0 && conn.credits > 0 {
-		pe := conn.creditQueue.Pop()
-		ep.sendEnvelope(conn, pe.rail, pe.env, pe.wireN, pe.posted)
+	if w := conn.window(true); w != nil {
+		w.avail += env.ringCredits
 	}
 }
 
-// consumedRecv accounts one processed inbound channel message and returns
-// credits explicitly once half the pool is owed and no reverse traffic has
-// carried them back.
-func (ep *Endpoint) consumedRecv(conn *Conn) {
-	conn.owed++
-	if conn.owed < ep.m.EagerCredits/2 {
+// consumed owes the peer one credit of the window env travelled under and
+// returns that window's owed credits explicitly once half of it is owed and
+// no reverse traffic has carried them back.
+func (ep *Endpoint) consumed(conn *Conn, env *envelope) {
+	w := conn.window(env.ring)
+	if w.owed++; w.owed < w.half {
 		return
 	}
-	env := ep.pool.get()
-	env.kind, env.src, env.credits = envCredit, ep.Rank, conn.owed
-	conn.owed = 0
+	cr := ep.pool.get()
+	cr.kind, cr.src = envCredit, ep.Rank
+	if env.ring {
+		w.give(&cr.ringCredits)
+	} else {
+		w.give(&cr.credits)
+	}
 	ep.charge(ep.m.CPUPostWQE + ep.m.DoorbellTime)
 	// Credit messages are exempt from flow control: the receiver reserves
 	// prepost slack for them (srqPrepost exceeds the credit pool).
 	ep.post(conn, conn.ctrlRail(), ib.SendWR{
 		WRID: ep.nextWRID(), Op: ib.OpSend,
-		N: ep.m.CtrlMsgBytes, Signaled: true, Ctx: env,
+		N: ep.m.CtrlMsgBytes, Signaled: true, Ctx: cr,
 	}, nil)
 	ep.stats.CreditUpdates++
 }
@@ -763,12 +834,7 @@ func (ep *Endpoint) dispatchSequenced(env *envelope) {
 func (ep *Endpoint) handleMatchable(env *envelope) {
 	ep.charge(ep.m.CPUHeaderProc)
 	if req := ep.recvIx.match(env); req != nil {
-		switch env.kind {
-		case envEager:
-			ep.deliverEager(req, env)
-		case envRTS:
-			ep.matchRTS(req, env)
-		}
+		ep.matched(req, env)
 		ep.pool.put(env)
 		return
 	}
@@ -835,7 +901,7 @@ func (ep *Endpoint) post(conn *Conn, rail int, wr ib.SendWR, posted *Request) {
 		if lr := d.NextLive(rail, len(conn.rails)); lr >= 0 {
 			rail = lr
 		} else {
-			conn.railWait = append(conn.railWait, deferredWR{wr, posted})
+			conn.rel.railWait = append(conn.rel.railWait, deferredWR{wr, posted})
 			return
 		}
 	}
@@ -907,6 +973,39 @@ func (ep *Endpoint) newStripe(st stripe) uint64 {
 	wrid := ep.nextWRID()
 	ep.onComplete[wrid] = st
 	return wrid
+}
+
+// postStripes posts one RDMA write or read per stripe of plan, each
+// completing through a copy of the record st. A write sends a retained
+// sub-view of the request's wrapped source buffer (no stripe copy exists
+// anywhere, and a stripe retransmitted after a rail death still holds its
+// own live reference on the source bytes); a read lands in the request's
+// own buffer. Stripe s targets remote offset base+s.Off under rkey.
+func (ep *Endpoint) postStripes(conn *Conn, plan []core.Stripe, st stripe, op ib.Opcode, rkey uint32, base int, kind trace.Kind) {
+	req := st.req
+	req.writesLeft = len(plan)
+	for _, s := range plan {
+		var chunk []byte
+		if op == ib.OpRDMARead {
+			if req.data != nil {
+				chunk = req.data[s.Off : s.Off+s.N]
+			}
+			ep.stats.StripesRead++
+		} else {
+			if !req.owner.Zero() {
+				st.sv = req.owner.Slice(s.Off, s.N).Retain()
+				chunk = st.sv.Bytes()
+			}
+			ep.stats.StripesSent++
+		}
+		ep.charge(ep.m.CPUPostWQE + ep.m.DoorbellTime)
+		ep.post(conn, s.Rail, ib.SendWR{
+			WRID: ep.newStripe(st), Op: op,
+			Data: chunk, N: s.N, RKey: rkey, RemoteOff: base + s.Off,
+			Signaled: true, Payload: true, NoCorrupt: req.noCorrupt,
+		}, nil)
+		ep.trace(kind, conn.peer, s.N, s.Rail)
+	}
 }
 
 // stripeDone completes a WR through its record, which the caller has

@@ -174,7 +174,46 @@ func (ep *Endpoint) nackNoticed(cqe ib.CQE) {
 		return
 	}
 	ep.trace(trace.KindIntegrityNack, fl.conn.peer, fl.wr.N, fl.rail)
-	if ep.rel != nil && fl.conn.health != nil {
+	if ep.rel != nil {
 		ep.strike(fl.conn, fl.rail)
 	}
+}
+
+// ---- torn-write consume guard ----
+//
+// The historical consume path trusted the doorbell: an immediate-data
+// arrival meant the slot's payload was in place. A torn write — the doorbell
+// outrunning the payload body of an eager ring slot (ring.go), the only
+// torn-write candidate — would hand the application a stale tail. With
+// integrity armed the slot format carries a consistency marker (the wire
+// header's trailing sequence byte, re-checked after copy-out); a mismatch
+// parks the envelope and re-polls the slot until the payload settles, which
+// the model expresses as the slot's tornAt instant.
+
+// tornGuard reports whether a polled arrival is still inconsistent, parking
+// the envelope for the settle instant. Only armed integrity modes see a
+// nonzero tornAt: disarmed runs deliver the stale-tail image instead.
+func (ep *Endpoint) tornGuard(env *envelope) bool {
+	if env.tornAt == 0 || env.tornAt <= ep.eng.Now() {
+		env.tornAt = 0
+		return false
+	}
+	ep.stats.TornRepolls++
+	ep.trace(trace.KindTornRepoll, env.src, env.size, -1)
+	ep.tornWait = append(ep.tornWait, env)
+	at := env.tornAt
+	ep.eng.Post(at, func() { ep.wake() })
+	return true
+}
+
+// tornReadyEnv pops the next parked envelope whose slot has settled, if any.
+func (ep *Endpoint) tornReadyEnv() *envelope {
+	if len(ep.tornWait) == 0 || ep.tornWait[0].tornAt > ep.eng.Now() {
+		return nil
+	}
+	env := ep.tornWait[0]
+	ep.tornWait[0] = nil
+	ep.tornWait = ep.tornWait[1:]
+	env.tornAt = 0
+	return env
 }

@@ -1,7 +1,6 @@
 package adi
 
 import (
-	"ib12x/internal/buf"
 	"ib12x/internal/core"
 	"ib12x/internal/ib"
 	"ib12x/internal/sim"
@@ -85,6 +84,7 @@ func (ep *Endpoint) WaitWindowOps(id int, total int64) {
 // guaranteed. `counted` reports whether the op must be counted toward the
 // fence's message-based expectation at the target.
 func (ep *Endpoint) PutBulk(peer, winID int, rkey uint32, off int, data []byte, n int, class core.Class) (req *Request, counted bool) {
+	checkCount(n)
 	req = ep.newRequest()
 	req.send, req.peer, req.n = true, peer, n
 	if peer == ep.Rank {
@@ -114,26 +114,8 @@ func (ep *Endpoint) PutBulk(peer, winID int, rkey uint32, off int, data []byte, 
 		req.owner = ep.bufs.WrapTagged(data[:n], "rma-owner")
 	}
 	ep.chargeRegistration(peer, data, n)
-	ep.refreshRailRates(conn)
-	plan := ep.policy.PlanBulk(class, n, len(conn.rails), &conn.sched)
-	req.writesLeft = len(plan)
-	for _, s := range plan {
-		var chunk []byte
-		var sv buf.View
-		if !req.owner.Zero() {
-			sv = req.owner.Slice(s.Off, s.N).Retain()
-			chunk = sv.Bytes()
-		}
-		ep.charge(ep.m.CPUPostWQE + ep.m.DoorbellTime)
-		wrid := ep.newStripe(stripe{kind: stripePut, req: req, sv: sv})
-		ep.post(conn, s.Rail, ib.SendWR{
-			WRID: wrid, Op: ib.OpRDMAWrite,
-			Data: chunk, N: s.N, RKey: rkey, RemoteOff: off + s.Off,
-			Signaled: true, Payload: true,
-		}, nil)
-		ep.stats.StripesSent++
-		ep.trace(trace.KindRMA, peer, s.N, s.Rail)
-	}
+	plan := ep.planBulk(conn, class, n, NoLane)
+	ep.postStripes(conn, plan, stripe{kind: stripePut, req: req}, ib.OpRDMAWrite, rkey, off, trace.KindRMA)
 	return req, false
 }
 
@@ -141,8 +123,9 @@ func (ep *Endpoint) PutBulk(peer, winID int, rkey uint32, off int, data []byte, 
 // buf. Inter-node targets use striped RDMA reads; intra-node targets a
 // request/response message pair.
 func (ep *Endpoint) GetBulk(peer, winID int, rkey uint32, off int, buf []byte, n int, class core.Class) *Request {
+	checkCount(n)
 	req := ep.newRequest()
-	req.peer, req.n = peer, n
+	req.peer, req.n, req.data = peer, n, buf
 	if peer == ep.Rank {
 		win := ep.windows[winID]
 		if win.buf != nil && buf != nil {
@@ -153,31 +136,14 @@ func (ep *Endpoint) GetBulk(peer, winID int, rkey uint32, off int, buf []byte, n
 	}
 	conn := ep.conn(peer)
 	if conn.sh != nil {
-		req.data = buf
 		env := ep.pool.get()
 		env.kind, env.src, env.size, env.winID, env.off, env.rreq = envGetReq, ep.Rank, n, winID, off, req
 		ep.sendRMAMsg(conn, env, nil, 0)
 		return req
 	}
 	ep.chargeRegistration(peer, buf, n)
-	ep.refreshRailRates(conn)
-	plan := ep.policy.PlanBulk(class, n, len(conn.rails), &conn.sched)
-	req.writesLeft = len(plan)
-	for _, s := range plan {
-		var chunk []byte
-		if buf != nil {
-			chunk = buf[s.Off : s.Off+s.N]
-		}
-		ep.charge(ep.m.CPUPostWQE + ep.m.DoorbellTime)
-		wrid := ep.newStripe(stripe{kind: stripeGet, req: req})
-		ep.post(conn, s.Rail, ib.SendWR{
-			WRID: wrid, Op: ib.OpRDMARead,
-			Data: chunk, N: s.N, RKey: rkey, RemoteOff: off + s.Off,
-			Signaled: true, Payload: true,
-		}, nil)
-		ep.stats.StripesRead++
-		ep.trace(trace.KindRMA, peer, s.N, s.Rail)
-	}
+	plan := ep.planBulk(conn, class, n, NoLane)
+	ep.postStripes(conn, plan, stripe{kind: stripeGet, req: req}, ib.OpRDMARead, rkey, off, trace.KindRMA)
 	return req
 }
 
@@ -185,6 +151,7 @@ func (ep *Endpoint) GetBulk(peer, winID int, rkey uint32, off int, buf []byte, n
 // window. Always message-based: the target CPU performs the combine during
 // its progress. Returns whether the op counts toward fence expectations.
 func (ep *Endpoint) AccumulateSend(peer, winID int, off int, data []byte, n int, op AccOp) bool {
+	checkCount(n)
 	if peer == ep.Rank {
 		applyAccumulate(ep.windows[winID], off, data, n, op)
 		return false // self ops apply synchronously; not fence-counted
@@ -260,21 +227,15 @@ func (ep *Endpoint) sendRMAMsg(conn *Conn, env *envelope, data []byte, n int) {
 	if data != nil {
 		ep.charge(sim.TransferTime(int64(n), ep.m.EagerCopyRate))
 	}
-	env.seq = conn.sendSeq
-	conn.sendSeq++
 	if conn.sh != nil {
-		env.shm = true
-		senderDone := conn.sh.Send(pay, n, env)
-		if d := senderDone - ep.eng.Now(); d > 0 {
-			ep.proc.Sleep(d)
-		}
-		ep.stats.ShmemSent++
+		ep.shmemSend(conn, env, pay, n)
 		return
 	}
-	env.pay = pay
+	env.pay, env.seq = pay, conn.sendSeq
+	conn.sendSeq++
 	ep.charge(ep.m.CPUHeaderProc + ep.m.CPUPostWQE + ep.m.DoorbellTime)
-	rail := ep.policy.PickEager(core.NonBlocking, n, len(conn.rails), &conn.sched)
-	ep.sendEnvelope(conn, rail, env, n+ep.m.MPIHeaderBytes, nil)
+	rail := ep.pickRail(&conn.rcChannel, core.NonBlocking, n, NoLane)
+	ep.sendEnvelope(conn, rail, env, &ib.SendWR{N: n + ep.m.MPIHeaderBytes}, nil)
 	ep.stats.EagerSent++
 }
 
@@ -285,14 +246,8 @@ func (ep *Endpoint) handleRMA(env *envelope) {
 		panic("adi: RMA op for unknown window")
 	}
 	switch env.kind {
-	case envPut:
-		if win.buf != nil && !env.pay.Zero() {
-			copy(win.buf[env.off:env.off+env.size], env.pay.Bytes()[:env.size])
-		}
-		ep.charge(sim.TransferTime(int64(env.size), ep.m.EagerCopyRate))
-		win.processed++
-		win.w.WakeAll()
-	case envAccum:
+	case envPut, envAccum:
+		// A put is an accumulate under AccReplace, its accOp's zero value.
 		applyAccumulate(win, env.off, env.pay.Bytes(), env.size, env.accOp)
 		ep.charge(sim.TransferTime(int64(env.size), ep.m.EagerCopyRate))
 		win.processed++

@@ -2,7 +2,6 @@ package adi
 
 import (
 	"ib12x/internal/buf"
-	"ib12x/internal/core"
 	"ib12x/internal/ib"
 	"ib12x/internal/sim"
 	"ib12x/internal/trace"
@@ -12,38 +11,42 @@ import (
 
 // sendEager captures the payload into a pooled view — the one copy of the
 // eager path — and ships it whole on the rail the policy picks. The request
-// completes immediately (buffered send semantics, as in MVAPICH). Under
-// EagerRDMAWrite the message rides the per-peer ring (ring.go) when it
-// fits; otherwise — ring full, oversized, or torn down — it falls through
-// to the send/recv channel below.
+// completes immediately (buffered send semantics, as in MVAPICH). A message
+// the connection's eager ring admits (ring.go) is written into a ring slot;
+// any other — no ring, ring full, oversized, or torn down — takes the
+// send/recv window.
 func (ep *Endpoint) sendEager(conn *Conn, req *Request) {
-	if ep.eagerProto == EagerRDMAWrite && ep.sendEagerRing(conn, req) {
-		return
-	}
+	c := &conn.rcChannel
 	env := ep.pool.get()
 	env.kind, env.src, env.tag, env.ctxID = envEager, ep.Rank, req.tag, req.ctxID
-	env.size, env.seq = req.n, conn.sendSeq
-	env.noCorrupt = req.noCorrupt
+	env.size, env.seq, env.noCorrupt = req.n, conn.sendSeq, req.noCorrupt
 	conn.sendSeq++
+	wr, rail := ib.SendWR{N: req.n + ep.m.MPIHeaderBytes}, -1
+	env.ring = ep.ringAdmit(c, req, &wr)
 	if req.data != nil {
 		env.pay = ep.capture(req.data, req.n, "eager")
 		ep.charge(sim.TransferTime(int64(req.n), ep.m.EagerCopyRate))
 	}
+	// The order trap (DESIGN.md §21): a ring slot is aimed before the
+	// capture-time checksum charge, the send/recv rail picked after it.
+	// Under IntegrityVerify the charge is a sleep, during which the
+	// reliability layer can mark a rail dead.
+	if env.ring {
+		rail = ep.pickRail(c, req.class, req.n, req.lane)
+		ep.ringSlot(c, &wr, rail, req.peer)
+	}
 	ep.stampPayloadCRC(env, req.n)
-	var rail int
-	if req.lane != NoLane {
-		rail = core.LaneRail(req.lane, len(conn.rails), conn.sched.Dead)
-	} else {
-		rail = ep.policy.PickEager(req.class, req.n, len(conn.rails), &conn.sched)
+	if rail < 0 {
+		rail = ep.pickRail(c, req.class, req.n, req.lane)
 	}
 	ep.charge(ep.m.CPUHeaderProc + ep.m.CPUPostWQE + ep.m.DoorbellTime)
 	ep.trace(trace.KindEager, req.peer, req.n, rail)
 	req.status = Status{Source: ep.Rank, Tag: req.tag, Count: req.n}
 	// Buffered-send semantics: the request completes as soon as the
 	// descriptor reaches the hardware. If the send queue is full or the
-	// credit pool is empty, it completes when the stall drains (so a Wait
+	// credit window is empty, it completes when the stall drains (so a Wait
 	// keeps progress alive).
-	ep.sendEnvelope(conn, rail, env, req.n+ep.m.MPIHeaderBytes, req)
+	ep.sendEnvelope(conn, rail, env, &wr, req)
 	ep.stats.EagerSent++
 }
 
@@ -128,25 +131,13 @@ func (ep *Endpoint) sendRTS(conn *Conn, req *Request) {
 	conn.sched.Outstanding++
 	ep.charge(ep.m.CPUHeaderProc + ep.m.CPUPostWQE + ep.m.DoorbellTime)
 	ep.trace(trace.KindRTS, req.peer, req.n, -1)
-	ep.sendEnvelope(conn, conn.ctrlRail(), env, ep.m.CtrlMsgBytes, nil)
+	ep.sendCtrl(conn, env)
 	ep.stats.RendezvousSent++
-	ep.stats.CtrlMsgs++
 }
 
-// matchRTS routes a matched RTS to the rendezvous engine in force.
+// matchRTS accepts a matched RTS — the transfer is the message truncated
+// to the receive — and routes it to the rendezvous engine in force.
 func (ep *Endpoint) matchRTS(req *Request, env *envelope) {
-	if ep.rndv == RndvRead {
-		ep.startRead(req, env)
-		return
-	}
-	ep.sendCTS(req, env)
-}
-
-// startRead runs at the receiver under RndvRead: it pulls the sender's
-// buffer with RDMA reads striped per the policy (using the sender's marker
-// class, carried in the RTS) and then releases the sender with a DONE
-// control message.
-func (ep *Endpoint) startRead(req *Request, env *envelope) {
 	xfer := env.size
 	if xfer > req.n {
 		xfer = req.n
@@ -158,38 +149,26 @@ func (ep *Endpoint) startRead(req *Request, env *envelope) {
 	if env.hasCRC {
 		req.crc, req.crcSet = env.crc, true
 	}
+	if ep.rndv == RndvRead {
+		ep.startRead(req, env, xfer)
+		return
+	}
+	ep.sendCTS(req, env, xfer)
+}
 
+// startRead runs at the receiver under RndvRead: it pulls the sender's
+// buffer with RDMA reads striped per the policy (using the sender's marker
+// class, carried in the RTS) and then releases the sender with a DONE
+// control message.
+func (ep *Endpoint) startRead(req *Request, env *envelope, xfer int) {
 	conn := ep.conns[env.src]
 	// The receiver's pull targets its own buffer: registration is charged
-	// before any read posts.
+	// before any read posts. A lane-hinted transfer reads on the sender's
+	// lane.
 	ep.chargeRegistration(env.src, req.data, xfer)
-	var plan []core.Stripe
-	if env.lane != NoLane {
-		// Lane-hinted transfer: a single read pinned to the sender's lane
-		// (steered off dead rails against this endpoint's own mask).
-		plan = conn.sched.LanePlan(env.lane, len(conn.rails), xfer)
-		ep.trace(trace.KindLanePin, env.src, xfer, plan[0].Rail)
-	} else {
-		ep.refreshRailRates(conn)
-		plan = ep.policy.PlanBulk(env.class, xfer, len(conn.rails), &conn.sched)
-	}
-	req.writesLeft = len(plan)
-	sreq := env.sreq
-	for _, s := range plan {
-		var chunk []byte
-		if req.data != nil {
-			chunk = req.data[s.Off : s.Off+s.N]
-		}
-		ep.charge(ep.m.CPUPostWQE + ep.m.DoorbellTime)
-		wrid := ep.newStripe(stripe{kind: stripeRndvRead, req: req, peer: sreq, conn: conn})
-		ep.post(conn, s.Rail, ib.SendWR{
-			WRID: wrid, Op: ib.OpRDMARead,
-			Data: chunk, N: s.N, RKey: env.rkey, RemoteOff: s.Off,
-			Signaled: true, Payload: true,
-		}, nil)
-		ep.stats.StripesRead++
-		ep.trace(trace.KindStripeRead, env.src, s.N, s.Rail)
-	}
+	plan := ep.planBulk(conn, env.class, xfer, env.lane)
+	ep.postStripes(conn, plan, stripe{kind: stripeRndvRead, req: req, peer: env.sreq, conn: conn},
+		ib.OpRDMARead, env.rkey, 0, trace.KindStripeRead)
 }
 
 // finishRead completes the receive and releases the sender.
@@ -198,8 +177,7 @@ func (ep *Endpoint) finishRead(conn *Conn, req, sreq *Request) {
 	done := ep.pool.get()
 	done.kind, done.src, done.sreq = envDone, ep.Rank, sreq
 	ep.charge(ep.m.CPUHeaderProc + ep.m.CPUPostWQE + ep.m.DoorbellTime)
-	ep.sendEnvelope(conn, conn.ctrlRail(), done, ep.m.CtrlMsgBytes, nil)
-	ep.stats.CtrlMsgs++
+	ep.sendCtrl(conn, done)
 	req.done = true
 }
 
@@ -221,31 +199,18 @@ func (ep *Endpoint) handleDone(env *envelope) {
 
 // sendCTS runs at the receiver when an RTS matches a posted receive: it
 // registers the destination buffer and grants the sender an RDMA target.
-func (ep *Endpoint) sendCTS(req *Request, env *envelope) {
-	xfer := env.size
-	if xfer > req.n {
-		xfer = req.n
-		req.status.Err = ErrTruncated
-	}
+func (ep *Endpoint) sendCTS(req *Request, env *envelope, xfer int) {
 	// The destination buffer becomes an RDMA target: the receiver pays the
 	// pin-down charge before granting the key.
 	ep.chargeRegistration(env.src, req.data, xfer)
 	mr := ep.realm.RegisterMR(req.data, xfer)
 	req.mrKey = mr.RKey
-	req.status.Source = env.src
-	req.status.Tag = env.tag
-	req.status.Count = xfer
-	if env.hasCRC {
-		req.crc, req.crcSet = env.crc, true
-	}
-
 	cts := ep.pool.get()
 	cts.kind, cts.src, cts.sreq, cts.rreq, cts.rkey, cts.xfer = envCTS, ep.Rank, env.sreq, req, mr.RKey, xfer
 	conn := ep.conns[env.src]
 	ep.charge(ep.m.CPUHeaderProc + ep.m.CPUPostWQE + ep.m.DoorbellTime)
 	ep.trace(trace.KindCTS, env.src, xfer, -1)
-	ep.sendEnvelope(conn, conn.ctrlRail(), cts, ep.m.CtrlMsgBytes, nil)
-	ep.stats.CtrlMsgs++
+	ep.sendCtrl(conn, cts)
 }
 
 // handleCTS runs at the sender: the communication scheduler consults the
@@ -260,35 +225,9 @@ func (ep *Endpoint) handleCTS(env *envelope) {
 	// Every stripe of this message reads the source buffer: the whole
 	// region's first touch pays its registration before any WR posts.
 	ep.chargeRegistration(env.src, sreq.data, env.xfer)
-	var plan []core.Stripe
-	if sreq.lane != NoLane {
-		// Lane-hinted transfer: a single write pinned to the lane's rail
-		// (steered off dead rails against this endpoint's own mask).
-		plan = conn.sched.LanePlan(sreq.lane, len(conn.rails), env.xfer)
-		ep.trace(trace.KindLanePin, env.src, env.xfer, plan[0].Rail)
-	} else {
-		ep.refreshRailRates(conn)
-		plan = ep.policy.PlanBulk(sreq.class, env.xfer, len(conn.rails), &conn.sched)
-	}
-	sreq.writesLeft = len(plan)
-	rreq, rkey := env.rreq, env.rkey
-	for _, s := range plan {
-		var chunk []byte
-		var sv buf.View
-		if !sreq.owner.Zero() {
-			sv = sreq.owner.Slice(s.Off, s.N).Retain()
-			chunk = sv.Bytes()
-		}
-		ep.charge(ep.m.CPUPostWQE + ep.m.DoorbellTime)
-		wrid := ep.newStripe(stripe{kind: stripeRndvWrite, req: sreq, peer: rreq, conn: conn, sv: sv})
-		ep.post(conn, s.Rail, ib.SendWR{
-			WRID: wrid, Op: ib.OpRDMAWrite,
-			Data: chunk, N: s.N, RKey: rkey, RemoteOff: s.Off,
-			Signaled: true, Ctx: nil, Payload: true, NoCorrupt: sreq.noCorrupt,
-		}, nil)
-		ep.stats.StripesSent++
-		ep.trace(trace.KindStripeWrite, env.src, s.N, s.Rail)
-	}
+	plan := ep.planBulk(conn, sreq.class, env.xfer, sreq.lane)
+	ep.postStripes(conn, plan, stripe{kind: stripeRndvWrite, req: sreq, peer: env.rreq, conn: conn},
+		ib.OpRDMAWrite, env.rkey, 0, trace.KindStripeWrite)
 }
 
 // finishRendezvous runs at the sender when the last stripe completes: the
@@ -298,8 +237,7 @@ func (ep *Endpoint) finishRendezvous(conn *Conn, sreq, rreq *Request) {
 	fin := ep.pool.get()
 	fin.kind, fin.src, fin.rreq = envFIN, ep.Rank, rreq
 	ep.charge(ep.m.CPUHeaderProc + ep.m.CPUPostWQE + ep.m.DoorbellTime)
-	ep.sendEnvelope(conn, conn.ctrlRail(), fin, ep.m.CtrlMsgBytes, nil)
-	ep.stats.CtrlMsgs++
+	ep.sendCtrl(conn, fin)
 	ep.trace(trace.KindFIN, conn.peer, 0, -1)
 	conn.sched.Outstanding--
 	sreq.owner.Release()
@@ -329,15 +267,23 @@ func (ep *Endpoint) handleFIN(env *envelope) {
 // releases it after delivery.
 func (ep *Endpoint) sendShmem(conn *Conn, req *Request) {
 	env := ep.pool.get()
-	env.kind, env.src, env.tag, env.ctxID = envEager, ep.Rank, req.tag, req.ctxID
-	env.size, env.seq, env.shm = req.n, conn.sendSeq, true
+	env.kind, env.src, env.tag, env.ctxID, env.size = envEager, ep.Rank, req.tag, req.ctxID, req.n
+	ep.shmemSend(conn, env, ep.capture(req.data, req.n, "shmem"), req.n)
+	ep.trace(trace.KindShmem, req.peer, req.n, -1)
+	req.status = Status{Source: ep.Rank, Tag: req.tag, Count: req.n}
+	req.done = true
+}
+
+// shmemSend sequences an envelope onto the connection's shared-memory link
+// with its n-byte payload view pay (which the receiving endpoint releases
+// after delivery) and blocks the rank until the copy into the shared buffer
+// completes.
+func (ep *Endpoint) shmemSend(conn *Conn, env *envelope, pay buf.View, n int) {
+	env.seq, env.shm = conn.sendSeq, true
 	conn.sendSeq++
-	senderDone := conn.sh.Send(ep.capture(req.data, req.n, "shmem"), req.n, env)
+	senderDone := conn.sh.Send(pay, n, env)
 	if d := senderDone - ep.eng.Now(); d > 0 {
 		ep.proc.Sleep(d)
 	}
 	ep.stats.ShmemSent++
-	ep.trace(trace.KindShmem, req.peer, req.n, -1)
-	req.status = Status{Source: ep.Rank, Tag: req.tag, Count: req.n}
-	req.done = true
 }

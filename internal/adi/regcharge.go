@@ -1,6 +1,8 @@
 package adi
 
 import (
+	"slices"
+
 	"ib12x/internal/regcache"
 	"ib12x/internal/trace"
 )
@@ -37,32 +39,22 @@ func (ep *Endpoint) chargeRegistration(peer int, data []byte, n int) {
 func (ep *Endpoint) RegCache() *regcache.Cache { return ep.reg }
 
 // refreshRailRates feeds each rail's current link rate — possibly chaos-
-// degraded — into the connection's scheduling state before a bulk plan, as
+// degraded — into the channel's scheduling state before a bulk plan, as
 // the per-rail scale relative to the model's raw rate. The uniform case (no
-// degradation anywhere) keeps Rates nil, so healthy planning still hits the
-// memoized plan cache and allocates nothing; only a degraded fabric pays for
-// fresh rate-weighted plans.
-func (ep *Endpoint) refreshRailRates(conn *Conn) {
-	if len(conn.rails) == 0 {
-		return
-	}
+// degradation anywhere) leaves Rates empty, so healthy planning still hits
+// the memoized plan cache and allocates nothing; only a degraded fabric pays
+// for fresh rate-weighted plans. Rates keeps its backing array once made.
+func (ep *Endpoint) refreshRailRates(c *rcChannel) {
 	raw := ep.m.LinkRawRate
-	uniform := true
-	for i := range conn.rails {
+	rates := c.sched.Rates[:0]
+	for i := range c.rails {
 		if ep.railPort(i).EffectiveRate() != raw {
-			uniform = false
+			rates = slices.Grow(rates, len(c.rails))
+			for r := range c.rails {
+				rates = append(rates, ep.railPort(r).EffectiveRate()/raw)
+			}
 			break
 		}
 	}
-	if uniform {
-		conn.sched.Rates = nil
-		return
-	}
-	if conn.rateScratch == nil {
-		conn.rateScratch = make([]float64, len(conn.rails))
-	}
-	for i := range conn.rails {
-		conn.rateScratch[i] = ep.railPort(i).EffectiveRate() / raw
-	}
-	conn.sched.Rates = conn.rateScratch
+	c.sched.Rates = rates
 }

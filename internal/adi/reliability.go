@@ -139,6 +139,25 @@ type railHealth struct {
 	expired bool // scratch: a WR on this rail blew its deadline this scan
 }
 
+// connRel is an inter-node connection's reliability-layer state, made by
+// relOf when the armed layer first books evidence against one of the
+// connection's rails: a connection that never sees a fault, or a run that
+// never arms the layer, pays one nil pointer for it.
+type connRel struct {
+	health []railHealth // per-rail state machine
+	// railWait parks work requests while every rail of the connection is
+	// dead; a rail recovery drains it in order.
+	railWait []deferredWR
+}
+
+// relOf returns the channel's reliability state, making it on first use.
+func (c *rcChannel) relOf() *connRel {
+	if c.rel == nil {
+		c.rel = &connRel{health: make([]railHealth, len(c.rails))}
+	}
+	return c.rel
+}
+
 // probeRef remembers which rail an outstanding probe WR is testing.
 type probeRef struct {
 	conn *Conn
@@ -221,15 +240,16 @@ func (ep *Endpoint) healthScan() {
 	now := ep.eng.Now()
 	for _, fl := range ep.inflight {
 		if fl.deadline != 0 && now > fl.deadline {
-			fl.conn.health[fl.rail].expired = true
+			fl.conn.relOf().health[fl.rail].expired = true
 		}
 	}
 	for _, conn := range ep.wired {
-		if conn.health == nil {
+		rel := conn.rel
+		if rel == nil {
 			continue
 		}
-		for rail := range conn.health {
-			h := &conn.health[rail]
+		for rail := range rel.health {
+			h := &rel.health[rail]
 			if !h.expired {
 				continue
 			}
@@ -242,7 +262,7 @@ func (ep *Endpoint) healthScan() {
 // strike books one deadline strike against a rail, moving it up → suspect
 // and suspect → quarantined at the configured threshold.
 func (ep *Endpoint) strike(conn *Conn, rail int) {
-	h := &conn.health[rail]
+	h := &conn.relOf().health[rail]
 	if h.state != railHealthy && h.state != railSuspect {
 		return // already quarantined or probing
 	}
@@ -264,7 +284,7 @@ func (ep *Endpoint) strike(conn *Conn, rail int) {
 // reroutes the dead QP's deferred backlog onto survivors, and arms the probe
 // schedule that will eventually reintegrate it. Idempotent per episode.
 func (ep *Endpoint) quarantine(conn *Conn, rail int) {
-	h := &conn.health[rail]
+	h := &conn.relOf().health[rail]
 	if h.state == railQuarantined || h.state == railProbing {
 		return
 	}
@@ -273,7 +293,6 @@ func (ep *Endpoint) quarantine(conn *Conn, rail int) {
 	ep.stats.RailQuarantines++
 	ep.trace(trace.KindRailQuarantine, conn.peer, 0, rail)
 	conn.sched.Dead.MarkDown(rail)
-	conn.ringDown()
 	if qp := conn.rails[rail]; qp != nil { // an unbuilt rail has nothing deferred
 		if b, ok := ep.backlog[qp.QPN]; ok {
 			delete(ep.backlog, qp.QPN)
@@ -290,7 +309,7 @@ func (ep *Endpoint) quarantine(conn *Conn, rail int) {
 // scheduleProbe books the next probe attempt on the rail's backoff schedule.
 func (ep *Endpoint) scheduleProbe(conn *Conn, rail int) {
 	key := uint64(conn.peer)<<16 | uint64(rail)
-	delay := ep.backoffDelay(ep.rel.ProbeBase, ep.rel.ProbeMax, conn.health[rail].attempt, key)
+	delay := ep.backoffDelay(ep.rel.ProbeBase, ep.rel.ProbeMax, conn.relOf().health[rail].attempt, key)
 	ep.eng.Post(ep.eng.Now()+delay, func() { ep.probeTick(conn, rail) })
 }
 
@@ -303,7 +322,7 @@ func (ep *Endpoint) probeTick(conn *Conn, rail int) {
 	if ep.eng.LiveProcs() == 0 {
 		return // job finished; stop probing so the run can drain
 	}
-	h := &conn.health[rail]
+	h := &conn.relOf().health[rail]
 	if h.state != railQuarantined {
 		return // reintegrated (or probing) since this timer was set
 	}
@@ -333,7 +352,7 @@ func (ep *Endpoint) probeTick(conn *Conn, rail int) {
 // probeCompleted consumes a probe CQE: success reintegrates the rail,
 // a flush sends it back to quarantine with a longer backoff.
 func (ep *Endpoint) probeCompleted(conn *Conn, rail int, ok bool) {
-	h := &conn.health[rail]
+	h := &conn.relOf().health[rail]
 	if h.state != railProbing {
 		return
 	}
@@ -349,17 +368,16 @@ func (ep *Endpoint) probeCompleted(conn *Conn, rail int, ok bool) {
 // reintegrate returns a recovered rail to every planner's mask and replays
 // work requests that parked while all rails of the connection were dead.
 func (ep *Endpoint) reintegrate(conn *Conn, rail int) {
-	h := &conn.health[rail]
+	h := &conn.relOf().health[rail]
 	h.state = railHealthy
 	h.strikes = 0
 	h.attempt = 0
 	ep.stats.RailReintegrations++
 	ep.trace(trace.KindRailReintegrate, conn.peer, 0, rail)
 	conn.sched.Dead.MarkUp(rail)
-	conn.ringArm()
-	if len(conn.railWait) > 0 {
-		q := conn.railWait
-		conn.railWait = nil
+	if rel := conn.relOf(); len(rel.railWait) > 0 {
+		q := rel.railWait
+		rel.railWait = nil
 		for _, d := range q {
 			ep.post(conn, rail, d.wr, d.posted)
 		}
@@ -370,7 +388,7 @@ func (ep *Endpoint) reintegrate(conn *Conn, rail int) {
 // railFailed books hard evidence against a rail (a flushed WR or a rejected
 // post) and quarantines it immediately.
 func (ep *Endpoint) railFailed(conn *Conn, rail int) {
-	if conn.health == nil || rail < 0 || rail >= len(conn.health) {
+	if ep.rel == nil || rail < 0 || rail >= len(conn.rails) {
 		return
 	}
 	ep.quarantine(conn, rail)

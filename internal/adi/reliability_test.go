@@ -82,7 +82,7 @@ func TestHealthStateMachine(t *testing.T) {
 	_, w := relWorld(ReliabilityConfig{SuspectAfter: 3})
 	ep := w.Endpoints[0]
 	conn := ep.conn(1)
-	h := &conn.health[1]
+	h := &conn.relOf().health[1]
 
 	ep.strike(conn, 1)
 	if h.state != railSuspect || h.strikes != 1 {

@@ -1,0 +1,21 @@
+package adi
+
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestConnSize pins the size of a connection half. A wired pair is one
+// [2]Conn record (DESIGN.md §21): at 240 bytes a half, the record takes the
+// 480-byte size class, where the four channels side by side took 312 bytes
+// a half and the 640-byte class. A pair that uses neither the eager ring
+// nor the reliability layer pays one nil pointer for each. A change of size
+// updates this test, the comment on Conn's fields and DESIGN §21 together.
+func TestConnSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Conn{}); got != 240 {
+		t.Errorf("unsafe.Sizeof(Conn{}) = %d, want 240", got)
+	}
+}

@@ -114,11 +114,6 @@ func (w *World) EnableReliability(cfg ReliabilityConfig) {
 	for _, ep := range w.Endpoints {
 		ep.rel = rc
 		ep.probes = make(map[uint64]probeRef)
-		for _, conn := range ep.wired { // wired before arming; connect covers the rest
-			if conn.sh == nil && len(conn.rails) > 0 {
-				conn.health = make([]railHealth, len(conn.rails))
-			}
-		}
 		ep.startHealthTimer()
 	}
 }
@@ -194,7 +189,6 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 	for r := 0; r < n; r++ {
 		ep := newEndpoint(r, eng, m, realm, policy, opt.Rndv, pool, w.bufs)
 		ep.w = w
-		ep.eagerProto = opt.EagerProto
 		ep.integrity = opt.Integrity
 		ep.tr = opt.Trace
 		if opt.RegCache != nil {
@@ -216,11 +210,10 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 }
 
 // connect wires the rank pair i < j, both halves at once: a shared-memory
-// link each way within a node, or the slots of `Rails()` QP pairs between
-// nodes (plus the eager ring and header cache each way under
-// EagerRDMAWrite, and the rail health arrays once the reliability layer is
-// armed). A rail's QP pair is built when something first posts on it
-// (buildRails).
+// link each way within a node, or an RC channel each way between nodes —
+// the slots of `Rails()` QP pairs, the send/recv window, the eager ring
+// under EagerRDMAWrite (negotiateRings). A rail's QP pair is built when
+// something first posts on it (buildRails).
 //
 // An inter-node pair costs two allocations here whatever its rail count:
 // one record holding both Conns and one array backing both halves' rail
@@ -229,10 +222,7 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 func (w *World) connect(i, j int) {
 	epi, epj := w.Endpoints[i], w.Endpoints[j]
 	m, opt, cl := w.M, &w.opt, w.Cluster
-	pair := &[2]Conn{
-		{peer: j, sched: core.ConnState{Bound: opt.BindRail(i, j)}, credits: m.EagerCredits},
-		{peer: i, sched: core.ConnState{Bound: opt.BindRail(j, i)}, credits: m.EagerCredits},
-	}
+	pair := &[2]Conn{{peer: j}, {peer: i}}
 	ci, cj := &pair[0], &pair[1]
 	if cl.SameNode(i, j) {
 		ci.sh = shmem.New(w.Eng, m)
@@ -242,21 +232,10 @@ func (w *World) connect(i, j int) {
 	} else {
 		nr := cl.Spec.Rails()
 		rails := make([]*ib.QP, 2*nr)
-		ci.rails, cj.rails = rails[:nr:nr], rails[nr:]
-		ci.qpn = w.Realm.ReserveQPNs(2 * nr)
-		cj.qpn = ci.qpn
-		if opt.EagerProto == EagerRDMAWrite {
-			// Connect-time ring negotiation: each direction gets its own
-			// slot array at the receiver and header cache at the sender.
-			ci.ring = newEagerRing(w.Realm, m)
-			cj.ring = newEagerRing(w.Realm, m)
-			ci.hdr = newHdrCache(m.HdrCacheSlots)
-			cj.hdr = newHdrCache(m.HdrCacheSlots)
-		}
-		if w.rel != nil {
-			h := make([]railHealth, 2*nr)
-			ci.health, cj.health = h[:nr:nr], h[nr:]
-		}
+		qpn := w.Realm.ReserveQPNs(2 * nr)
+		ci.rcChannel = rcChannel{rails: rails[:nr:nr], qpn: qpn, sched: core.ConnState{Bound: opt.BindRail(i, j)}, credit: newWindow(m.EagerCredits)}
+		cj.rcChannel = rcChannel{rails: rails[nr:], qpn: qpn, sched: core.ConnState{Bound: opt.BindRail(j, i)}, credit: newWindow(m.EagerCredits)}
+		w.negotiateRings(ci, cj)
 	}
 	epi.addConn(ci)
 	epj.addConn(cj)

@@ -33,8 +33,8 @@ func TestWorldRailWiring(t *testing.T) {
 				if conn.Rails() != wantRails {
 					t.Errorf("conn %d->%d: %d rails, want %d", i, j, conn.Rails(), wantRails)
 				}
-				if conn.credits != model.Default().EagerCredits {
-					t.Errorf("conn %d->%d: credits = %d", i, j, conn.credits)
+				if conn.credit.avail != model.Default().EagerCredits {
+					t.Errorf("conn %d->%d: credits = %d", i, j, conn.credit.avail)
 				}
 			}
 		}

@@ -144,12 +144,13 @@ type ConnState struct {
 	// and the striping planners re-plan over the survivors.
 	Dead RailMask
 
-	// Rates, when non-nil, is each rail's current link-rate scale relative
-	// to the nominal rate (1.0 = healthy; the ADI layer refreshes it from
-	// hca.Port.EffectiveRate before bulk planning). The weighted planner
-	// multiplies its configured weights by it, so a chaos-degraded but
-	// alive rail carries proportionally less traffic. nil means uniform —
-	// the fault-free fast path, which keeps the memoized plan cache valid.
+	// Rates, when not empty, is each rail's current link-rate scale
+	// relative to the nominal rate (1.0 = healthy; the ADI layer refreshes
+	// it from hca.Port.EffectiveRate before bulk planning). The weighted
+	// planner multiplies its configured weights by it, so a chaos-degraded
+	// but alive rail carries proportionally less traffic. Empty means
+	// uniform — the fault-free fast path, which keeps the memoized plan
+	// cache valid.
 	Rates []float64
 
 	// scratch backs whole-message (single-stripe) plans so the policies
@@ -439,7 +440,7 @@ func (p *weightedPolicy) PickEager(_ Class, _, rails int, st *ConnState) int {
 }
 
 func (p *weightedPolicy) PlanBulk(_ Class, size, rails int, st *ConnState) []Stripe {
-	if st.Rates != nil {
+	if len(st.Rates) > 0 {
 		// Degraded fabric: plans depend on the momentary rail rates, so the
 		// (size, rails, dead)-keyed cache cannot serve them. Compute fresh.
 		return maskedWeightedRates(size, rails, p.minStripe, p.weights, st.Rates, st.Dead)
