@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check race fuzz cover benchcheck figs scale soak bench simbench perf reproduce extra clean
+.PHONY: all build test vet check race fuzz cover benchcheck figs scale soak bench simbench perf ab reproduce extra clean
 
 all: vet test build
 
@@ -110,6 +110,17 @@ simbench:
 perf:
 	bash benchmark/run.sh -seed 1
 	$(GO) run ./cmd/benchhist
+
+# Host-time A/B against a revision: N alternating pairs of benchmark runs per
+# workload, SECONDS timed seconds each, the parent built from REV in a
+# temporary worktree (about 14 minutes for all six at the defaults), e.g.
+#   make ab REV=HEAD~1 WORKLOADS=p2p_bw,coll_mix
+N ?= 10
+SECONDS ?= 5
+WORKLOADS ?=
+ab:
+	@test -n "$(REV)" || { echo "usage: make ab REV=<rev> [N=10] [SECONDS=5] [WORKLOADS=a,b]"; exit 2; }
+	$(GO) run ./cmd/benchab -n $(N) -seconds $(SECONDS) $(if $(WORKLOADS),-workloads $(WORKLOADS)) $(REV)
 
 # Regenerate every figure of the paper (takes a few minutes: class-B NAS).
 reproduce:

@@ -36,7 +36,11 @@ import (
 // postHeadroom allocations per extra pair, so a flow that keeps its
 // pipeline state after its WQE, or a rail build that allocates per rail,
 // shows. (internal/adi's TestRailsOnFirstPost checks which rails such a
-// pair builds.)
+// pair builds.) The Window pair streams twice as many windows of 64
+// non-blocking requests that are waited on and never released, and may cost
+// one allocation per full request block the extra requests fill: requests
+// come from blocks of 63, so a request allocated on its own shows 63 times
+// over.
 func TestAllocationInvariants(t *testing.T) {
 	rows := []struct {
 		name     string
@@ -47,10 +51,10 @@ func TestAllocationInvariants(t *testing.T) {
 		flat     bool   // parity without the 10 % allowance
 		leak     string // what a parity failure means
 	}{
-		{name: "Fig04", body: fig04, recorded: 1020},
-		{name: "Fig06", body: fig06(mpi.Config{}), recorded: 11104},
-		{name: "Fig07", body: fig07, recorded: 6613},
-		{name: "Fig08", body: fig08, recorded: 1643},
+		{name: "Fig04", body: fig04, recorded: 969},
+		{name: "Fig06", body: fig06(mpi.Config{}), recorded: 2563},
+		{name: "Fig07", body: fig07, recorded: 1155},
+		{name: "Fig08", body: fig08, recorded: 1497},
 		{name: "Fig06/integrity", body: fig06(mpi.Config{Integrity: adi.IntegrityVerify}),
 			base: "Fig06", headroom: 512, leak: "checksum capture or verify allocates per payload"},
 		{name: "Fig06/three-tier", body: fig06(mpi.Config{NodesPerSwitch: 1, Tiers: 3, SpinesPerPod: 2, Routing: fabric.RouteAdaptive}),
@@ -67,6 +71,9 @@ func TestAllocationInvariants(t *testing.T) {
 		{name: "Posts/N", body: postPairs(wiredPairs)},
 		{name: "Posts/2N", body: postPairs(2 * wiredPairs), base: "Posts/N", headroom: postHeadroom * wiredPairs, flat: true,
 			leak: "a pair that carried one eager message holds per-rail or per-flow state"},
+		{name: "Window/N", body: windowStream(streamWindows)},
+		{name: "Window/2N", body: windowStream(2 * streamWindows), base: "Window/N", headroom: windowHeadroom, flat: true,
+			leak: "a non-blocking request is allocated on its own"},
 	}
 	// The collector stays off while counting. A cycle empties every
 	// sync.Pool (fmt's printer cache among them), so the next Sprintf
@@ -163,13 +170,14 @@ func wirePairs(n int) figBody {
 	}
 }
 
-// postHeadroom is what the Posts/2N row may cost per extra pair, 12.5 of
+// postHeadroom is what the Posts/2N row may cost per extra pair, 9.6 of
 // which it needs: the Conn record, the rail array and the one rail's QP
 // block its message builds (3), and the first message of two fresh
-// endpoints (a request each, each CQ's ring, the receive index's buckets,
-// timer and queue slots). With a flow's pipeline state kept per flow it
-// needed 15.5: a ring, an xfer and a pool slice more.
-const postHeadroom = 13
+// endpoints (each CQ's ring, the receive index's buckets, timer and queue
+// slots). While each endpoint carved its own requests it needed 12.5, under
+// a headroom of 13; with a flow's pipeline state kept per flow it needed
+// 15.5: a ring, an xfer and a pool slice more.
+const postHeadroom = 10
 
 // postPairs builds wirePairs' 16-rail world and has n disjoint inter-node
 // rank pairs exchange one 0-byte eager message each, the traffic a drain
@@ -193,6 +201,41 @@ func postPairs(n int) figBody {
 			}
 		})
 		return nil, eng.Run()
+	}
+}
+
+// streamWindows is the Window/N row's window count, and streamWindow the
+// requests each of its two ranks posts per window.
+const streamWindows, streamWindow = 8, 64
+
+// windowHeadroom is what the Window/2N row may cost over Window/N: one
+// block of 63 requests (a full sim.Slab block of adi.Request) per 63 extra
+// requests, rounded up, and 8 for the event queue. A run twice as long
+// crosses one more power of two of virtual time, and the radix bucket that
+// crossing fills grows by append to the run's queue depth, once.
+const windowHeadroom = (2*streamWindows*streamWindow+62)/63 + 8
+
+// windowStream is the paper's bandwidth test between two nodes: n windows of
+// streamWindow synthetic 16 KB IsendN on rank 0 and IrecvN on rank 1, each
+// window closed by Waitall. Like benchmark/'s p2p_bw it never releases a
+// request.
+func windowStream(n int) figBody {
+	return func() ([]float64, error) {
+		const size = 16 << 10
+		_, err := mpi.Run(mpi.Config{Nodes: 2}, func(c *mpi.Comm) {
+			reqs := make([]*mpi.Request, streamWindow)
+			for w := 0; w < n; w++ {
+				for i := range reqs {
+					if c.Rank() == 0 {
+						reqs[i] = c.IsendN(1, 0, nil, size)
+					} else {
+						reqs[i] = c.IrecvN(0, 0, nil, size)
+					}
+				}
+				c.Waitall(reqs)
+			}
+		})
+		return nil, err
 	}
 }
 

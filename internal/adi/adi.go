@@ -53,18 +53,17 @@ type Status struct {
 const NoLane = -1
 
 type Request struct {
-	ep   *Endpoint
-	send bool
-	done bool
+	ep *Endpoint
 
-	// Matching fields (receive side) / envelope fields (send side).
+	// Matching fields (receive side) / envelope fields (send side). Once a
+	// receive matches, peer, tag and n are the matched source, tag and byte
+	// count: a request carries no separate status.
 	peer  int // destination (send) or source selector (recv; AnySource ok)
 	tag   int
 	ctxID int
 
-	class core.Class
-	data  []byte // send payload or recv buffer (nil = synthetic)
-	n     int    // send size or recv capacity
+	data []byte // send payload or recv buffer (nil = synthetic)
+	n    int    // send size, or recv capacity until matched
 
 	// lane is the lane-steering hint (NoLane = none): when set, every
 	// transfer of this send — the eager message or all rendezvous bulk
@@ -73,7 +72,7 @@ type Request struct {
 	// each sub-collective on its own rail.
 	lane int
 
-	status Status
+	err error // the receive's completion error (ErrTruncated)
 
 	// postSeq orders posted receives globally on their endpoint; the
 	// matching index uses it to arbitrate between a specific-source bucket
@@ -87,9 +86,12 @@ type Request struct {
 	// Whole-message checksum of a rendezvous transfer (receive side; carried
 	// over from the RTS when integrity is on): checked once the last stripe
 	// is in place, modeling the end-to-end pass over the assembled buffer.
-	crc    uint32
-	crcSet bool
+	crc uint32
 
+	class  core.Class
+	send   bool
+	done   bool
+	crcSet bool // crc holds the RTS's checksum
 	// noCorrupt marks a send initiated inside Endpoint.Shielded: its bytes
 	// are protocol metadata riding the message path, exempt from payload
 	// corruption so chaos plans stay liveness-safe by construction.
@@ -112,8 +114,16 @@ func (r *Request) AtomicOld() uint64 { return r.atomicOld }
 // Done reports whether the operation has completed.
 func (r *Request) Done() bool { return r.done }
 
-// Status returns the receive status; meaningful once Done.
-func (r *Request) Status() Status { return r.status }
+// Status returns the request's status; meaningful once Done. A send's is
+// its own rank, tag and size; a receive's the matched source, tag and byte
+// count, with ErrTruncated if the message was longer than the buffer.
+func (r *Request) Status() Status {
+	src := r.peer
+	if r.send {
+		src = r.ep.Rank
+	}
+	return Status{Source: src, Tag: r.tag, Count: r.n, Err: r.err}
+}
 
 // envKind discriminates protocol envelopes.
 type envKind int

@@ -209,9 +209,8 @@ type Endpoint struct {
 	postSeq uint64    // next receive post-order stamp
 	arrSeq  uint64    // next unexpected arrival-order stamp
 
-	pool    *envPool   // World-shared envelope pool
-	bufs    *buf.Pool  // World-shared payload block pool
-	reqFree []*Request // recycled requests of this endpoint
+	pool *pools    // World-shared envelopes, requests and in-flight records
+	bufs *buf.Pool // World-shared payload block pool
 
 	wrID       uint64
 	onComplete map[uint64]stripe   // completion records of bulk stripes and atomics, by WRID
@@ -226,7 +225,6 @@ type Endpoint struct {
 	// flushed completion can reroute the WR onto a surviving rail of the
 	// same connection and a NACK can name its rail.
 	inflight map[uint64]*inflightWR
-	flFree   []*inflightWR
 
 	// Rail reliability layer (armed by World.EnableReliability): health
 	// state machine config plus the outstanding probe WRs. nil/empty in
@@ -255,7 +253,7 @@ type Endpoint struct {
 // retransmit it elsewhere. With the reliability layer on it also carries the
 // completion deadline the health scan judges the rail by, and the retry
 // attempt driving the retransmit backoff.
-// Records are pooled (flFree): the struct is larger than the runtime's
+// Records are pooled (pools.fls): the struct is larger than the runtime's
 // inline map-value threshold, so storing it by value would heap-allocate on
 // every insert — one allocation per tracked WR on the hot path.
 type inflightWR struct {
@@ -264,16 +262,6 @@ type inflightWR struct {
 	wr       ib.SendWR
 	deadline sim.Time
 	attempt  int
-}
-
-// getFl pops a pooled in-flight record (or makes the pool's first).
-func (ep *Endpoint) getFl() *inflightWR {
-	if n := len(ep.flFree); n > 0 {
-		fl := ep.flFree[n-1]
-		ep.flFree = ep.flFree[:n-1]
-		return fl
-	}
-	return new(inflightWR)
 }
 
 // putFl retires a WR's in-flight record back to the pool, zeroing it so the
@@ -285,12 +273,12 @@ func (ep *Endpoint) putFl(wrid uint64) {
 	}
 	delete(ep.inflight, wrid)
 	*fl = inflightWR{}
-	ep.flFree = append(ep.flFree, fl)
+	ep.pool.fls.Put(fl)
 }
 
 // newEndpoint wires the passive state; connections are added by the World
 // on first use.
-func newEndpoint(rank int, eng *sim.Engine, m *model.Params, realm *ib.Realm, policy core.Policy, rndv RndvProto, pool *envPool, bufs *buf.Pool) *Endpoint {
+func newEndpoint(rank int, eng *sim.Engine, m *model.Params, realm *ib.Realm, policy core.Policy, rndv RndvProto, pool *pools, bufs *buf.Pool) *Endpoint {
 	ep := &Endpoint{
 		Rank:   rank,
 		eng:    eng,
@@ -509,7 +497,6 @@ func (ep *Endpoint) sendSelf(req *Request) {
 		env.pay = ep.capture(req.data, req.n, "self-send")
 		ep.charge(sim.TransferTime(int64(req.n), ep.m.EagerCopyRate))
 	}
-	req.status = Status{Source: ep.Rank, Tag: req.tag, Count: req.n}
 	req.done = true
 	ep.handleMatchable(env)
 }
@@ -642,7 +629,7 @@ func (ep *Endpoint) Wait(req *Request) Status {
 			ep.idle.Wait(ep.proc, whyWaitReq)
 		}
 	}
-	return req.status
+	return req.Status()
 }
 
 // WaitAll blocks until every request completes.
@@ -906,7 +893,7 @@ func (ep *Endpoint) post(conn *Conn, rail int, wr ib.SendWR, posted *Request) {
 		}
 	}
 	if ep.inflight != nil {
-		fl := ep.getFl()
+		fl := ep.pool.fls.Get()
 		fl.conn, fl.rail, fl.wr = conn, rail, wr
 		if ep.rel != nil {
 			fl.deadline = ep.wrDeadline(rail, wr.N)

@@ -139,9 +139,9 @@ func (ep *Endpoint) verifyAssembled(req *Request) {
 	if ep.integrity != IntegrityVerify {
 		return
 	}
-	n := req.status.Count
+	n := req.n
 	ep.charge(ep.checksumTime(n))
-	if !req.crcSet || req.data == nil || req.status.Err != nil {
+	if !req.crcSet || req.data == nil || req.err != nil {
 		return
 	}
 	if buf.Sum(req.data[:n]) != req.crc {

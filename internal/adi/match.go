@@ -1,5 +1,7 @@
 package adi
 
+import "ib12x/internal/sim"
+
 // Indexed tag matching. The seed implementation kept posted-unmatched
 // receives and unexpected envelopes in two flat slices and scanned them
 // linearly on every arrival/post — O(queue length) per message, which
@@ -181,52 +183,43 @@ func cutEnv(q []*envelope, i int) []*envelope {
 	return q[:len(q)-1]
 }
 
-// ---- envelope pool ----
+// ---- object pools ----
 
-// envPool recycles protocol envelopes. Envelopes are allocated at the
-// sending endpoint but consumed (and thus freed) at the receiving one, so
-// the pool is shared per World — the single-threaded engine makes that safe
-// without locks. Payload capacity is recycled separately through the
-// world's buf.Pool, so steady-state eager traffic with real payloads stops
+// pools recycles a world's protocol objects: envelopes, requests and
+// in-flight WR records, each from its own sim.Slab. Envelopes are allocated
+// at the sending endpoint but consumed (and thus freed) at the receiving
+// one, so the pools are shared per World — the single-threaded engine makes
+// that safe without locks. Sharing also lets one block serve every rank: a
+// rank that never holds more than one request does not carve a block of its
+// own. Payload capacity is recycled separately through the world's
+// buf.Pool, so steady-state eager traffic with real payloads stops
 // allocating buffers too.
-type envPool struct {
-	free []*envelope
+type pools struct {
+	envs sim.Slab[envelope]
+	reqs sim.Slab[Request]
+	fls  sim.Slab[inflightWR]
 }
 
-func (p *envPool) get() *envelope {
-	if n := len(p.free); n > 0 {
-		env := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return env
-	}
-	return &envelope{}
-}
+// get takes a zeroed envelope.
+func (p *pools) get() *envelope { return p.envs.Get() }
 
 // put recycles an envelope whose terminal handler has run, releasing the
 // envelope's reference on its payload view (the last one, on the eager and
 // message-RMA paths — the backing block returns to the world's buf.Pool).
-func (p *envPool) put(env *envelope) {
+func (p *pools) put(env *envelope) {
 	env.pay.Release()
 	*env = envelope{}
-	p.free = append(p.free, env)
+	p.envs.Put(env)
 }
-
-// ---- request pool ----
 
 // newRequest returns a zeroed request bound to ep, recycled if possible.
 func (ep *Endpoint) newRequest() *Request {
-	if n := len(ep.reqFree); n > 0 {
-		r := ep.reqFree[n-1]
-		ep.reqFree[n-1] = nil
-		ep.reqFree = ep.reqFree[:n-1]
-		*r = Request{ep: ep, lane: NoLane}
-		return r
-	}
-	return &Request{ep: ep, lane: NoLane}
+	r := ep.pool.reqs.Get()
+	*r = Request{ep: ep, lane: NoLane}
+	return r
 }
 
-// Release returns a completed request to its endpoint's pool. Only code
+// Release returns a completed request to its world's pool. Only code
 // that created the request and can prove no other reference survives — the
 // mpi layer's blocking operations and collective internals — may call it;
 // a released request must never be touched again. Releasing nil is a no-op.
@@ -240,5 +233,5 @@ func (r *Request) Release() {
 	r.owner.Release()
 	ep := r.ep
 	*r = Request{}
-	ep.reqFree = append(ep.reqFree, r)
+	ep.pool.reqs.Put(r)
 }

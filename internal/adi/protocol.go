@@ -41,7 +41,6 @@ func (ep *Endpoint) sendEager(conn *Conn, req *Request) {
 	}
 	ep.charge(ep.m.CPUHeaderProc + ep.m.CPUPostWQE + ep.m.DoorbellTime)
 	ep.trace(trace.KindEager, req.peer, req.n, rail)
-	req.status = Status{Source: ep.Rank, Tag: req.tag, Count: req.n}
 	// Buffered-send semantics: the request completes as soon as the
 	// descriptor reaches the hardware. If the send queue is full or the
 	// credit window is empty, it completes when the stall drains (so a Wait
@@ -64,7 +63,7 @@ func (ep *Endpoint) deliverEager(req *Request, env *envelope) {
 	corrupt := env.hdrTaint || env.flipMask != 0
 	if n > req.n {
 		n = req.n
-		req.status.Err = ErrTruncated
+		req.err = ErrTruncated
 	}
 	if req.data != nil && !env.pay.Zero() {
 		copy(req.data[:n], env.pay.Bytes()[:n])
@@ -84,9 +83,7 @@ func (ep *Endpoint) deliverEager(req *Request, env *envelope) {
 		rate = ep.m.ShmemRate
 	}
 	ep.charge(sim.TransferTime(int64(n), rate))
-	req.status.Source = env.src
-	req.status.Tag = env.tag
-	req.status.Count = n
+	req.peer, req.tag, req.n = env.src, env.tag, n
 	req.done = true
 	ep.trace(trace.KindDeliver, env.src, n, -1)
 }
@@ -141,11 +138,9 @@ func (ep *Endpoint) matchRTS(req *Request, env *envelope) {
 	xfer := env.size
 	if xfer > req.n {
 		xfer = req.n
-		req.status.Err = ErrTruncated
+		req.err = ErrTruncated
 	}
-	req.status.Source = env.src
-	req.status.Tag = env.tag
-	req.status.Count = xfer
+	req.peer, req.tag, req.n = env.src, env.tag, xfer
 	if env.hasCRC {
 		req.crc, req.crcSet = env.crc, true
 	}
@@ -193,7 +188,6 @@ func (ep *Endpoint) handleDone(env *envelope) {
 	}
 	req.owner.Release()
 	req.owner = buf.View{}
-	req.status = Status{Source: ep.Rank, Tag: req.tag, Count: req.n}
 	req.done = true
 }
 
@@ -242,7 +236,6 @@ func (ep *Endpoint) finishRendezvous(conn *Conn, sreq, rreq *Request) {
 	conn.sched.Outstanding--
 	sreq.owner.Release()
 	sreq.owner = buf.View{}
-	sreq.status = Status{Source: ep.Rank, Tag: sreq.tag, Count: sreq.n}
 	sreq.done = true
 }
 
@@ -270,7 +263,6 @@ func (ep *Endpoint) sendShmem(conn *Conn, req *Request) {
 	env.kind, env.src, env.tag, env.ctxID, env.size = envEager, ep.Rank, req.tag, req.ctxID, req.n
 	ep.shmemSend(conn, env, ep.capture(req.data, req.n, "shmem"), req.n)
 	ep.trace(trace.KindShmem, req.peer, req.n, -1)
-	req.status = Status{Source: ep.Rank, Tag: req.tag, Count: req.n}
 	req.done = true
 }
 

@@ -181,10 +181,10 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 	}
 	w := &World{Eng: eng, M: m, Cluster: cluster, Realm: realm, opt: opt}
 	n := spec.Size()
-	// One envelope pool and one payload-block pool per world: both are
-	// allocated at the sender but freed at the receiver, so they must span
-	// endpoints.
-	pool := &envPool{}
+	// One object pool and one payload-block pool per world: envelopes and
+	// payloads are allocated at the sender but freed at the receiver, so
+	// they must span endpoints.
+	pool := &pools{}
 	w.bufs = &buf.Pool{}
 	for r := 0; r < n; r++ {
 		ep := newEndpoint(r, eng, m, realm, policy, opt.Rndv, pool, w.bufs)

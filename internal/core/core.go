@@ -15,7 +15,8 @@ import (
 
 // Class is the communication pattern of a message, as determined by the
 // communication marker in the ADI layer (paper §3.3). EPC dispatches on it.
-type Class int
+// One byte: it rides every request and envelope.
+type Class uint8
 
 // Communication classes.
 const (

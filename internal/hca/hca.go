@@ -118,11 +118,22 @@ type Port struct {
 	wireTail   sim.Time            // arrival of the FIFO's last chunk
 	wireBypass int64               // chunks that overtook the FIFO tail
 
-	// free holds the recycled per-WQE pipeline states of every flow out of
-	// this port, linked through xfer.next. A WQE takes one at post and
-	// gives it back when its ack returns, so the pool is bounded by the
-	// port's peak in-flight WQEs and an idle flow holds none.
-	free *xfer
+	// xfers holds the per-WQE pipeline states. A WQE takes one at post and
+	// gives it back when its ack returns. The ports of one cluster share
+	// the slab (ShareStates), so the pool is bounded by the cluster's peak
+	// in-flight WQEs, a port that holds one WQE at a time carves no block of
+	// its own, and an idle flow or port holds none.
+	xfers *sim.Slab[xfer]
+}
+
+// ShareStates makes p take its per-WQE pipeline states from q's slab;
+// topo.Build shares one slab among all ports of a cluster. A port that
+// shares nothing gets a slab of its own on its first WQE.
+func (p *Port) ShareStates(q *Port) {
+	if q.xfers == nil {
+		q.xfers = new(sim.Slab[xfer])
+	}
+	p.xfers = q.xfers
 }
 
 // Corrupt describes the integrity fault the port's corruption plan assigns
@@ -370,7 +381,7 @@ func (f *Flow) kick() {
 // stageAck recycles them.
 type xfer struct {
 	f         *Flow
-	next      *xfer // the flow's next queued WQE, or the port's next free xfer
+	next      *xfer // the flow's next queued WQE
 	it        flowItem
 	t         Timing
 	chunksOut int  // chunks not yet fully received
@@ -384,21 +395,20 @@ type xfer struct {
 	nextSeq uint64   // post ordinal of the next chunk to release
 }
 
-// getXfer takes a pipeline state for one WQE of f from the port's pool.
+// getXfer takes a pipeline state for one WQE of f from the port's slab.
 func (p *Port) getXfer(f *Flow) *xfer {
-	x := p.free
-	if x == nil {
-		return &xfer{f: f}
+	if p.xfers == nil {
+		p.xfers = new(sim.Slab[xfer])
 	}
-	p.free = x.next
-	x.next, x.f = nil, f
+	x := p.xfers.Get()
+	x.f = f
 	return x
 }
 
-// putXfer returns a finished WQE's pipeline state to the port's pool.
+// putXfer returns a finished WQE's pipeline state to the port's slab.
 func (p *Port) putXfer(x *xfer) {
-	*x = xfer{next: p.free}
-	p.free = x
+	*x = xfer{}
+	p.xfers.Put(x)
 }
 
 // stageHook, when non-nil, sees every pipeline stage event as it fires:

@@ -285,8 +285,8 @@ func TestFlowAccessors(t *testing.T) {
 // TestDrainedFlowHoldsNothing pins a flow's cost at zero once its WQEs
 // complete. One WQE, posted with a pointer ctx and package-level callbacks,
 // runs to completion on each of drainFlows fresh flows of one port in turn.
-// Its pipeline state comes from the port's pool and goes back there at the
-// ack, so the whole sequence allocates O(1) and leaves one pooled xfer and
+// Its pipeline state comes from the port's slab and goes back there at the
+// ack, so the whole sequence allocates O(1) and leaves one released xfer and
 // no queued WQE on any flow. With the state pooled per flow, each flow paid
 // three allocations: its queue's ring, its xfer and its pool's slice (200
 // in all here). A warm-up WQE on flow 0 grows the port's wire FIFO first;
@@ -317,11 +317,7 @@ func TestDrainedFlowHoldsNothing(t *testing.T) {
 	if n := m1.Mallocs - m0.Mallocs; n > budget {
 		t.Errorf("%d allocations for one WQE on each of %d flows, budget %d in all", n, drainFlows, budget)
 	}
-	pooled := 0
-	for x := r.src.free; x != nil; x = x.next {
-		pooled++
-	}
-	if pooled != 1 {
+	if pooled := r.src.xfers.Free(); pooled != 1 {
 		t.Errorf("port pool holds %d xfers after one WQE at a time, want 1", pooled)
 	}
 	for i := range flows {
@@ -332,6 +328,32 @@ func TestDrainedFlowHoldsNothing(t *testing.T) {
 }
 
 func countAck(a any, _ Timing) { *a.(*int)++ }
+
+// TestPortsShareStates checks that ports sharing a pipeline-state slab
+// (ShareStates, as topo.Build shares one per cluster) draw from one pool:
+// a WQE on each port, one after the other, leaves one released state in
+// all.
+func TestPortsShareStates(t *testing.T) {
+	r := newRig(model.Default())
+	r.dst.ShareStates(r.src)
+	if r.src.xfers == nil || r.dst.xfers != r.src.xfers {
+		t.Fatal("the ports do not share one slab")
+	}
+	var out, back Flow
+	r.src.InitFlowAt(&out, r.eng, r.dst, 1)
+	r.dst.InitFlowAt(&back, r.eng, r.src, 2)
+	acks := new(int)
+	out.SendCtx(4096, acks, nil, countAck)
+	r.run(t)
+	back.SendCtx(4096, acks, nil, countAck)
+	r.run(t)
+	if *acks != 2 {
+		t.Fatalf("%d of 2 WQEs acked", *acks)
+	}
+	if n := r.src.xfers.Free(); n != 1 {
+		t.Errorf("shared slab holds %d released states after one WQE per port in turn, want 1", n)
+	}
+}
 
 func TestErrorInjectionRetransmits(t *testing.T) {
 	m := model.Default()

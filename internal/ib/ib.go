@@ -66,8 +66,8 @@ type Realm struct {
 	qpn    int
 	rkey   uint32
 	mrs    map[uint32]*MR
-	mrFree []*MR   // deregistered MR structs, reused by RegisterMR
-	ops    []*wrOp // free list of recycled work-request descriptors
+	mrFree []*MR          // deregistered MR structs, reused by RegisterMR
+	ops    sim.Slab[wrOp] // recycled work-request descriptors
 	stats  RealmStats
 
 	// integrity arms the receiving-HCA ICRC check: tainted payload

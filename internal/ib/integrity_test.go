@@ -13,7 +13,7 @@ import (
 func (r *rig) payloadWrite(t *testing.T, mr *MR, off int, src []byte) *wrOp {
 	t.Helper()
 	o := &wrOp{}
-	r.realm.ops = append(r.realm.ops, o)
+	r.realm.ops.Put(o)
 	err := r.qa.PostSend(SendWR{Op: OpRDMAWrite, Data: src, N: len(src), RKey: mr.RKey,
 		RemoteOff: off, Signaled: true, Payload: true})
 	if err != nil {

@@ -423,7 +423,7 @@ func (q *QP) PostSend(wr SendWR) error {
 	q.realm.stats.BytesSent += int64(wr.N)
 	q.outstanding++
 
-	o := q.realm.getOp()
+	o := q.realm.ops.Get()
 	o.q, o.epoch, o.op = q, q.epoch, wr.Op
 	o.data, o.n, o.off = wr.Data, wr.N, wr.RemoteOff
 	o.imm, o.hasImm, o.ctx = wr.Imm, wr.HasImm, wr.Ctx
@@ -571,19 +571,9 @@ func (o *wrOp) verifyRead(mr *MR) {
 // when the region was deregistered while the WR was in flight.
 func (o *wrOp) region() *MR { return o.q.realm.mrs[o.rkey] }
 
-func (r *Realm) getOp() *wrOp {
-	if n := len(r.ops); n > 0 {
-		o := r.ops[n-1]
-		r.ops[n-1] = nil
-		r.ops = r.ops[:n-1]
-		return o
-	}
-	return &wrOp{}
-}
-
 func (r *Realm) putOp(o *wrOp) {
 	*o = wrOp{}
-	r.ops = append(r.ops, o)
+	r.ops.Put(o)
 }
 
 // opDelivered fires when an OpSend/OpRDMAWrite payload is fully placed in
@@ -694,7 +684,7 @@ func opAcked(a any, _ hca.Timing) {
 // (read responses carry their own completion semantics; the trailing
 // response-path acknowledgment is a negligible modeling artifact).
 func (q *QP) postRead(wr SendWR) {
-	o := q.realm.getOp()
+	o := q.realm.ops.Get()
 	o.q, o.epoch, o.op = q, q.epoch, OpRDMARead
 	o.data, o.n, o.off = wr.Data, wr.N, wr.RemoteOff
 	o.rkey = wr.RKey
@@ -788,7 +778,7 @@ func readRespDelivered(a any, _ hca.Timing) {
 // simulation's event serialization provides the atomicity guarantee the
 // hardware does) and streams the original value back.
 func (q *QP) postAtomic(wr SendWR) {
-	o := q.realm.getOp()
+	o := q.realm.ops.Get()
 	o.q, o.epoch, o.op = q, q.epoch, wr.Op
 	o.off, o.rkey = wr.RemoteOff, wr.RKey
 	o.operand, o.swap = wr.CompareAdd, wr.Swap

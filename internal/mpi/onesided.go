@@ -26,6 +26,9 @@ type Win struct {
 	sentCounted []int64 // message-based ops sent per target this epoch
 	expected    int64   // cumulative message-based ops expected locally
 	freed       bool
+
+	// Fence's count exchange buffers, 8 bytes per rank, reused every epoch.
+	sendB, recvB []byte
 }
 
 // WinCreate collectively exposes buf (length n; nil allowed for synthetic
@@ -38,18 +41,20 @@ func (c *Comm) WinCreate(buf []byte, n int) *Win {
 	// Window ids are namespaced by the communicator's (unique) matching
 	// context so windows of a parent and its Split children never collide
 	// on a shared endpoint.
-	w := &Win{c: c, id: c.ctxP2P<<20 | c.nextWinID, buf: buf, n: n, sentCounted: make([]int64, c.Size())}
+	p := c.Size()
+	w := &Win{c: c, id: c.ctxP2P<<20 | c.nextWinID, buf: buf, n: n, sentCounted: make([]int64, p),
+		sendB: make([]byte, 8*p), recvB: make([]byte, 8*p)}
 	c.nextWinID++
 	rkey := c.ep.RegisterWindow(w.id, buf, n)
 	// Exchange rkeys so any rank can RDMA into any window.
 	mine := make([]byte, 4)
 	mine[0], mine[1], mine[2], mine[3] = byte(rkey), byte(rkey>>8), byte(rkey>>16), byte(rkey>>24)
-	all := make([]byte, 4*c.Size())
+	all := make([]byte, 4*p)
 	// The rkeys are protocol metadata: a corrupted one would wedge or crash
 	// the run, so the exchange is shielded from payload-corruption plans
 	// (liveness-safe chaos by construction; see adi.Shielded).
 	c.ep.Shielded(func() { c.Allgather(mine, 4, all) })
-	w.keys = make([]uint32, c.Size())
+	w.keys = make([]uint32, p)
 	for r := range w.keys {
 		b := all[4*r:]
 		w.keys[r] = uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
@@ -84,9 +89,7 @@ func (w *Win) PutN(target, off int, data []byte, n int) {
 	if counted {
 		w.sentCounted[target]++
 	}
-	if !req.Done() {
-		w.outstanding = append(w.outstanding, req)
-	}
+	w.track(req)
 }
 
 // Get reads len(buf) bytes from target's window at byte offset off.
@@ -95,10 +98,18 @@ func (w *Win) Get(target, off int, buf []byte) { w.GetN(target, off, buf, len(bu
 // GetN is Get with an explicit count and optional buffer.
 func (w *Win) GetN(target, off int, buf []byte, n int) {
 	w.checkAccess(target, off, n)
-	req := w.c.ep.GetBulk(w.c.world(target), w.id, w.keys[target], off, buf, n, core.Blocking)
-	if !req.Done() {
-		w.outstanding = append(w.outstanding, req)
+	w.track(w.c.ep.GetBulk(w.c.world(target), w.id, w.keys[target], off, buf, n, core.Blocking))
+}
+
+// track keeps a Put or Get request for the epoch's Fence to complete and
+// release, or releases it now if it completed at post: no request leaves
+// the window.
+func (w *Win) track(req *Request) {
+	if req.Done() {
+		req.Release()
+		return
 	}
+	w.outstanding = append(w.outstanding, req)
 }
 
 // AccumulateInt64 combines vals element-wise into target's window starting
@@ -135,7 +146,9 @@ func (w *Win) FetchAddInt64(target, offElems int, delta int64) int64 {
 	w.checkAccess(target, off, 8)
 	req := w.c.ep.FetchAtomic(w.c.world(target), w.id, w.keys[target], off, false, uint64(delta), 0)
 	w.c.ep.Wait(req)
-	return int64(req.AtomicOld())
+	old := int64(req.AtomicOld())
+	req.Release()
+	return old
 }
 
 // CompareAndSwapInt64 atomically replaces element offElems of the target's
@@ -146,7 +159,9 @@ func (w *Win) CompareAndSwapInt64(target, offElems int, compare, swap int64) int
 	w.checkAccess(target, off, 8)
 	req := w.c.ep.FetchAtomic(w.c.world(target), w.id, w.keys[target], off, true, uint64(compare), uint64(swap))
 	w.c.ep.Wait(req)
-	return int64(req.AtomicOld())
+	old := int64(req.AtomicOld())
+	req.Release()
+	return old
 }
 
 // ReadInt64 reads element i of the LOCAL window (load from exposed memory).
@@ -171,22 +186,23 @@ func (w *Win) Fence() {
 	// 1. Local + remote completion of RDMA ops (an RC ack implies remote
 	// placement) and of message-based sends.
 	c.ep.WaitAll(w.outstanding)
+	for i, req := range w.outstanding {
+		req.Release()
+		w.outstanding[i] = nil
+	}
 	w.outstanding = w.outstanding[:0]
 
 	// 2. Message-based ops (accumulates, intra-node puts) complete only
 	// when the target applies them: exchange per-target counts and wait
 	// for the expected number locally (the MPICH fence scheme).
-	p := c.Size()
-	sendB := make([]byte, 8*p)
 	for j, v := range w.sentCounted {
-		putU64f(sendB[8*j:], uint64(v))
+		putU64f(w.sendB[8*j:], uint64(v))
 		w.sentCounted[j] = 0
 	}
-	recvB := make([]byte, 8*p)
 	// Shielded: a flipped count would make WaitWindowOps wait forever.
-	c.ep.Shielded(func() { c.Alltoall(sendB, 8, recvB) })
-	for j := 0; j < p; j++ {
-		w.expected += int64(getU64f(recvB[8*j:]))
+	c.ep.Shielded(func() { c.Alltoall(w.sendB, 8, w.recvB) })
+	for j := range w.sentCounted {
+		w.expected += int64(getU64f(w.recvB[8*j:]))
 	}
 	c.ep.WaitWindowOps(w.id, w.expected)
 

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"bytes"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"ib12x/internal/core"
@@ -265,4 +267,43 @@ func TestWinOnSplitCommunicator(t *testing.T) {
 		child.Free()
 		parent.Free()
 	})
+}
+
+// TestWinEpochsMakeNoGarbage runs epochs of every one-sided path (RDMA and
+// shared-memory Put and Get, a Put to self, a fetch-and-add) on two nodes of
+// two ranks, once for epochs and once for twice as many. The extra epochs
+// may allocate one object per extra epoch in all, so garbage per epoch on
+// any of the four ranks shows: a Fence keeps its count buffers on the Win
+// and every request goes back to its endpoint, where Fence used to allocate
+// two buffers per rank and the window kept each bulk request.
+func TestWinEpochsMakeNoGarbage(t *testing.T) {
+	const epochs, n = 16, 64 * 1024
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run := func(k int) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rep := mustRun(t, cfg(2, 2, 2, core.EPC), func(c *Comm) {
+			w := c.WinCreate(nil, 2*n)
+			p, me := c.Size(), c.Rank()
+			for e := 0; e < k; e++ {
+				w.PutN((me+1)%p, 0, nil, n)
+				w.PutN(me, n, nil, 8)
+				w.GetN((me+2)%p, n, nil, n)
+				w.FetchAddInt64(0, 0, 1)
+				w.Fence()
+			}
+			w.Free()
+		})
+		runtime.ReadMemStats(&m1)
+		if live := rep.World.BufLive(); live != 0 {
+			t.Errorf("%d epochs: BufLive() = %d after the run, want 0", k, live)
+		}
+		return m1.Mallocs - m0.Mallocs
+	}
+	run(1) // first-use allocations of the test process
+	base, twice := run(epochs), run(2*epochs)
+	t.Logf("%d epochs: %d allocations, %d epochs: %d", epochs, base, 2*epochs, twice)
+	if twice > base+epochs {
+		t.Errorf("%d extra epochs cost %d allocations, budget %d", epochs, int64(twice)-int64(base), epochs)
+	}
 }

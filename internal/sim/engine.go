@@ -40,8 +40,8 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	free    []*Timer // recycled pooled timer nodes
-	ncancel int      // cancelled timers still queued (lazy compaction)
+	timers  Slab[Timer] // pooled timer nodes
+	ncancel int         // cancelled timers still queued (lazy compaction)
 
 	highWater int // most timers ever queued at once (telemetry)
 

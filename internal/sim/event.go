@@ -31,8 +31,8 @@ package sim
 // Around it:
 //
 //   - Timer nodes for handle-free events (Post, PostCall, Sleep, Yield) come
-//     from a per-engine free list and are recycled as soon as they fire, so
-//     steady-state scheduling allocates nothing;
+//     from a per-engine Slab (slab.go) and are recycled as soon as they
+//     fire, so steady-state scheduling allocates nothing;
 //   - At/After still return a cancellable *Timer handle; those nodes are NOT
 //     pooled (the engine cannot prove the caller dropped the handle, and
 //     recycling under a live handle would let a stale Cancel kill an
@@ -271,15 +271,11 @@ func (e *Engine) pushSeq(tm *Timer, t Time, seq uint64) {
 
 // ---- free list ----
 
-// alloc returns a recycled pooled node, or a fresh one.
+// alloc returns a recycled pooled node, or a fresh one from the slab.
 func (e *Engine) alloc() *Timer {
-	if n := len(e.free); n > 0 {
-		tm := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return tm
-	}
-	return &Timer{pooled: true}
+	tm := e.timers.Get()
+	tm.pooled = true
+	return tm
 }
 
 // recycle returns a fired pooled node to the free list. Escaped (At/After)
@@ -293,7 +289,7 @@ func (e *Engine) recycle(tm *Timer) {
 		return
 	}
 	tm.fn, tm.afn, tm.a, tm.proc = nil, nil, nil, nil
-	e.free = append(e.free, tm)
+	e.timers.Put(tm)
 }
 
 // ---- scheduling ----

@@ -184,6 +184,7 @@ func Build(spec Spec, m *model.Params) *Cluster {
 			max(spec.SpinesPerPod, 1), trunk, spec.Routing, routeSeed)
 	}
 	c := &Cluster{Spec: spec, Model: m, Net: net, Nodes: make([]*Node, spec.Nodes)}
+	var first *hca.Port // every port carves pipeline states from its slab
 	for i := range c.Nodes {
 		n := &Node{ID: i, Bus: gx.New(m.GXRate), HCAs: make([]*hca.HCA, spec.HCAsPerNode)}
 		n.ports = make([]*hca.Port, 0, spec.HCAsPerNode*spec.PortsPerHCA)
@@ -191,6 +192,10 @@ func Build(spec Spec, m *model.Params) *Cluster {
 			hc := hca.New("n"+strconv.Itoa(i)+".hca"+strconv.Itoa(h), spec.PortsPerHCA, n.Bus, m, c.Net)
 			for _, port := range hc.Ports {
 				port.Node = i
+				if first == nil {
+					first = port
+				}
+				port.ShareStates(first)
 			}
 			n.HCAs[h] = hc
 			n.ports = append(n.ports, hc.Ports...)
