@@ -3,6 +3,8 @@ package ib12x
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -78,16 +80,28 @@ func TestAllocationInvariants(t *testing.T) {
 	// The collector stays off while counting. A cycle empties every
 	// sync.Pool (fmt's printer cache among them), so the next Sprintf
 	// allocates afresh: a couple of allocations that land in whichever row
-	// a cycle happens to fall in, enough to tip an exact flat budget. The
-	// rows allocate about 60 MB in all.
+	// a cycle happens to fall in, enough to tip an exact flat budget. A
+	// cycle runs before each sample instead, so the heap holds one sample's
+	// garbage at most.
+	//
+	// Each row is the least of three samples. testing.AllocsPerRun counts
+	// every malloc in the process, and the runtime makes a goroutine
+	// descriptor (malg, and allgadd growing its list) whenever the P that
+	// starts a rank's coroutine has no free one cached: under load, two or
+	// three allocations outside the workload land in a sample. Garbage per
+	// message shows in every sample, so the least still catches it.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	got := map[string]int64{}
 	for _, r := range rows {
-		n := int64(testing.AllocsPerRun(1, func() {
-			if _, err := r.body(); err != nil {
-				t.Fatal(err)
-			}
-		}))
+		n := int64(math.MaxInt64)
+		for range 3 {
+			runtime.GC()
+			n = min(n, int64(testing.AllocsPerRun(1, func() {
+				if _, err := r.body(); err != nil {
+					t.Fatal(err)
+				}
+			})))
+		}
 		got[r.name] = n
 		switch {
 		case r.base != "":

@@ -1,14 +1,16 @@
 // Command benchhist appends the run that `bash benchmark/run.sh` left in
 // benchmark/out/result.json to the tracked BENCH_history.json and prints its
-// delta against the latest record from the same CPU model, CPU count and
-// seed. No arguments; run from the repository root (`make perf`). The record
-// is always appended. Exit 1 only on what repeats from run to run: failed
-// ops, a metric in repeats worse than its BENCHMARK.json bound, or an exact
-// per-layer counter that moved while its workload's virt_us did not (the
-// signature of an unintended behaviour change). Every counter that moved is
-// printed; one that moved with virt_us is reported, not failed. Host-time
-// metrics are flagged but never fail: days apart on a shared host they differ
-// by more.
+// delta against the latest record with the same CPU count, Go version and
+// seed. The CPU model string is printed for both, not matched: one host
+// reports it differently from one session to the next. No arguments; run
+// from the repository root (`make perf`). The record is always appended.
+// Exit 1 only on what repeats from run to run: failed ops, a metric in
+// repeats worse than its BENCHMARK.json bound, or an exact per-layer counter
+// that moved while its workload's virt_us did not (the signature of an
+// unintended behaviour change). Every counter that moved is printed; one that
+// moved with virt_us is reported, not failed. Host-time metrics are flagged
+// but never fail: days apart on a shared host they differ by more. Against a
+// record with another CPU string they are labelled "other session".
 package main
 
 import (
@@ -90,11 +92,12 @@ func run(dir, date, commit string, w io.Writer) error {
 	cur.Date, cur.Commit, cur.Seed = date, commit, res.Seed
 	cur.Workloads, cur.Counters = map[string]map[string]float64{}, map[string]map[string]float64{}
 	for _, h := range hist {
-		if h.CPU == cur.CPU && h.NProc == cur.NProc && h.Seed == cur.Seed {
+		if h.NProc == cur.NProc && h.Go == cur.Go && h.Seed == cur.Seed {
 			prev = h
 		}
 	}
-	fmt.Fprintf(w, "%s on %s, %d CPUs, seed %d, against: %s %s\n", commit, cur.CPU, cur.NProc, cur.Seed, prev.Commit, prev.Date)
+	fmt.Fprintf(w, "%s on %q, %d CPUs, %s, seed %d, against: %s %s on %q\n",
+		commit, cur.CPU, cur.NProc, cur.Go, cur.Seed, prev.Commit, prev.Date, prev.CPU)
 	var failed []string
 	for _, wl := range res.Workloads {
 		m := map[string]float64{"ops_failed": float64(wl.OpsFailed)}
@@ -110,10 +113,14 @@ func run(dir, date, commit string, w io.Writer) error {
 			}
 			delta, note := (m[d.Name]-was)/was, ""
 			worse := sign[d.Better]*delta > d.Bound
-			if worse && repeats[d.Name] {
+			switch {
+			case worse && repeats[d.Name]:
 				note = "FAIL"
 				failed = append(failed, fmt.Sprintf("%s %s %+.1f%% (bound %.0f%%)", wl.Name, d.Name, 100*delta, 100*d.Bound))
-			} else if worse {
+			case repeats[d.Name]:
+			case prev.CPU != cur.CPU:
+				note = "other session (host time)"
+			case worse:
 				note = "worse (host time: recorded, not gated)"
 			}
 			fmt.Fprintf(w, "%-14s %-15s %12.6g -> %-12.6g %+7.1f%% (bound %2.0f%%) %s\n", wl.Name, d.Name, was, m[d.Name], 100*delta, 100*d.Bound, note)

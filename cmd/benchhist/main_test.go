@@ -20,7 +20,8 @@ const declJSON = `{"end_to_end": [
 type result struct {
 	cpu        string
 	nproc      int
-	seed       int64 // 0 means 1
+	goVersion  string // "" means go1.24.0
+	seed       int64  // 0 means 1
 	opsFailed  int
 	metric     string
 	scale      float64
@@ -52,12 +53,15 @@ func (r result) write(t *testing.T, dir string) {
 		}
 		return out
 	}
-	seed := r.seed
+	seed, goVersion := r.seed, r.goVersion
 	if seed == 0 {
 		seed = 1
 	}
+	if goVersion == "" {
+		goVersion = "go1.24.0"
+	}
 	data, err := json.Marshal(map[string]any{
-		"host": map[string]any{"cpu": r.cpu, "nproc": r.nproc, "go": "go1.24.0"}, "seed": seed,
+		"host": map[string]any{"cpu": r.cpu, "nproc": r.nproc, "go": goVersion}, "seed": seed,
 		"workloads": []any{wl("p2p_bw", r.opsFailed, r.metric, r.counter), wl("p2p_lat", 0, "", "")},
 	})
 	if err != nil {
@@ -74,16 +78,19 @@ func (r result) write(t *testing.T, dir string) {
 
 // TestGateWhatRepeats feeds benchhist a sequence of runs, each compared with
 // the first: only failed ops, the metrics that repeat and a counter that
-// moved under a fixed virt_us fail it, host time is flagged, another host
-// class or seed is recorded and not compared, and every run lands in the
-// history.
+// moved under a fixed virt_us fail it, host time is flagged, another CPU
+// count, Go version or seed is recorded and not compared, another CPU string
+// is compared with its host time labelled another session, and every run
+// lands in the history.
 func TestGateWhatRepeats(t *testing.T) {
 	const xeon = "Xeon"
 	for _, c := range []struct {
 		name string
 		next result
 	}{
-		{"identical", result{cpu: xeon, nproc: 2, wantOut: "against: first"}},
+		{"identical", result{cpu: xeon, nproc: 2, wantOut: `against: first 2026-10-04 on "Xeon"`}},
+		{"same cpu string", result{cpu: xeon, nproc: 2, metric: "wall_s", scale: 1.5,
+			wantOut: `second on "Xeon", 2 CPUs, go1.24.0, seed 1, against: first 2026-10-04 on "Xeon"`}},
 		{"virt_us +5%", result{cpu: xeon, nproc: 2, metric: "virt_us", scale: 1.05, wantErr: "p2p_bw virt_us +5.0%"}},
 		{"allocs_per_msg +3%", result{cpu: xeon, nproc: 2, metric: "allocs_per_msg", scale: 1.03, wantErr: "p2p_bw allocs_per_msg +3.0%"}},
 		{"alloc_mb +3%", result{cpu: xeon, nproc: 2, metric: "alloc_mb", scale: 1.03, wantErr: "p2p_bw alloc_mb +3.0%"}},
@@ -92,7 +99,11 @@ func TestGateWhatRepeats(t *testing.T) {
 		{"msgs_per_s -50%", result{cpu: xeon, nproc: 2, metric: "msgs_per_s", scale: 0.5, wantOut: "-50.0% (bound 15%) worse (host time"}},
 		{"msgs_per_s +50% is a gain", result{cpu: xeon, nproc: 2, metric: "msgs_per_s", scale: 1.5, wantOut: "+50.0% (bound 15%) \n"}},
 		{"other nproc", result{cpu: xeon, nproc: 8, metric: "virt_us", scale: 2, wantOut: "no comparable record"}},
-		{"other cpu", result{cpu: "EPYC", nproc: 2, metric: "virt_us", scale: 2, wantOut: "no comparable record"}},
+		{"other cpu", result{cpu: "Xeon @ 2.60GHz", nproc: 2, metric: "virt_us", scale: 2, wantErr: "p2p_bw virt_us +100.0%",
+			wantOut: `second on "Xeon @ 2.60GHz", 2 CPUs, go1.24.0, seed 1, against: first 2026-10-04 on "Xeon"`}},
+		{"other cpu, host time is another session", result{cpu: "Xeon @ 2.60GHz", nproc: 2, metric: "wall_s", scale: 1.5,
+			wantOut: "+50.0% (bound 15%) other session (host time)"}},
+		{"other go", result{cpu: xeon, nproc: 2, goVersion: "go1.25.0", metric: "virt_us", scale: 2, wantOut: "no comparable record"}},
 		{"ops_failed", result{cpu: xeon, nproc: 2, opsFailed: 1, wantErr: "p2p_bw ops_failed 1"}},
 		{"other seed", result{cpu: xeon, nproc: 2, seed: 2, metric: "virt_us", scale: 2, counter: "sim.events", wantOut: "no comparable record"}},
 		{"counter moved, virt_us fixed", result{cpu: xeon, nproc: 2, counter: "sim.events",

@@ -8,6 +8,7 @@ import (
 	"ib12x/internal/model"
 	"ib12x/internal/sim"
 	"ib12x/internal/topo"
+	"ib12x/internal/trace"
 )
 
 // spec2x1 is two nodes, one rank each — the micro-benchmark layout.
@@ -370,17 +371,38 @@ func TestDeterministicTimeline(t *testing.T) {
 	}
 }
 
+// TestBindRailOption: a binding world puts every eager message and every
+// rendezvous stripe on rail 0, in both directions.
 func TestBindRailOption(t *testing.T) {
-	w := run(t, spec2x1(4), Options{Policy: core.Binding, BindRail: func(rank, peer int) int { return 2 }},
-		func(ep *Endpoint) {
-			ep.Wait(ep.PostSend(1, 0, CtxPt2Pt, core.Blocking, nil, 64*1024))
-		},
-		func(ep *Endpoint) {
-			ep.Wait(ep.PostRecv(0, 0, CtxPt2Pt, nil, 64*1024))
-		})
-	conn := w.Endpoints[0].Conn(1)
-	if conn.sched.Bound != 2 {
-		t.Errorf("bound rail = %d, want 2", conn.sched.Bound)
+	rec := trace.NewRecorder(256)
+	const n = 64 << 10
+	exchange := func(ep *Endpoint) {
+		peer := 1 - ep.Rank
+		reqs := []*Request{
+			ep.PostSend(peer, 0, CtxPt2Pt, core.NonBlocking, nil, 64),
+			ep.PostRecv(peer, 0, CtxPt2Pt, nil, 64),
+			ep.PostSend(peer, 1, CtxPt2Pt, core.Blocking, nil, n),
+			ep.PostRecv(peer, 1, CtxPt2Pt, nil, n),
+		}
+		ep.WaitAll(reqs)
+	}
+	run(t, spec2x1(4), Options{Policy: core.Binding, Trace: rec}, exchange, exchange)
+	var eager, stripes [2]int
+	for _, e := range rec.Events() {
+		switch e.Kind {
+		case trace.KindEager:
+			eager[e.Rank]++
+		case trace.KindStripeWrite:
+			stripes[e.Rank]++
+		default:
+			continue
+		}
+		if e.Rail != 0 {
+			t.Errorf("rank %d %v on rail %d, want 0", e.Rank, e.Kind, e.Rail)
+		}
+	}
+	if eager != [2]int{1, 1} || stripes != [2]int{1, 1} {
+		t.Errorf("eager sends %v, stripes %v per rank: want one each", eager, stripes)
 	}
 }
 

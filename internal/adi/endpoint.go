@@ -25,7 +25,9 @@ const srqPrepost = 128
 // rcChannel over the pair's rails (zero for an intra-node peer). Eager and
 // RTS envelopes take sendSeq on either channel and are dispatched in
 // recvSeqNext order, so MPI's non-overtaking rule holds across rails and
-// across the eager ring and the send/recv window (DESIGN.md §21).
+// across the eager ring and the send/recv window (DESIGN.md §21). A half is
+// 232 bytes, so a pair's [2]Conn record takes the 480-byte size class
+// (TestConnSize).
 type Conn struct {
 	peer        int
 	sendSeq     uint64

@@ -40,7 +40,7 @@ func TestRailsOnFirstPost(t *testing.T) {
 		rail int // the rail a fresh connection's first eager message takes
 	}{
 		{"EPC", Options{Policy: core.EPC}, 0}, // round robin from rail 0
-		{"binding", Options{Policy: core.Binding, BindRail: func(rank, peer int) int { return 3 }}, 3},
+		{"binding", Options{Policy: core.Binding}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()

@@ -21,9 +21,6 @@ type Options struct {
 	Policy core.Kind
 	// PolicyImpl overrides the policy with a custom implementation.
 	PolicyImpl core.Policy
-	// BindRail, if set, chooses the bound rail per (rank, peer)
-	// connection — the knob behind the binding policy. Defaults to rail 0.
-	BindRail func(rank, peer int) int
 	// SQDepth overrides the per-QP send queue depth (default 128).
 	SQDepth int
 	// Rndv selects the rendezvous protocol (default RndvWrite, the
@@ -57,7 +54,7 @@ type World struct {
 	Realm     *ib.Realm
 	Endpoints []*Endpoint
 
-	opt  Options // BindRail defaulted; read by connect
+	opt  Options // read when a pair is wired and its rails built
 	bufs *buf.Pool
 	rel  *ReliabilityConfig
 }
@@ -175,10 +172,6 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 	if policy == nil {
 		policy = core.New(opt.Policy, m.MinStripe)
 	}
-
-	if opt.BindRail == nil {
-		opt.BindRail = func(rank, peer int) int { return 0 }
-	}
 	w := &World{Eng: eng, M: m, Cluster: cluster, Realm: realm, opt: opt}
 	n := spec.Size()
 	// One object pool and one payload-block pool per world: envelopes and
@@ -221,7 +214,7 @@ func NewWorld(eng *sim.Engine, m *model.Params, spec topo.Spec, opt Options) *Wo
 // given its QPs, so a rail built later gets the same numbers.
 func (w *World) connect(i, j int) {
 	epi, epj := w.Endpoints[i], w.Endpoints[j]
-	m, opt, cl := w.M, &w.opt, w.Cluster
+	m, cl := w.M, w.Cluster
 	pair := &[2]Conn{{peer: j}, {peer: i}}
 	ci, cj := &pair[0], &pair[1]
 	if cl.SameNode(i, j) {
@@ -233,8 +226,8 @@ func (w *World) connect(i, j int) {
 		nr := cl.Spec.Rails()
 		rails := make([]*ib.QP, 2*nr)
 		qpn := w.Realm.ReserveQPNs(2 * nr)
-		ci.rcChannel = rcChannel{rails: rails[:nr:nr], qpn: qpn, sched: core.ConnState{Bound: opt.BindRail(i, j)}, credit: newWindow(m.EagerCredits)}
-		cj.rcChannel = rcChannel{rails: rails[nr:], qpn: qpn, sched: core.ConnState{Bound: opt.BindRail(j, i)}, credit: newWindow(m.EagerCredits)}
+		ci.rcChannel = rcChannel{rails: rails[:nr:nr], qpn: qpn, credit: newWindow(m.EagerCredits)}
+		cj.rcChannel = rcChannel{rails: rails[nr:], qpn: qpn, credit: newWindow(m.EagerCredits)}
 		w.negotiateRings(ci, cj)
 	}
 	epi.addConn(ci)

@@ -1,12 +1,14 @@
 package adi
 
 import (
+	"slices"
 	"testing"
 
 	"ib12x/internal/core"
 	"ib12x/internal/model"
 	"ib12x/internal/sim"
 	"ib12x/internal/topo"
+	"ib12x/internal/trace"
 )
 
 func TestWorldRailWiring(t *testing.T) {
@@ -60,18 +62,46 @@ func TestWorldRailsSpreadOverPorts(t *testing.T) {
 	}
 }
 
+// TestWorldBindRailApplied: a binding world's first traffic between a pair,
+// an eager message each way and then a rendezvous, builds and uses rail 0
+// on both halves.
 func TestWorldBindRailApplied(t *testing.T) {
 	eng := sim.NewEngine()
 	spec := topo.Spec{Nodes: 2, ProcsPerNode: 1, HCAsPerNode: 1, PortsPerHCA: 1, QPsPerPort: 4}
-	w := NewWorld(eng, model.Default(), spec, Options{
-		Policy:   core.Binding,
-		BindRail: func(rank, peer int) int { return (rank + peer) % 4 },
+	rec := trace.NewRecorder(64)
+	w := NewWorld(eng, model.Default(), spec, Options{Policy: core.Binding, Trace: rec})
+	const n = 256 << 10
+	var afterEager [2][]int
+	w.Spawn("t", func(ep *Endpoint) {
+		peer := 1 - ep.Rank
+		ep.Wait(ep.PostSend(peer, 0, CtxPt2Pt, core.NonBlocking, nil, 0))
+		ep.Wait(ep.PostRecv(peer, 0, CtxPt2Pt, nil, 0))
+		afterEager[ep.Rank] = builtRails(ep.conns[peer])
+		if ep.Rank == 0 {
+			ep.Wait(ep.PostSend(1, 1, CtxPt2Pt, core.Blocking, nil, n))
+		} else {
+			ep.Wait(ep.PostRecv(0, 1, CtxPt2Pt, nil, n))
+		}
 	})
-	if got := w.Endpoints[0].Conn(1).sched.Bound; got != 1 {
-		t.Errorf("bound rail = %d, want 1", got)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if got := w.Endpoints[1].Conn(0).sched.Bound; got != 1 {
-		t.Errorf("reverse bound rail = %d, want 1", got)
+	for side, b := range afterEager {
+		if !slices.Equal(b, []int{0}) {
+			t.Errorf("half %d after an eager message each way: rails %v built, want [0]", side, b)
+		}
+	}
+	stripes := 0
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindStripeWrite {
+			stripes++
+			if e.Rail != 0 {
+				t.Errorf("rendezvous stripe on rail %d, want 0", e.Rail)
+			}
+		}
+	}
+	if stripes != 1 {
+		t.Errorf("%d rendezvous stripes, want 1", stripes)
 	}
 }
 

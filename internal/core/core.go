@@ -127,21 +127,19 @@ func (m RailMask) LiveRails(rails int, buf []int) []int {
 }
 
 // ConnState is the per-connection scheduling state a policy may read and
-// update: the round-robin cursor, the bound rail, and the live
-// outstanding-transfer count the ADI layer maintains.
+// update: the round-robin cursor and the live outstanding-transfer count the
+// ADI layer maintains.
 type ConnState struct {
 	// RR is the round-robin cursor: index of the next rail to use.
 	RR int
-	// Bound is the rail a binding policy pins this connection to.
-	Bound int
 	// Outstanding is the number of bulk transfers currently in flight on
 	// this connection (maintained by the ADI layer; consumed by the
 	// adaptive policy).
 	Outstanding int
 
 	// Dead is the connection's rail health mask (maintained by the ADI
-	// layer under fault injection). Policies route around dead rails: a
-	// binding rebinds to the next live rail, round robin skips dead ones,
+	// layer under fault injection). Policies route around dead rails: the
+	// bound rail steps to the next live rail, round robin skips dead ones,
 	// and the striping planners re-plan over the survivors.
 	Dead RailMask
 
@@ -251,24 +249,10 @@ func ParseKind(s string) (Kind, error) {
 // stripe size (bytes). Weighted striping takes equal weights; use
 // NewWeighted for explicit ones.
 func New(k Kind, minStripe int) Policy {
-	switch k {
-	case Original:
-		return &bindingPolicy{name: "original"}
-	case Binding:
-		return &bindingPolicy{name: "binding"}
-	case RoundRobin:
-		return &roundRobinPolicy{}
-	case EvenStriping:
-		return &stripingPolicy{minStripe: minStripe}
-	case WeightedStriping:
-		return &weightedPolicy{minStripe: minStripe}
-	case EPC:
-		return &epcPolicy{minStripe: minStripe}
-	case Adaptive:
-		return &adaptivePolicy{minStripe: minStripe}
-	default:
+	if k < Original || k > Adaptive {
 		panic(fmt.Sprintf("core: unknown policy kind %d", int(k)))
 	}
+	return &policy{kind: k, minStripe: minStripe}
 }
 
 // NewWeighted returns a weighted-striping policy that divides bulk messages
@@ -277,17 +261,34 @@ func New(k Kind, minStripe int) Policy {
 // paired with a 4x port), the extension discussed in the prior multi-rail
 // work the paper builds on.
 func NewWeighted(minStripe int, weights []float64) Policy {
-	return &weightedPolicy{minStripe: minStripe, weights: weights}
+	return &policy{kind: WeightedStriping, minStripe: minStripe, weights: weights}
 }
 
-// ---- plan memoization ----
+// placement is one of the paper's three base policies (§3.2.1), applied to
+// a single transfer.
+type placement uint8
 
-// planCache memoizes stripe plans for the policy branches whose plan is a
-// pure function of (size, rails): the policy's minStripe (and weights) are
-// fixed at construction, so cached entries never go stale. Bulk benchmarks
-// cycle through a handful of sizes, so steady state is all hits.
-type planCache struct {
-	m map[planKey][]Stripe
+const (
+	// bound sends the whole message on the connection's bound rail: rail 0,
+	// stepped off dead rails.
+	bound placement = iota
+	// roundRobin sends the whole message on the next rail in turn.
+	roundRobin
+	// stripe divides the message over the rails (bulk transfers only).
+	stripe
+)
+
+// policy is every built-in policy: a kind, which place maps to a base
+// placement per transfer, and the stripe planner's parameters.
+type policy struct {
+	kind      Kind
+	minStripe int
+	weights   []float64 // weighted striping only; nil = equal
+	// cache memoizes stripe plans, which are a pure function of (size,
+	// rails, dead) for a policy: minStripe and weights are fixed at
+	// construction, so entries never go stale. Bulk benchmarks cycle
+	// through a handful of sizes, so steady state is all hits.
+	cache map[planKey][]Stripe
 }
 
 type planKey struct {
@@ -299,231 +300,118 @@ type planKey struct {
 // sizes reset it rather than grow it forever.
 const planCacheMax = 4096
 
-func (c *planCache) get(size, rails int, dead RailMask) ([]Stripe, bool) {
-	p, ok := c.m[planKey{size, rails, dead}]
-	return p, ok
-}
-
-func (c *planCache) put(size, rails int, dead RailMask, p []Stripe) {
-	if c.m == nil || len(c.m) >= planCacheMax {
-		c.m = make(map[planKey][]Stripe)
-	}
-	c.m[planKey{size, rails, dead}] = p
-}
-
-// maskedEven is EvenStripes restricted to the live rails of dead: the plan
-// is computed over the survivor count and remapped onto the surviving rail
-// indices. With every rail dead it plans as if all were live — the ADI layer
-// parks those posts until a rail recovers.
-func maskedEven(size, rails, minStripe int, dead RailMask) []Stripe {
-	if dead == 0 {
-		return EvenStripes(size, rails, minStripe)
-	}
-	live := dead.LiveRails(rails, make([]int, 0, rails))
-	if len(live) == 0 {
-		return EvenStripes(size, rails, minStripe)
-	}
-	pl := EvenStripes(size, len(live), minStripe)
-	for i := range pl {
-		pl[i].Rail = live[pl[i].Rail]
-	}
-	return pl
-}
-
-// maskedWeighted is WeightedStripes over the surviving rails, preserving
-// each survivor's configured weight.
-func maskedWeighted(size, rails, minStripe int, weights []float64, dead RailMask) []Stripe {
-	if dead == 0 {
-		return WeightedStripes(size, rails, minStripe, weights)
-	}
-	live := dead.LiveRails(rails, make([]int, 0, rails))
-	if len(live) == 0 {
-		return WeightedStripes(size, rails, minStripe, weights)
-	}
-	w := make([]float64, len(live))
-	for i, r := range live {
-		w[i] = 1
-		if r < len(weights) && weights[r] > 0 {
-			w[i] = weights[r]
-		}
-	}
-	pl := WeightedStripes(size, len(live), minStripe, w)
-	for i := range pl {
-		pl[i].Rail = live[pl[i].Rail]
-	}
-	return pl
-}
-
-// maskedWeightedRates is maskedWeighted with each rail's configured weight
-// scaled by its current link-rate factor, so partially degraded rails keep a
-// proportionally smaller share instead of their full one. Rails with a
-// missing or non-positive rate scale count as healthy (scale 1).
-func maskedWeightedRates(size, rails, minStripe int, weights, rates []float64, dead RailMask) []Stripe {
-	w := make([]float64, rails)
-	for i := 0; i < rails; i++ {
-		w[i] = 1
-		if i < len(weights) && weights[i] > 0 {
-			w[i] = weights[i]
-		}
-		if i < len(rates) && rates[i] > 0 {
-			w[i] *= rates[i]
-		}
-	}
-	return maskedWeighted(size, rails, minStripe, w, dead)
-}
-
-// ---- binding ----
-
-type bindingPolicy struct{ name string }
-
-func (p *bindingPolicy) Name() string { return p.name }
-
-func (p *bindingPolicy) PickEager(_ Class, _, rails int, st *ConnState) int {
-	return clampRail(st.Bound, rails, st.Dead)
-}
-
-func (p *bindingPolicy) PlanBulk(_ Class, size, rails int, st *ConnState) []Stripe {
-	return st.single(clampRail(st.Bound, rails, st.Dead), size)
-}
-
-// ---- round robin ----
-
-type roundRobinPolicy struct{}
-
-func (*roundRobinPolicy) Name() string { return "round robin" }
-
-func (*roundRobinPolicy) PickEager(_ Class, _, rails int, st *ConnState) int {
-	return nextRR(st, rails)
-}
-
-func (*roundRobinPolicy) PlanBulk(_ Class, size, rails int, st *ConnState) []Stripe {
-	// The whole message on the next rail (paper §3.2.1: round robin "uses
-	// the available QPs one-by-one in a circular fashion").
-	return st.single(nextRR(st, rails), size)
-}
-
-// ---- even striping ----
-
-type stripingPolicy struct {
-	minStripe int
-	cache     planCache
-}
-
-func (*stripingPolicy) Name() string { return "even striping" }
-
-func (p *stripingPolicy) PickEager(_ Class, _, rails int, st *ConnState) int {
-	// Below the striping threshold the prior-work striping design sends
-	// on the connection's primary rail.
-	return clampRail(st.Bound, rails, st.Dead)
-}
-
-func (p *stripingPolicy) PlanBulk(_ Class, size, rails int, st *ConnState) []Stripe {
-	if pl, ok := p.cache.get(size, rails, st.Dead); ok {
-		return pl
-	}
-	pl := maskedEven(size, rails, p.minStripe, st.Dead)
-	p.cache.put(size, rails, st.Dead, pl)
-	return pl
-}
-
-// ---- weighted striping ----
-
-type weightedPolicy struct {
-	minStripe int
-	weights   []float64
-	cache     planCache
-}
-
-func (*weightedPolicy) Name() string { return "weighted striping" }
-
-func (p *weightedPolicy) PickEager(_ Class, _, rails int, st *ConnState) int {
-	return clampRail(st.Bound, rails, st.Dead)
-}
-
-func (p *weightedPolicy) PlanBulk(_ Class, size, rails int, st *ConnState) []Stripe {
-	if len(st.Rates) > 0 {
-		// Degraded fabric: plans depend on the momentary rail rates, so the
-		// (size, rails, dead)-keyed cache cannot serve them. Compute fresh.
-		return maskedWeightedRates(size, rails, p.minStripe, p.weights, st.Rates, st.Dead)
-	}
-	if pl, ok := p.cache.get(size, rails, st.Dead); ok {
-		return pl
-	}
-	pl := maskedWeighted(size, rails, p.minStripe, p.weights, st.Dead)
-	p.cache.put(size, rails, st.Dead, pl)
-	return pl
-}
-
-// ---- EPC ----
-
-// epcPolicy is the paper's Enhanced Point-to-point and Collective policy
-// (§3.2): striping for blocking transfers, round robin for non-blocking
-// point-to-point, striping for collective transfers even though they are
-// issued as non-blocking calls.
-type epcPolicy struct {
-	minStripe int
-	cache     planCache
-}
-
-func (*epcPolicy) Name() string { return "EPC" }
-
-func (p *epcPolicy) PickEager(c Class, size, rails int, st *ConnState) int {
-	switch c {
-	case Blocking:
-		// One outstanding message; cycling rails buys nothing for
-		// latency, so stay on the primary rail (paper Fig. 3 setup).
-		return clampRail(st.Bound, rails, st.Dead)
-	default:
-		// Non-blocking and collective eager messages cycle rails to
-		// engage multiple engines across the window (Fig. 5).
-		return nextRR(st, rails)
-	}
-}
-
-func (p *epcPolicy) PlanBulk(c Class, size, rails int, st *ConnState) []Stripe {
-	switch c {
-	case NonBlocking:
-		return st.single(nextRR(st, rails), size)
-	default: // Blocking and Collective stripe.
-		if pl, ok := p.cache.get(size, rails, st.Dead); ok {
-			return pl
-		}
-		pl := maskedEven(size, rails, p.minStripe, st.Dead)
-		p.cache.put(size, rails, st.Dead, pl)
-		return pl
-	}
-}
-
-// ---- adaptive (extension) ----
-
 // adaptiveDepth is the outstanding-transfer depth at which the adaptive
 // policy stops striping: with this many messages already in flight the
 // engines are busy without intra-message parallelism.
 const adaptiveDepth = 2
 
-type adaptivePolicy struct {
-	minStripe int
-	cache     planCache
+func (p *policy) Name() string { return p.kind.String() }
+
+// place is the policy table: the base placement of an eager (bulk false)
+// or bulk transfer of class c on a connection in state st.
+//
+//   - original, binding: the bound rail.
+//   - round robin: the next rail, whole messages (§3.2.1).
+//   - even and weighted striping: bulk striped; eager on the bound rail,
+//     as the prior-work striping design sends below the threshold.
+//   - EPC (§3.2.2): blocking eager on the bound rail (cycling buys nothing
+//     for latency with one message outstanding); other eager round robin,
+//     to engage several engines across the window; non-blocking bulk round
+//     robin; blocking and collective bulk striped, collectives although
+//     they are issued as non-blocking calls.
+//   - adaptive: round robin once adaptiveDepth transfers are in flight;
+//     otherwise like even striping.
+func (p *policy) place(c Class, st *ConnState, bulk bool) placement {
+	switch p.kind {
+	case RoundRobin:
+		return roundRobin
+	case EvenStriping, WeightedStriping:
+		if bulk {
+			return stripe
+		}
+	case EPC:
+		switch {
+		case !bulk && c == Blocking:
+			return bound
+		case bulk && c != NonBlocking:
+			return stripe
+		}
+		return roundRobin
+	case Adaptive:
+		if st.Outstanding >= adaptiveDepth {
+			return roundRobin
+		}
+		if bulk {
+			return stripe
+		}
+	}
+	return bound
 }
 
-func (*adaptivePolicy) Name() string { return "adaptive" }
-
-func (p *adaptivePolicy) PickEager(_ Class, _, rails int, st *ConnState) int {
-	if st.Outstanding >= adaptiveDepth {
+func (p *policy) PickEager(c Class, _, rails int, st *ConnState) int {
+	if p.place(c, st, false) == roundRobin {
 		return nextRR(st, rails)
 	}
-	return clampRail(st.Bound, rails, st.Dead)
+	return clampRail(0, rails, st.Dead)
 }
 
-func (p *adaptivePolicy) PlanBulk(_ Class, size, rails int, st *ConnState) []Stripe {
-	if st.Outstanding >= adaptiveDepth {
+func (p *policy) PlanBulk(c Class, size, rails int, st *ConnState) []Stripe {
+	switch p.place(c, st, true) {
+	case bound:
+		return st.single(clampRail(0, rails, st.Dead), size)
+	case roundRobin:
 		return st.single(nextRR(st, rails), size)
 	}
-	if pl, ok := p.cache.get(size, rails, st.Dead); ok {
+	if p.kind == WeightedStriping && len(st.Rates) > 0 {
+		// Degraded fabric: plans depend on the momentary rail rates, so the
+		// (size, rails, dead)-keyed cache cannot serve them. Compute fresh.
+		return p.onLive(size, rails, st.Dead, st.Rates)
+	}
+	key := planKey{size, rails, st.Dead}
+	if pl, ok := p.cache[key]; ok {
 		return pl
 	}
-	pl := maskedEven(size, rails, p.minStripe, st.Dead)
-	p.cache.put(size, rails, st.Dead, pl)
+	pl := p.onLive(size, rails, st.Dead, nil)
+	if p.cache == nil || len(p.cache) >= planCacheMax {
+		p.cache = make(map[planKey][]Stripe)
+	}
+	p.cache[key] = pl
+	return pl
+}
+
+// onLive plans size bytes over the live rails of dead — renumbered 0..n-1
+// for EvenStripes or WeightedStripes — and maps the stripes back onto their
+// rail indices. A weighted policy keeps each survivor's configured weight,
+// scaled by its rate when rates is not empty (a missing or non-positive
+// weight or rate counts as 1). With every rail dead it plans as if all were
+// live: the ADI layer parks those posts until a rail recovers.
+func (p *policy) onLive(size, rails int, dead RailMask, rates []float64) []Stripe {
+	var liveBuf [MaxRails]int
+	live := dead.LiveRails(rails, liveBuf[:0])
+	if len(live) == 0 {
+		live = RailMask(0).LiveRails(rails, live)
+	}
+	var pl []Stripe
+	if p.kind == WeightedStriping {
+		var wBuf [MaxRails]float64
+		w := wBuf[:0]
+		for _, r := range live {
+			x := 1.0
+			if r < len(p.weights) && p.weights[r] > 0 {
+				x = p.weights[r]
+			}
+			if r < len(rates) && rates[r] > 0 {
+				x *= rates[r]
+			}
+			w = append(w, x)
+		}
+		pl = WeightedStripes(size, len(live), p.minStripe, w)
+	} else {
+		pl = EvenStripes(size, len(live), p.minStripe)
+	}
+	for i := range pl {
+		pl[i].Rail = live[pl[i].Rail]
+	}
 	return pl
 }
 

@@ -77,10 +77,13 @@ func planCovers(t *testing.T, plan []Stripe, size, rails int) {
 
 func TestBindingAlwaysBoundRail(t *testing.T) {
 	p := New(Binding, 4096)
-	st := &ConnState{Bound: 2}
+	var dead RailMask
+	dead.MarkDown(0)
+	dead.MarkDown(1)
+	st := &ConnState{Dead: dead}
 	for i := 0; i < 5; i++ {
 		if r := p.PickEager(NonBlocking, 1024, 4, st); r != 2 {
-			t.Fatalf("eager rail = %d, want 2", r)
+			t.Fatalf("eager rail = %d, want 2 (rail 0 stepped off dead rails 0 and 1)", r)
 		}
 	}
 	plan := p.PlanBulk(Blocking, 1<<20, 4, st)
@@ -91,10 +94,18 @@ func TestBindingAlwaysBoundRail(t *testing.T) {
 }
 
 func TestBindingClampsOutOfRange(t *testing.T) {
+	// A dead mask naming rails past the connection's width leaves the bound
+	// rail at 0; with every rail dead it stays there too (the ADI layer
+	// parks the post until a rail recovers).
 	p := New(Binding, 4096)
-	st := &ConnState{Bound: 7}
+	st := &ConnState{}
+	st.Dead.MarkDown(7)
 	if r := p.PickEager(Blocking, 64, 4, st); r != 0 {
-		t.Errorf("out-of-range bound rail = %d, want clamp to 0", r)
+		t.Errorf("bound rail = %d, want 0", r)
+	}
+	st.Dead = ^RailMask(0)
+	if r := p.PickEager(Blocking, 64, 4, st); r != 0 {
+		t.Errorf("bound rail with every rail dead = %d, want 0", r)
 	}
 }
 
@@ -360,11 +371,11 @@ func TestPlanCacheReturnsEqualPlans(t *testing.T) {
 func TestPlanCacheBounded(t *testing.T) {
 	// A sweep over more distinct sizes than the cache bound must reset the
 	// map rather than grow it without limit.
-	p := New(EvenStriping, 1).(*stripingPolicy)
+	p := New(EvenStriping, 1).(*policy)
 	for size := 1; size <= planCacheMax+100; size++ {
 		p.PlanBulk(Blocking, size, 4, &ConnState{})
 	}
-	if n := len(p.cache.m); n > planCacheMax {
+	if n := len(p.cache); n > planCacheMax {
 		t.Fatalf("cache grew to %d entries, bound is %d", n, planCacheMax)
 	}
 }

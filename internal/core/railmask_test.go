@@ -46,7 +46,7 @@ func TestMaskedPlansRemapOntoSurvivors(t *testing.T) {
 	var dead RailMask
 	dead.MarkDown(1)
 	st := &ConnState{Dead: dead}
-	p := New(EvenStriping, 1024).(*stripingPolicy)
+	p := New(EvenStriping, 1024)
 	pl := p.PlanBulk(Blocking, 64<<10, 4, st)
 	off := 0
 	for _, s := range pl {
@@ -65,15 +65,16 @@ func TestMaskedPlansRemapOntoSurvivors(t *testing.T) {
 		t.Fatalf("expected 3 survivor stripes, got %v", pl)
 	}
 	// Binding rebinds off its dead rail.
-	st2 := &ConnState{Bound: 1, Dead: dead}
+	var dead0 RailMask
+	dead0.MarkDown(0)
 	b := New(Binding, 0)
-	if r := b.PickEager(Blocking, 512, 4, st2); r != 2 {
-		t.Fatalf("binding picked rail %d, want rebind to 2", r)
+	if r := b.PickEager(Blocking, 512, 4, &ConnState{Dead: dead0}); r != 1 {
+		t.Fatalf("binding picked rail %d, want rebind to 1", r)
 	}
 	// Round robin never lands on the dead rail.
 	rr := New(RoundRobin, 0)
 	for i := 0; i < 8; i++ {
-		if r := rr.PickEager(NonBlocking, 512, 4, st2); r == 1 {
+		if r := rr.PickEager(NonBlocking, 512, 4, st); r == 1 {
 			t.Fatalf("round robin picked dead rail 1 at step %d", i)
 		}
 	}

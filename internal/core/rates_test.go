@@ -4,6 +4,12 @@ import (
 	"testing"
 )
 
+// ratedPlan is the weighted policy's bulk plan on a connection whose rails
+// run at rates of their nominal link rate.
+func ratedPlan(size, rails int, weights, rates []float64, dead RailMask) []Stripe {
+	return NewWeighted(4096, weights).PlanBulk(Blocking, size, rails, &ConnState{Rates: rates, Dead: dead})
+}
+
 func railBytes(pl []Stripe, rails int) []int {
 	out := make([]int, rails)
 	for _, s := range pl {
@@ -17,7 +23,7 @@ func railBytes(pl []Stripe, rails int) []int {
 // bytes of rail 1 (within min-stripe rounding).
 func TestWeightedRatesProportions(t *testing.T) {
 	const size = 384 * 1024
-	pl := maskedWeightedRates(size, 2, 4096, nil, []float64{1, 0.5}, 0)
+	pl := ratedPlan(size, 2, nil, []float64{1, 0.5}, 0)
 	got := railBytes(pl, 2)
 	if got[0]+got[1] != size {
 		t.Fatalf("plan covers %d bytes, want %d", got[0]+got[1], size)
@@ -34,7 +40,7 @@ func TestWeightedRatesComposesWithWeightsAndDead(t *testing.T) {
 	const size = 256 * 1024
 	// Weights 3:1 on rails {0,1}, rail 0 degraded to 1/3 rate -> effective
 	// 1:1 split.
-	pl := maskedWeightedRates(size, 2, 4096, []float64{3, 1}, []float64{1.0 / 3.0, 1}, 0)
+	pl := ratedPlan(size, 2, []float64{3, 1}, []float64{1.0 / 3.0, 1}, 0)
 	got := railBytes(pl, 2)
 	ratio := float64(got[0]) / float64(got[1])
 	if ratio < 0.95 || ratio > 1.05 {
@@ -43,7 +49,7 @@ func TestWeightedRatesComposesWithWeightsAndDead(t *testing.T) {
 	// With rail 0 dead, everything lands on rail 1 regardless of rates.
 	var dead RailMask
 	dead.MarkDown(0)
-	pl = maskedWeightedRates(size, 2, 4096, nil, []float64{1, 0.25}, dead)
+	pl = ratedPlan(size, 2, nil, []float64{1, 0.25}, dead)
 	for _, s := range pl {
 		if s.Rail != 1 {
 			t.Fatalf("stripe on dead rail 0: %+v", s)

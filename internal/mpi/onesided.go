@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"ib12x/internal/adi"
 	"ib12x/internal/core"
@@ -29,6 +30,8 @@ type Win struct {
 
 	// Fence's count exchange buffers, 8 bytes per rank, reused every epoch.
 	sendB, recvB []byte
+	// accB encodes accumulate operands, reused every call (accumulate).
+	accB []byte
 }
 
 // WinCreate collectively exposes buf (length n; nil allowed for synthetic
@@ -115,24 +118,26 @@ func (w *Win) track(req *Request) {
 // AccumulateInt64 combines vals element-wise into target's window starting
 // at element offset offElems (the window is treated as an int64 array).
 func (w *Win) AccumulateInt64(target, offElems int, vals []int64, op Op) {
-	n := 8 * len(vals)
-	off := 8 * offElems
-	w.checkAccess(target, off, n)
-	data := int64sToBytes(vals)
-	accOp := map[Op]adi.AccOp{Sum: adi.AccSum, Max: adi.AccMax, Min: adi.AccMin}[op]
-	if w.c.ep.AccumulateSend(w.c.world(target), w.id, off, data, n, accOp) {
-		w.sentCounted[target]++
-	}
+	w.accumulate(target, offElems, vals, map[Op]adi.AccOp{Sum: adi.AccSum, Max: adi.AccMax, Min: adi.AccMin}[op])
 }
 
 // ReplaceInt64 stores vals at the target (MPI_REPLACE accumulate): unlike
 // Put it is always message-based and therefore ordered with other
 // accumulates to the same target.
 func (w *Win) ReplaceInt64(target, offElems int, vals []int64) {
+	w.accumulate(target, offElems, vals, adi.AccReplace)
+}
+
+// accumulate sends vals, encoded into the window's reused accB, as one
+// message-based accumulate. The ADI layer captures the payload, or applies
+// an op to self, before AccumulateSend returns, so accB is free again.
+func (w *Win) accumulate(target, offElems int, vals []int64, op adi.AccOp) {
 	n := 8 * len(vals)
 	off := 8 * offElems
 	w.checkAccess(target, off, n)
-	if w.c.ep.AccumulateSend(w.c.world(target), w.id, off, int64sToBytes(vals), n, adi.AccReplace) {
+	w.accB = slices.Grow(w.accB[:0], n)[:n]
+	putInt64s(w.accB, vals)
+	if w.c.ep.AccumulateSend(w.c.world(target), w.id, off, w.accB, n, op) {
 		w.sentCounted[target]++
 	}
 }

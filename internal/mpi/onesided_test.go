@@ -270,12 +270,14 @@ func TestWinOnSplitCommunicator(t *testing.T) {
 }
 
 // TestWinEpochsMakeNoGarbage runs epochs of every one-sided path (RDMA and
-// shared-memory Put and Get, a Put to self, a fetch-and-add) on two nodes of
-// two ranks, once for epochs and once for twice as many. The extra epochs
-// may allocate one object per extra epoch in all, so garbage per epoch on
-// any of the four ranks shows: a Fence keeps its count buffers on the Win
-// and every request goes back to its endpoint, where Fence used to allocate
-// two buffers per rank and the window kept each bulk request.
+// shared-memory Put and Get, a Put to self, a fetch-and-add, an accumulate
+// over the rails and a replace over shared memory) on two nodes of two
+// ranks, once for epochs and once for twice as many. The extra epochs may
+// allocate one object per extra epoch in all, so garbage per epoch on any
+// of the four ranks shows: a Fence keeps its count buffers on the Win,
+// accumulates encode into one reused buffer, and every request goes back
+// to its endpoint, where Fence used to allocate two buffers per rank, each
+// accumulate its own operand bytes, and the window kept each bulk request.
 func TestWinEpochsMakeNoGarbage(t *testing.T) {
 	const epochs, n = 16, 64 * 1024
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -285,11 +287,14 @@ func TestWinEpochsMakeNoGarbage(t *testing.T) {
 		rep := mustRun(t, cfg(2, 2, 2, core.EPC), func(c *Comm) {
 			w := c.WinCreate(nil, 2*n)
 			p, me := c.Size(), c.Rank()
+			vals := []int64{1, 2, 3, 4}
 			for e := 0; e < k; e++ {
 				w.PutN((me+1)%p, 0, nil, n)
 				w.PutN(me, n, nil, 8)
 				w.GetN((me+2)%p, n, nil, n)
 				w.FetchAddInt64(0, 0, 1)
+				w.AccumulateInt64((me+2)%p, 1, vals, Sum)
+				w.ReplaceInt64((me+1)%p, 1, vals)
 				w.Fence()
 			}
 			w.Free()

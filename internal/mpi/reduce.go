@@ -62,12 +62,6 @@ func combinerFloat64(op Op) func(dst, src []byte) {
 	}
 }
 
-func int64sToBytes(v []int64) []byte {
-	b := make([]byte, 8*len(v))
-	putInt64s(b, v)
-	return b
-}
-
 func putInt64s(b []byte, v []int64) {
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
