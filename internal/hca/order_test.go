@@ -31,7 +31,7 @@ func newOrderRig(m *model.Params, net *fabric.Net, nodes, ports int) *orderRig {
 
 // stream posts count messages on f at time zero, cycling through sizes.
 func (r *orderRig) stream(f *Flow, count int, sizes ...int) {
-	r.eng.At(0, func() {
+	r.eng.Post(0, func() {
 		for i := 0; i < count; i++ {
 			f.Send(sizes[i%len(sizes)], nil, nil)
 		}
@@ -78,7 +78,7 @@ var orderScenarios = []struct {
 		src.DegradeLink(0.5, 30*sim.Microsecond)
 		r.stream(src.NewFlow(r.eng, r.ports[1][0]), 12, 128*1024)
 		r.stream(src.NewFlow(r.eng, r.ports[2][0]), 12, 20*1024, 1<<20)
-		r.eng.At(300*sim.Microsecond, src.RestoreLink)
+		r.eng.Post(300*sim.Microsecond, src.RestoreLink)
 		return r
 	}},
 	{"error-every-retransmit", false, func(m *model.Params) *orderRig {
@@ -95,7 +95,7 @@ var orderScenarios = []struct {
 		for p := 0; p < 2; p++ {
 			r.stream(r.ports[0][p].NewFlow(r.eng, r.ports[1][p]), 10, 96*1024)
 		}
-		r.eng.At(120*sim.Microsecond, func() { r.ports[0][1].StallUntil = 400 * sim.Microsecond })
+		r.eng.Post(120*sim.Microsecond, func() { r.ports[0][1].StallUntil = 400 * sim.Microsecond })
 		return r
 	}},
 }

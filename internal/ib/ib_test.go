@@ -133,7 +133,7 @@ func TestEarlyArrivalWaitsForRecv(t *testing.T) {
 	}
 	// Post the receive long after the message lands.
 	buf := make([]byte, 4)
-	r.eng.At(1*sim.Second, func() {
+	r.eng.Post(1*sim.Second, func() {
 		r.qb.PostRecv(RecvWR{WRID: 9, Buf: buf, N: 4})
 	})
 	r.run(t)

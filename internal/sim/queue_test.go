@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/bits"
 	"reflect"
 	"testing"
@@ -12,9 +11,9 @@ import (
 // queue's structure along the way.
 
 // checkQueue asserts the queue's invariants: the mask marks exactly the
-// non-empty buckets, every timer sits in the bucket its key names under
-// last, bucket 0 is a heap by seq, n counts every queued timer, and no
-// bucket's spare capacity pins a timer.
+// non-empty buckets, every event sits in the bucket its key names under
+// last, bucket 0 is a heap by seq, n counts every queued event, and no
+// bucket's spare capacity pins an event.
 func checkQueue(t *testing.T, q *queue) {
 	t.Helper()
 	n := 0
@@ -22,19 +21,19 @@ func checkQueue(t *testing.T, q *queue) {
 		b := q.b[i]
 		n += len(b)
 		if (len(b) > 0) != (q.mask&(1<<i) != 0) {
-			t.Fatalf("bucket %d holds %d timers, mask %b", i, len(b), q.mask)
+			t.Fatalf("bucket %d holds %d events, mask %b", i, len(b), q.mask)
 		}
-		for j, tm := range b {
-			if k := bits.Len64(uint64(tm.at ^ q.last)); k != i || !tm.queued {
-				t.Fatalf("timer (%v, %d) in bucket %d (queued %v), want bucket %d under last %v", tm.at, tm.seq, i, tm.queued, k, q.last)
+		for j, ev := range b {
+			if k := bits.Len64(uint64(ev.at ^ q.last)); k != i {
+				t.Fatalf("event (%v, %d) in bucket %d, want bucket %d under last %v", ev.at, ev.seq, i, k, q.last)
 			}
-			if i == 0 && j > 0 && b[(j-1)/2].seq > tm.seq {
+			if i == 0 && j > 0 && b[(j-1)/2].seq > ev.seq {
 				t.Fatalf("bucket 0 is not a heap by seq at %d", j)
 			}
 		}
-		for _, tm := range b[len(b):cap(b)] {
-			if tm != nil {
-				t.Fatalf("bucket %d pins a timer past its length", i)
+		for _, ev := range b[len(b):cap(b)] {
+			if ev != nil {
+				t.Fatalf("bucket %d pins an event past its length", i)
 			}
 		}
 	}
@@ -136,81 +135,5 @@ func TestKeysDifferingOnlyInBit62(t *testing.T) {
 	}
 	if e.skips != 2 {
 		t.Errorf("%d wakes taken in place, want 2", e.skips)
-	}
-}
-
-// A cancel-heavy queue compacts, bucket 0's heap included, and the
-// survivors still fire in (at, seq) order.
-func TestCancelHeavyQueueCompacts(t *testing.T) {
-	e := NewEngine()
-	got, rec := recorder()
-	var timers []*Timer // 199 at 5, then 100 at distinct later times
-	want := []string{"first"}
-	var rsv uint64
-	e.At(5, func() {
-		// The scan that popped this timer filed the other 199 at 5 into
-		// bucket 0. Reserved ordinals posted in reverse make that heap
-		// unsorted; then cancelling two thirds of the 299 compacts the queue
-		// at the 160th cancel, down to 159, and 39 cancels follow.
-		if len(e.q.b[0]) != 199 {
-			t.Fatalf("bucket 0 holds %d timers, want 199", len(e.q.b[0]))
-		}
-		for k := 19; k >= 0; k-- {
-			e.PostCallSeq(5, rsv+uint64(k), func(_ any, k, _, _ int64) {
-				*got = append(*got, fmt.Sprint("rsv", k))
-			}, nil, int64(k), 0, 0)
-		}
-		for i, h := range timers {
-			if i%3 != 0 {
-				h.Cancel()
-			}
-		}
-		if e.q.n != 159 || e.ncancel != 39 {
-			t.Errorf("%d pending with %d cancelled, want 159 and 39", e.q.n, e.ncancel)
-		}
-		checkQueue(t, &e.q)
-		*got = append(*got, "first")
-	})
-	rsv = e.ReserveSeq(20)
-	for k := 0; k < 20; k++ {
-		want = append(want, fmt.Sprint("rsv", k))
-	}
-	for i := 0; i < 199; i++ {
-		timers = append(timers, e.At(5, rec(fmt.Sprint("tie", i))))
-		if i%3 == 0 {
-			want = append(want, fmt.Sprint("tie", i))
-		}
-	}
-	for i := 0; i < 100; i++ {
-		timers = append(timers, e.At(Time(1000-7*i), rec(fmt.Sprint("later", i))))
-	}
-	for i := 99; i >= 0; i-- { // by fire time
-		if (199+i)%3 == 0 {
-			want = append(want, fmt.Sprint("later", i))
-		}
-	}
-	mustRun(t, e)
-	if !reflect.DeepEqual(*got, want) {
-		t.Errorf("order %v,\nwant %v", *got, want)
-	}
-	if e.QueueHighWater() != 319 || e.q.n != 0 || e.ncancel != 0 {
-		t.Errorf("high-water %d, left %d with %d cancelled; want 319, 0, 0", e.QueueHighWater(), e.q.n, e.ncancel)
-	}
-}
-
-// Popping a cancelled tail empties the queue with its last key past the
-// clock. Posts made after Run returns may be earlier than that key, and
-// must still fire in order.
-func TestCancelledTailDoesNotAdvanceLast(t *testing.T) {
-	e := NewEngine()
-	got, rec := recorder()
-	e.At(8, rec("cancelled")).Cancel()
-	mustRun(t, e)
-	e.Post(9, rec("9"))
-	e.Post(7, rec("7"))
-	checkQueue(t, &e.q)
-	mustRun(t, e)
-	if want := []string{"7", "9"}; !reflect.DeepEqual(*got, want) {
-		t.Errorf("order %v, want %v", *got, want)
 	}
 }

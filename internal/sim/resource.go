@@ -5,8 +5,8 @@ package sim
 // time `now` occupies the server for PerItem + n/Rate starting at
 // max(now, previous end). Reservations never preempt.
 //
-// Server does not itself schedule events; callers combine the returned busy
-// window with Engine.At.
+// Server does not itself schedule events; callers post the events of the
+// returned busy window themselves (Engine.Post or PostCall).
 type Server struct {
 	Rate    float64 // service rate in bytes per second; 0 means infinite
 	PerItem Time    // fixed occupancy added to every reservation
@@ -76,12 +76,4 @@ func (s *Server) Utilization(now Time) float64 {
 		b = 0
 	}
 	return float64(b) / float64(now)
-}
-
-// Reset clears the reservation state and statistics.
-func (s *Server) Reset() {
-	s.freeAt = 0
-	s.busy = 0
-	s.items = 0
-	s.bytes = 0
 }

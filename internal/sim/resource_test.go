@@ -57,10 +57,6 @@ func TestServerStats(t *testing.T) {
 	if u := s.Utilization(2000 * Nanosecond); u < 0.49 || u > 0.51 {
 		t.Errorf("Utilization = %g, want 0.5", u)
 	}
-	s.Reset()
-	if s.Items() != 0 || s.Bytes() != 0 || s.Busy() != 0 || s.FreeAt() != 0 {
-		t.Error("Reset did not clear state")
-	}
 }
 
 func TestServerUtilizationExcludesFutureBooking(t *testing.T) {

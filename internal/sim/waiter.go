@@ -21,13 +21,6 @@ func (w *Waiter) Wait(p *Proc, why string) {
 	p.park(why)
 }
 
-// WaitFor parks p on w until pred() is true, re-checking after each wake.
-func (w *Waiter) WaitFor(p *Proc, why string, pred func() bool) {
-	for !pred() {
-		w.Wait(p, why)
-	}
-}
-
 // WakeOne readies the longest-waiting proc, if any, and reports whether one
 // was woken.
 func (w *Waiter) WakeOne() bool {
