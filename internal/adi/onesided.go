@@ -1,6 +1,8 @@
 package adi
 
 import (
+	"encoding/binary"
+
 	"ib12x/internal/core"
 	"ib12x/internal/ib"
 	"ib12x/internal/sim"
@@ -205,7 +207,7 @@ func applyAtomic(win *winInfo, off int, cas bool, arg1, arg2 uint64) uint64 {
 	if win.buf == nil {
 		return 0
 	}
-	old := leU64(win.buf[off:])
+	old := binary.LittleEndian.Uint64(win.buf[off:])
 	next := old + arg1
 	if cas {
 		next = old
@@ -213,7 +215,7 @@ func applyAtomic(win *winInfo, off int, cas bool, arg1, arg2 uint64) uint64 {
 			next = arg2
 		}
 	}
-	putLeU64(win.buf[off:], next)
+	binary.LittleEndian.PutUint64(win.buf[off:], next)
 	return old
 }
 
@@ -301,8 +303,8 @@ func applyAccumulate(win *winInfo, off int, data []byte, n int, op AccOp) {
 		return
 	}
 	for i := 0; i+8 <= n; i += 8 {
-		a := int64(leU64(dst[i:]))
-		b := int64(leU64(data[i:]))
+		a := int64(binary.LittleEndian.Uint64(dst[i:]))
+		b := int64(binary.LittleEndian.Uint64(data[i:]))
 		var r int64
 		switch op {
 		case AccSum:
@@ -318,20 +320,6 @@ func applyAccumulate(win *winInfo, off int, data []byte, n int, op AccOp) {
 				r = b
 			}
 		}
-		putLeU64(dst[i:], uint64(r))
-	}
-}
-
-func leU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
-func putLeU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+		binary.LittleEndian.PutUint64(dst[i:], uint64(r))
 	}
 }

@@ -2,6 +2,7 @@ package adi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"ib12x/internal/core"
@@ -34,8 +35,8 @@ func TestOneSidedEachTransport(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			payload := fill(n, 3)
 			acc := make([]byte, 16)
-			putLeU64(acc[0:], 7)
-			putLeU64(acc[8:], 11)
+			binary.LittleEndian.PutUint64(acc[0:], 7)
+			binary.LittleEndian.PutUint64(acc[8:], 11)
 			var (
 				keys [4]uint32
 				wins [4][]byte
@@ -44,9 +45,9 @@ func TestOneSidedEachTransport(t *testing.T) {
 			)
 			target := func(ep *Endpoint) {
 				wins[ep.Rank] = make([]byte, winN)
-				putLeU64(wins[ep.Rank][accOff:], 100)
-				putLeU64(wins[ep.Rank][accOff+8:], 200)
-				putLeU64(wins[ep.Rank][atomOff:], 40)
+				binary.LittleEndian.PutUint64(wins[ep.Rank][accOff:], 100)
+				binary.LittleEndian.PutUint64(wins[ep.Rank][accOff+8:], 200)
+				binary.LittleEndian.PutUint64(wins[ep.Rank][atomOff:], 40)
 				keys[ep.Rank] = ep.RegisterWindow(0, wins[ep.Rank], winN)
 				if ep.Rank == 0 || ep.Rank == 3 {
 					return
@@ -93,12 +94,12 @@ func TestOneSidedEachTransport(t *testing.T) {
 				if !bytes.Equal(gets[peer], payload) {
 					t.Errorf("peer %d: get bytes wrong", peer)
 				}
-				if a, b := leU64(win[accOff:]), leU64(win[accOff+8:]); a != 107 || b != 211 {
+				if a, b := binary.LittleEndian.Uint64(win[accOff:]), binary.LittleEndian.Uint64(win[accOff+8:]); a != 107 || b != 211 {
 					t.Errorf("peer %d: accumulate left %d, %d; want 107, 211", peer, a, b)
 				}
-				if olds[peer] != [2]uint64{40, 45} || leU64(win[atomOff:]) != 90 {
+				if olds[peer] != [2]uint64{40, 45} || binary.LittleEndian.Uint64(win[atomOff:]) != 90 {
 					t.Errorf("peer %d: atomics returned %v and left %d; want [40 45] and 90",
-						peer, olds[peer], leU64(win[atomOff:]))
+						peer, olds[peer], binary.LittleEndian.Uint64(win[atomOff:]))
 				}
 			}
 			// Message-based ops applied at each target: shared memory carries

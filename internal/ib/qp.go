@@ -1,6 +1,8 @@
 package ib
 
 import (
+	"encoding/binary"
+
 	"ib12x/internal/buf"
 	"ib12x/internal/hca"
 	"ib12x/internal/sim"
@@ -808,10 +810,7 @@ func atomicReqDelivered(a any, _ hca.Timing) {
 		o.accessErr = true // region deregistered under the atomic
 	} else if mr.Buf != nil {
 		b := mr.Buf[o.off : o.off+8]
-		var old uint64
-		for i := 0; i < 8; i++ {
-			old |= uint64(b[i]) << (8 * i)
-		}
+		old := binary.LittleEndian.Uint64(b)
 		var next uint64
 		switch o.op {
 		case OpAtomicFAdd:
@@ -822,9 +821,7 @@ func atomicReqDelivered(a any, _ hca.Timing) {
 				next = o.swap
 			}
 		}
-		for i := 0; i < 8; i++ {
-			b[i] = byte(next >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(b, next)
 		o.old = old
 	}
 	o.q.RespFlow().SendCtx(8, o, atomicRespDelivered, nil)

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -171,12 +172,7 @@ func (w *Win) CompareAndSwapInt64(target, offElems int, compare, swap int64) int
 
 // ReadInt64 reads element i of the LOCAL window (load from exposed memory).
 func (w *Win) ReadInt64(i int) int64 {
-	b := w.buf[8*i:]
-	var v uint64
-	for k := 0; k < 8; k++ {
-		v |= uint64(b[k]) << (8 * k)
-	}
-	return int64(v)
+	return int64(binary.LittleEndian.Uint64(w.buf[8*i:]))
 }
 
 // Fence closes the current RMA epoch (MPI_Win_fence): it blocks until every
@@ -201,13 +197,13 @@ func (w *Win) Fence() {
 	// when the target applies them: exchange per-target counts and wait
 	// for the expected number locally (the MPICH fence scheme).
 	for j, v := range w.sentCounted {
-		putU64f(w.sendB[8*j:], uint64(v))
+		binary.LittleEndian.PutUint64(w.sendB[8*j:], uint64(v))
 		w.sentCounted[j] = 0
 	}
 	// Shielded: a flipped count would make WaitWindowOps wait forever.
 	c.ep.Shielded(func() { c.Alltoall(w.sendB, 8, w.recvB) })
 	for j := range w.sentCounted {
-		w.expected += int64(getU64f(w.recvB[8*j:]))
+		w.expected += int64(binary.LittleEndian.Uint64(w.recvB[8*j:]))
 	}
 	c.ep.WaitWindowOps(w.id, w.expected)
 
@@ -220,18 +216,4 @@ func (w *Win) Free() {
 	w.Fence()
 	w.c.ep.UnregisterWindow(w.id)
 	w.freed = true
-}
-
-func putU64f(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64f(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
 }

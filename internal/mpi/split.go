@@ -1,6 +1,9 @@
 package mpi
 
-import "sort"
+import (
+	"encoding/binary"
+	"sort"
+)
 
 // Split partitions the communicator (MPI_Comm_split): ranks passing the
 // same color form a new communicator, ordered by (key, old rank). A
@@ -15,10 +18,10 @@ func (c *Comm) Split(color, key int) *Comm {
 	p := c.Size()
 	// Gather (color, key, worldRank, endpoint's next free context).
 	mine := make([]byte, 32)
-	putU64f(mine[0:], uint64(int64(color)))
-	putU64f(mine[8:], uint64(int64(key)))
-	putU64f(mine[16:], uint64(int64(c.world(c.rank))))
-	putU64f(mine[24:], uint64(int64(c.ep.NextCtx())))
+	binary.LittleEndian.PutUint64(mine[0:], uint64(int64(color)))
+	binary.LittleEndian.PutUint64(mine[8:], uint64(int64(key)))
+	binary.LittleEndian.PutUint64(mine[16:], uint64(int64(c.world(c.rank))))
+	binary.LittleEndian.PutUint64(mine[24:], uint64(int64(c.ep.NextCtx())))
 	all := make([]byte, 32*p)
 	c.Allgather(mine, 32, all)
 
@@ -30,15 +33,15 @@ func (c *Comm) Split(color, key int) *Comm {
 	for r := 0; r < p; r++ {
 		b := all[32*r:]
 		m := member{
-			color: int(int64(getU64f(b[0:]))),
-			key:   int(int64(getU64f(b[8:]))),
-			world: int(int64(getU64f(b[16:]))),
+			color: int(int64(binary.LittleEndian.Uint64(b[0:]))),
+			key:   int(int64(binary.LittleEndian.Uint64(b[8:]))),
+			world: int(int64(binary.LittleEndian.Uint64(b[16:]))),
 		}
 		if m.color != color {
 			continue
 		}
 		members = append(members, m)
-		if ctx := int(int64(getU64f(b[24:]))); ctx > maxCtx {
+		if ctx := int(int64(binary.LittleEndian.Uint64(b[24:]))); ctx > maxCtx {
 			maxCtx = ctx
 		}
 	}
