@@ -33,6 +33,9 @@ func faultPlans() []oraclePlan {
 		// A rail dies permanently while the p2p streams are in full flight:
 		// in-flight stripes flush and retransmit on survivors.
 		{Plan: RailDeath(100*sim.Microsecond, 1, 2), want: wantQuarantine},
+		// Rail 0 dies: the bound rail, which binding and blocking eager
+		// traffic use, so they must rebind; the rail-2 death never moves them.
+		{Plan: RailDeath(100*sim.Microsecond, 1, 0), want: wantQuarantine},
 		// The whole send engine of node 0's port freezes for 200us: a QP
 		// stall with no loss.
 		{Plan: StalledEngine(150*sim.Microsecond, 200*sim.Microsecond, 0, 0)},
