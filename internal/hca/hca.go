@@ -423,7 +423,7 @@ func observe(stage string, x *xfer, n int64) {
 }
 
 // Pipeline-stage thunks: package-level functions scheduled via PostCall so
-// each hop carries its state in the pooled timer node instead of allocating
+// each hop carries its state in the pooled event node instead of allocating
 // a capturing closure per chunk.
 func stageEngine(a any, _, _, _ int64) {
 	x := a.(*xfer)

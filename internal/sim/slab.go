@@ -3,7 +3,7 @@ package sim
 import "unsafe"
 
 // Slab is the allocator behind the message path's object pools (requests,
-// envelopes, in-flight records, WR ops, pipeline states, timer nodes). A
+// envelopes, in-flight records, WR ops, pipeline states, event nodes). A
 // pool that made one object per miss paid one heap allocation for every
 // object a caller kept instead of releasing; MPICH's ADI hands its request
 // objects out of preallocated blocks for the same reason. A Slab reuses a
